@@ -12,7 +12,7 @@ response can sit below capacity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,9 +71,9 @@ def expected_payoff_mc(
 ) -> PayoffEstimate:
     """Unbiased MC estimate of miner `miner_index`'s expected payoff.
 
-    PPSS runs pre-fill the rolling window by simulating N rounds at the same
-    strategy unless `fixed_windows` pins the history. Reproducible for any
-    worker count.
+    PPSS runs fill the rolling window with N-1 rounds at the same strategy
+    unless `fixed_windows` pins the history. Reproducible for any worker
+    count.
     """
     strategy.validate(profiles)
     samples = payoff_samples(

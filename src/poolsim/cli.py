@@ -6,12 +6,12 @@ import copy
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
-import yaml
 
 from .analysis import best_response, ocdic_check
-from .config import ConfigError, parse_config
+from .config import ConfigError, load_config, parse_config, read_yaml
 from .csvio import ledger_header, ledger_rows, write_csv
 from .engine import run_simulation
 from .model import cost_eval
@@ -24,20 +24,12 @@ EXIT_CONFIG = 2
 
 
 def _load(path, args):
-    with open(path) as fh:
-        data = yaml.safe_load(fh)
-    cfg = parse_config(data)
+    cfg = load_config(path)
     if getattr(args, "seed", None) is not None:
-        cfg = _replace(cfg, seed=args.seed)
+        cfg = replace(cfg, seed=args.seed)
     if getattr(args, "replicas", None) is not None:
-        cfg = _replace(cfg, replicas=args.replicas)
+        cfg = replace(cfg, replicas=args.replicas)
     return cfg
-
-
-def _replace(cfg, **kw):
-    from dataclasses import replace
-
-    return replace(cfg, **kw)
 
 
 def cmd_simulate(args) -> int:
@@ -83,7 +75,7 @@ def cmd_verify(args) -> int:
     for r in rows:
         print(f"{r['theorem']}: {r['verdict']} (metric={r['metric']:g}, bound={r['bound']:g})")
     unexpected = [r for r in rows if r["verdict"] == "FAIL"]
-    return EXIT_CONFIG if False else (EXIT_OK if not unexpected else 1)
+    return EXIT_OK if not unexpected else 1
 
 
 def cmd_best_response(args) -> int:
@@ -148,8 +140,7 @@ def cmd_sweep(args) -> int:
         except ValueError:
             print(f"error: bad axis spec {spec!r} (want field=lo:hi:count)", file=sys.stderr)
             return EXIT_CONFIG
-    with open(args.config) as fh:
-        base = yaml.safe_load(fh)
+    base = read_yaml(args.config)
 
     grids = [axes[0][1]] if len(axes) == 1 else [axes[0][1], axes[1][1]]
     cells = (
@@ -171,9 +162,9 @@ def cmd_sweep(args) -> int:
             print(f"error: {e}", file=sys.stderr)
             return EXIT_CONFIG
         if getattr(args, "seed", None) is not None:
-            cfg = _replace(cfg, seed=args.seed)
+            cfg = replace(cfg, seed=args.seed)
         if getattr(args, "replicas", None) is not None:
-            cfg = _replace(cfg, replicas=args.replicas)
+            cfg = replace(cfg, replicas=args.replicas)
         n_miners = len(cfg.miners)
         verdicts = ocdic_check(
             cfg.mechanism, cfg.platform, cfg.profiles(), cfg.demand,

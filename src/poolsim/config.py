@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import yaml
 
@@ -301,10 +301,18 @@ def parse_config(data: dict, warn_stream=None) -> ExperimentConfig:
     return cfg
 
 
-def load_config(path: str, warn_stream=None) -> ExperimentConfig:
+def read_yaml(path: str):
+    """The YAML document at `path`; malformed or undecodable YAML raises
+    ConfigError."""
     with open(path) as fh:
-        data = yaml.safe_load(fh)
-    return parse_config(data, warn_stream=warn_stream)
+        try:
+            return yaml.safe_load(fh)
+        except (yaml.YAMLError, UnicodeDecodeError) as e:
+            raise ConfigError(path, f"malformed YAML: {e}") from e
+
+
+def load_config(path: str, warn_stream=None) -> ExperimentConfig:
+    return parse_config(read_yaml(path), warn_stream=warn_stream)
 
 
 def dump_config(cfg: ExperimentConfig) -> str:

@@ -68,16 +68,9 @@ def delta_adaptive_policy(
     return min(profile.capacity_A, last.own_a / policy.step)
 
 
-def _policy_allocation(
-    policy: MinerPolicy,
-    profile: MinerProfile,
-    observations: list[Observation],
-    params: PlatformParams,
-    profiles: list[MinerProfile],
-    demand: DemandModel,
-    mechanism: str,
-    seed: int,
-) -> float:
+def _policy_allocation(state: SimulationState, i: int) -> float:
+    policy, profile = state.policies[i], state.profiles[i]
+    observations = state.observations[i]
     if policy.kind == "static":
         return min(policy.a, profile.capacity_A)
     if policy.kind == "delta_adaptive":
@@ -85,17 +78,22 @@ def _policy_allocation(
             return profile.capacity_A
         return delta_adaptive_policy(observations, profile, policy)
     # Myopic best response to the last announced demand, assuming the
-    # other miners run at capacity.
+    # other miners run at capacity. Within a run the argmax is a pure
+    # function of (miner, M), so it is reused while M repeats.
+    last_M = observations[-1].M if observations else state.demand.mu_F
+    memo = state.br_memo[i]
+    if memo is not None and memo[0] == last_M:
+        return memo[1]
     from .analysis import best_response
 
-    last_M = observations[-1].M if observations else demand.mu_F
-    capacities = np.array([p.capacity_A for p in profiles])
+    capacities = np.array([p.capacity_A for p in state.profiles])
     br = best_response(
-        mechanism, profile.id, capacities, params, profiles,
+        state.mechanism, profile.id, capacities, state.params, state.profiles,
         DemandModel(family="constant", M=last_M),
-        grid_points=policy.grid, replicas=policy.replicas, seed=seed,
+        grid_points=policy.grid, replicas=policy.replicas, seed=state.seed,
         fixed_M=last_M,
     )
+    state.br_memo[i] = (last_M, br.argmax_a)
     return br.argmax_a
 
 
@@ -142,6 +140,8 @@ class SimulationState:
     windows: list[RollingWindow]
     observations: list[list[Observation]]
     ledger: SimulationLedger
+    # Per miner, (announced M, argmax) of its last myopic best response.
+    br_memo: list[tuple[float, float] | None]
     next_round: int = 1
 
 
@@ -164,6 +164,7 @@ def init_state(
         windows=[RollingWindow(params.window_N) for _ in range(n)],
         observations=[[] for _ in range(n)],
         ledger=SimulationLedger(),
+        br_memo=[None] * n,
     )
 
 
@@ -176,13 +177,7 @@ def step_round(state: SimulationState) -> RoundRecord:
     j = state.next_round
     rng = substream(state.seed, TAG_ROUND, j)
     M = sample_demand(state.demand, rng)
-    allocs = [
-        _policy_allocation(
-            pol, prof, state.observations[i], state.params, state.profiles,
-            state.demand, state.mechanism, state.seed,
-        )
-        for i, (pol, prof) in enumerate(zip(state.policies, state.profiles))
-    ]
+    allocs = [_policy_allocation(state, i) for i in range(len(state.profiles))]
     strategy = StrategyProfile.of(allocs)
     strategy.validate(state.profiles)
     transcript = sample_transcript(state.params, strategy, M, j, rng)

@@ -6,7 +6,7 @@ miner i's output is a Gamma(k * a_i, 1) draw, so E[D_i] = k * a_i.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

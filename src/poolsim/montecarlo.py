@@ -7,7 +7,16 @@ summation, so estimates are bit-identical for any worker count.
 
 Sampling goes through quantile functions applied to a fixed layout of
 uniforms, which makes same-seed evaluations at different allocations
-common-random-number paired.
+common-random-number paired. A block's layout is, in stream order:
+
+- ppss with warm windows only: one column for miner i's window sum;
+- one demand column (drawn even when M is fixed);
+- one difficulty column per miner.
+
+The warm window holds N-1 rounds at the evaluated strategy. Their sum is
+exactly Gamma((N-1)*k*a_i), so one quantile column stands in for the
+pre-rounds, and since the quantile increases with a_i at a fixed uniform,
+the pairing across allocations is kept.
 """
 from __future__ import annotations
 
@@ -88,20 +97,14 @@ def _block_payoffs(
     fixed_windows: list[tuple[float, int]] | None,
 ) -> np.ndarray:
     rng = substream(seed, TAG_PAYOFF, block_index)
-    n = len(profiles)
     shapes = params.k * allocations
 
-    warm_sums = None
-    warm_len = 0
     if mechanism == "ppss" and fixed_windows is None:
-        # Warm windows: N pre-rounds at the evaluated strategy; the
-        # indicator consumes the last N-1 of them plus the current draw.
-        warm_len = max(params.window_N - 1, 0)
-        history = [_draw_difficulties(rng, shapes, m) for _ in range(params.window_N)]
-        tail = history[-warm_len:] if warm_len else []
-        warm_sums = (
-            np.sum(tail, axis=0) if tail else np.zeros((m, n))
-        )
+        # The indicator reads miner i's last N-1 pre-rounds plus the current
+        # draw. Those pre-rounds are i.i.d. Gamma(k*a_i), so their sum is
+        # one Gamma((N-1)*k*a_i) quantile column, drawn first in the block.
+        wlen = max(params.window_N - 1, 0)
+        wsum = gamma_ppf(wlen * float(shapes[miner_index]), rng.random(m))
 
     u_m = rng.random(m)
     M = np.full(m, fixed_M) if fixed_M is not None else demand.ppf(u_m)
@@ -117,12 +120,7 @@ def _block_payoffs(
         rewards = share * params.b * cap
     elif mechanism == "ppss":
         if fixed_windows is not None:
-            wsum_i, wlen_i = fixed_windows[miner_index]
-            wsum = np.full(m, wsum_i)
-            wlen = wlen_i
-        else:
-            wsum = warm_sums[:, miner_index]
-            wlen = warm_len
+            wsum, wlen = fixed_windows[miner_index]
         per_unit = _ppss_per_unit(d[:, miner_index], wsum, wlen, profiles[miner_index], params)
         rewards = share * per_unit * cap
     else:
@@ -169,9 +167,8 @@ def payoff_samples(
 def exact_mean_ci(samples: np.ndarray) -> tuple[float, float]:
     """(mean, 95% CI half-width) via fixed-order compensated summation."""
     r = len(samples)
-    vals = samples.tolist()
-    mean = math.fsum(vals) / r
+    mean = math.fsum(samples.tolist()) / r
     if r < 2:
         return mean, 0.0
-    var = math.fsum((v - mean) ** 2 for v in vals) / (r - 1)
+    var = math.fsum(((samples - mean) ** 2).tolist()) / (r - 1)
     return mean, 1.96 * math.sqrt(var / r)

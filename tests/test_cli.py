@@ -86,6 +86,17 @@ class TestSimulate:
         assert main(["simulate", "--config", config_path(bad), "--out", tmp_out]) == 2
         assert "mechanism" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("content", [b"mechanism: [unclosed\n", b"\xff\xfe\x00bad"])
+    def test_malformed_yaml_exits_2(self, command, content, tmp_path, tmp_out, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(content)
+        argv = [command, "--config", str(path), "--out", tmp_out]
+        if command == "sweep":
+            argv += ["--axis", "platform.k=1:2:2"]
+        assert main(argv) == 2
+        assert "malformed YAML" in capsys.readouterr().err
+
     def test_supply_shortfall_warns_but_succeeds(self, config_path, tmp_out, capsys):
         data = dict(BASE_CONFIG, demand={"family": "constant", "M": 5.0})
         assert main(["simulate", "--config", config_path(data), "--out", tmp_out]) == 0

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from poolsim import analysis
 from poolsim.engine import (
     MinerPolicy,
     Observation,
@@ -86,6 +87,66 @@ class TestPolicies:
         ledger = run_simulation(cfg)
         for rec in ledger.records:
             assert rec.allocations[0] >= 2.0 - 2 * (2.0 / 8)
+
+
+class TestMyopicMemo:
+    def _config(self, demand):
+        myopic = {"kind": "myopic_br", "grid": 5, "replicas": 256}
+        return quiet_parse({
+            "mechanism": "ppss",
+            "platform": {"p": 1.0, "k": 100.0, "lambda": 0.8, "N": 4},
+            "miners": [
+                {"capacity_A": 1.0, "cost": {"family": "linear", "r": 40.0},
+                 "policy": myopic},
+                {"capacity_A": 1.0, "cost": {"family": "linear", "r": 150.0},
+                 "policy": {"kind": "static", "a": 1.0}},
+                {"capacity_A": 2.0, "cost": {"family": "linear", "r": 20.0},
+                 "policy": myopic},
+            ],
+            "demand": demand,
+            "rounds": 4, "seed": 9,
+        })
+
+    def _count_best_responses(self, monkeypatch, cfg):
+        calls = []
+        real = analysis.best_response
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["fixed_M"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "best_response", counting)
+        return run_simulation(cfg), calls
+
+    def test_constant_demand_solves_once_per_myopic_miner(self, monkeypatch):
+        cfg = self._config({"family": "constant", "M": 900.0})
+        _, calls = self._count_best_responses(monkeypatch, cfg)
+        assert calls == [900.0, 900.0]
+
+    def test_varying_demand_solves_every_round(self, monkeypatch):
+        cfg = self._config({"family": "uniform", "lo": 20.0, "hi": 400.0})
+        ledger, calls = self._count_best_responses(monkeypatch, cfg)
+        announced = [cfg.demand.mu_F] + [rec.M for rec in ledger.records[:-1]]
+        assert calls == [M for M in announced for _ in range(2)]
+
+    @pytest.mark.parametrize("demand", [
+        {"family": "constant", "M": 900.0},
+        {"family": "uniform", "lo": 20.0, "hi": 400.0},
+    ])
+    def test_allocations_equal_direct_best_responses(self, demand):
+        cfg = self._config(demand)
+        ledger = run_simulation(cfg)
+        profiles = cfg.profiles()
+        capacities = np.array([p.capacity_A for p in profiles])
+        announced = [cfg.demand.mu_F] + [rec.M for rec in ledger.records[:-1]]
+        for rec, M in zip(ledger.records, announced):
+            for i in (0, 2):
+                br = analysis.best_response(
+                    "ppss", i, capacities, cfg.platform, profiles,
+                    DemandModel(family="constant", M=M),
+                    grid_points=5, replicas=256, seed=cfg.seed, fixed_M=M,
+                )
+                assert rec.allocations[i] == br.argmax_a
 
 
 class TestStepRound:

@@ -1,12 +1,17 @@
 """Replica engine: determinism across workers, summation, quantile sampling."""
+import hashlib
 import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import special
 
-from poolsim.model import CostFunction, DemandModel, MinerProfile, PlatformParams
+from poolsim import montecarlo
+from poolsim.model import CostFunction, DemandModel, MinerProfile, PlatformParams, cost_eval
 from poolsim.montecarlo import (
     BLOCK_SIZE,
     exact_mean_ci,
@@ -22,6 +27,11 @@ PROFILES = [
     MinerProfile(id=1, capacity_A=5.0, cost=CostFunction(family="linear", r=0.5)),
 ]
 DEMAND = DemandModel(family="uniform", lo=10.0, hi=30.0)
+# c~/k = 2.5 > b, so the subsidy pays whenever the window indicator fires
+SUBSIDISED = [
+    MinerProfile(id=i, capacity_A=5.0, cost=CostFunction(family="linear", r=5.0))
+    for i in range(2)
+]
 
 
 def _samples(replicas, mechanism="pps", **kw):
@@ -123,3 +133,81 @@ class TestExactMeanCi:
         x = np.array([1e16, 1.0, -1e16, 1.0] * 100)
         mean, _ = exact_mean_ci(x)
         assert mean == pytest.approx(0.5, rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(
+        np.float64, st.integers(2, 600),
+        elements=st.floats(-1e9, 1e9, allow_nan=False, allow_infinity=False),
+    ))
+    def test_variance_matches_scalar_loop(self, x):
+        # Reference: the per-element loop with the same arithmetic, exactly.
+        # Python's `v ** 2` goes through libm pow, which can miss the
+        # correctly rounded v * v by one ulp, so against that older form
+        # the half-width agrees to a few ulps rather than bit for bit.
+        mean, ci = exact_mean_ci(x)
+        vals = x.tolist()
+        assert mean == math.fsum(vals) / len(vals)
+        var = math.fsum((v - mean) * (v - mean) for v in vals) / (len(vals) - 1)
+        assert ci == 1.96 * math.sqrt(var / len(vals))
+        pow_var = math.fsum((v - mean) ** 2 for v in vals) / (len(vals) - 1)
+        assert ci == pytest.approx(1.96 * math.sqrt(pow_var / len(vals)), rel=1e-14, abs=0)
+
+
+class TestUniformLayout:
+    def _digest(self, mechanism, **kw):
+        x = payoff_samples(
+            mechanism, 0, np.array([4.0, 5.0]), PARAMS, SUBSIDISED, DEMAND,
+            BLOCK_SIZE + 17, seed=11, **kw,
+        )
+        return hashlib.sha256(x.tobytes()).hexdigest()
+
+    def test_pps_and_fixed_window_samples_are_pinned(self):
+        # Digests of the layout before the warm window became one column:
+        # only the warm-window ppss path may draw differently.
+        assert self._digest("pps") == (
+            "0b15fa092be2fb02b9d817fd5d53177be14395b31a626ee22757322dcfa2a9c0"
+        )
+        assert self._digest("ppss", fixed_windows=[(24.0, 3), (30.0, 3)]) == (
+            "3af0f88ea253f0df26426697dafd3c8d7a0ca6c0247bfbcdb8835b7fa40ef322"
+        )
+
+    def test_warm_window_matches_explicit_pre_rounds(self):
+        # Reference: N-1 explicit Gamma(k*a_i) pre-round outputs per replica.
+        replicas = 40_000
+        params = PlatformParams(p=1.0, b=1.0, k=2.0, window_N=4, eps_k=0.1)
+        alloc = np.array([4.0, 5.0])
+        mean, ci = exact_mean_ci(payoff_samples(
+            "ppss", 0, alloc, params, SUBSIDISED, DEMAND, replicas, seed=11,
+        ))
+        rng = np.random.default_rng(2024)
+        shapes = params.k * alloc
+        window = sum(
+            rng.gamma(shapes[0], size=replicas) for _ in range(params.window_N - 1)
+        )
+        d = rng.gamma(shapes, size=(replicas, 2))
+        M = rng.uniform(DEMAND.lo, DEMAND.hi, replicas)
+        totals = d.sum(axis=1)
+        per_unit = montecarlo._ppss_per_unit(
+            d[:, 0], window, params.window_N - 1, SUBSIDISED[0], params,
+        )
+        ref = d[:, 0] / totals * per_unit * np.minimum(totals, M)
+        ref_mean, ref_ci = exact_mean_ci(ref - cost_eval(SUBSIDISED[0].cost, 4.0))
+        assert abs(mean - ref_mean) <= ci + ref_ci
+
+    def test_single_round_window_is_empty(self, monkeypatch):
+        seen = []
+        real = montecarlo._ppss_per_unit
+
+        def spy(d_col, window_sum, window_len, profile, params):
+            seen.append((np.asarray(window_sum).copy(), window_len))
+            return real(d_col, window_sum, window_len, profile, params)
+
+        monkeypatch.setattr(montecarlo, "_ppss_per_unit", spy)
+        params = PlatformParams(p=1.0, b=1.0, k=2.0, window_N=1)
+        out = payoff_samples(
+            "ppss", 0, np.array([4.0, 5.0]), params, SUBSIDISED, DEMAND, 500, seed=11,
+        )
+        assert np.all(np.isfinite(out))
+        assert len(seen) == 1
+        window_sum, window_len = seen[0]
+        assert window_len == 0 and np.all(window_sum == 0.0)
