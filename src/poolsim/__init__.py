@@ -20,35 +20,21 @@ from .analysis import (
 from .config import ConfigError, ExperimentConfig, dump_config, load_config, parse_config
 from .engine import (
     MinerPolicy,
-    Observation,
-    RoundRecord,
     SimulationLedger,
     delta_adaptive_policy,
     init_state,
     run_simulation,
     step_round,
 )
-from .mechanisms import (
-    RewardOutcome,
-    RollingWindow,
-    budget_ratio,
-    pps_reward,
-    ppss_reward,
-    subsidy_factor,
-    subsidy_indicator,
-    subsidy_shape,
-)
+from .mechanisms import pps_reward, ppss_reward, subsidy_shape
 from .model import (
     CostFunction,
     DemandModel,
     MinerProfile,
     PlatformParams,
-    RoundTranscript,
-    StrategyProfile,
     c_tilde,
     cost_eval,
     cost_marginal,
-    gamma_sample,
     sample_demand,
     sample_transcript,
     substream,

@@ -16,13 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mechanisms import RollingWindow, subsidy_shape
+from .mechanisms import subsidy_shape
 from .model import (
     CostFunction,
     DemandModel,
     MinerProfile,
     PlatformParams,
-    StrategyProfile,
     cost_eval,
     c_tilde,
 )
@@ -60,7 +59,7 @@ class BudgetBounds:
 def expected_payoff_mc(
     mechanism: str,
     miner_index: int,
-    strategy: StrategyProfile,
+    allocations,
     params: PlatformParams,
     profiles: list[MinerProfile],
     demand: DemandModel,
@@ -73,11 +72,14 @@ def expected_payoff_mc(
 
     PPSS runs fill the rolling window with N-1 rounds at the same strategy
     unless `fixed_windows` pins the history. Reproducible for any worker
-    count.
+    count. Every allocation must lie in [0, A_i].
     """
-    strategy.validate(profiles)
+    allocations = np.asarray(allocations, dtype=float)
+    for a, prof in zip(allocations, profiles, strict=True):
+        if not 0 <= a <= prof.capacity_A:
+            raise ValueError(f"allocation {a} outside [0, {prof.capacity_A}] for miner {prof.id}")
     samples = payoff_samples(
-        mechanism, miner_index, strategy.as_array(), params, profiles, demand,
+        mechanism, miner_index, allocations, params, profiles, demand,
         replicas, seed, fixed_M=fixed_M, fixed_windows=fixed_windows,
     )
     mean, ci = exact_mean_ci(samples)
@@ -141,7 +143,7 @@ def best_response(
             alloc = base.copy()
             alloc[miner_index] = a
             est = expected_payoff_mc(
-                mechanism, miner_index, StrategyProfile.of(alloc), params,
+                mechanism, miner_index, alloc, params,
                 profiles, demand, replicas, seed,
                 fixed_M=fixed_M, fixed_windows=fixed_windows,
             )
@@ -239,7 +241,7 @@ def docdic_check(
     params: PlatformParams,
     profiles: list[MinerProfile],
     realized_M: float,
-    windows: list[RollingWindow] | None,
+    windows: list[tuple[float, int]] | None,
     tol_a: float | None = None,
     replicas: int = 10_000,
     seed: int = 0,
@@ -248,16 +250,15 @@ def docdic_check(
     mc_diagnostic: bool = False,
 ) -> list[dict]:
     """Round-level incentive verdict: best response of the immediate payoff
-    conditional on the announced M and the current rolling windows."""
+    conditional on the announced M and the current rolling windows, given
+    per miner as (sum, length) of its last N-1 completed rounds' outputs
+    (SimulationLedger.window gives them)."""
     if realized_M <= 0:
         raise ValueError("realized_M must be positive")
     objective = objective or _default_objective(mechanism)
     demand = DemandModel(family="constant", M=realized_M)
     capacities = np.array([p.capacity_A for p in profiles])
-    fixed_windows = None
-    if mechanism == "ppss" and windows is not None:
-        tail = params.window_N - 1
-        fixed_windows = [(w.tail_sum(tail), w.tail_len(tail)) for w in windows]
+    fixed_windows = windows if mechanism == "ppss" else None
     verdicts = []
     for i, prof in enumerate(profiles):
         tol = tol_a if tol_a is not None else 2.0 * prof.capacity_A / (grid_points - 1)
@@ -319,7 +320,7 @@ def subsidy_prob_lower(a: float, A: float, lam: float) -> float:
 def g_function(D: float, c_tilde_value: float, params: PlatformParams, profile: MinerProfile) -> float:
     """Subsidy mass (c~/k - b) * D / K(D), with K floored at eps_k."""
     D_arr = np.asarray(D, dtype=float)
-    K = np.maximum(subsidy_shape(D_arr, profile, params), params.eps_k)
+    K = np.maximum(subsidy_shape(D_arr, profile.capacity_A, params), params.eps_k)
     out = (c_tilde_value / params.k - params.b) * D_arr / K
     return out if out.ndim else float(out)
 
@@ -330,11 +331,11 @@ def bb_audit(ledger, params: PlatformParams, bounds: BudgetBounds) -> dict:
     Checks the per-round sense (every realized ratio within [theta, gamma])
     and the long-term sense (the mean ratio within the same bounds).
     """
-    ratios = [rec.budget_ratio for rec in ledger.records]
-    if not ratios:
+    ratios = ledger.budget_ratio
+    if not len(ratios):
         raise ValueError("ledger is empty")
-    mean, ci = exact_mean_ci(np.asarray(ratios))
-    lo, hi = min(ratios), max(ratios)
+    mean, ci = exact_mean_ci(ratios)
+    lo, hi = float(ratios.min()), float(ratios.max())
     return {
         "rounds": len(ratios),
         "ratio_min": lo,

@@ -6,48 +6,51 @@ import copy
 import math
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from .analysis import best_response, ocdic_check
-from .config import ConfigError, load_config, parse_config, read_yaml
+from .config import ConfigError, parse_config, read_yaml
 from .csvio import ledger_header, ledger_rows, write_csv
 from .engine import run_simulation
-from .model import cost_eval
+from .mechanisms import subsidy_shape
+from .model import PlatformParams, cost_eval
 from .svgplot import line_plot_svg, write_svg
 from .theorems import ALL_THEOREMS, run_audits
 
 EXIT_OK = 0
 EXIT_IO = 1
 EXIT_CONFIG = 2
+EXIT_AUDIT_FAIL = 3
 
 
-def _load(path, args):
-    cfg = load_config(path)
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if getattr(args, "replicas", None) is not None:
-        cfg = replace(cfg, replicas=args.replicas)
-    return cfg
+def _parse(data, args):
+    """parse_config on `data` with the --seed/--replicas overrides applied
+    first, so that they pass the same validation as the file's values."""
+    if isinstance(data, dict):
+        for key in ("seed", "replicas"):
+            if getattr(args, key, None) is not None:
+                data = {**data, key: getattr(args, key)}
+    return parse_config(data)
+
+
+def _mean(column) -> float:
+    return math.fsum(column.tolist()) / len(column)
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load(args.config, args)
+    cfg = _parse(read_yaml(args.config), args)
     ledger = run_simulation(cfg)
     n = len(cfg.miners)
     write_csv(os.path.join(args.out, "ledger.csv"), ledger_header(n), ledger_rows(ledger))
 
-    rounds = len(ledger.records)
-    mean_ratio = math.fsum(r.budget_ratio for r in ledger.records) / rounds
+    mean_ratio = _mean(ledger.budget_ratio)
     summary_rows = []
     for i, spec in enumerate(cfg.miners):
-        rewards = [r.rewards[i] for r in ledger.records]
-        costs = [cost_eval(spec.cost, r.allocations[i]) for r in ledger.records]
-        payoff = math.fsum(rw - c for rw, c in zip(rewards, costs)) / rounds
-        freq = math.fsum(r.subsidy_flags[i] for r in ledger.records) / rounds
+        rewards = ledger.rewards[:, i]
+        payoff = _mean(rewards - cost_eval(spec.cost, ledger.a[:, i]))
         summary_rows.append([
-            i, math.fsum(rewards) / rounds, payoff, freq, mean_ratio,
+            i, _mean(rewards), payoff, _mean(ledger.flags[:, i]), mean_ratio,
         ])
     write_csv(
         os.path.join(args.out, "summary.csv"),
@@ -58,7 +61,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = _load(args.config, args)
+    cfg = _parse(read_yaml(args.config), args)
     theorems = args.theorems.split(",") if args.theorems else list(ALL_THEOREMS)
     theorems = [t.strip().upper() for t in theorems if t.strip()]
     try:
@@ -74,15 +77,18 @@ def cmd_verify(args) -> int:
     )
     for r in rows:
         print(f"{r['theorem']}: {r['verdict']} (metric={r['metric']:g}, bound={r['bound']:g})")
-    unexpected = [r for r in rows if r["verdict"] == "FAIL"]
-    return EXIT_OK if not unexpected else 1
+    failed = any(r["verdict"] == "FAIL" for r in rows)
+    return EXIT_AUDIT_FAIL if failed else EXIT_OK
 
 
 def cmd_best_response(args) -> int:
-    cfg = _load(args.config, args)
+    cfg = _parse(read_yaml(args.config), args)
     profiles = cfg.profiles()
     if not 0 <= args.miner < len(profiles):
         print(f"error: miner index {args.miner} out of range", file=sys.stderr)
+        return EXIT_CONFIG
+    if args.grid < 2:
+        print(f"error: --grid must be at least 2, got {args.grid}", file=sys.stderr)
         return EXIT_CONFIG
     capacities = np.array([p.capacity_A for p in profiles])
     objective = args.objective or ("floor" if cfg.mechanism == "ppss" else "payoff")
@@ -156,22 +162,13 @@ def cmd_sweep(args) -> int:
             if not _set_path(data, path, float(v)):
                 print(f"error: unknown axis field {path!r}", file=sys.stderr)
                 return EXIT_CONFIG
-        try:
-            cfg = parse_config(data)
-        except ConfigError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_CONFIG
-        if getattr(args, "seed", None) is not None:
-            cfg = replace(cfg, seed=args.seed)
-        if getattr(args, "replicas", None) is not None:
-            cfg = replace(cfg, replicas=args.replicas)
+        cfg = _parse(data, args)
         n_miners = len(cfg.miners)
         verdicts = ocdic_check(
             cfg.mechanism, cfg.platform, cfg.profiles(), cfg.demand,
             replicas=cfg.replicas, seed=cfg.seed,
         )
-        ledger = run_simulation(cfg)
-        mean_ratio = math.fsum(r.budget_ratio for r in ledger.records) / len(ledger.records)
+        mean_ratio = _mean(run_simulation(cfg).budget_ratio)
         row = list(cell)
         for v in verdicts:
             row += [int(v["passed"]), v["argmax"]]
@@ -188,10 +185,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_fig1(args) -> int:
     # subsidy shape vs capacity at k=2, lambda=0.8, D=10
-    k, lam, D = 2.0, 0.8, 10.0
     A = np.linspace(20.0, 50.0, 301)
-    x = lam * A * k / D
-    K = 1.0 - x * np.exp(1.0 - x)
+    K = subsidy_shape(10.0, A, PlatformParams(p=1.0, b=1.0, k=2.0, lam=0.8))
     write_csv(os.path.join(args.out, "fig1.csv"), ["A", "K"], zip(A, K))
     svg = line_plot_svg(
         A, K,

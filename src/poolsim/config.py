@@ -196,10 +196,13 @@ def _parse_policy(node, capacity: float, field_name: str) -> MinerPolicy:
             )
         if kind == "delta_adaptive":
             _reject_unknown(node, {"kind", "step", "floor"}, field_name)
+            floor = _number(node, "floor", field_name, default=0.0)
+            if floor > capacity:
+                raise ConfigError(f"{field_name}.floor", "must not exceed capacity_A")
             return MinerPolicy(
                 kind="delta_adaptive",
                 step=_number(node, "step", field_name, default=0.5),
-                floor=_number(node, "floor", field_name, default=0.0),
+                floor=floor,
             )
     except ValueError as e:
         if isinstance(e, ConfigError):
@@ -269,6 +272,8 @@ def parse_config(data: dict, warn_stream=None) -> ExperimentConfig:
     if replicas < 1:
         raise ConfigError("replicas", "must be at least 1")
     seed = int(_number(data, "seed", "<root>", default=0))
+    if seed < 0:
+        raise ConfigError("seed", "must be nonnegative")
 
     anode = _require_mapping(data.get("audit", {}), "audit")
     _reject_unknown(anode, {"theta", "gamma"}, "audit")

@@ -44,9 +44,10 @@ def ledger_header(n_miners: int) -> list[str]:
 
 
 def ledger_rows(ledger):
-    for rec in ledger.records:
-        row = [rec.round_index, rec.M]
-        for a, d, r, s in zip(rec.allocations, rec.difficulties, rec.rewards, rec.subsidy_flags):
-            row += [a, d, r, int(s)]
-        row += [rec.delta, rec.budget_ratio]
-        yield row
+    """One row per round, in ledger_header's column order."""
+    cols = [range(1, ledger.rounds + 1), ledger.M.tolist()]
+    for i in range(ledger.a.shape[1]):
+        cols += [ledger.a[:, i].tolist(), ledger.D[:, i].tolist(),
+                 ledger.rewards[:, i].tolist(), ledger.flags[:, i].tolist()]
+    cols += [ledger.delta.tolist(), ledger.budget_ratio.tolist()]
+    return zip(*cols)

@@ -1,179 +1,61 @@
-"""PPS and PPSS reward mechanisms plus the rolling-window subsidy machinery."""
-from __future__ import annotations
+"""PPS and PPSS reward kernels.
 
-from collections import deque
-from dataclasses import dataclass, field
+Both rules are written once, as broadcasting array functions. The engine
+calls them with one round's (n,) miner row; the Monte Carlo calls them with
+one miner's (m,) replica column. Each element is computed with the same
+operations in the same order either way, so the two agree bit for bit.
+"""
+from __future__ import annotations
 
 import numpy as np
 
-from .model import MinerProfile, PlatformParams, RoundTranscript, c_tilde
+from .model import PlatformParams
 
 
-@dataclass(frozen=True)
-class RewardOutcome:
-    """Per-round reward vector with its budget diagnostics.
-
-    scale_delta = min{|D|, M} / |D| (1 when |D| = 0); delta < 1 reveals a
-    demand shortfall. budget_ratio = sum(R) / (M * p).
-    """
-
-    rewards: tuple
-    scale_delta: float
-    budget_ratio: float
-    subsidy_flags: tuple
-
-    def reward_array(self) -> np.ndarray:
-        return np.asarray(self.rewards, dtype=float)
-
-
-class RollingWindow:
-    """Per-miner history of recent completed-round difficulty totals.
-
-    Holds at most N entries; the oldest is evicted first.
-    """
-
-    def __init__(self, N: int):
-        self.N = int(N)
-        self._entries: deque[float] = deque(maxlen=self.N)
-
-    def push(self, d: float) -> None:
-        self._entries.append(float(d))
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def entries(self) -> list[float]:
-        return list(self._entries)
-
-    def tail_sum(self, count: int) -> float:
-        """Sum of the most recent `count` entries (fewer if shorter)."""
-        if count <= 0:
-            return 0.0
-        items = list(self._entries)[-count:]
-        return float(sum(items))
-
-    def tail_len(self, count: int) -> int:
-        return min(max(count, 0), len(self._entries))
-
-
-def budget_ratio(rewards, M: float, p: float) -> float:
-    """sum(rewards) / (M * p)."""
-    if M <= 0 or p <= 0:
-        raise ValueError("M and p must be positive")
-    return float(np.sum(rewards) / (M * p))
-
-
-def pps_reward(transcript: RoundTranscript, params: PlatformParams) -> RewardOutcome:
-    """Pay-Per-Share: R_i = (D_i / |D|) * b * min{|D|, M}; all zero when |D| = 0."""
-    d = transcript.d_array()
-    total = float(d.sum())
-    M = transcript.demand_M
-    if total == 0.0:
-        rewards = np.zeros_like(d)
-        delta = 1.0
-        ratio = 0.0
-    else:
-        payout = params.b * min(total, M)
-        rewards = d / total * payout
-        delta = min(total, M) / total
-        # analytic ratio (b/p) * (min{|D|, M} / M): equals the summed form in
-        # real arithmetic but cannot exceed b/p by a rounding ulp
-        ratio = (params.b / params.p) * (min(total, M) / M)
-    return RewardOutcome(
-        rewards=tuple(float(x) for x in rewards),
-        scale_delta=float(delta),
-        budget_ratio=ratio,
-        subsidy_flags=tuple(0 for _ in d),
-    )
-
-
-def subsidy_indicator(
-    window: RollingWindow,
-    profile: MinerProfile,
-    params: PlatformParams,
-    current_D_i: float,
-) -> int:
-    """Rolling-window indicator B_i.
-
-    1 iff the miner's difficulty total over the last N rounds (the current
-    round plus up to N-1 completed rounds) clears lambda * A_i * k per round
-    counted. During cold start the threshold is prorated to the rounds
-    actually available.
-    """
-    prior = window.tail_len(params.window_N - 1)
-    total = window.tail_sum(params.window_N - 1) + float(current_D_i)
-    terms = prior + 1
-    threshold = params.lam * profile.capacity_A * params.k * terms
-    return 1 if total >= threshold else 0
-
-
-def subsidy_shape(D: float, profile: MinerProfile, params: PlatformParams) -> float:
+def subsidy_shape(D, capacity, params: PlatformParams):
     """K(D) = 1 - x * e^(1 - x) with x = lambda * A * k / D.
 
-    Range [0, 1); exactly 0 at D = lambda * A * k. Despite the paper-style
-    reading as a decreasing function, K is U-shaped in D: decreasing on
-    (0, lambda*A*k), increasing beyond.
+    `capacity` (A) broadcasts against D. Range [0, 1); exactly 0 at
+    D = lambda * A * k. Despite the paper-style reading as a decreasing
+    function, K is U-shaped in D: decreasing on (0, lambda*A*k), increasing
+    beyond.
     """
     D = np.asarray(D, dtype=float)
     if np.any(D <= 0):
         raise ValueError("subsidy_shape requires D > 0")
-    x = params.lam * profile.capacity_A * params.k / D
+    x = params.lam * capacity * params.k / D
     out = 1.0 - x * np.exp(1.0 - x)
     return out if out.ndim else float(out)
 
 
-def subsidy_factor(D: float, profile: MinerProfile, params: PlatformParams) -> float:
-    """Per-difficulty-unit subsidy (c~/k - b) / max(K(D), eps_k).
+def _share(d, total):
+    """D_i / |D|, and 0 where |D| = 0."""
+    return np.divide(d, total, out=np.zeros_like(d, dtype=float), where=total > 0)
 
-    A negative numerator (marginal cost below the base reward rate) is
-    clamped to zero unless subsidy_clamp_nonneg is off.
+
+def pps_reward(d, total, M, params: PlatformParams):
+    """Pay-Per-Share: R_i = (D_i / |D|) * b * min{|D|, M}; 0 when |D| = 0."""
+    return _share(d, total) * params.b * np.minimum(total, M)
+
+
+def ppss_reward(d, total, M, window_sum, window_len, caps, c_tildes, params: PlatformParams):
+    """Pay-Per-Share with Subsidy; returns (rewards, flags).
+
+    R_i = (D_i / |D|) * (b + B_i * (c~_i/k - b) / max(K(D_i), eps_k)) * min{|D|, M}.
+
+    B_i, the rolling-window indicator, is 1 iff D_i > 0 and window_sum + D_i
+    (the last window_len <= N-1 completed rounds plus the current one) clears
+    lambda * A_i * k per round counted; during cold start the threshold is
+    prorated to the rounds available. A negative numerator (marginal cost
+    below the base reward rate) is clamped to zero unless
+    subsidy_clamp_nonneg is off. Coincides with pps_reward wherever no flag
+    is set.
     """
-    numerator = c_tilde(profile) / params.k - params.b
-    if numerator < 0 and params.subsidy_clamp_nonneg:
-        D = np.asarray(D, dtype=float)
-        return np.zeros_like(D) if D.ndim else 0.0
-    K = np.maximum(subsidy_shape(D, profile, params), params.eps_k)
-    out = numerator / K
-    return out if np.ndim(out) else float(out)
-
-
-def ppss_reward(
-    transcript: RoundTranscript,
-    params: PlatformParams,
-    profiles: list[MinerProfile],
-    windows: list[RollingWindow],
-) -> RewardOutcome:
-    """Pay-Per-Share with Subsidy.
-
-    R_i = (D_i / |D|) * (b + B_i * subsidy_factor(D_i)) * min{|D|, M}.
-    Coincides with pps_reward whenever every indicator is 0; a miner with
-    D_i = 0 earns 0 through the share prefactor.
-    """
-    d = transcript.d_array()
-    total = float(d.sum())
-    M = transcript.demand_M
-    n = len(d)
-    flags = [0] * n
-    if total == 0.0:
-        return RewardOutcome(
-            rewards=tuple(0.0 for _ in d),
-            scale_delta=1.0,
-            budget_ratio=budget_ratio(np.zeros(n), M, params.p),
-            subsidy_flags=tuple(flags),
-        )
-    payout_cap = min(total, M)
-    rewards = np.zeros(n)
-    for i, (prof, win) in enumerate(zip(profiles, windows, strict=True)):
-        if d[i] == 0.0:
-            continue
-        flags[i] = subsidy_indicator(win, prof, params, d[i])
-        per_unit = params.b
-        if flags[i]:
-            per_unit += subsidy_factor(d[i], prof, params)
-        rewards[i] = d[i] / total * per_unit * payout_cap
-    return RewardOutcome(
-        rewards=tuple(float(x) for x in rewards),
-        scale_delta=float(payout_cap / total),
-        budget_ratio=budget_ratio(rewards, M, params.p),
-        subsidy_flags=tuple(flags),
-    )
+    threshold = params.lam * caps * params.k * (window_len + 1)
+    flags = (d > 0) & (window_sum + d >= threshold)
+    numerator = c_tildes / params.k - params.b
+    if params.subsidy_clamp_nonneg:
+        numerator = np.maximum(numerator, 0.0)
+    K = np.maximum(subsidy_shape(np.where(flags, d, 1.0), caps, params), params.eps_k)
+    per_unit = params.b + np.where(flags, numerator / K, 0.0)
+    return _share(d, total) * per_unit * np.minimum(total, M), flags

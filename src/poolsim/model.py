@@ -192,76 +192,17 @@ def sample_demand(model: DemandModel, rng: np.random.Generator) -> float:
     return float(rng.lognormal(model.mu, model.sigma))
 
 
-def gamma_sample(shape: float, rng: np.random.Generator) -> float:
-    """Gamma(shape, 1) draw; shape 0 is a point mass at 0."""
-    if shape < 0:
-        raise ValueError("shape must be nonnegative")
-    if shape == 0:
-        return 0.0
-    return float(rng.gamma(shape))
-
-
-@dataclass(frozen=True)
-class StrategyProfile:
-    """Deployed power vector a = (a_1..a_n), bounded by capacities."""
-
-    allocations: tuple
-
-    @staticmethod
-    def of(values) -> "StrategyProfile":
-        return StrategyProfile(tuple(float(v) for v in values))
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.allocations, dtype=float)
-
-    def validate(self, profiles) -> None:
-        for a, prof in zip(self.allocations, profiles, strict=True):
-            if not 0 <= a <= prof.capacity_A:
-                raise ValueError(
-                    f"allocation {a} outside [0, {prof.capacity_A}] for miner {prof.id}"
-                )
-
-
-@dataclass(frozen=True)
-class RoundTranscript:
-    """One round's realized demand and difficulty outputs."""
-
-    round_index: int
-    demand_M: float
-    allocations: StrategyProfile
-    difficulties: tuple
-
-    @property
-    def total_D(self) -> float:
-        return float(sum(self.difficulties))
-
-    def d_array(self) -> np.ndarray:
-        return np.asarray(self.difficulties, dtype=float)
-
-
-def sample_transcript(
-    params: PlatformParams,
-    strategy: StrategyProfile,
-    demand_M: float,
-    round_index: int,
-    rng: np.random.Generator,
-) -> RoundTranscript:
-    """Draw D_i ~ Gamma(k * a_i, 1) independently for each miner.
+def sample_transcript(params: PlatformParams, allocations, rng: np.random.Generator) -> np.ndarray:
+    """One round's outputs: D_i ~ Gamma(k * a_i, 1) independently per miner.
 
     Miners with a_i = 0 produce exactly 0. Draws happen in miner order from
-    the supplied stream, so the transcript is reproducible bit-for-bit.
+    the supplied stream, so the outputs are reproducible bit for bit.
     """
-    a = strategy.as_array()
-    if np.any(a < 0):
+    shapes = params.k * np.asarray(allocations, dtype=float)
+    if np.any(shapes < 0):
         raise ValueError("allocations must be nonnegative")
-    shapes = params.k * a
     d = np.zeros_like(shapes)
     pos = shapes > 0
     if np.any(pos):
         d[pos] = rng.gamma(shapes[pos])
-    return RoundTranscript(
-        round_index=round_index,
-        demand_M=float(demand_M),
-        allocations=strategy,
-        difficulties=tuple(float(x) for x in d),
-    )
+    return d

@@ -27,6 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from scipy import special
 
+from .mechanisms import pps_reward, ppss_reward
 from .model import DemandModel, MinerProfile, PlatformParams, cost_eval, c_tilde, substream
 
 BLOCK_SIZE = 4096
@@ -60,29 +61,6 @@ def _draw_difficulties(rng, shapes: np.ndarray, m: int) -> np.ndarray:
     return d
 
 
-def _ppss_per_unit(
-    d_col: np.ndarray,
-    window_sum: np.ndarray,
-    window_len: int,
-    profile: MinerProfile,
-    params: PlatformParams,
-) -> np.ndarray:
-    """b + B_i * subsidy_factor(D_i), vectorized over replicas."""
-    ct = c_tilde(profile)
-    numerator = ct / params.k - params.b
-    threshold = params.lam * profile.capacity_A * params.k * (window_len + 1)
-    flag = (window_sum + d_col) >= threshold
-    per_unit = np.full_like(d_col, params.b)
-    if numerator < 0 and params.subsidy_clamp_nonneg:
-        return per_unit
-    pos = (d_col > 0) & flag
-    if np.any(pos):
-        x = params.lam * profile.capacity_A * params.k / d_col[pos]
-        K = np.maximum(1.0 - x * np.exp(1.0 - x), params.eps_k)
-        per_unit[pos] += numerator / K
-    return per_unit
-
-
 def _block_payoffs(
     mechanism: str,
     miner_index: int,
@@ -111,18 +89,16 @@ def _block_payoffs(
     d = _draw_difficulties(rng, shapes, m)
 
     totals = d.sum(axis=1)
-    cap = np.minimum(totals, M)
-    live = totals > 0
-    share = np.zeros(m)
-    share[live] = d[live, miner_index] / totals[live]
-
+    d_i = d[:, miner_index]
     if mechanism == "pps":
-        rewards = share * params.b * cap
+        rewards = pps_reward(d_i, totals, M, params)
     elif mechanism == "ppss":
         if fixed_windows is not None:
             wsum, wlen = fixed_windows[miner_index]
-        per_unit = _ppss_per_unit(d[:, miner_index], wsum, wlen, profiles[miner_index], params)
-        rewards = share * per_unit * cap
+        prof = profiles[miner_index]
+        rewards, _ = ppss_reward(
+            d_i, totals, M, wsum, wlen, prof.capacity_A, c_tilde(prof), params,
+        )
     else:
         raise ValueError(f"unknown mechanism {mechanism!r}")
 

@@ -7,7 +7,6 @@ implementation measurably violates (tracked, not a harness failure).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -26,7 +25,7 @@ from .analysis import (
 )
 from .engine import MinerPolicy, init_state, run_simulation, step_round
 from .mechanisms import subsidy_shape
-from .model import CostFunction, DemandModel, MinerProfile, StrategyProfile, c_tilde
+from .model import CostFunction, DemandModel, MinerProfile, c_tilde
 
 ALL_THEOREMS = ("T1", "T2", "T3", "T4", "T5", "T6", "T7")
 
@@ -51,12 +50,12 @@ def audit_t1(cfg, seed: int, replicas: int) -> dict:
     """Every realized PPS payout ratio lies in [0, b/p]."""
     sim_cfg = replace(cfg, mechanism="pps")
     ledger = run_simulation(sim_cfg, seed=seed)
-    ratios = [r.budget_ratio for r in ledger.records]
+    ratios = ledger.budget_ratio
     cap = cfg.platform.b / cfg.platform.p
-    ok = min(ratios) >= 0.0 and max(ratios) <= cap
+    ok = ratios.min() >= 0.0 and ratios.max() <= cap
     return _row(
         "T1", "PPS payout ratio within [0, b/p] every round",
-        cfg, "PASS" if ok else "FAIL", max(ratios), cap,
+        cfg, "PASS" if ok else "FAIL", ratios.max(), cap,
     )
 
 
@@ -164,7 +163,7 @@ def audit_t5(cfg, seed: int, replicas: int) -> dict:
         alloc = capacities.copy()
         alloc[0] = a
         est = expected_payoff_mc(
-            "ppss", 0, StrategyProfile.of(alloc), plat, profiles, demand,
+            "ppss", 0, alloc, plat, profiles, demand,
             replicas=replicas, seed=seed,
         )
         fl = floor_payoff(a, ct, prof.cost)
@@ -188,7 +187,7 @@ def audit_t5(cfg, seed: int, replicas: int) -> dict:
     ident_ok = True
     for a in np.linspace(0.5 * prof.capacity_A, prof.capacity_A, 8):
         lhs = subsidy_prob_lower(a, prof.capacity_A, plat.lam)
-        rhs = max(0.0, float(subsidy_shape(a * plat.k, prof, plat)))
+        rhs = max(0.0, float(subsidy_shape(a * plat.k, prof.capacity_A, plat)))
         ident_ok &= abs(lhs - rhs) <= 1e-12
 
     ok = floor_ok and br_ok and chern_ok and ident_ok
@@ -217,20 +216,18 @@ def audit_t6(cfg, seed: int, replicas: int) -> dict:
 def audit_t7(cfg, seed: int, replicas: int) -> dict:
     """Round-level capacity commitment for PPSS with warm windows."""
     plat = cfg.platform
-    sim_cfg = replace(cfg, mechanism="ppss", rounds=plat.window_N)
+    profiles = cfg.profiles()
     state = init_state(
-        params=plat,
-        profiles=sim_cfg.profiles(),
-        policies=_static_policies(sim_cfg.profiles()),
-        demand=sim_cfg.demand,
-        mechanism="ppss",
-        seed=seed,
+        params=plat, profiles=profiles, policies=_static_policies(profiles),
+        demand=cfg.demand, mechanism="ppss", seed=seed, rounds=plat.window_N,
     )
     for _ in range(plat.window_N):
         step_round(state)
+    window_sum, window_len = state.ledger.window(plat.window_N, plat.window_N)
     verdicts = docdic_check(
-        "ppss", plat, sim_cfg.profiles(), realized_M=cfg.demand.mu_F,
-        windows=state.windows, replicas=replicas, seed=seed,
+        "ppss", plat, profiles, realized_M=cfg.demand.mu_F,
+        windows=[(w, window_len) for w in window_sum.tolist()],
+        replicas=replicas, seed=seed,
     )
     ok = all(v["passed"] for v in verdicts)
     metric = min(v["argmax"] / v["capacity"] for v in verdicts)

@@ -20,13 +20,12 @@ from poolsim.analysis import (
     subsidy_prob_lower,
 )
 from poolsim.engine import run_simulation
-from poolsim.mechanisms import RollingWindow, subsidy_shape
+from poolsim.mechanisms import subsidy_shape
 from poolsim.model import (
     CostFunction,
     DemandModel,
     MinerProfile,
     PlatformParams,
-    StrategyProfile,
     cost_eval,
 )
 
@@ -66,7 +65,7 @@ class TestExpectedPayoffMc:
         profs = [linear_miner(0, A=10.0, r=1.0)]
         demand = DemandModel(family="constant", M=100.0)
         est = expected_payoff_mc(
-            "pps", 0, StrategyProfile.of([0.0]), params, profs, demand,
+            "pps", 0, [0.0], params, profs, demand,
             replicas=2000, seed=1,
         )
         assert est.mean == 0.0
@@ -78,7 +77,7 @@ class TestExpectedPayoffMc:
         profs = [linear_miner(0, A=10.0, r=1.0)]
         demand = DemandModel(family="constant", M=1000.0)
         est = expected_payoff_mc(
-            "pps", 0, StrategyProfile.of([10.0]), params, profs, demand,
+            "pps", 0, [10.0], params, profs, demand,
             replicas=40_000, seed=2,
         )
         assert abs(est.mean - 10.0) <= 3 * est.ci_half_width
@@ -88,7 +87,7 @@ class TestExpectedPayoffMc:
         profs = [linear_miner(0, A=10.0, r=1.0), linear_miner(1, A=30.0, r=1.0)]
         demand = DemandModel(family="constant", M=1000.0)
         est = expected_payoff_mc(
-            "pps", 0, StrategyProfile.of([10.0, 30.0]), params, profs, demand,
+            "pps", 0, [10.0, 30.0], params, profs, demand,
             replicas=40_000, seed=3,
         )
         reward_part = est.mean + cost_eval(profs[0].cost, 10.0)
@@ -107,7 +106,7 @@ class TestExpectedPayoffMc:
             profs = [linear_miner(i, A=float(caps[i]), r=0.5) for i in range(n)]
             demand = DemandModel(family="constant", M=3.0 * k * float(caps.sum()))
             est = expected_payoff_mc(
-                "pps", 0, StrategyProfile.of(allocs), params, profs, demand,
+                "pps", 0, allocs, params, profs, demand,
                 replicas=20_000, seed=100 + trial,
             )
             reward_mc = est.mean + cost_eval(profs[0].cost, float(allocs[0]))
@@ -266,9 +265,7 @@ class TestDocdicCheck:
     def test_ppss_warm_windows_pass_with_diagnostic(self):
         params = PlatformParams(p=1.0, b=1.0, k=100.0, lam=0.8, window_N=5)
         profs = [linear_miner(0, A=1.0, r=150.0)]
-        windows = [RollingWindow(5)]
-        for _ in range(5):
-            windows[0].push(100.0)
+        windows = [(400.0, 4)]  # the last N-1 = 4 rounds at 100 each
         verdicts = docdic_check(
             "ppss", params, profs, realized_M=300.0, windows=windows,
             replicas=4000, seed=0, mc_diagnostic=True,
@@ -353,7 +350,7 @@ class TestSubsidyProbLower:
             params = PlatformParams(p=1.0, b=1.0, k=k, lam=lam)
             prof = linear_miner(0, A=A, r=1.0)
             lhs = subsidy_prob_lower(a, A, lam)
-            rhs = max(0.0, float(subsidy_shape(a * k, prof, params)))
+            rhs = max(0.0, float(subsidy_shape(a * k, prof.capacity_A, params)))
             assert abs(lhs - rhs) <= 1e-12
 
 
@@ -415,7 +412,7 @@ class TestBudgetAudit:
         from poolsim.engine import SimulationLedger
 
         with pytest.raises(ValueError):
-            bb_audit(SimulationLedger(), PlatformParams(p=1.0, b=1.0, k=1.0),
+            bb_audit(SimulationLedger.empty(0, 1, p=1.0), PlatformParams(p=1.0, b=1.0, k=1.0),
                      BudgetBounds(theta=0.0, gamma=1.0))
 
 

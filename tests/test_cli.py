@@ -5,6 +5,7 @@ import os
 import pytest
 import yaml
 
+from poolsim import cli
 from poolsim.cli import main
 from poolsim.csvio import fmt
 
@@ -102,6 +103,15 @@ class TestSimulate:
         assert main(["simulate", "--config", config_path(data), "--out", tmp_out]) == 0
         assert "mu_F" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed_arg, yaml_seed", [("-1", 3), (None, -3)])
+    def test_negative_seed_exits_2(self, seed_arg, yaml_seed, config_path, tmp_out, capsys):
+        argv = ["simulate", "--config", config_path(dict(BASE_CONFIG, seed=yaml_seed)),
+                "--out", tmp_out]
+        if seed_arg is not None:
+            argv += ["--seed", seed_arg]
+        assert main(argv) == 2
+        assert "seed" in capsys.readouterr().err
+
     def test_seed_override_changes_output(self, config_path, tmp_out, tmp_path):
         cfg = config_path()
         out2 = tmp_path / "out2"
@@ -127,6 +137,22 @@ class TestVerify:
         assert rows[0][0] == "T1"
         assert rows[0][3] == "PASS"
 
+    def test_zero_replicas_override_exits_2(self, config_path, tmp_out, capsys):
+        assert main([
+            "verify", "--config", config_path(), "--out", tmp_out,
+            "--theorems", "T2", "--replicas", "0",
+        ]) == 2
+        assert "replicas" in capsys.readouterr().err
+
+    def test_fail_verdict_exits_3(self, config_path, tmp_out, monkeypatch):
+        row = {"theorem": "T1", "claim": "c", "config_digest": "d", "verdict": "FAIL",
+               "metric": 2.0, "bound": 1.0, "ci": 0.0}
+        monkeypatch.setattr(cli, "run_audits", lambda cfg, theorems: [row])
+        code = main(["verify", "--config", config_path(), "--out", tmp_out, "--theorems", "T1"])
+        assert code == cli.EXIT_AUDIT_FAIL == 3
+        _, rows = read_csv(os.path.join(tmp_out, "theorem_report.csv"))
+        assert rows[0][3] == "FAIL"
+
     def test_unknown_theorem_exits_2(self, config_path, tmp_out):
         assert main([
             "verify", "--config", config_path(), "--out", tmp_out, "--theorems", "T9",
@@ -151,6 +177,13 @@ class TestBestResponse:
         argmax = float(out.split("a=")[1].split()[0])
         assert argmax <= 2 * (4.0 / 16)
 
+    def test_grid_below_two_exits_2(self, config_path, tmp_out, capsys):
+        assert main([
+            "best-response", "--config", config_path(), "--out", tmp_out,
+            "--miner", "0", "--grid", "1",
+        ]) == 2
+        assert "--grid" in capsys.readouterr().err
+
     def test_miner_index_out_of_range_exits_2(self, config_path, tmp_out):
         assert main([
             "best-response", "--config", config_path(), "--out", tmp_out,
@@ -166,6 +199,12 @@ class TestSweep:
         assert main([
             "sweep", "--config", config_path(), "--out", tmp_out,
             "--axis", "platform.fee=0:1:3",
+        ]) == 2
+
+    def test_bad_override_exits_2(self, config_path, tmp_out):
+        assert main([
+            "sweep", "--config", config_path(), "--out", tmp_out,
+            "--axis", "platform.k=1:2:2", "--replicas", "0",
         ]) == 2
 
     def test_malformed_axis_exits_2(self, config_path, tmp_out):

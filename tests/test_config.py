@@ -129,6 +129,25 @@ class TestValidation:
         with pytest.raises(ConfigError):
             quiet_parse(minimal(replicas=0))
 
+    def test_negative_seed(self):
+        with pytest.raises(ConfigError) as e:
+            quiet_parse(minimal(seed=-3))
+        assert "seed" in str(e.value)
+
+    @pytest.mark.parametrize("policy, field", [
+        ({"kind": "myopic_br", "grid": 1}, "grid"),
+        ({"kind": "myopic_br", "replicas": 0}, "replicas"),
+        ({"kind": "static", "a": -1.0}, "nonnegative"),
+        ({"kind": "delta_adaptive", "floor": -0.5}, "floor"),
+        ({"kind": "delta_adaptive", "floor": 5.0}, "floor"),
+    ])
+    def test_bad_policy_values(self, policy, field):
+        data = minimal()
+        data["miners"][0]["policy"] = policy
+        with pytest.raises(ConfigError) as e:
+            quiet_parse(data)
+        assert "policy" in str(e.value) and field in str(e.value)
+
     def test_audit_bounds_ordered(self):
         with pytest.raises(ConfigError):
             quiet_parse(minimal(audit={"theta": 2.0, "gamma": 1.0}))

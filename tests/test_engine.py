@@ -7,21 +7,15 @@ import pytest
 from poolsim import analysis
 from poolsim.engine import (
     MinerPolicy,
-    Observation,
     delta_adaptive_policy,
     init_state,
     run_simulation,
     step_round,
 )
-from poolsim.model import CostFunction, DemandModel, MinerProfile, PlatformParams
-from poolsim.mechanisms import RollingWindow
+from poolsim.mechanisms import pps_reward, ppss_reward
+from poolsim.model import CostFunction, DemandModel, MinerProfile, c_tilde
 
 from conftest import quiet_parse
-
-
-def obs(delta, a=1.0, round_index=1):
-    return Observation(round_index=round_index, M=10.0, own_a=a, own_D=a,
-                       own_reward=0.0, delta=delta)
 
 
 def base_config(**overrides):
@@ -46,28 +40,41 @@ class TestPolicies:
             MinerPolicy(kind="greedy")
         with pytest.raises(ValueError):
             MinerPolicy(kind="delta_adaptive", step=1.5)
+        with pytest.raises(ValueError):
+            MinerPolicy(kind="delta_adaptive", floor=-0.1)
+        with pytest.raises(ValueError):
+            MinerPolicy(kind="static", a=-1.0)
+        with pytest.raises(ValueError):
+            MinerPolicy(kind="myopic_br", grid=1)
+        with pytest.raises(ValueError):
+            MinerPolicy(kind="myopic_br", replicas=0)
 
     def test_delta_adaptive_returns_to_capacity_without_shortfall(self):
         prof = MinerProfile(id=0, capacity_A=2.0, cost=CostFunction(family="linear", r=1.0))
         policy = MinerPolicy(kind="delta_adaptive", step=0.5, floor=0.0)
-        history = [obs(1.0, a=2.0, round_index=j) for j in range(1, 4)]
-        assert delta_adaptive_policy(history, prof, policy) == 2.0
+        assert delta_adaptive_policy(1.0, 2.0, prof, policy) == 2.0
+        assert delta_adaptive_policy(1.0, 0.5, prof, policy) == 1.0
 
     def test_delta_adaptive_halves_on_shortfall(self):
         prof = MinerProfile(id=0, capacity_A=2.0, cost=CostFunction(family="linear", r=1.0))
         policy = MinerPolicy(kind="delta_adaptive", step=0.5, floor=0.0)
-        assert delta_adaptive_policy([obs(0.5, a=1.0)], prof, policy) == 0.5
+        assert delta_adaptive_policy(0.5, 1.0, prof, policy) == 0.5
 
     def test_delta_adaptive_respects_floor(self):
         prof = MinerProfile(id=0, capacity_A=2.0, cost=CostFunction(family="linear", r=1.0))
         policy = MinerPolicy(kind="delta_adaptive", step=0.5, floor=0.4)
-        assert delta_adaptive_policy([obs(0.3, a=0.5)], prof, policy) == 0.4
+        assert delta_adaptive_policy(0.3, 0.5, prof, policy) == 0.4
 
     def test_delta_adaptive_needs_history(self):
-        prof = MinerProfile(id=0, capacity_A=2.0, cost=CostFunction(family="linear", r=1.0))
-        policy = MinerPolicy(kind="delta_adaptive")
-        with pytest.raises(ValueError):
-            delta_adaptive_policy([], prof, policy)
+        # with no closed round to read, the first allocation is capacity;
+        # from round 2 on it follows the previous row
+        cfg = base_config(miners=[{
+            "capacity_A": 2.0,
+            "cost": {"family": "linear", "r": 1.0},
+            "policy": {"kind": "delta_adaptive", "step": 0.5},
+        }], demand={"family": "constant", "M": 1e-3}, rounds=3)
+        ledger = run_simulation(cfg)
+        assert ledger.a[:, 0].tolist() == [2.0, 1.0, 0.5]
 
     def test_static_allocation_clipped_to_capacity(self):
         cfg = base_config(miners=[{
@@ -76,7 +83,7 @@ class TestPolicies:
             "policy": {"kind": "static", "a": 5.0},
         }], rounds=3)
         ledger = run_simulation(cfg)
-        assert all(rec.allocations[0] == 1.0 for rec in ledger.records)
+        assert np.all(ledger.a[:, 0] == 1.0)
 
     def test_myopic_br_runs_at_capacity_when_cheap(self):
         cfg = base_config(miners=[{
@@ -85,8 +92,7 @@ class TestPolicies:
             "policy": {"kind": "myopic_br", "grid": 9, "replicas": 1024},
         }], demand={"family": "constant", "M": 50.0}, rounds=3)
         ledger = run_simulation(cfg)
-        for rec in ledger.records:
-            assert rec.allocations[0] >= 2.0 - 2 * (2.0 / 8)
+        assert np.all(ledger.a[:, 0] >= 2.0 - 2 * (2.0 / 8))
 
 
 class TestMyopicMemo:
@@ -126,7 +132,7 @@ class TestMyopicMemo:
     def test_varying_demand_solves_every_round(self, monkeypatch):
         cfg = self._config({"family": "uniform", "lo": 20.0, "hi": 400.0})
         ledger, calls = self._count_best_responses(monkeypatch, cfg)
-        announced = [cfg.demand.mu_F] + [rec.M for rec in ledger.records[:-1]]
+        announced = [cfg.demand.mu_F] + ledger.M[:-1].tolist()
         assert calls == [M for M in announced for _ in range(2)]
 
     @pytest.mark.parametrize("demand", [
@@ -138,15 +144,15 @@ class TestMyopicMemo:
         ledger = run_simulation(cfg)
         profiles = cfg.profiles()
         capacities = np.array([p.capacity_A for p in profiles])
-        announced = [cfg.demand.mu_F] + [rec.M for rec in ledger.records[:-1]]
-        for rec, M in zip(ledger.records, announced):
+        announced = [cfg.demand.mu_F] + ledger.M[:-1].tolist()
+        for row, M in enumerate(announced):
             for i in (0, 2):
                 br = analysis.best_response(
                     "ppss", i, capacities, cfg.platform, profiles,
                     DemandModel(family="constant", M=M),
                     grid_points=5, replicas=256, seed=cfg.seed, fixed_M=M,
                 )
-                assert rec.allocations[i] == br.argmax_a
+                assert ledger.a[row, i] == br.argmax_a
 
 
 class TestStepRound:
@@ -157,72 +163,115 @@ class TestStepRound:
             "policy": {"kind": "static", "a": 0.0},
         }], rounds=1)
         ledger = run_simulation(cfg)
-        rec = ledger.records[0]
-        assert rec.difficulties == (0.0,)
-        assert rec.rewards == (0.0,)
-        assert rec.budget_ratio == 0.0
-        assert rec.delta == 1.0
+        assert ledger.D.tolist() == [[0.0]]
+        assert ledger.rewards.tolist() == [[0.0]]
+        assert ledger.budget_ratio.tolist() == [0.0]
+        assert ledger.delta.tolist() == [1.0]
 
     def test_windows_grow_then_evict(self):
         cfg = base_config(rounds=1)
+        N = cfg.platform.window_N
         state = init_state(
             params=cfg.platform, profiles=cfg.profiles(), policies=cfg.policies(),
-            demand=cfg.demand, mechanism="pps", seed=0,
+            demand=cfg.demand, mechanism="pps", seed=0, rounds=N + 7,
         )
-        N = cfg.platform.window_N
+        led = state.ledger
         for expected_len in (1, 2, 3):
             step_round(state)
-            assert len(state.windows[0]) == expected_len
+            assert led.window(state.next_round - 1, N)[1] == expected_len
         for _ in range(N + 3):
             step_round(state)
-        assert len(state.windows[0]) == N
+        rows = state.next_round - 1
+        window_sum, window_len = led.window(rows, N)
+        assert window_len == N - 1
+        assert window_sum.tolist() == [sum(led.D[rows - N + 1:rows, i].tolist()) for i in range(2)]
         step_round(state)
-        assert len(state.windows[0]) == N
+        assert led.window(state.next_round - 1, N)[1] == N - 1
 
     def test_delta_matches_definition(self):
         cfg = base_config(demand={"family": "constant", "M": 10.0}, rounds=50)
         ledger = run_simulation(cfg)
-        for rec in ledger.records:
-            total = sum(rec.difficulties)
+        for row in range(ledger.rounds):
+            total = ledger.D[row].sum()
             if total > 0:
-                assert rec.delta == pytest.approx(min(total, rec.M) / total, rel=1e-12)
+                assert ledger.delta[row] == pytest.approx(min(total, ledger.M[row]) / total, rel=1e-12)
 
     def test_round_indices_strictly_increasing(self):
-        ledger = run_simulation(base_config(rounds=20))
-        idx = [rec.round_index for rec in ledger.records]
-        assert idx == list(range(1, 21))
+        # row j-1 holds round j, and step_round fills the rows in order
+        cfg = base_config(rounds=20)
+        state = init_state(
+            params=cfg.platform, profiles=cfg.profiles(), policies=cfg.policies(),
+            demand=cfg.demand, mechanism="pps", seed=cfg.seed, rounds=20,
+        )
+        for j in range(1, 21):
+            assert state.next_round == j
+            step_round(state)
+            assert np.all(state.ledger.M[j:] == 0.0) and state.ledger.M[j - 1] > 0.0
+        assert np.array_equal(state.ledger.D, run_simulation(cfg).D)
+
+    @pytest.mark.parametrize("mechanism", ["pps", "ppss"])
+    def test_engine_rewards_equal_kernel_rewards(self, mechanism):
+        cfg = quiet_parse({
+            "mechanism": mechanism,
+            "platform": {"p": 1.0, "b": 1.3, "k": 100.0, "lambda": 0.8, "N": 4},
+            "miners": [
+                {"capacity_A": 1.0, "cost": {"family": "linear", "r": 150.0}},
+                {"capacity_A": 2.0, "cost": {"family": "power", "c": 60.0, "q": 2.0}},
+                {"capacity_A": 1.5, "cost": {"family": "linear", "r": 120.0},
+                 "policy": {"kind": "delta_adaptive", "step": 0.5, "floor": 0.1}},
+            ],
+            "demand": {"family": "uniform", "lo": 200.0, "hi": 600.0},
+            "rounds": 300, "seed": 8,
+        })
+        led = run_simulation(cfg)
+        profiles = cfg.profiles()
+        caps = np.array([p.capacity_A for p in profiles])
+        c_tildes = np.array([c_tilde(p) for p in profiles])
+        for row in range(led.rounds):
+            d, M = led.D[row], led.M[row]
+            if mechanism == "pps":
+                expected = pps_reward(d, float(d.sum()), M, cfg.platform)
+                assert np.array_equal(led.rewards[row], expected)
+            else:
+                wsum, wlen = led.window(row, cfg.platform.window_N)
+                expected, flags = ppss_reward(
+                    d, float(d.sum()), M, wsum, wlen, caps, c_tildes, cfg.platform,
+                )
+                assert np.array_equal(led.rewards[row], expected)
+                assert np.array_equal(led.flags[row], flags)
+        if mechanism == "ppss":
+            assert led.flags.any() and not led.flags.all()
 
 
 class TestLedgerAccounting:
     def test_outflow_matches_per_round_sums(self):
         ledger = run_simulation(base_config(rounds=2000))
-        expected = math.fsum(math.fsum(rec.rewards) for rec in ledger.records)
+        expected = math.fsum(math.fsum(row) for row in ledger.rewards.tolist())
         assert ledger.cumulative_outflow == pytest.approx(expected, rel=1e-10)
 
     def test_intake_matches_per_round_definition(self):
         ledger = run_simulation(base_config(rounds=2000))
         expected = math.fsum(
-            min(sum(rec.difficulties), rec.M) for rec in ledger.records
+            min(sum(d), M) for d, M in zip(ledger.D.tolist(), ledger.M.tolist())
         )  # p = 1
         assert ledger.cumulative_intake == pytest.approx(expected, rel=1e-10)
 
     def test_pps_ratio_never_exceeds_payout_rate(self):
         cfg = base_config(demand={"family": "uniform", "lo": 5.0, "hi": 60.0}, rounds=5000)
         ledger = run_simulation(cfg)
-        for rec in ledger.records:
-            assert 0.0 <= rec.budget_ratio <= 1.0  # b/p = 1
+        assert np.all((0.0 <= ledger.budget_ratio) & (ledger.budget_ratio <= 1.0))  # b/p = 1
 
 
 class TestSimulationStatistics:
     def test_mean_budget_ratio_tracks_supply_demand_ratio(self):
         # constant M = 2*k*sum(A), b = p: mean ratio = k*sum(A)/M = 0.5
         ledger = run_simulation(base_config(rounds=10_000))
-        mean = math.fsum(r.budget_ratio for r in ledger.records) / 10_000
+        mean = math.fsum(ledger.budget_ratio.tolist()) / 10_000
         assert abs(mean - 0.5) <= 0.005
 
     def test_mean_output_tracks_allocation(self):
         ledger = run_simulation(base_config(rounds=10_000))
-        d = np.array([rec.difficulties for rec in ledger.records])
+        d = ledger.D
         for i, target in enumerate((8.0, 12.0)):
             se = d[:, i].std(ddof=1) / math.sqrt(len(d))
             assert abs(d[:, i].mean() - target) <= 5 * se
@@ -238,7 +287,7 @@ class TestSimulationStatistics:
             "rounds": 10_000, "seed": 5,
         })
         ledger = run_simulation(cfg)
-        freq = np.mean([rec.subsidy_flags[0] for rec in ledger.records])
+        freq = np.mean(ledger.flags[:, 0])
         assert freq >= subsidy_prob_lower(1.0, 1.0, 0.8)
 
 
@@ -246,24 +295,23 @@ class TestReproducibility:
     def test_replay_is_identical(self):
         a = run_simulation(base_config(rounds=200))
         b = run_simulation(base_config(rounds=200))
-        assert len(a.records) == len(b.records)
-        for ra, rb in zip(a.records, b.records):
-            assert ra == rb
+        for col in ("M", "a", "D", "rewards", "flags", "delta", "budget_ratio"):
+            assert np.array_equal(getattr(a, col), getattr(b, col))
         assert a.cumulative_intake == b.cumulative_intake
         assert a.cumulative_outflow == b.cumulative_outflow
 
     def test_seed_changes_the_run(self):
         a = run_simulation(base_config(rounds=10))
         b = run_simulation(base_config(rounds=10, seed=4))
-        assert any(ra.difficulties != rb.difficulties for ra, rb in zip(a.records, b.records))
+        assert not np.array_equal(a.D, b.D)
 
     def test_seed_override_argument(self):
         cfg = base_config(rounds=10)
         a = run_simulation(cfg, seed=99)
         b = run_simulation(cfg, seed=99)
         c = run_simulation(cfg)
-        assert all(ra == rb for ra, rb in zip(a.records, b.records))
-        assert any(ra.difficulties != rc.difficulties for ra, rc in zip(a.records, c.records))
+        assert np.array_equal(a.D, b.D) and np.array_equal(a.rewards, b.rewards)
+        assert not np.array_equal(a.D, c.D)
 
 
 class TestAdaptiveExploitation:
@@ -280,7 +328,7 @@ class TestAdaptiveExploitation:
             "rounds": 200, "seed": seed,
         })
         ledger = run_simulation(cfg)
-        return math.fsum(r.rewards[0] - r.allocations[0] for r in ledger.records) / 200
+        return math.fsum((ledger.rewards[:, 0] - ledger.a[:, 0]).tolist()) / 200
 
     def test_shortfall_exploitation_beats_full_capacity(self):
         # same seeds, miner 0 adaptive vs miner 0 static at capacity

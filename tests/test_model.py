@@ -5,16 +5,15 @@ import numpy as np
 import pytest
 from scipy import special
 
+from poolsim.analysis import expected_payoff_mc
 from poolsim.model import (
     CostFunction,
     DemandModel,
     MinerProfile,
     PlatformParams,
-    StrategyProfile,
     c_tilde,
     cost_eval,
     cost_marginal,
-    gamma_sample,
     sample_demand,
     sample_transcript,
     substream,
@@ -185,30 +184,34 @@ class TestDemand:
 
 
 class TestGammaSample:
+    """The engine's Gamma(k * a_i, 1) sampler, at k = 1 so that a_i is the
+    shape; one call with a long allocation vector draws in miner order."""
+
+    K1 = PlatformParams(p=1.0, b=1.0, k=1.0)
+
+    def draws(self, shape, count, rng):
+        return sample_transcript(self.K1, np.full(count, shape), rng)
+
     def test_zero_shape_is_point_mass(self):
-        rng = substream(1, 1)
-        assert all(gamma_sample(0.0, rng) == 0.0 for _ in range(10))
+        assert np.all(self.draws(0.0, 10, substream(1, 1)) == 0.0)
 
     def test_negative_shape_rejected(self):
         with pytest.raises(ValueError):
-            gamma_sample(-0.5, substream(1, 2))
+            self.draws(-0.5, 1, substream(1, 2))
 
     def test_shape_20_mean_and_variance(self):
-        rng = substream(7, 20)
-        draws = np.array([gamma_sample(20.0, rng) for _ in range(1_000_000)])
+        draws = self.draws(20.0, 1_000_000, substream(7, 20))
         assert abs(draws.mean() - 20.0) <= 0.02
         assert abs(draws.var(ddof=1) - 20.0) <= 0.2
 
     def test_fractional_shape_cdf(self):
         # empirical CDF at 0.2 vs the regularized incomplete gamma
-        rng = substream(8, 21)
-        draws = np.array([gamma_sample(0.5, rng) for _ in range(400_000)])
+        draws = self.draws(0.5, 400_000, substream(8, 21))
         assert abs(np.mean(draws <= 0.2) - special.gammainc(0.5, 0.2)) <= 0.005
 
     def test_mean_variance_within_5_se(self):
         for shape, key in ((0.7, 30), (20.0, 31)):
-            rng = substream(9, key)
-            draws = np.array([gamma_sample(shape, rng) for _ in range(1_000_000)])
+            draws = self.draws(shape, 1_000_000, substream(9, key))
             n = len(draws)
             se_mean = math.sqrt(shape / n)
             assert abs(draws.mean() - shape) <= 5 * se_mean
@@ -219,12 +222,18 @@ class TestGammaSample:
 
 class TestStrategyProfile:
     def test_validate_bounds(self):
+        # a strategy profile is an allocation vector within [0, A_i]
         profs = [MinerProfile(id=0, capacity_A=2.0, cost=LINEAR2)]
-        StrategyProfile.of([1.5]).validate(profs)
+        demand = DemandModel(family="constant", M=10.0)
+
+        def estimate(a):
+            return expected_payoff_mc("pps", 0, [a], PARAMS_K2, profs, demand, replicas=8, seed=0)
+
+        estimate(1.5)
         with pytest.raises(ValueError):
-            StrategyProfile.of([2.5]).validate(profs)
+            estimate(2.5)
         with pytest.raises(ValueError):
-            StrategyProfile.of([-0.1]).validate(profs)
+            estimate(-0.1)
 
 
 PARAMS_K2 = PlatformParams(p=1.0, b=1.0, k=2.0)
@@ -234,18 +243,17 @@ PARAMS_K2 = PlatformParams(p=1.0, b=1.0, k=2.0)
 def transcript_draws():
     """250k transcripts at k=2, a=(10, 30) from a frozen stream."""
     rng = substream(2024, 33)
-    strategy = StrategyProfile.of([10.0, 30.0])
+    allocations = np.array([10.0, 30.0])
     out = np.empty((250_000, 2))
     for j in range(out.shape[0]):
-        out[j] = sample_transcript(PARAMS_K2, strategy, 1000.0, j, rng).difficulties
+        out[j] = sample_transcript(PARAMS_K2, allocations, rng)
     return out
 
 
 class TestSampleTranscript:
     def test_zero_allocations_give_zero_output(self):
-        t = sample_transcript(PARAMS_K2, StrategyProfile.of([0.0, 0.0]), 5.0, 1, substream(0, 0))
-        assert t.difficulties == (0.0, 0.0)
-        assert t.total_D == 0.0
+        d = sample_transcript(PARAMS_K2, [0.0, 0.0], substream(0, 0))
+        assert d.tolist() == [0.0, 0.0]
 
     def test_mean_output_is_k_times_allocation(self, transcript_draws):
         means = transcript_draws.mean(axis=0)
@@ -266,16 +274,14 @@ class TestSampleTranscript:
 
     def test_negative_allocation_rejected(self):
         with pytest.raises(ValueError):
-            sample_transcript(PARAMS_K2, StrategyProfile.of([-1.0]), 5.0, 1, substream(0, 0))
+            sample_transcript(PARAMS_K2, [-1.0], substream(0, 0))
 
     def test_deterministic_given_stream_key(self):
-        strategy = StrategyProfile.of([1.0, 2.0])
-        t1 = sample_transcript(PARAMS_K2, strategy, 5.0, 3, substream(42, 3))
-        t2 = sample_transcript(PARAMS_K2, strategy, 5.0, 3, substream(42, 3))
-        assert t1.difficulties == t2.difficulties
+        t1 = sample_transcript(PARAMS_K2, [1.0, 2.0], substream(42, 3))
+        t2 = sample_transcript(PARAMS_K2, [1.0, 2.0], substream(42, 3))
+        assert t1.tolist() == t2.tolist()
 
     def test_distinct_stream_keys_differ(self):
-        strategy = StrategyProfile.of([1.0, 2.0])
-        t1 = sample_transcript(PARAMS_K2, strategy, 5.0, 3, substream(42, 3))
-        t2 = sample_transcript(PARAMS_K2, strategy, 5.0, 4, substream(42, 4))
-        assert t1.difficulties != t2.difficulties
+        t1 = sample_transcript(PARAMS_K2, [1.0, 2.0], substream(42, 3))
+        t2 = sample_transcript(PARAMS_K2, [1.0, 2.0], substream(42, 4))
+        assert t1.tolist() != t2.tolist()

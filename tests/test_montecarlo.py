@@ -11,7 +11,8 @@ from hypothesis.extra import numpy as hnp
 from scipy import special
 
 from poolsim import montecarlo
-from poolsim.model import CostFunction, DemandModel, MinerProfile, PlatformParams, cost_eval
+from poolsim.mechanisms import ppss_reward
+from poolsim.model import CostFunction, DemandModel, MinerProfile, PlatformParams, c_tilde, cost_eval
 from poolsim.montecarlo import (
     BLOCK_SIZE,
     exact_mean_ci,
@@ -186,23 +187,23 @@ class TestUniformLayout:
         )
         d = rng.gamma(shapes, size=(replicas, 2))
         M = rng.uniform(DEMAND.lo, DEMAND.hi, replicas)
-        totals = d.sum(axis=1)
-        per_unit = montecarlo._ppss_per_unit(
-            d[:, 0], window, params.window_N - 1, SUBSIDISED[0], params,
+        prof = SUBSIDISED[0]
+        ref, _ = ppss_reward(
+            d[:, 0], d.sum(axis=1), M, window, params.window_N - 1,
+            prof.capacity_A, c_tilde(prof), params,
         )
-        ref = d[:, 0] / totals * per_unit * np.minimum(totals, M)
         ref_mean, ref_ci = exact_mean_ci(ref - cost_eval(SUBSIDISED[0].cost, 4.0))
         assert abs(mean - ref_mean) <= ci + ref_ci
 
     def test_single_round_window_is_empty(self, monkeypatch):
         seen = []
-        real = montecarlo._ppss_per_unit
+        real = montecarlo.ppss_reward
 
-        def spy(d_col, window_sum, window_len, profile, params):
+        def spy(d, total, M, window_sum, window_len, *rest):
             seen.append((np.asarray(window_sum).copy(), window_len))
-            return real(d_col, window_sum, window_len, profile, params)
+            return real(d, total, M, window_sum, window_len, *rest)
 
-        monkeypatch.setattr(montecarlo, "_ppss_per_unit", spy)
+        monkeypatch.setattr(montecarlo, "ppss_reward", spy)
         params = PlatformParams(p=1.0, b=1.0, k=2.0, window_N=1)
         out = payoff_samples(
             "ppss", 0, np.array([4.0, 5.0]), params, SUBSIDISED, DEMAND, 500, seed=11,
