@@ -13,6 +13,7 @@ from .analysis import (
     expected_payoff_mc,
     floor_payoff,
     g_function,
+    incentive_verdict,
     ocdic_check,
     pps_expected_reward_closed,
     subsidy_prob_lower,

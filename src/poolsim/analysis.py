@@ -5,9 +5,14 @@ Incentive checks come in two flavors. The raw Monte Carlo payoff is the
 mechanism as implemented; the "floor" objective is the guaranteed-payoff
 lower bound a * c~ - C(a), which is the object the subsidy mechanism's
 capacity-commitment argument actually maximizes. PPSS incentive verdicts
-use the floor objective; the raw MC curve is kept available as a diagnostic
-because the guarded subsidy overpays near D = lambda*A*k and its raw best
-response can sit below capacity.
+use the floor objective; the raw MC curve stays available as a diagnostic
+(best_response with objective="payoff") because the guarded subsidy
+overpays near D = lambda*A*k and its raw best response can sit below
+capacity.
+
+OCD-IC and DOCD-IC are one test, incentive_verdict, under different
+information: OCD-IC passes the demand distribution F, DOCD-IC a constant
+demand at the announced M plus the miners' rolling windows.
 """
 from __future__ import annotations
 
@@ -44,6 +49,8 @@ class BestResponseResult:
     value: float
     grid_resolution: float
     method: str  # "closed_form" | "grid_mc"
+    # (a, objective mean, CI half-width) at each grid point, in grid order
+    curve: tuple[tuple[float, float, float], ...]
 
 
 @dataclass(frozen=True)
@@ -65,14 +72,13 @@ def expected_payoff_mc(
     demand: DemandModel,
     replicas: int,
     seed: int,
-    fixed_M: float | None = None,
     fixed_windows: list[tuple[float, int]] | None = None,
 ) -> PayoffEstimate:
     """Unbiased MC estimate of miner `miner_index`'s expected payoff.
 
     PPSS runs fill the rolling window with N-1 rounds at the same strategy
-    unless `fixed_windows` pins the history. Reproducible for any worker
-    count. Every allocation must lie in [0, A_i].
+    unless `fixed_windows` pins the history; a constant `demand` pins M.
+    Reproducible for any worker count. Every allocation must lie in [0, A_i].
     """
     allocations = np.asarray(allocations, dtype=float)
     for a, prof in zip(allocations, profiles, strict=True):
@@ -80,7 +86,7 @@ def expected_payoff_mc(
             raise ValueError(f"allocation {a} outside [0, {prof.capacity_A}] for miner {prof.id}")
     samples = payoff_samples(
         mechanism, miner_index, allocations, params, profiles, demand,
-        replicas, seed, fixed_M=fixed_M, fixed_windows=fixed_windows,
+        replicas, seed, fixed_windows=fixed_windows,
     )
     mean, ci = exact_mean_ci(samples)
     return PayoffEstimate(mean=mean, ci_half_width=ci, replicas=replicas, seed=seed)
@@ -113,10 +119,8 @@ def best_response(
     replicas: int = 10_000,
     seed: int = 0,
     objective: str = "payoff",
-    fixed_M: float | None = None,
     fixed_windows: list[tuple[float, int]] | None = None,
-    return_curve: bool = False,
-):
+) -> BestResponseResult:
     """Maximize the chosen objective over a uniform grid on [0, A_i], then
     refine with golden-section search on the bracketing interval.
 
@@ -144,8 +148,7 @@ def best_response(
             alloc[miner_index] = a
             est = expected_payoff_mc(
                 mechanism, miner_index, alloc, params,
-                profiles, demand, replicas, seed,
-                fixed_M=fixed_M, fixed_windows=fixed_windows,
+                profiles, demand, replicas, seed, fixed_windows=fixed_windows,
             )
             return est.mean, est.ci_half_width
 
@@ -154,7 +157,7 @@ def best_response(
         raise ValueError(f"unknown objective {objective!r}")
 
     grid = np.linspace(0.0, A, grid_points)
-    curve = [(float(a), *f(float(a))) for a in grid]
+    curve = tuple((float(a), *f(float(a))) for a in grid)
     best_i = 0
     for i in range(1, grid_points):
         if curve[i][1] >= curve[best_i][1]:
@@ -184,19 +187,53 @@ def best_response(
         if v_cand > best_v or (v_cand == best_v and a_cand > best_a):
             best_a, best_v = a_cand, v_cand
 
-    result = BestResponseResult(
+    return BestResponseResult(
         argmax_a=float(best_a), value=float(best_v),
-        grid_resolution=float(resolution), method=method,
+        grid_resolution=float(resolution), method=method, curve=curve,
     )
-    if return_curve:
-        return result, curve
-    return result
 
 
 def _default_objective(mechanism: str) -> str:
     # PPSS incentive verdicts target the guaranteed-payoff floor; see the
     # module docstring for why the raw MC argmax is diagnostic only.
     return "floor" if mechanism == "ppss" else "payoff"
+
+
+def incentive_verdict(
+    mechanism: str,
+    i: int,
+    params: PlatformParams,
+    profiles: list[MinerProfile],
+    demand: DemandModel,
+    fixed_windows: list[tuple[float, int]] | None = None,
+    tol_a: float | None = None,
+    replicas: int = 10_000,
+    seed: int = 0,
+    grid_points: int = 64,
+    objective: str | None = None,
+) -> dict:
+    """Miner i's incentive verdict: PASS iff its best response, with the
+    other miners at full capacity, sits within tol_a of its capacity.
+    tol_a defaults to two grid cells; the objective defaults to the floor
+    under ppss and the MC payoff under pps."""
+    objective = objective or _default_objective(mechanism)
+    capacity = profiles[i].capacity_A
+    tol = tol_a if tol_a is not None else 2.0 * capacity / (grid_points - 1)
+    br = best_response(
+        mechanism, i, np.array([p.capacity_A for p in profiles]), params,
+        profiles, demand, grid_points=grid_points, replicas=replicas, seed=seed,
+        objective=objective, fixed_windows=fixed_windows,
+    )
+    return {
+        "miner": i,
+        "argmax": br.argmax_a,
+        "value": br.value,
+        "capacity": capacity,
+        "tol": tol,
+        "passed": abs(br.argmax_a - capacity) <= tol,
+        "objective": objective,
+        "curve": br.curve,
+    }
 
 
 def ocdic_check(
@@ -210,30 +247,14 @@ def ocdic_check(
     grid_points: int = 64,
     objective: str | None = None,
 ) -> list[dict]:
-    """Per-miner incentive verdict: PASS iff the best response (others held
-    at full capacity) sits within tol_a of capacity. tol_a defaults to two
-    grid cells."""
-    objective = objective or _default_objective(mechanism)
-    capacities = np.array([p.capacity_A for p in profiles])
-    verdicts = []
-    for i, prof in enumerate(profiles):
-        tol = tol_a if tol_a is not None else 2.0 * prof.capacity_A / (grid_points - 1)
-        br, curve = best_response(
-            mechanism, i, capacities, params, profiles, demand,
-            grid_points=grid_points, replicas=replicas, seed=seed,
-            objective=objective, return_curve=True,
+    """incentive_verdict for every miner under the demand distribution."""
+    return [
+        incentive_verdict(
+            mechanism, i, params, profiles, demand, tol_a=tol_a, replicas=replicas,
+            seed=seed, grid_points=grid_points, objective=objective,
         )
-        verdicts.append({
-            "miner": i,
-            "argmax": br.argmax_a,
-            "value": br.value,
-            "capacity": prof.capacity_A,
-            "tol": tol,
-            "passed": abs(br.argmax_a - prof.capacity_A) <= tol,
-            "objective": objective,
-            "curve": curve,
-        })
-    return verdicts
+        for i in range(len(profiles))
+    ]
 
 
 def docdic_check(
@@ -247,46 +268,20 @@ def docdic_check(
     seed: int = 0,
     grid_points: int = 64,
     objective: str | None = None,
-    mc_diagnostic: bool = False,
 ) -> list[dict]:
-    """Round-level incentive verdict: best response of the immediate payoff
+    """Round-level incentive verdict for every miner: the immediate payoff
     conditional on the announced M and the current rolling windows, given
     per miner as (sum, length) of its last N-1 completed rounds' outputs
-    (SimulationLedger.window gives them)."""
-    if realized_M <= 0:
-        raise ValueError("realized_M must be positive")
-    objective = objective or _default_objective(mechanism)
+    (SimulationLedger.window gives them; pps ignores them)."""
     demand = DemandModel(family="constant", M=realized_M)
-    capacities = np.array([p.capacity_A for p in profiles])
-    fixed_windows = windows if mechanism == "ppss" else None
-    verdicts = []
-    for i, prof in enumerate(profiles):
-        tol = tol_a if tol_a is not None else 2.0 * prof.capacity_A / (grid_points - 1)
-        br, curve = best_response(
-            mechanism, i, capacities, params, profiles, demand,
-            grid_points=grid_points, replicas=replicas, seed=seed,
-            objective=objective, fixed_M=realized_M, fixed_windows=fixed_windows,
-            return_curve=True,
+    return [
+        incentive_verdict(
+            mechanism, i, params, profiles, demand, fixed_windows=windows,
+            tol_a=tol_a, replicas=replicas, seed=seed, grid_points=grid_points,
+            objective=objective,
         )
-        record = {
-            "miner": i,
-            "argmax": br.argmax_a,
-            "value": br.value,
-            "capacity": prof.capacity_A,
-            "tol": tol,
-            "passed": abs(br.argmax_a - prof.capacity_A) <= tol,
-            "objective": objective,
-            "curve": curve,
-        }
-        if mc_diagnostic and objective != "payoff":
-            raw = best_response(
-                mechanism, i, capacities, params, profiles, demand,
-                grid_points=grid_points, replicas=replicas, seed=seed,
-                objective="payoff", fixed_M=realized_M, fixed_windows=fixed_windows,
-            )
-            record["mc_argmax"] = raw.argmax_a
-        verdicts.append(record)
-    return verdicts
+        for i in range(len(profiles))
+    ]
 
 
 def chernoff_tail_upper(shape_s: float, threshold_t: float) -> tuple[float, float]:

@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 
-from .analysis import best_response, ocdic_check
+from .analysis import _default_objective, best_response, ocdic_check
 from .config import ConfigError, parse_config, read_yaml
 from .csvio import ledger_header, ledger_rows, write_csv
 from .engine import run_simulation
@@ -91,16 +91,15 @@ def cmd_best_response(args) -> int:
         print(f"error: --grid must be at least 2, got {args.grid}", file=sys.stderr)
         return EXIT_CONFIG
     capacities = np.array([p.capacity_A for p in profiles])
-    objective = args.objective or ("floor" if cfg.mechanism == "ppss" else "payoff")
-    result, curve = best_response(
+    result = best_response(
         cfg.mechanism, args.miner, capacities, cfg.platform, profiles,
-        cfg.demand, grid_points=args.grid, replicas=cfg.replicas,
-        seed=cfg.seed, objective=objective, return_curve=True,
+        cfg.demand, grid_points=args.grid, replicas=cfg.replicas, seed=cfg.seed,
+        objective=args.objective or _default_objective(cfg.mechanism),
     )
     write_csv(
         os.path.join(args.out, "br_curve.csv"),
         ["a", "payoff_mean", "ci"],
-        curve,
+        result.curve,
     )
     print(
         f"argmax a={result.argmax_a:.17g} value={result.value:.17g} "
@@ -145,6 +144,9 @@ def cmd_sweep(args) -> int:
             axes.append((path, np.linspace(float(lo), float(hi), int(count))))
         except ValueError:
             print(f"error: bad axis spec {spec!r} (want field=lo:hi:count)", file=sys.stderr)
+            return EXIT_CONFIG
+        if not len(axes[-1][1]):
+            print(f"error: axis count must be at least 1 in {spec!r}", file=sys.stderr)
             return EXIT_CONFIG
     base = read_yaml(args.config)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -42,6 +43,8 @@ def _number(node: dict, key: str, field_name: str, default=None):
     v = node[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{field_name}.{key}", "expected a number")
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ConfigError(f"{field_name}.{key}", f"must be finite, got {v}")
     return v
 
 

@@ -22,7 +22,12 @@ TAG_ROUND = 7
 
 @dataclass(frozen=True)
 class MinerPolicy:
-    """Policy kinds: static(a), myopic_br(grid, replicas), delta_adaptive(step, floor)."""
+    """Policy kinds: static(a), myopic_br(grid, replicas), delta_adaptive(step, floor).
+
+    myopic_br maximises the raw Monte Carlo payoff under both mechanisms, not
+    the floor objective that ppss incentive verdicts use: the raw payoff is
+    what a myopic miner actually earns in the round it plays.
+    """
 
     kind: str
     a: float = 0.0
@@ -63,7 +68,9 @@ def delta_adaptive_policy(
 def _policy_allocation(state: SimulationState, i: int) -> float:
     """Miner i's allocation for the next round. A miner sees only the closed
     rounds' announced demand and delta and its own row, never the other
-    miners' allocations."""
+    miners' allocations. A myopic_br miner maximises the raw MC payoff at the
+    last announced M, on purpose: that payoff is what it earns (MinerPolicy).
+    """
     policy, profile = state.policies[i], state.profiles[i]
     if policy.kind == "static":
         return min(policy.a, profile.capacity_A)
@@ -85,7 +92,6 @@ def _policy_allocation(state: SimulationState, i: int) -> float:
         state.mechanism, profile.id, state.caps, state.params, state.profiles,
         DemandModel(family="constant", M=last_M),
         grid_points=policy.grid, replicas=policy.replicas, seed=state.seed,
-        fixed_M=last_M,
     )
     state.br_memo[i] = (last_M, br.argmax_a)
     return br.argmax_a

@@ -10,7 +10,7 @@ uniforms, which makes same-seed evaluations at different allocations
 common-random-number paired. A block's layout is, in stream order:
 
 - ppss with warm windows only: one column for miner i's window sum;
-- one demand column (drawn even when M is fixed);
+- one demand column (drawn for every family; a constant demand ignores it);
 - one difficulty column per miner.
 
 The warm window holds N-1 rounds at the evaluated strategy. Their sum is
@@ -71,7 +71,6 @@ def _block_payoffs(
     seed: int,
     block_index: int,
     m: int,
-    fixed_M: float | None,
     fixed_windows: list[tuple[float, int]] | None,
 ) -> np.ndarray:
     rng = substream(seed, TAG_PAYOFF, block_index)
@@ -84,8 +83,7 @@ def _block_payoffs(
         wlen = max(params.window_N - 1, 0)
         wsum = gamma_ppf(wlen * float(shapes[miner_index]), rng.random(m))
 
-    u_m = rng.random(m)
-    M = np.full(m, fixed_M) if fixed_M is not None else demand.ppf(u_m)
+    M = demand.ppf(rng.random(m))
     d = _draw_difficulties(rng, shapes, m)
 
     totals = d.sum(axis=1)
@@ -114,7 +112,6 @@ def payoff_samples(
     demand: DemandModel,
     replicas: int,
     seed: int,
-    fixed_M: float | None = None,
     fixed_windows: list[tuple[float, int]] | None = None,
 ) -> np.ndarray:
     """Per-replica payoff draws for one miner, in replica order."""
@@ -127,7 +124,7 @@ def payoff_samples(
         hi = min(lo + BLOCK_SIZE, replicas)
         out[lo:hi] = _block_payoffs(
             mechanism, miner_index, allocations, params, profiles, demand,
-            seed, bi, hi - lo, fixed_M, fixed_windows,
+            seed, bi, hi - lo, fixed_windows,
         )
 
     workers = worker_count()

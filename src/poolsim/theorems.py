@@ -15,11 +15,11 @@ from scipy import special
 from .analysis import (
     BudgetBounds,
     bb_audit,
-    best_response,
     chernoff_tail_upper,
     docdic_check,
     expected_payoff_mc,
     floor_payoff,
+    incentive_verdict,
     ocdic_check,
     subsidy_prob_lower,
 )
@@ -65,28 +65,20 @@ def audit_t2(cfg, seed: int, replicas: int) -> dict:
     profiles = cfg.profiles()
     total_A = sum(p.capacity_A for p in profiles)
     demand = DemandModel(family="constant", M=3.0 * plat.k * total_A)
-    capacities = np.array([p.capacity_A for p in profiles])
-    results = {}
-    for label, scale in (("low", 0.5), ("high", 1.5)):
-        r = scale * plat.b * plat.k
-        profs = [
-            MinerProfile(id=p.id, capacity_A=p.capacity_A,
-                         cost=CostFunction(family="linear", r=r))
-            for p in profiles
-        ]
-        br = best_response(
-            "pps", 0, capacities, plat, profs, demand,
-            grid_points=64, replicas=replicas, seed=seed,
+    low, high = (
+        incentive_verdict(
+            "pps", 0, plat,
+            [MinerProfile(id=p.id, capacity_A=p.capacity_A,
+                          cost=CostFunction(family="linear", r=scale * plat.b * plat.k))
+             for p in profiles],
+            demand, replicas=replicas, seed=seed,
         )
-        results[label] = br
-    tol = 2.0 * profiles[0].capacity_A / 63
-    ok = (
-        abs(results["low"].argmax_a - profiles[0].capacity_A) <= tol
-        and abs(results["high"].argmax_a - 0.0) <= tol
+        for scale in (0.5, 1.5)
     )
+    ok = low["passed"] and abs(high["argmax"]) <= high["tol"]
     return _row(
         "T2", "PPS best response flips between capacity (r<bk) and zero (r>bk)",
-        cfg, "PASS" if ok else "FAIL", results["low"].argmax_a, profiles[0].capacity_A,
+        cfg, "PASS" if ok else "FAIL", low["argmax"], low["capacity"],
     )
 
 
@@ -107,10 +99,9 @@ def audit_t3(cfg, seed: int, replicas: int, cells: int = 11) -> dict:
                          cost=CostFunction(family="power", c=c, q=2.0))
             for p in base
         ]
-        verdicts = ocdic_check(
-            "pps", plat, profs, demand, replicas=replicas, seed=seed,
-        )
-        passes.append(verdicts[0]["passed"])
+        # the other miners' verdicts do not enter T3
+        verdict = incentive_verdict("pps", 0, plat, profs, demand, replicas=replicas, seed=seed)
+        passes.append(verdict["passed"])
     flips = [i for i in range(1, cells) if passes[i] != passes[i - 1]]
     crossing = float(np.argmin(np.abs(scales - 1.0)))
     ok = (

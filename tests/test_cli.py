@@ -1,13 +1,19 @@
 """Command line surface: subcommands, schemas, exit codes, determinism."""
 import csv
 import os
+import tempfile
 
+import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
 
 from poolsim import cli
 from poolsim.cli import main
 from poolsim.csvio import fmt
+from poolsim.engine import run_simulation
+
+from conftest import quiet_parse, small_configs
 
 BASE_CONFIG = {
     "mechanism": "pps",
@@ -87,6 +93,12 @@ class TestSimulate:
         assert main(["simulate", "--config", config_path(bad), "--out", tmp_out]) == 2
         assert "mechanism" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_config_number_exits_2(self, value, config_path, tmp_out, capsys):
+        bad = dict(BASE_CONFIG, rounds=value)
+        assert main(["simulate", "--config", config_path(bad), "--out", tmp_out]) == 2
+        assert "finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     @pytest.mark.parametrize("content", [b"mechanism: [unclosed\n", b"\xff\xfe\x00bad"])
     def test_malformed_yaml_exits_2(self, command, content, tmp_path, tmp_out, capsys):
@@ -111,6 +123,31 @@ class TestSimulate:
             argv += ["--seed", seed_arg]
         assert main(argv) == 2
         assert "seed" in capsys.readouterr().err
+
+    @given(small_configs())
+    @settings(max_examples=25, deadline=None)
+    def test_ledger_csv_round_trips(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "exp.yaml")
+            with open(path, "w") as fh:
+                yaml.safe_dump(data, fh)
+            assert main(["simulate", "--config", path, "--out", tmp]) == 0
+            header, rows = read_csv(os.path.join(tmp, "ledger.csv"))
+        ledger = run_simulation(quiet_parse(data))
+        n = ledger.a.shape[1]
+        table = np.array([[float(cell) for cell in row] for row in rows])
+        assert table.shape == (ledger.rounds, len(header))
+        assert np.array_equal(table[:, 0], np.arange(1, ledger.rounds + 1))
+        assert np.array_equal(table[:, 1], ledger.M)
+        for i in range(n):
+            a, d, reward, flag = table[:, 2 + 4 * i: 6 + 4 * i].T
+            assert np.array_equal(a, ledger.a[:, i])
+            assert np.array_equal(d, ledger.D[:, i])
+            assert np.array_equal(reward, ledger.rewards[:, i])
+            assert {r[5 + 4 * i] for r in rows} <= {"0", "1"}
+            assert np.array_equal(flag, ledger.flags[:, i])
+        assert np.array_equal(table[:, -2], ledger.delta)
+        assert np.array_equal(table[:, -1], ledger.budget_ratio)
 
     def test_seed_override_changes_output(self, config_path, tmp_out, tmp_path):
         cfg = config_path()
@@ -212,6 +249,15 @@ class TestSweep:
             "sweep", "--config", config_path(), "--out", tmp_out,
             "--axis", "platform.k=bad",
         ]) == 2
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_axis_count_below_one_exits_2(self, count, config_path, tmp_out, capsys):
+        assert main([
+            "sweep", "--config", config_path(), "--out", tmp_out,
+            "--axis", f"miners.0.cost.r=1:3:{count}",
+        ]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(tmp_out, "sweep.csv"))
 
     def test_single_axis_sweep(self, config_path, tmp_out):
         data = dict(BASE_CONFIG, rounds=20, replicas=1000)

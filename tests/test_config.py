@@ -158,6 +158,20 @@ class TestValidation:
         with pytest.raises(ConfigError):
             quiet_parse(data)
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    @pytest.mark.parametrize("path", [
+        ("rounds",), ("miners", 0, "capacity_A"), ("demand", "M"), ("platform", "k"),
+    ])
+    def test_non_finite_number_rejected(self, path, value):
+        data = minimal()
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(ConfigError) as e:
+            quiet_parse(data)
+        assert "finite" in str(e.value)
+
     def test_non_mapping_rejected(self):
         with pytest.raises(ConfigError):
             quiet_parse([1, 2, 3])

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from poolsim import analysis
 from poolsim.engine import (
@@ -15,7 +16,7 @@ from poolsim.engine import (
 from poolsim.mechanisms import pps_reward, ppss_reward
 from poolsim.model import CostFunction, DemandModel, MinerProfile, c_tilde
 
-from conftest import quiet_parse
+from conftest import quiet_parse, small_configs
 
 
 def base_config(**overrides):
@@ -118,7 +119,7 @@ class TestMyopicMemo:
         real = analysis.best_response
 
         def counting(*args, **kwargs):
-            calls.append(kwargs["fixed_M"])
+            calls.append(args[5].M)
             return real(*args, **kwargs)
 
         monkeypatch.setattr(analysis, "best_response", counting)
@@ -150,7 +151,7 @@ class TestMyopicMemo:
                 br = analysis.best_response(
                     "ppss", i, capacities, cfg.platform, profiles,
                     DemandModel(family="constant", M=M),
-                    grid_points=5, replicas=256, seed=cfg.seed, fixed_M=M,
+                    grid_points=5, replicas=256, seed=cfg.seed,
                 )
                 assert ledger.a[row, i] == br.argmax_a
 
@@ -336,3 +337,13 @@ class TestAdaptiveExploitation:
         static = {"kind": "static", "a": 1.0}
         for seed in range(3):
             assert self._mean_payoff(adaptive, seed) >= self._mean_payoff(static, seed)
+
+
+class TestBudgetRatioProperty:
+    @given(small_configs(mechanisms=("pps",)))
+    @settings(max_examples=60, deadline=None)
+    def test_pps_ratio_within_zero_and_b_over_p(self, data):
+        cfg = quiet_parse(data)
+        ratios = run_simulation(cfg).budget_ratio
+        assert ratios.min() >= 0.0
+        assert ratios.max() <= cfg.platform.b / cfg.platform.p

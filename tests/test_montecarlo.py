@@ -35,9 +35,9 @@ SUBSIDISED = [
 ]
 
 
-def _samples(replicas, mechanism="pps", **kw):
+def _samples(replicas, mechanism="pps", demand=DEMAND, **kw):
     return payoff_samples(
-        mechanism, 0, np.array([4.0, 5.0]), PARAMS, PROFILES, DEMAND,
+        mechanism, 0, np.array([4.0, 5.0]), PARAMS, PROFILES, demand,
         replicas, seed=11, **kw,
     )
 
@@ -83,8 +83,9 @@ class TestWorkerDeterminism:
 class TestFixedOverrides:
     def test_fixed_demand_pins_every_replica(self):
         # with M fixed far above supply, payoff variance comes only from D
-        a = _samples(2000, fixed_M=1000.0)
-        b = _samples(2000, fixed_M=1000.0)
+        fixed = DemandModel(family="constant", M=1000.0)
+        a = _samples(2000, demand=fixed)
+        b = _samples(2000, demand=fixed)
         assert np.array_equal(a, b)
         mean, _ = exact_mean_ci(a)
         # E[reward] = b*k*a_i = 8, cost 2: payoff ~ 6
