@@ -41,14 +41,14 @@ def _mean(column) -> float:
 def cmd_simulate(args) -> int:
     cfg = _parse(read_yaml(args.config), args)
     ledger = run_simulation(cfg)
-    n = len(cfg.miners)
+    n = len(cfg.profiles)
     write_csv(os.path.join(args.out, "ledger.csv"), ledger_header(n), ledger_rows(ledger))
 
     mean_ratio = _mean(ledger.budget_ratio)
     summary_rows = []
-    for i, spec in enumerate(cfg.miners):
+    for i, profile in enumerate(cfg.profiles):
         rewards = ledger.rewards[:, i]
-        payoff = _mean(rewards - cost_eval(spec.cost, ledger.a[:, i]))
+        payoff = _mean(rewards - cost_eval(profile.cost, ledger.a[:, i]))
         summary_rows.append([
             i, _mean(rewards), payoff, _mean(ledger.flags[:, i]), mean_ratio,
         ])
@@ -83,7 +83,7 @@ def cmd_verify(args) -> int:
 
 def cmd_best_response(args) -> int:
     cfg = _parse(read_yaml(args.config), args)
-    profiles = cfg.profiles()
+    profiles = cfg.profiles
     if not 0 <= args.miner < len(profiles):
         print(f"error: miner index {args.miner} out of range", file=sys.stderr)
         return EXIT_CONFIG
@@ -165,9 +165,9 @@ def cmd_sweep(args) -> int:
                 print(f"error: unknown axis field {path!r}", file=sys.stderr)
                 return EXIT_CONFIG
         cfg = _parse(data, args)
-        n_miners = len(cfg.miners)
+        n_miners = len(cfg.profiles)
         verdicts = ocdic_check(
-            cfg.mechanism, cfg.platform, cfg.profiles(), cfg.demand,
+            cfg.mechanism, cfg.platform, cfg.profiles, cfg.demand,
             replicas=cfg.replicas, seed=cfg.seed,
         )
         mean_ratio = _mean(run_simulation(cfg).budget_ratio)

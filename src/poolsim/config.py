@@ -13,6 +13,8 @@ import yaml
 from .engine import MinerPolicy
 from .model import CostFunction, DemandModel, MinerProfile, PlatformParams
 
+_INT64 = 2**63
+
 
 class ConfigError(ValueError):
     """Invalid configuration; `field` names the offending entry."""
@@ -48,18 +50,85 @@ def _number(node: dict, key: str, field_name: str, default=None):
     return v
 
 
+def _integer(node: dict, key: str, field_name: str, default=None) -> int:
+    """An integral number that fits in int64; 1.0e4 reads as 10000."""
+    v = _number(node, key, field_name, default)
+    if isinstance(v, float):
+        if not v.is_integer():
+            raise ConfigError(f"{field_name}.{key}", f"must be an integer, got {v}")
+        v = int(v)
+    if not -_INT64 <= v < _INT64:
+        raise ConfigError(f"{field_name}.{key}", f"{v} does not fit in a 64-bit integer")
+    return v
+
+
 @dataclass(frozen=True)
-class MinerSpec:
-    capacity_A: float
-    cost: CostFunction
-    policy: MinerPolicy
+class _Variants:
+    """A YAML block whose `tag_key` field picks one variant of `build`.
+
+    `fields` maps each tag to that variant's YAML fields in dump order, each
+    with its default; None marks a required field, and an int default reads
+    the field as an integer.
+    """
+
+    tag_key: str
+    noun: str
+    build: type
+    fields: dict
+
+
+DEMAND = _Variants("family", "demand family", DemandModel, {
+    "constant": {"M": None},
+    "uniform": {"lo": None, "hi": None},
+    "gamma": {"shape": None, "rate": 1.0},
+    "lognormal": {"mu": None, "sigma": None},
+})
+COST = _Variants("family", "cost family", CostFunction, {
+    "linear": {"r": None},
+    "power": {"c": None, "q": 2.0},
+})
+# a static policy's `a` defaults to the miner's capacity_A, passed in by
+# parse_config; a missing or null policy is static at capacity
+POLICY = _Variants("kind", "policy kind", MinerPolicy, {
+    "static": {"a": None},
+    "myopic_br": {"grid": 64, "replicas": 2000},
+    "delta_adaptive": {"step": 0.5, "floor": 0.0},
+})
+
+
+def _parse_variant(node, variants: _Variants, field_name: str, defaults=None):
+    """The `variants.build` instance that `node` describes; `defaults`
+    overrides the table's defaults."""
+    node = _require_mapping(node, field_name)
+    tag = node.get(variants.tag_key)
+    if not isinstance(tag, str) or tag not in variants.fields:
+        raise ConfigError(f"{field_name}.{variants.tag_key}", f"unknown {variants.noun} {tag!r}")
+    fields = variants.fields[tag]
+    _reject_unknown(node, {variants.tag_key, *fields}, field_name)
+    values = {}
+    for key, default in fields.items():
+        read = _integer if isinstance(default, int) else _number
+        values[key] = read(node, key, field_name, (defaults or {}).get(key, default))
+    try:
+        return variants.build(**{variants.tag_key: tag}, **values)
+    except ValueError as e:
+        raise ConfigError(field_name, str(e)) from e
+
+
+def _variant_dict(obj, variants: _Variants) -> dict:
+    tag = getattr(obj, variants.tag_key)
+    return {variants.tag_key: tag, **{k: getattr(obj, k) for k in variants.fields[tag]}}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A validated experiment; `profiles[i]` (id i) and `policies[i]`
+    describe miner i."""
+
     mechanism: str
     platform: PlatformParams
-    miners: tuple
+    profiles: tuple[MinerProfile, ...]
+    policies: tuple[MinerPolicy, ...]
     demand: DemandModel
     rounds: int
     replicas: int
@@ -67,18 +136,9 @@ class ExperimentConfig:
     audit_theta: float
     audit_gamma: float
 
-    def profiles(self) -> list[MinerProfile]:
-        return [
-            MinerProfile(id=i, capacity_A=m.capacity_A, cost=m.cost)
-            for i, m in enumerate(self.miners)
-        ]
-
-    def policies(self) -> list[MinerPolicy]:
-        return [m.policy for m in self.miners]
-
     def to_dict(self) -> dict:
         p = self.platform
-        out = {
+        return {
             "mechanism": self.mechanism,
             "platform": {
                 "p": p.p,
@@ -89,129 +149,21 @@ class ExperimentConfig:
                 "eps_k": p.eps_k,
                 "subsidy_clamp_nonneg": p.subsidy_clamp_nonneg,
             },
-            "miners": [],
-            "demand": _demand_dict(self.demand),
+            "miners": [
+                {"capacity_A": prof.capacity_A, "cost": _variant_dict(prof.cost, COST),
+                 "policy": _variant_dict(pol, POLICY)}
+                for prof, pol in zip(self.profiles, self.policies)
+            ],
+            "demand": _variant_dict(self.demand, DEMAND),
             "rounds": self.rounds,
             "replicas": self.replicas,
             "seed": self.seed,
             "audit": {"theta": self.audit_theta, "gamma": self.audit_gamma},
         }
-        for m in self.miners:
-            cost = {"family": m.cost.family}
-            if m.cost.family == "linear":
-                cost["r"] = m.cost.r
-            else:
-                cost["c"] = m.cost.c
-                cost["q"] = m.cost.q
-            pol = {"kind": m.policy.kind}
-            if m.policy.kind == "static":
-                pol["a"] = m.policy.a
-            elif m.policy.kind == "myopic_br":
-                pol["grid"] = m.policy.grid
-                pol["replicas"] = m.policy.replicas
-            else:
-                pol["step"] = m.policy.step
-                pol["floor"] = m.policy.floor
-            out["miners"].append({"capacity_A": m.capacity_A, "cost": cost, "policy": pol})
-        return out
 
     def digest(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
-
-
-def _demand_dict(d: DemandModel) -> dict:
-    if d.family == "constant":
-        return {"family": "constant", "M": d.M}
-    if d.family == "uniform":
-        return {"family": "uniform", "lo": d.lo, "hi": d.hi}
-    if d.family == "gamma":
-        return {"family": "gamma", "shape": d.shape, "rate": d.rate}
-    return {"family": "lognormal", "mu": d.mu, "sigma": d.sigma}
-
-
-def _parse_demand(node, field_name: str) -> DemandModel:
-    node = _require_mapping(node, field_name)
-    family = node.get("family")
-    if family == "constant":
-        _reject_unknown(node, {"family", "M"}, field_name)
-        return DemandModel(family="constant", M=_number(node, "M", field_name))
-    if family == "uniform":
-        _reject_unknown(node, {"family", "lo", "hi"}, field_name)
-        return DemandModel(
-            family="uniform",
-            lo=_number(node, "lo", field_name),
-            hi=_number(node, "hi", field_name),
-        )
-    if family == "gamma":
-        _reject_unknown(node, {"family", "shape", "rate"}, field_name)
-        return DemandModel(
-            family="gamma",
-            shape=_number(node, "shape", field_name),
-            rate=_number(node, "rate", field_name, default=1.0),
-        )
-    if family == "lognormal":
-        _reject_unknown(node, {"family", "mu", "sigma"}, field_name)
-        return DemandModel(
-            family="lognormal",
-            mu=_number(node, "mu", field_name),
-            sigma=_number(node, "sigma", field_name),
-        )
-    raise ConfigError(f"{field_name}.family", f"unknown demand family {family!r}")
-
-
-def _parse_cost(node, field_name: str) -> CostFunction:
-    node = _require_mapping(node, field_name)
-    family = node.get("family")
-    try:
-        if family == "linear":
-            _reject_unknown(node, {"family", "r"}, field_name)
-            return CostFunction(family="linear", r=_number(node, "r", field_name))
-        if family == "power":
-            _reject_unknown(node, {"family", "c", "q"}, field_name)
-            return CostFunction(
-                family="power",
-                c=_number(node, "c", field_name),
-                q=_number(node, "q", field_name, default=2.0),
-            )
-    except ValueError as e:
-        if isinstance(e, ConfigError):
-            raise
-        raise ConfigError(field_name, str(e)) from e
-    raise ConfigError(f"{field_name}.family", f"unknown cost family {family!r}")
-
-
-def _parse_policy(node, capacity: float, field_name: str) -> MinerPolicy:
-    if node is None:
-        return MinerPolicy(kind="static", a=capacity)
-    node = _require_mapping(node, field_name)
-    kind = node.get("kind")
-    try:
-        if kind == "static":
-            _reject_unknown(node, {"kind", "a"}, field_name)
-            return MinerPolicy(kind="static", a=_number(node, "a", field_name, default=capacity))
-        if kind == "myopic_br":
-            _reject_unknown(node, {"kind", "grid", "replicas"}, field_name)
-            return MinerPolicy(
-                kind="myopic_br",
-                grid=int(_number(node, "grid", field_name, default=64)),
-                replicas=int(_number(node, "replicas", field_name, default=2000)),
-            )
-        if kind == "delta_adaptive":
-            _reject_unknown(node, {"kind", "step", "floor"}, field_name)
-            floor = _number(node, "floor", field_name, default=0.0)
-            if floor > capacity:
-                raise ConfigError(f"{field_name}.floor", "must not exceed capacity_A")
-            return MinerPolicy(
-                kind="delta_adaptive",
-                step=_number(node, "step", field_name, default=0.5),
-                floor=floor,
-            )
-    except ValueError as e:
-        if isinstance(e, ConfigError):
-            raise
-        raise ConfigError(field_name, str(e)) from e
-    raise ConfigError(f"{field_name}.kind", f"unknown policy kind {kind!r}")
 
 
 def parse_config(data: dict, warn_stream=None) -> ExperimentConfig:
@@ -242,7 +194,7 @@ def parse_config(data: dict, warn_stream=None) -> ExperimentConfig:
             b=b,
             k=_number(pnode, "k", "platform"),
             lam=_number(pnode, "lambda", "platform", default=0.8),
-            window_N=int(_number(pnode, "N", "platform", default=10)),
+            window_N=_integer(pnode, "N", "platform", default=10),
             eps_k=_number(pnode, "eps_k", "platform", default=1e-3),
             subsidy_clamp_nonneg=clamp,
         )
@@ -254,7 +206,7 @@ def parse_config(data: dict, warn_stream=None) -> ExperimentConfig:
     miners_node = data.get("miners")
     if not isinstance(miners_node, list) or not miners_node:
         raise ConfigError("miners", "expected a non-empty list")
-    miners = []
+    profiles, policies = [], []
     for idx, mnode in enumerate(miners_node):
         fname = f"miners[{idx}]"
         mnode = _require_mapping(mnode, fname)
@@ -262,19 +214,26 @@ def parse_config(data: dict, warn_stream=None) -> ExperimentConfig:
         cap = _number(mnode, "capacity_A", fname)
         if not cap > 0:
             raise ConfigError(f"{fname}.capacity_A", "must be positive")
-        cost = _parse_cost(mnode.get("cost"), f"{fname}.cost")
-        policy = _parse_policy(mnode.get("policy"), cap, f"{fname}.policy")
-        miners.append(MinerSpec(capacity_A=cap, cost=cost, policy=policy))
+        cost = _parse_variant(mnode.get("cost"), COST, f"{fname}.cost")
+        pnode = mnode.get("policy")
+        policy = _parse_variant(
+            {"kind": "static"} if pnode is None else pnode, POLICY, f"{fname}.policy",
+            defaults={"a": cap},
+        )
+        if policy.kind == "delta_adaptive" and policy.floor > cap:
+            raise ConfigError(f"{fname}.policy.floor", "must not exceed capacity_A")
+        profiles.append(MinerProfile(id=idx, capacity_A=cap, cost=cost))
+        policies.append(policy)
 
-    demand = _parse_demand(data.get("demand"), "demand")
+    demand = _parse_variant(data.get("demand"), DEMAND, "demand")
 
-    rounds = int(_number(data, "rounds", "<root>", default=10_000))
+    rounds = _integer(data, "rounds", "<root>", default=10_000)
     if rounds < 1:
         raise ConfigError("rounds", "must be at least 1")
-    replicas = int(_number(data, "replicas", "<root>", default=10_000))
+    replicas = _integer(data, "replicas", "<root>", default=10_000)
     if replicas < 1:
         raise ConfigError("replicas", "must be at least 1")
-    seed = int(_number(data, "seed", "<root>", default=0))
+    seed = _integer(data, "seed", "<root>", default=0)
     if seed < 0:
         raise ConfigError("seed", "must be nonnegative")
 
@@ -288,7 +247,8 @@ def parse_config(data: dict, warn_stream=None) -> ExperimentConfig:
     cfg = ExperimentConfig(
         mechanism=mechanism,
         platform=platform,
-        miners=tuple(miners),
+        profiles=tuple(profiles),
+        policies=tuple(policies),
         demand=demand,
         rounds=rounds,
         replicas=replicas,
@@ -297,7 +257,7 @@ def parse_config(data: dict, warn_stream=None) -> ExperimentConfig:
         audit_gamma=gamma,
     )
 
-    supply = platform.k * sum(m.capacity_A for m in miners)
+    supply = platform.k * sum(prof.capacity_A for prof in profiles)
     if demand.mu_F < supply:
         stream = warn_stream if warn_stream is not None else sys.stderr
         print(

@@ -17,22 +17,33 @@ def fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path: str, header: list[str], rows) -> None:
-    """Write header + rows atomically (temp file, then rename)."""
+def atomic_write(path: str, write) -> None:
+    """Call write(fh) on a temp file beside `path`, then rename it to `path`,
+    creating the directory if needed. Text is written without newline
+    translation."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([fmt(v) for v in row])
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_csv(path: str, header: list[str], rows) -> None:
+    """Write header + rows atomically (temp file, then rename)."""
+
+    def write(fh):
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([fmt(v) for v in row])
+
+    atomic_write(path, write)
 
 
 def ledger_header(n_miners: int) -> list[str]:

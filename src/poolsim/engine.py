@@ -236,8 +236,8 @@ def run_simulation(config, seed: int | None = None) -> SimulationLedger:
         raise ValueError("rounds must be at least 1")
     state = init_state(
         params=config.platform,
-        profiles=config.profiles(),
-        policies=config.policies(),
+        profiles=config.profiles,
+        policies=config.policies,
         demand=config.demand,
         mechanism=config.mechanism,
         seed=config.seed if seed is None else seed,

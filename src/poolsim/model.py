@@ -129,7 +129,8 @@ class DemandModel:
     """Per-round demand distribution F with analytic mean mu_F.
 
     Families: constant(M), uniform(lo, hi), gamma(shape, rate),
-    lognormal(mu, sigma). All samples are positive.
+    lognormal(mu, sigma). All samples are positive, and mu_F must be
+    finite and positive.
     """
 
     family: str
@@ -156,16 +157,22 @@ class DemandModel:
                 raise ValueError("lognormal demand requires sigma >= 0")
         else:
             raise ValueError(f"unknown demand family {self.family!r}")
+        if not 0 < self.mu_F < math.inf:
+            raise ValueError(f"demand mean mu_F must be finite and positive, got {self.mu_F}")
 
     @property
     def mu_F(self) -> float:
+        """The mean; inf where it overflows a float."""
         if self.family == "constant":
             return self.M
         if self.family == "uniform":
             return 0.5 * (self.lo + self.hi)
         if self.family == "gamma":
             return self.shape / self.rate
-        return math.exp(self.mu + 0.5 * self.sigma**2)
+        try:
+            return math.exp(self.mu + 0.5 * self.sigma**2)
+        except OverflowError:
+            return math.inf
 
     def ppf(self, u):
         """Quantile function; used for common-random-number sampling."""

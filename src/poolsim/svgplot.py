@@ -1,8 +1,7 @@
 """Minimal self-contained SVG line plots (no plotting dependency)."""
 from __future__ import annotations
 
-import os
-import tempfile
+from .csvio import atomic_write
 
 WIDTH, HEIGHT = 800, 500
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 55
@@ -94,14 +93,4 @@ def line_plot_svg(
 
 
 def write_svg(path: str, svg: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(svg)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, lambda fh: fh.write(svg))

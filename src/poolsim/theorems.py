@@ -23,15 +23,11 @@ from .analysis import (
     ocdic_check,
     subsidy_prob_lower,
 )
-from .engine import MinerPolicy, init_state, run_simulation, step_round
+from .engine import MinerPolicy, run_simulation
 from .mechanisms import subsidy_shape
 from .model import CostFunction, DemandModel, MinerProfile, c_tilde
 
 ALL_THEOREMS = ("T1", "T2", "T3", "T4", "T5", "T6", "T7")
-
-
-def _static_policies(profiles):
-    return [MinerPolicy(kind="static", a=p.capacity_A) for p in profiles]
 
 
 def _row(theorem, claim, cfg, verdict, metric, bound, ci=0.0):
@@ -62,7 +58,7 @@ def audit_t1(cfg, seed: int, replicas: int) -> dict:
 def audit_t2(cfg, seed: int, replicas: int) -> dict:
     """PPS best response is capacity when r < b*k and zero when r > b*k."""
     plat = cfg.platform
-    profiles = cfg.profiles()
+    profiles = cfg.profiles
     total_A = sum(p.capacity_A for p in profiles)
     demand = DemandModel(family="constant", M=3.0 * plat.k * total_A)
     low, high = (
@@ -86,7 +82,7 @@ def audit_t3(cfg, seed: int, replicas: int, cells: int = 11) -> dict:
     """PPS incentive verdict flips where the marginal cost at capacity
     crosses b*k."""
     plat = cfg.platform
-    base = cfg.profiles()
+    base = cfg.profiles
     A = base[0].capacity_A
     total_A = sum(p.capacity_A for p in base)
     demand = DemandModel(family="constant", M=3.0 * plat.k * total_A)
@@ -120,7 +116,7 @@ def audit_t4(cfg, seed: int, replicas: int) -> dict:
     """PPS admits a round with an interior immediate best response when
     demand falls short of supply (not round-by-round incentive compatible)."""
     plat = cfg.platform
-    profiles = cfg.profiles()
+    profiles = cfg.profiles
     total_A = sum(p.capacity_A for p in profiles)
     low_M = 0.2 * plat.k * total_A
     verdicts = docdic_check(
@@ -140,7 +136,7 @@ def audit_t5(cfg, seed: int, replicas: int) -> dict:
     """Subsidized mechanism: MC payoff dominates the guaranteed floor, the
     floor best response is capacity, and the tail/identity bounds hold."""
     plat = cfg.platform
-    profiles = cfg.profiles()
+    profiles = cfg.profiles
     capacities = np.array([p.capacity_A for p in profiles])
     demand = cfg.demand
     prof = profiles[0]
@@ -192,7 +188,7 @@ def audit_t6(cfg, seed: int, replicas: int) -> dict:
     """Long-term PPSS payout ratio against the claimed bound
     sum(c~_i * A_i) / (mu_F * p)."""
     plat = cfg.platform
-    profiles = cfg.profiles()
+    profiles = cfg.profiles
     sim_cfg = replace(cfg, mechanism="ppss")
     ledger = run_simulation(sim_cfg, seed=seed)
     bound = sum(c_tilde(p) * p.capacity_A for p in profiles) / (cfg.demand.mu_F * plat.p)
@@ -207,14 +203,13 @@ def audit_t6(cfg, seed: int, replicas: int) -> dict:
 def audit_t7(cfg, seed: int, replicas: int) -> dict:
     """Round-level capacity commitment for PPSS with warm windows."""
     plat = cfg.platform
-    profiles = cfg.profiles()
-    state = init_state(
-        params=plat, profiles=profiles, policies=_static_policies(profiles),
-        demand=cfg.demand, mechanism="ppss", seed=seed, rounds=plat.window_N,
+    profiles = cfg.profiles
+    warm_cfg = replace(
+        cfg, mechanism="ppss", rounds=plat.window_N,
+        policies=tuple(MinerPolicy(kind="static", a=p.capacity_A) for p in profiles),
     )
-    for _ in range(plat.window_N):
-        step_round(state)
-    window_sum, window_len = state.ledger.window(plat.window_N, plat.window_N)
+    ledger = run_simulation(warm_cfg, seed=seed)
+    window_sum, window_len = ledger.window(plat.window_N, plat.window_N)
     verdicts = docdic_check(
         "ppss", plat, profiles, realized_M=cfg.demand.mu_F,
         windows=[(w, window_len) for w in window_sum.tolist()],

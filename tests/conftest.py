@@ -16,13 +16,19 @@ def _num(lo, hi):
 
 
 @st.composite
-def _miner(draw):
+def _miner(draw, myopic=False):
     cap = draw(_num(0.1, 5.0))
-    policy = draw(st.one_of(
+    policies = [
         st.fixed_dictionaries({"kind": st.just("static"), "a": _num(0.0, cap)}),
         st.fixed_dictionaries({"kind": st.just("delta_adaptive"),
                                "step": _num(0.1, 0.9), "floor": _num(0.0, cap)}),
-    ))
+    ]
+    if myopic:
+        policies.append(st.fixed_dictionaries({
+            "kind": st.just("myopic_br"),
+            "grid": st.integers(2, 128), "replicas": st.integers(1, 5000),
+        }))
+    policy = draw(st.one_of(policies))
     cost = draw(st.one_of(
         st.fixed_dictionaries({"family": st.just("linear"), "r": _num(0.01, 300.0)}),
         st.fixed_dictionaries({"family": st.just("power"),
@@ -44,16 +50,18 @@ def _demand(draw):
     ))
 
 
-def small_configs(mechanisms=("pps", "ppss")):
+def small_configs(mechanisms=("pps", "ppss"), myopic=False):
     """Config mappings for short runs: 1-3 static or delta_adaptive miners
-    under any demand family (myopic_br is left out to keep runs cheap)."""
+    under any demand family. myopic_br miners are drawn only with
+    `myopic=True`, for properties that do not run the config (they are
+    slow to simulate)."""
     return st.fixed_dictionaries({
         "mechanism": st.sampled_from(mechanisms),
         "platform": st.fixed_dictionaries({
             "p": _num(0.1, 10.0), "b": _num(0.1, 10.0),
             "k": _num(0.5, 100.0), "N": st.integers(1, 6),
         }),
-        "miners": st.lists(_miner(), min_size=1, max_size=3),
+        "miners": st.lists(_miner(myopic), min_size=1, max_size=3),
         "demand": _demand(),
         "rounds": st.integers(1, 12),
         "seed": st.integers(0, 2**32 - 1),

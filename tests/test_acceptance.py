@@ -196,7 +196,7 @@ def test_criterion_5_subsidy_shape_curve(tmp_out):
 
 def test_criterion_6_floor_and_capacity_commitment():
     cfg = subsidized_config()
-    plat, profs, demand = cfg.platform, cfg.profiles(), cfg.demand
+    plat, profs, demand = cfg.platform, cfg.profiles, cfg.demand
     t0 = time.time()
 
     est = expected_payoff_mc(

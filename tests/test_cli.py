@@ -99,6 +99,22 @@ class TestSimulate:
         assert main(["simulate", "--config", config_path(bad), "--out", tmp_out]) == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("change", [
+        {"demand": {"family": "uniform", "lo": 5.0, "hi": 1.0}},
+        {"demand": {"family": "gamma", "shape": -1.0}},
+        {"demand": {"family": "constant", "M": 0}},
+        {"demand": {"family": "lognormal", "mu": -800.0, "sigma": 0.0}},
+        {"demand": {"family": "lognormal", "mu": 800.0, "sigma": 0.0}},
+        {"demand": {"family": "gamma", "shape": 1.0, "rate": 1.0e-320}},
+        {"rounds": 2.7},
+        {"rounds": 10**20},
+    ])
+    def test_bad_config_value_exits_2(self, change, config_path, tmp_out, capsys):
+        bad = dict(BASE_CONFIG, **change)
+        assert main(["simulate", "--config", config_path(bad), "--out", tmp_out]) == 2
+        assert next(iter(change)) in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(tmp_out, "ledger.csv"))
+
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     @pytest.mark.parametrize("content", [b"mechanism: [unclosed\n", b"\xff\xfe\x00bad"])
     def test_malformed_yaml_exits_2(self, command, content, tmp_path, tmp_out, capsys):

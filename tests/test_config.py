@@ -1,12 +1,16 @@
 """Config ingestion: strict validation, defaults, round-trip, warnings."""
 import io
+import os
 
 import pytest
 import yaml
+from hypothesis import given, settings
 
 from poolsim.config import ConfigError, dump_config, load_config, parse_config
 
-from conftest import quiet_parse
+from conftest import quiet_parse, small_configs
+
+WORKLOADS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads")
 
 
 def minimal(**overrides):
@@ -39,7 +43,7 @@ class TestDefaults:
 
     def test_default_policy_is_static_at_capacity(self):
         cfg = quiet_parse(minimal())
-        pol = cfg.policies()[0]
+        pol = cfg.policies[0]
         assert pol.kind == "static"
         assert pol.a == 4.0
 
@@ -48,7 +52,7 @@ class TestDefaults:
             {"capacity_A": 4.0, "cost": {"family": "linear", "r": 1.0}},
             {"capacity_A": 2.0, "cost": {"family": "power", "c": 1.0, "q": 2.0}},
         ])
-        profs = quiet_parse(data).profiles()
+        profs = quiet_parse(data).profiles
         assert [p.id for p in profs] == [0, 1]
         assert profs[1].cost.family == "power"
 
@@ -122,6 +126,9 @@ class TestValidation:
         data["miners"][0]["policy"] = {"kind": "random"}
         with pytest.raises(ConfigError):
             quiet_parse(data)
+        with pytest.raises(ConfigError) as e:
+            quiet_parse(minimal(demand={"family": ["constant"], "M": 20.0}))
+        assert "unknown demand family" in str(e.value)
 
     def test_bad_rounds_and_replicas(self):
         with pytest.raises(ConfigError):
@@ -176,6 +183,51 @@ class TestValidation:
         with pytest.raises(ConfigError):
             quiet_parse([1, 2, 3])
 
+    @pytest.mark.parametrize("demand", [
+        {"family": "uniform", "lo": 5.0, "hi": 1.0},
+        {"family": "gamma", "shape": -1.0},
+        {"family": "constant", "M": 0},
+        # means that underflow to 0 or overflow to inf
+        {"family": "lognormal", "mu": -800.0, "sigma": 0.0},
+        {"family": "lognormal", "mu": 800.0, "sigma": 0.0},
+        {"family": "lognormal", "mu": 0.0, "sigma": 1.0e200},
+        {"family": "gamma", "shape": 1.0, "rate": 1.0e-320},
+    ])
+    def test_bad_demand_parameter(self, demand):
+        with pytest.raises(ConfigError) as e:
+            quiet_parse(minimal(demand=demand))
+        assert e.value.field == "demand"
+
+    @pytest.mark.parametrize("path, value", [
+        (("rounds",), 2.7),
+        (("rounds",), 10**20),
+        (("replicas",), 1.0e30),
+        (("seed",), 2**63),
+        (("seed",), 0.5),
+        (("platform", "N"), 2.5),
+        (("miners", 0, "policy", "grid"), 3.5),
+        (("miners", 0, "policy", "replicas"), 10**19),
+    ])
+    def test_integer_field_must_be_integral_int64(self, path, value):
+        data = minimal()
+        data["miners"][0]["policy"] = {"kind": "myopic_br"}
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(ConfigError) as e:
+            quiet_parse(data)
+        assert e.value.field.endswith(path[-1])
+
+    def test_integral_float_reads_as_integer(self):
+        # YAML 1.1 needs the exponent's sign: 1.0e4 would load as a string
+        data = yaml.safe_load(yaml.safe_dump(minimal()) + "rounds: 1.0e+4\nseed: 7.0\n")
+        cfg = quiet_parse(data)
+        assert cfg.rounds == 10_000 and isinstance(cfg.rounds, int)
+        assert quiet_parse(minimal(rounds=1.0e4)).rounds == 10_000
+        assert cfg.seed == 7 and isinstance(cfg.seed, int)
+        assert quiet_parse(minimal(seed=2**63 - 1)).seed == 2**63 - 1
+
 
 class TestSupplyWarning:
     def test_warns_when_demand_below_supply(self):
@@ -223,6 +275,23 @@ class TestRoundTrip:
         other = self.full_config()
         other["seed"] = 10
         assert quiet_parse(other).digest() != cfg.digest()
+
+    @given(small_configs(myopic=True))
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip_property(self, data):
+        cfg = quiet_parse(data)
+        again = quiet_parse(yaml.safe_load(dump_config(cfg)))
+        assert again == cfg
+        assert again.digest() == cfg.digest()
+
+    @pytest.mark.parametrize("name, digest", [
+        ("simulate-ledger", "ea488cfd635a"),
+        ("verify-audit", "3fa6eb82b193"),
+        ("myopic-game", "98325ce7121c"),
+    ])
+    def test_workload_digests_pinned(self, name, digest):
+        cfg = load_config(os.path.join(WORKLOADS, f"{name}.yaml"), warn_stream=io.StringIO())
+        assert cfg.digest() == digest
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "exp.yaml"

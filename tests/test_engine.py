@@ -143,7 +143,7 @@ class TestMyopicMemo:
     def test_allocations_equal_direct_best_responses(self, demand):
         cfg = self._config(demand)
         ledger = run_simulation(cfg)
-        profiles = cfg.profiles()
+        profiles = cfg.profiles
         capacities = np.array([p.capacity_A for p in profiles])
         announced = [cfg.demand.mu_F] + ledger.M[:-1].tolist()
         for row, M in enumerate(announced):
@@ -173,7 +173,7 @@ class TestStepRound:
         cfg = base_config(rounds=1)
         N = cfg.platform.window_N
         state = init_state(
-            params=cfg.platform, profiles=cfg.profiles(), policies=cfg.policies(),
+            params=cfg.platform, profiles=cfg.profiles, policies=cfg.policies,
             demand=cfg.demand, mechanism="pps", seed=0, rounds=N + 7,
         )
         led = state.ledger
@@ -201,7 +201,7 @@ class TestStepRound:
         # row j-1 holds round j, and step_round fills the rows in order
         cfg = base_config(rounds=20)
         state = init_state(
-            params=cfg.platform, profiles=cfg.profiles(), policies=cfg.policies(),
+            params=cfg.platform, profiles=cfg.profiles, policies=cfg.policies,
             demand=cfg.demand, mechanism="pps", seed=cfg.seed, rounds=20,
         )
         for j in range(1, 21):
@@ -225,7 +225,7 @@ class TestStepRound:
             "rounds": 300, "seed": 8,
         })
         led = run_simulation(cfg)
-        profiles = cfg.profiles()
+        profiles = cfg.profiles
         caps = np.array([p.capacity_A for p in profiles])
         c_tildes = np.array([c_tilde(p) for p in profiles])
         for row in range(led.rounds):
