@@ -15,7 +15,7 @@ from .analysis import (
     g_function,
     incentive_verdict,
     ocdic_check,
-    pps_expected_reward_closed,
+    pps_expected_payoff,
     subsidy_prob_lower,
 )
 from .config import ConfigError, ExperimentConfig, dump_config, load_config, parse_config

@@ -1,8 +1,9 @@
 """Expected payoffs, best responses, incentive-compatibility checkers, and
 budget-balance audits.
 
-Incentive checks come in two flavors. The raw Monte Carlo payoff is the
-mechanism as implemented; the "floor" objective is the guaranteed-payoff
+Incentive checks come in two flavors. The raw expected payoff is the
+mechanism as implemented: exact under pps (pps_expected_payoff), a Monte
+Carlo estimate under ppss. The "floor" objective is the guaranteed-payoff
 lower bound a * c~ - C(a), which is the object the subsidy mechanism's
 capacity-commitment argument actually maximizes. PPSS incentive verdicts
 use the floor objective; the raw MC curve stays available as a diagnostic
@@ -20,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .mechanisms import subsidy_shape
 from .model import (
@@ -31,6 +33,12 @@ from .model import (
     c_tilde,
 )
 from .montecarlo import exact_mean_ci, payoff_samples
+
+# 64-node Gauss-Legendre rule on [0, 1], for integrals over a demand quantile.
+# numpy's nodes, not scipy.special.roots_legendre: that one imports
+# scipy.linalg, which adds about 7 MB to every command's resident memory.
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(64)
+_GL_U, _GL_W = 0.5 * (_GL_X + 1.0), 0.5 * _GL_W
 
 
 @dataclass(frozen=True)
@@ -48,7 +56,9 @@ class BestResponseResult:
     argmax_a: float
     value: float
     grid_resolution: float
-    method: str  # "closed_form" | "grid_mc"
+    # "closed_form": the floor objective, or the exact pps payoff (ci = 0);
+    # "grid_mc": the Monte Carlo ppss payoff
+    method: str
     # (a, objective mean, CI half-width) at each grid point, in grid order
     curve: tuple[tuple[float, float, float], ...]
 
@@ -61,6 +71,15 @@ class BudgetBounds:
     def __post_init__(self):
         if self.theta > self.gamma:
             raise ValueError("theta must not exceed gamma")
+
+
+def _checked_allocations(allocations, profiles: list[MinerProfile]) -> np.ndarray:
+    """The allocation vector as floats; every entry must lie in [0, A_i]."""
+    allocations = np.asarray(allocations, dtype=float)
+    for a, prof in zip(allocations, profiles, strict=True):
+        if not 0 <= a <= prof.capacity_A:
+            raise ValueError(f"allocation {a} outside [0, {prof.capacity_A}] for miner {prof.id}")
+    return allocations
 
 
 def expected_payoff_mc(
@@ -80,10 +99,7 @@ def expected_payoff_mc(
     unless `fixed_windows` pins the history; a constant `demand` pins M.
     Reproducible for any worker count. Every allocation must lie in [0, A_i].
     """
-    allocations = np.asarray(allocations, dtype=float)
-    for a, prof in zip(allocations, profiles, strict=True):
-        if not 0 <= a <= prof.capacity_A:
-            raise ValueError(f"allocation {a} outside [0, {prof.capacity_A}] for miner {prof.id}")
+    allocations = _checked_allocations(allocations, profiles)
     samples = payoff_samples(
         mechanism, miner_index, allocations, params, profiles, demand,
         replicas, seed, fixed_windows=fixed_windows,
@@ -92,15 +108,43 @@ def expected_payoff_mc(
     return PayoffEstimate(mean=mean, ci_half_width=ci, replicas=replicas, seed=seed)
 
 
-def pps_expected_reward_closed(a_i: float, sum_a: float, params: PlatformParams, mu_F: float) -> float:
-    """Closed-form PPS expected reward (exact for constant demand with
-    M >= |D| almost surely; the min is moved inside the expectation)."""
-    if not 0 <= a_i <= sum_a:
-        raise ValueError("require 0 <= a_i <= sum_a")
-    if sum_a == 0:
-        return 0.0
-    supply = params.k * sum_a
-    return (params.k * a_i / supply) * params.b * min(supply, mu_F)
+def _expected_min_gamma(s: float, M):
+    """E[min(G, M)] for G ~ Gamma(s, 1): s * P(s+1, M) + M * Q(s, M)."""
+    return s * special.gammainc(s + 1.0, M) + M * special.gammaincc(s, M)
+
+
+def pps_expected_payoff(
+    i: int,
+    allocations,
+    params: PlatformParams,
+    profiles: list[MinerProfile],
+    demand: DemandModel,
+) -> float:
+    """Exact pps expected payoff E[R_i] - C(a_i) of miner i.
+
+    With s_i = k*a_i and s = k*sum(a), the share D_i/|D| ~ Beta(s_i, s - s_i)
+    is independent of |D| ~ Gamma(s) (Lukacs 1955), so
+    E[R_i] = b * (s_i/s) * E[min(|D|, M)], and for a fixed M
+    E[min(|D|, M)] = s * P(s+1, M) + M * Q(s, M), P and Q the regularized
+    incomplete gamma functions. A constant demand takes one evaluation; any
+    other demand is integrated over its quantile with a fixed 64-node
+    Gauss-Legendre rule. Every allocation must lie in [0, A_i].
+    """
+    allocations = _checked_allocations(allocations, profiles)
+    cost = cost_eval(profiles[i].cost, float(allocations[i]))
+    total = float(allocations.sum())
+    if allocations[i] == 0:
+        return 0.0 - cost  # +0.0, as the MC's reward - cost
+    s = params.k * total
+    if demand.family == "constant":
+        expected_min = _expected_min_gamma(s, demand.M)
+    else:
+        # a quantile past the float range is demand no supply reaches, where
+        # min(|D|, M) = |D|; the largest float gives that without inf * 0
+        with np.errstate(over="ignore"):
+            M = np.minimum(demand.ppf(_GL_U), np.finfo(float).max)
+        expected_min = _GL_W @ _expected_min_gamma(s, M)
+    return params.b * (float(allocations[i]) / total) * float(expected_min) - cost
 
 
 def floor_payoff(a: float, c_tilde_value: float, cost: CostFunction) -> float:
@@ -124,9 +168,10 @@ def best_response(
     """Maximize the chosen objective over a uniform grid on [0, A_i], then
     refine with golden-section search on the bracketing interval.
 
-    MC evaluations share the seed across grid points (common random
-    numbers), turning the argmax into a paired comparison. Ties break
-    toward the larger allocation.
+    The pps payoff is exact (pps_expected_payoff), so `replicas` and `seed`
+    do not enter it. MC evaluations (the ppss payoff) share the seed across
+    grid points (common random numbers), turning the argmax into a paired
+    comparison. Ties break toward the larger allocation.
     """
     if grid_points < 2:
         raise ValueError("grid_points must be at least 2")
@@ -139,6 +184,14 @@ def best_response(
 
         def f(a: float) -> tuple[float, float]:
             return floor_payoff(a, ct, prof.cost), 0.0
+
+        method = "closed_form"
+    elif objective == "payoff" and mechanism == "pps":
+
+        def f(a: float) -> tuple[float, float]:
+            alloc = base.copy()
+            alloc[miner_index] = a
+            return pps_expected_payoff(miner_index, alloc, params, profiles, demand), 0.0
 
         method = "closed_form"
     elif objective == "payoff":
@@ -215,7 +268,7 @@ def incentive_verdict(
     """Miner i's incentive verdict: PASS iff its best response, with the
     other miners at full capacity, sits within tol_a of its capacity.
     tol_a defaults to two grid cells; the objective defaults to the floor
-    under ppss and the MC payoff under pps."""
+    under ppss and the exact payoff under pps."""
     objective = objective or _default_objective(mechanism)
     capacity = profiles[i].capacity_A
     tol = tol_a if tol_a is not None else 2.0 * capacity / (grid_points - 1)

@@ -14,6 +14,8 @@ from .engine import MinerPolicy
 from .model import CostFunction, DemandModel, MinerProfile, PlatformParams
 
 _INT64 = 2**63
+# Largest simulation ledger a config may ask for: rounds * (3 + 4n) float64s
+MAX_LEDGER_BYTES = 2**32
 
 
 class ConfigError(ValueError):
@@ -230,6 +232,12 @@ def parse_config(data: dict, warn_stream=None) -> ExperimentConfig:
     rounds = _integer(data, "rounds", "<root>", default=10_000)
     if rounds < 1:
         raise ConfigError("rounds", "must be at least 1")
+    ledger_bytes = rounds * (3 + 4 * len(profiles)) * 8
+    if ledger_bytes > MAX_LEDGER_BYTES:
+        raise ConfigError(
+            "rounds", f"the ledger of {rounds} rounds needs {ledger_bytes} bytes, "
+            f"over the {MAX_LEDGER_BYTES}-byte limit",
+        )
     replicas = _integer(data, "replicas", "<root>", default=10_000)
     if replicas < 1:
         raise ConfigError("replicas", "must be at least 1")

@@ -24,9 +24,10 @@ TAG_ROUND = 7
 class MinerPolicy:
     """Policy kinds: static(a), myopic_br(grid, replicas), delta_adaptive(step, floor).
 
-    myopic_br maximises the raw Monte Carlo payoff under both mechanisms, not
-    the floor objective that ppss incentive verdicts use: the raw payoff is
-    what a myopic miner actually earns in the round it plays.
+    myopic_br maximises the raw expected payoff under both mechanisms (exact
+    under pps, Monte Carlo under ppss), not the floor objective that ppss
+    incentive verdicts use: the raw payoff is what a myopic miner actually
+    earns in the round it plays.
     """
 
     kind: str
@@ -68,7 +69,7 @@ def delta_adaptive_policy(
 def _policy_allocation(state: SimulationState, i: int) -> float:
     """Miner i's allocation for the next round. A miner sees only the closed
     rounds' announced demand and delta and its own row, never the other
-    miners' allocations. A myopic_br miner maximises the raw MC payoff at the
+    miners' allocations. A myopic_br miner maximises the raw payoff at the
     last announced M, on purpose: that payoff is what it earns (MinerPolicy).
     """
     policy, profile = state.policies[i], state.profiles[i]
@@ -199,6 +200,11 @@ def step_round(state: SimulationState) -> None:
     row, params, led = j - 1, state.params, state.ledger
     rng = substream(state.seed, TAG_ROUND, j)
     M = sample_demand(state.demand, rng)
+    if not M > 0:
+        # a demand whose draws underflow to 0; the pps ratio divides by M
+        from .config import ConfigError
+
+        raise ConfigError("demand", f"round {j} drew M = {M!r}; demand draws must be positive")
     a = np.array([_policy_allocation(state, i) for i in range(len(state.profiles))])
     if not np.all((0 <= a) & (a <= state.caps)):
         raise ValueError(f"allocations {a.tolist()} outside [0, {state.caps.tolist()}]")

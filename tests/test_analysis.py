@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from poolsim.analysis import (
@@ -16,7 +18,7 @@ from poolsim.analysis import (
     floor_payoff,
     g_function,
     ocdic_check,
-    pps_expected_reward_closed,
+    pps_expected_payoff,
     subsidy_prob_lower,
 )
 from poolsim.engine import run_simulation
@@ -29,7 +31,7 @@ from poolsim.model import (
     cost_eval,
 )
 
-from conftest import quiet_parse
+from conftest import quiet_parse, small_configs
 
 CHERNOFF_STD_100_80 = 0.09882989575150939  # exp(100*ln(0.8) + 20)
 PROB_LOWER_AT_CAPACITY = 0.022877793471864133  # 1 - 0.8*e^0.2
@@ -41,22 +43,39 @@ def linear_miner(i=0, A=1.0, r=1.0):
 
 
 class TestClosedForm:
+    """Limits of the exact pps expected payoff pps_expected_payoff."""
+
+    PARAMS = PlatformParams(p=1.0, b=1.5, k=2.0)
+    PROFS = [linear_miner(0, A=10.0, r=0.5), linear_miner(1, A=30.0, r=0.5)]
+
+    def _reward(self, allocs, demand):
+        payoff = pps_expected_payoff(0, allocs, self.PARAMS, self.PROFS, demand)
+        return payoff + cost_eval(self.PROFS[0].cost, allocs[0])
+
     def test_demand_dominant_branch(self):
-        params = PlatformParams(p=1.0, b=1.0, k=2.0)
-        assert pps_expected_reward_closed(10.0, 40.0, params, 1000.0) == 20.0
+        # M far above |D| almost surely: min{|D|, M} = |D|, so E[R_0] = b*k*a_0;
+        # the lognormal's upper quantile nodes overflow to inf
+        for demand in (DemandModel(family="constant", M=1e6),
+                       DemandModel(family="lognormal", mu=695.0, sigma=5.0)):
+            assert self._reward([10.0, 30.0], demand) == pytest.approx(30.0, rel=1e-12)
 
     def test_supply_dominant_branch(self):
-        params = PlatformParams(p=1.0, b=1.0, k=2.0)
-        assert pps_expected_reward_closed(10.0, 40.0, params, 40.0) == 10.0
+        # M -> 0: min{|D|, M} = M, so E[R_0] = b * (s_0/s) * M
+        for M in (1e-3, 1e-6, 1e-9):
+            demand = DemandModel(family="constant", M=M)
+            assert self._reward([10.0, 30.0], demand) == pytest.approx(1.5 * 0.25 * M, rel=1e-9)
 
     def test_no_allocation(self):
-        params = PlatformParams(p=1.0, b=1.0, k=2.0)
-        assert pps_expected_reward_closed(0.0, 0.0, params, 100.0) == 0.0
+        for demand in (DemandModel(family="constant", M=100.0),
+                       DemandModel(family="lognormal", mu=4.0, sigma=1.0)):
+            assert pps_expected_payoff(0, [0.0, 30.0], self.PARAMS, self.PROFS, demand) == 0.0
+            assert pps_expected_payoff(0, [0.0, 0.0], self.PARAMS, self.PROFS, demand) == 0.0
 
     def test_bad_arguments_rejected(self):
-        params = PlatformParams(p=1.0, b=1.0, k=2.0)
-        with pytest.raises(ValueError):
-            pps_expected_reward_closed(5.0, 4.0, params, 100.0)
+        demand = DemandModel(family="constant", M=100.0)
+        for allocs in ([11.0, 30.0], [-1.0, 30.0], [10.0, 31.0], [10.0]):
+            with pytest.raises(ValueError):
+                pps_expected_payoff(0, allocs, self.PARAMS, self.PROFS, demand)
 
 
 class TestExpectedPayoffMc:
@@ -94,7 +113,7 @@ class TestExpectedPayoffMc:
         assert abs(reward_part - 20.0) <= max(3 * est.ci_half_width, 0.1)
 
     def test_matches_closed_form_on_random_configs(self):
-        # constant demand M = 3*k*sum(A): min inside vs outside agree
+        # constant demand M = 3*k*sum(A) against the exact pps payoff
         rng = np.random.default_rng(7)
         for trial in range(20):
             n = int(rng.integers(1, 4))
@@ -110,10 +129,29 @@ class TestExpectedPayoffMc:
                 replicas=20_000, seed=100 + trial,
             )
             reward_mc = est.mean + cost_eval(profs[0].cost, float(allocs[0]))
-            reward_cf = pps_expected_reward_closed(
-                float(allocs[0]), float(allocs.sum()), params, demand.mu_F
+            reward_cf = pps_expected_payoff(0, allocs, params, profs, demand) + cost_eval(
+                profs[0].cost, float(allocs[0])
             )
             assert abs(reward_mc - reward_cf) <= max(3 * est.ci_half_width, 0.005 * reward_cf)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=small_configs(mechanisms=("pps",)), fractions=st.lists(
+        st.one_of(st.just(0.0), st.floats(0.05, 1.0)), min_size=3, max_size=3,
+    ))
+    def test_mc_agrees_with_exact_pps_payoff(self, data, fractions):
+        cfg = quiet_parse(data)
+        caps = np.array([p.capacity_A for p in cfg.profiles])
+        allocs = caps * np.array(fractions[:len(caps)])
+        exact = pps_expected_payoff(0, allocs, cfg.platform, cfg.profiles, cfg.demand)
+        est = expected_payoff_mc(
+            "pps", 0, allocs, cfg.platform, cfg.profiles, cfg.demand,
+            replicas=20_000, seed=cfg.seed,
+        )
+        # An event rarer than about 1/replicas is likely absent from every
+        # replica (a single miner almost always above a constant M gives a
+        # zero-width CI); it moves the mean by its probability times the reward.
+        reward = exact + cost_eval(cfg.profiles[0].cost, float(allocs[0]))
+        assert abs(est.mean - exact) <= 4 * est.ci_half_width + 2 / 20_000 * reward
 
 
 class TestFloorPayoff:
@@ -148,7 +186,7 @@ class TestBestResponse:
             grid_points=64, replicas=4000, seed=0,
         )
         assert abs(br.argmax_a - 10.0) <= 2 * br.grid_resolution
-        assert br.method == "grid_mc"
+        assert br.method == "closed_form"
 
     def test_pps_expensive_cost_zero(self):
         params = PlatformParams(p=1.0, b=1.0, k=2.0)

@@ -108,6 +108,10 @@ class TestSimulate:
         {"demand": {"family": "gamma", "shape": 1.0, "rate": 1.0e-320}},
         {"rounds": 2.7},
         {"rounds": 10**20},
+        # the mean exp(-740 + 12.5) is a positive subnormal, so this parses,
+        # but about one draw in five underflows to M = 0
+        {"demand": {"family": "lognormal", "mu": -740.0, "sigma": 5.0}},
+        {"rounds": 2**62},  # fits in int64, but not the ledger size limit
     ])
     def test_bad_config_value_exits_2(self, change, config_path, tmp_out, capsys):
         bad = dict(BASE_CONFIG, **change)
@@ -229,6 +233,22 @@ class TestBestResponse:
         # r=3 > b*k=2: staying out is optimal
         argmax = float(out.split("a=")[1].split()[0])
         assert argmax <= 2 * (4.0 / 16)
+
+    def test_pps_curve_is_exact(self, config_path, tmp_path, capsys):
+        # the pps payoff is exact: ci = 0, and replicas and seed do not enter
+        curves = []
+        for replicas, seed in (("16", "0"), ("9000", "5")):
+            out = tmp_path / f"out-{replicas}"
+            out.mkdir()
+            assert main([
+                "best-response", "--config", config_path(), "--out", str(out),
+                "--miner", "0", "--grid", "9", "--replicas", replicas, "--seed", seed,
+            ]) == 0
+            assert "method=closed_form" in capsys.readouterr().out
+            curves.append((out / "br_curve.csv").read_bytes())
+        assert curves[0] == curves[1]
+        _, rows = read_csv(str(tmp_path / "out-16" / "br_curve.csv"))
+        assert {row[2] for row in rows} == {"0"}
 
     def test_grid_below_two_exits_2(self, config_path, tmp_out, capsys):
         assert main([

@@ -6,7 +6,7 @@ import pytest
 import yaml
 from hypothesis import given, settings
 
-from poolsim.config import ConfigError, dump_config, load_config, parse_config
+from poolsim.config import MAX_LEDGER_BYTES, ConfigError, dump_config, load_config, parse_config
 
 from conftest import quiet_parse, small_configs
 
@@ -227,6 +227,15 @@ class TestValidation:
         assert quiet_parse(minimal(rounds=1.0e4)).rounds == 10_000
         assert cfg.seed == 7 and isinstance(cfg.seed, int)
         assert quiet_parse(minimal(seed=2**63 - 1)).seed == 2**63 - 1
+
+    def test_ledger_size_limit(self):
+        # one miner: a round is 3 + 4*1 float64 columns, 56 bytes
+        most = MAX_LEDGER_BYTES // 56
+        assert quiet_parse(minimal(rounds=most)).rounds == most
+        for rounds in (most + 1, 2**62):
+            with pytest.raises(ConfigError) as e:
+                quiet_parse(minimal(rounds=rounds))
+            assert e.value.field == "rounds"
 
 
 class TestSupplyWarning:
