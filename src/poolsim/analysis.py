@@ -13,7 +13,12 @@ capacity.
 
 OCD-IC and DOCD-IC are one test, incentive_verdict, under different
 information: OCD-IC passes the demand distribution F, DOCD-IC a constant
-demand at the announced M plus the miners' rolling windows.
+demand at the announced M. PPSS verdicts read neither the demand nor the
+rolling windows, because the floor does not depend on them: with
+c~ = C'(A), floor'(a) = C'(A) - C'(a) >= 0 by convexity of C, so capacity
+is a weak floor best response. Under a linear cost the floor curve is
+exactly 0.0 at every grid point, and the tie-break toward the larger
+allocation picks capacity.
 """
 from __future__ import annotations
 
@@ -47,8 +52,6 @@ class PayoffEstimate:
 
     mean: float
     ci_half_width: float
-    replicas: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -105,7 +108,7 @@ def expected_payoff_mc(
         replicas, seed, fixed_windows=fixed_windows,
     )
     mean, ci = exact_mean_ci(samples)
-    return PayoffEstimate(mean=mean, ci_half_width=ci, replicas=replicas, seed=seed)
+    return PayoffEstimate(mean=mean, ci_half_width=ci)
 
 
 def _expected_min_gamma(s: float, M):
@@ -258,34 +261,27 @@ def incentive_verdict(
     params: PlatformParams,
     profiles: list[MinerProfile],
     demand: DemandModel,
-    fixed_windows: list[tuple[float, int]] | None = None,
-    tol_a: float | None = None,
     replicas: int = 10_000,
     seed: int = 0,
-    grid_points: int = 64,
-    objective: str | None = None,
 ) -> dict:
-    """Miner i's incentive verdict: PASS iff its best response, with the
-    other miners at full capacity, sits within tol_a of its capacity.
-    tol_a defaults to two grid cells; the objective defaults to the floor
-    under ppss and the exact payoff under pps."""
-    objective = objective or _default_objective(mechanism)
+    """Miner i's incentive verdict: PASS iff its best response on the
+    64-point grid, with the other miners at full capacity, sits within two
+    grid cells of its capacity. The objective is the floor under ppss and
+    the exact payoff under pps."""
+    objective = _default_objective(mechanism)
     capacity = profiles[i].capacity_A
-    tol = tol_a if tol_a is not None else 2.0 * capacity / (grid_points - 1)
     br = best_response(
         mechanism, i, np.array([p.capacity_A for p in profiles]), params,
-        profiles, demand, grid_points=grid_points, replicas=replicas, seed=seed,
-        objective=objective, fixed_windows=fixed_windows,
+        profiles, demand, replicas=replicas, seed=seed, objective=objective,
     )
+    tol = 2.0 * capacity / (len(br.curve) - 1)
     return {
         "miner": i,
         "argmax": br.argmax_a,
-        "value": br.value,
         "capacity": capacity,
         "tol": tol,
         "passed": abs(br.argmax_a - capacity) <= tol,
         "objective": objective,
-        "curve": br.curve,
     }
 
 
@@ -294,18 +290,12 @@ def ocdic_check(
     params: PlatformParams,
     profiles: list[MinerProfile],
     demand: DemandModel,
-    tol_a: float | None = None,
     replicas: int = 10_000,
     seed: int = 0,
-    grid_points: int = 64,
-    objective: str | None = None,
 ) -> list[dict]:
     """incentive_verdict for every miner under the demand distribution."""
     return [
-        incentive_verdict(
-            mechanism, i, params, profiles, demand, tol_a=tol_a, replicas=replicas,
-            seed=seed, grid_points=grid_points, objective=objective,
-        )
+        incentive_verdict(mechanism, i, params, profiles, demand, replicas=replicas, seed=seed)
         for i in range(len(profiles))
     ]
 
@@ -315,26 +305,15 @@ def docdic_check(
     params: PlatformParams,
     profiles: list[MinerProfile],
     realized_M: float,
-    windows: list[tuple[float, int]] | None,
-    tol_a: float | None = None,
     replicas: int = 10_000,
     seed: int = 0,
-    grid_points: int = 64,
-    objective: str | None = None,
 ) -> list[dict]:
     """Round-level incentive verdict for every miner: the immediate payoff
-    conditional on the announced M and the current rolling windows, given
-    per miner as (sum, length) of its last N-1 completed rounds' outputs
-    (SimulationLedger.window gives them; pps ignores them)."""
+    conditional on the announced M. No rolling windows enter (see the module
+    docstring); best_response(objective="payoff", fixed_windows=...) gives
+    the raw ppss payoff at pinned windows."""
     demand = DemandModel(family="constant", M=realized_M)
-    return [
-        incentive_verdict(
-            mechanism, i, params, profiles, demand, fixed_windows=windows,
-            tol_a=tol_a, replicas=replicas, seed=seed, grid_points=grid_points,
-            objective=objective,
-        )
-        for i in range(len(profiles))
-    ]
+    return ocdic_check(mechanism, params, profiles, demand, replicas=replicas, seed=seed)
 
 
 def chernoff_tail_upper(shape_s: float, threshold_t: float) -> tuple[float, float]:
@@ -373,7 +352,7 @@ def g_function(D: float, c_tilde_value: float, params: PlatformParams, profile: 
     return out if out.ndim else float(out)
 
 
-def bb_audit(ledger, params: PlatformParams, bounds: BudgetBounds) -> dict:
+def bb_audit(ledger, bounds: BudgetBounds) -> dict:
     """Budget-balance audit of a simulation ledger.
 
     Checks the per-round sense (every realized ratio within [theta, gamma])
@@ -403,22 +382,20 @@ def br_dynamics(
     profiles: list[MinerProfile],
     demand: DemandModel,
     max_iters: int = 20,
-    tol: float = 1e-2,
     start=None,
-    grid_points: int = 64,
     replicas: int = 10_000,
     seed: int = 0,
-    objective: str | None = None,
 ) -> dict:
-    """Synchronous best-response iteration.
+    """Synchronous best-response iteration on the incentive verdicts'
+    objective (the floor under ppss, the exact payoff under pps).
 
     Returns the allocation trajectory and the fixed point when successive
-    profiles differ by less than tol in max norm; non-convergence within
+    profiles differ by less than 1e-2 in max norm; non-convergence within
     max_iters is reported, not raised.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    objective = objective or _default_objective(mechanism)
+    objective = _default_objective(mechanism)
     n = len(profiles)
     current = (
         np.asarray(start, dtype=float).copy()
@@ -432,12 +409,11 @@ def br_dynamics(
         for i in range(n):
             br = best_response(
                 mechanism, i, current, params, profiles, demand,
-                grid_points=grid_points, replicas=replicas, seed=seed,
-                objective=objective,
+                replicas=replicas, seed=seed, objective=objective,
             )
             nxt[i] = br.argmax_a
         trajectory.append(nxt.copy())
-        if np.max(np.abs(nxt - current)) < tol:
+        if np.max(np.abs(nxt - current)) < 1e-2:
             current = nxt
             converged = True
             break

@@ -64,11 +64,11 @@ def cmd_verify(args) -> int:
     cfg = _parse(read_yaml(args.config), args)
     theorems = args.theorems.split(",") if args.theorems else list(ALL_THEOREMS)
     theorems = [t.strip().upper() for t in theorems if t.strip()]
-    try:
-        rows = run_audits(cfg, theorems)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
+    unknown = [t for t in theorems if t not in ALL_THEOREMS]
+    if unknown:
+        print(f"error: unknown theorem(s): {', '.join(unknown)}", file=sys.stderr)
         return EXIT_CONFIG
+    rows = run_audits(cfg, theorems)
     write_csv(
         os.path.join(args.out, "theorem_report.csv"),
         ["theorem", "claim", "config_digest", "verdict", "metric", "bound", "ci"],

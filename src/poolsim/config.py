@@ -135,8 +135,6 @@ class ExperimentConfig:
     rounds: int
     replicas: int
     seed: int
-    audit_theta: float
-    audit_gamma: float
 
     def to_dict(self) -> dict:
         p = self.platform
@@ -160,7 +158,6 @@ class ExperimentConfig:
             "rounds": self.rounds,
             "replicas": self.replicas,
             "seed": self.seed,
-            "audit": {"theta": self.audit_theta, "gamma": self.audit_gamma},
         }
 
     def digest(self) -> str:
@@ -170,10 +167,10 @@ class ExperimentConfig:
 
 def parse_config(data: dict, warn_stream=None) -> ExperimentConfig:
     data = _require_mapping(data, "<root>")
+    if "audit" in data:
+        raise ConfigError("audit", "the audit block was removed; T6 sets its own bounds")
     _reject_unknown(
-        data,
-        {"mechanism", "platform", "miners", "demand", "rounds", "replicas", "seed", "audit"},
-        "<root>",
+        data, {"mechanism", "platform", "miners", "demand", "rounds", "replicas", "seed"}, "<root>"
     )
     mechanism = data.get("mechanism")
     if mechanism not in ("pps", "ppss"):
@@ -245,13 +242,6 @@ def parse_config(data: dict, warn_stream=None) -> ExperimentConfig:
     if seed < 0:
         raise ConfigError("seed", "must be nonnegative")
 
-    anode = _require_mapping(data.get("audit", {}), "audit")
-    _reject_unknown(anode, {"theta", "gamma"}, "audit")
-    theta = _number(anode, "theta", "audit", default=0.0)
-    gamma = _number(anode, "gamma", "audit", default=platform.b / platform.p)
-    if theta > gamma:
-        raise ConfigError("audit.theta", "must not exceed audit.gamma")
-
     cfg = ExperimentConfig(
         mechanism=mechanism,
         platform=platform,
@@ -261,8 +251,6 @@ def parse_config(data: dict, warn_stream=None) -> ExperimentConfig:
         rounds=rounds,
         replicas=replicas,
         seed=seed,
-        audit_theta=theta,
-        audit_gamma=gamma,
     )
 
     supply = platform.k * sum(prof.capacity_A for prof in profiles)

@@ -200,11 +200,12 @@ def step_round(state: SimulationState) -> None:
     row, params, led = j - 1, state.params, state.ledger
     rng = substream(state.seed, TAG_ROUND, j)
     M = sample_demand(state.demand, rng)
-    if not M > 0:
-        # a demand whose draws underflow to 0; the pps ratio divides by M
+    if not 0 < M < math.inf:
+        # a demand whose draws underflow to 0 (the pps ratio divides by M) or
+        # overflow to inf (the budget ratio would read 0)
         from .config import ConfigError
 
-        raise ConfigError("demand", f"round {j} drew M = {M!r}; demand draws must be positive")
+        raise ConfigError("demand", f"round {j} drew M = {M!r}; demand draws must lie in (0, inf)")
     a = np.array([_policy_allocation(state, i) for i in range(len(state.profiles))])
     if not np.all((0 <= a) & (a <= state.caps)):
         raise ValueError(f"allocations {a.tolist()} outside [0, {state.caps.tolist()}]")

@@ -147,8 +147,7 @@ def test_criterion_4_shortfall_counterexample_and_exploitation():
         MinerProfile(id=i, capacity_A=1.0, cost=CostFunction(family="linear", r=1.0))
         for i in range(2)
     ]
-    verdicts = docdic_check("pps", params, profs, realized_M=2.0, windows=None,
-                            replicas=20_000, seed=0)
+    verdicts = docdic_check("pps", params, profs, realized_M=2.0, replicas=20_000, seed=0)
     argmaxes = [v["argmax"] for v in verdicts]
     interior_ok = all(0.35 <= a <= 0.50 for a in argmaxes)
 

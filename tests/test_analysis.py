@@ -284,7 +284,7 @@ class TestDocdicCheck:
         params = PlatformParams(p=1.0, b=1.0, k=10.0)
         profs = [linear_miner(0), linear_miner(1)]
         verdicts = docdic_check(
-            "pps", params, profs, realized_M=2.0, windows=None,
+            "pps", params, profs, realized_M=2.0,
             replicas=20_000, seed=0,
         )
         for v in verdicts:
@@ -295,7 +295,7 @@ class TestDocdicCheck:
         params = PlatformParams(p=1.0, b=1.0, k=2.0)
         profs = [linear_miner(0, A=2.0, r=0.5), linear_miner(1, A=2.0, r=0.5)]
         verdicts = docdic_check(
-            "pps", params, profs, realized_M=50.0, windows=None,
+            "pps", params, profs, realized_M=50.0,
             replicas=4000, seed=0,
         )
         assert all(v["passed"] for v in verdicts)
@@ -305,7 +305,7 @@ class TestDocdicCheck:
         profs = [linear_miner(0, A=1.0, r=150.0)]
         windows = [(400.0, 4)]  # the last N-1 = 4 rounds at 100 each
         verdicts = docdic_check(
-            "ppss", params, profs, realized_M=300.0, windows=windows,
+            "ppss", params, profs, realized_M=300.0,
             replicas=4000, seed=0,
         )
         assert verdicts[0]["passed"]
@@ -321,7 +321,7 @@ class TestDocdicCheck:
     def test_rejects_nonpositive_demand(self):
         params = PlatformParams(p=1.0, b=1.0, k=2.0)
         with pytest.raises(ValueError):
-            docdic_check("pps", params, [linear_miner(0)], realized_M=0.0, windows=None)
+            docdic_check("pps", params, [linear_miner(0)], realized_M=0.0)
 
 
 class TestChernoff:
@@ -438,16 +438,13 @@ class TestBudgetAudit:
         return run_simulation(cfg)
 
     def test_pps_ledger_within_theorem_bounds(self):
-        report = bb_audit(self._pps_ledger(), PlatformParams(p=1.0, b=1.0, k=2.0),
-                          BudgetBounds(theta=0.0, gamma=1.0))
+        report = bb_audit(self._pps_ledger(), BudgetBounds(theta=0.0, gamma=1.0))
         assert report["per_round_pass"]
         assert report["long_term_pass"]
         assert 0.0 <= report["ratio_min"] <= report["ratio_max"] <= 1.0
 
     def test_idle_ledger_mean_zero(self):
-        report = bb_audit(self._pps_ledger(rounds=50, a=0.0),
-                          PlatformParams(p=1.0, b=1.0, k=2.0),
-                          BudgetBounds(theta=0.0, gamma=1.0))
+        report = bb_audit(self._pps_ledger(rounds=50, a=0.0), BudgetBounds(theta=0.0, gamma=1.0))
         assert report["mean_ratio"] == 0.0
         assert report["long_term_pass"]
 
@@ -455,8 +452,7 @@ class TestBudgetAudit:
         from poolsim.engine import SimulationLedger
 
         with pytest.raises(ValueError):
-            bb_audit(SimulationLedger.empty(0, 1, p=1.0), PlatformParams(p=1.0, b=1.0, k=1.0),
-                     BudgetBounds(theta=0.0, gamma=1.0))
+            bb_audit(SimulationLedger.empty(0, 1, p=1.0), BudgetBounds(theta=0.0, gamma=1.0))
 
 
 class TestBrDynamics:

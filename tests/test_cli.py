@@ -112,6 +112,9 @@ class TestSimulate:
         # but about one draw in five underflows to M = 0
         {"demand": {"family": "lognormal", "mu": -740.0, "sigma": 5.0}},
         {"rounds": 2**62},  # fits in int64, but not the ledger size limit
+        # the mean exp(709.705) is finite, but under seed 3 draws overflow to
+        # M = inf from round 7 on
+        {"demand": {"family": "lognormal", "mu": 709.7, "sigma": 0.1}},
     ])
     def test_bad_config_value_exits_2(self, change, config_path, tmp_out, capsys):
         bad = dict(BASE_CONFIG, **change)
@@ -178,6 +181,23 @@ class TestSimulate:
         a = open(os.path.join(tmp_out, "ledger.csv"), "rb").read()
         b = open(os.path.join(out2, "ledger.csv"), "rb").read()
         assert a != b
+
+
+@given(small_configs())
+@settings(max_examples=30, deadline=None)
+def test_commands_exit_0_2_or_3(data):
+    """On any small config, each command returns an exit code (0 ok, 2 config
+    error, 3 FAIL verdict) and raises nothing."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "exp.yaml")
+        with open(path, "w") as fh:
+            yaml.safe_dump(data, fh)  # json.dump writes 1e-05, which YAML reads as a string
+        for command, *extra in (
+            ["simulate"], ["verify"],
+            ["best-response", "--miner", "0", "--grid", "4", "--objective", "payoff"],
+        ):
+            argv = [command, "--config", path, "--out", tmp, "--replicas", "32", *extra]
+            assert main(argv) in (0, 2, 3)
 
 
 class TestVerify:

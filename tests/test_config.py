@@ -38,8 +38,6 @@ class TestDefaults:
         assert cfg.rounds == 10_000
         assert cfg.replicas == 10_000
         assert cfg.seed == 0
-        assert cfg.audit_theta == 0.0
-        assert cfg.audit_gamma == cfg.platform.b / cfg.platform.p
 
     def test_default_policy_is_static_at_capacity(self):
         cfg = quiet_parse(minimal())
@@ -86,7 +84,21 @@ class TestValidation:
     def test_unknown_audit_field(self):
         with pytest.raises(ConfigError) as e:
             quiet_parse(minimal(audit={"delta": 0.1}))
-        assert "audit.delta" in str(e.value)
+        assert e.value.field == "audit"
+
+    def test_audit_bounds_ordered(self):
+        # Former audit bounds are rejected with the whole block, not parsed.
+        with pytest.raises(ConfigError) as e:
+            quiet_parse(minimal(audit={"theta": 2.0, "gamma": 1.0}))
+        assert e.value.field == "audit"
+
+    def test_audit_block_removed(self):
+        for audit in ({}, {"theta": 0.0, "gamma": 1.0}, {"theta": 2.0, "gamma": 1.0},
+                      {"delta": 0.1}, None):
+            with pytest.raises(ConfigError) as e:
+                quiet_parse(minimal(audit=audit))
+            assert e.value.field == "audit"
+            assert "removed" in str(e.value)
 
     def test_missing_required_field_named(self):
         data = minimal()
@@ -154,10 +166,6 @@ class TestValidation:
         with pytest.raises(ConfigError) as e:
             quiet_parse(data)
         assert "policy" in str(e.value) and field in str(e.value)
-
-    def test_audit_bounds_ordered(self):
-        with pytest.raises(ConfigError):
-            quiet_parse(minimal(audit={"theta": 2.0, "gamma": 1.0}))
 
     def test_number_type_checked(self):
         data = minimal()
@@ -269,7 +277,6 @@ class TestRoundTrip:
             "rounds": 123,
             "replicas": 456,
             "seed": 9,
-            "audit": {"theta": 0.0, "gamma": 2.0},
         }
 
     def test_parse_dump_parse_identity(self):
@@ -294,9 +301,9 @@ class TestRoundTrip:
         assert again.digest() == cfg.digest()
 
     @pytest.mark.parametrize("name, digest", [
-        ("simulate-ledger", "ea488cfd635a"),
-        ("verify-audit", "3fa6eb82b193"),
-        ("myopic-game", "98325ce7121c"),
+        ("simulate-ledger", "e62c6d5de2fe"),
+        ("verify-audit", "927b98b7dce0"),
+        ("myopic-game", "a1e52dcf448c"),
     ])
     def test_workload_digests_pinned(self, name, digest):
         cfg = load_config(os.path.join(WORKLOADS, f"{name}.yaml"), warn_stream=io.StringIO())
