@@ -142,11 +142,7 @@ def pps_expected_payoff(
     if demand.family == "constant":
         expected_min = _expected_min_gamma(s, demand.M)
     else:
-        # a quantile past the float range is demand no supply reaches, where
-        # min(|D|, M) = |D|; the largest float gives that without inf * 0
-        with np.errstate(over="ignore"):
-            M = np.minimum(demand.ppf(_GL_U), np.finfo(float).max)
-        expected_min = _GL_W @ _expected_min_gamma(s, M)
+        expected_min = _GL_W @ _expected_min_gamma(s, demand.ppf(_GL_U))
     return params.b * (float(allocations[i]) / total) * float(expected_min) - cost
 
 
@@ -261,8 +257,6 @@ def incentive_verdict(
     params: PlatformParams,
     profiles: list[MinerProfile],
     demand: DemandModel,
-    replicas: int = 10_000,
-    seed: int = 0,
 ) -> dict:
     """Miner i's incentive verdict: PASS iff its best response on the
     64-point grid, with the other miners at full capacity, sits within two
@@ -272,9 +266,9 @@ def incentive_verdict(
     capacity = profiles[i].capacity_A
     br = best_response(
         mechanism, i, np.array([p.capacity_A for p in profiles]), params,
-        profiles, demand, replicas=replicas, seed=seed, objective=objective,
+        profiles, demand, objective=objective,
     )
-    tol = 2.0 * capacity / (len(br.curve) - 1)
+    tol = 2.0 * br.grid_resolution
     return {
         "miner": i,
         "argmax": br.argmax_a,
@@ -290,14 +284,9 @@ def ocdic_check(
     params: PlatformParams,
     profiles: list[MinerProfile],
     demand: DemandModel,
-    replicas: int = 10_000,
-    seed: int = 0,
 ) -> list[dict]:
     """incentive_verdict for every miner under the demand distribution."""
-    return [
-        incentive_verdict(mechanism, i, params, profiles, demand, replicas=replicas, seed=seed)
-        for i in range(len(profiles))
-    ]
+    return [incentive_verdict(mechanism, i, params, profiles, demand) for i in range(len(profiles))]
 
 
 def docdic_check(
@@ -305,15 +294,13 @@ def docdic_check(
     params: PlatformParams,
     profiles: list[MinerProfile],
     realized_M: float,
-    replicas: int = 10_000,
-    seed: int = 0,
 ) -> list[dict]:
     """Round-level incentive verdict for every miner: the immediate payoff
     conditional on the announced M. No rolling windows enter (see the module
     docstring); best_response(objective="payoff", fixed_windows=...) gives
     the raw ppss payoff at pinned windows."""
     demand = DemandModel(family="constant", M=realized_M)
-    return ocdic_check(mechanism, params, profiles, demand, replicas=replicas, seed=seed)
+    return ocdic_check(mechanism, params, profiles, demand)
 
 
 def chernoff_tail_upper(shape_s: float, threshold_t: float) -> tuple[float, float]:
@@ -383,8 +370,6 @@ def br_dynamics(
     demand: DemandModel,
     max_iters: int = 20,
     start=None,
-    replicas: int = 10_000,
-    seed: int = 0,
 ) -> dict:
     """Synchronous best-response iteration on the incentive verdicts'
     objective (the floor under ppss, the exact payoff under pps).
@@ -407,11 +392,9 @@ def br_dynamics(
     for _ in range(max_iters):
         nxt = np.empty(n)
         for i in range(n):
-            br = best_response(
-                mechanism, i, current, params, profiles, demand,
-                replicas=replicas, seed=seed, objective=objective,
-            )
-            nxt[i] = br.argmax_a
+            nxt[i] = best_response(
+                mechanism, i, current, params, profiles, demand, objective=objective,
+            ).argmax_a
         trajectory.append(nxt.copy())
         if np.max(np.abs(nxt - current)) < 1e-2:
             current = nxt

@@ -166,10 +166,7 @@ def cmd_sweep(args) -> int:
                 return EXIT_CONFIG
         cfg = _parse(data, args)
         n_miners = len(cfg.profiles)
-        verdicts = ocdic_check(
-            cfg.mechanism, cfg.platform, cfg.profiles, cfg.demand,
-            replicas=cfg.replicas, seed=cfg.seed,
-        )
+        verdicts = ocdic_check(cfg.mechanism, cfg.platform, cfg.profiles, cfg.demand)
         mean_ratio = _mean(run_simulation(cfg).budget_ratio)
         row = list(cell)
         for v in verdicts:
@@ -207,9 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("--config", required=True, help="YAML experiment config")
+    def common(p):
+        p.add_argument("--config", required=True, help="YAML experiment config")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="seed override")
         p.add_argument("--replicas", type=int, default=None, help="replica override")
@@ -236,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("fig1", help="subsidy-shape curve, emit fig1.csv and fig1.svg")
-    common(p, config=False)
+    # no config, so no --seed/--replicas to override
+    p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_fig1)
 
     return parser

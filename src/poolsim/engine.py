@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import best_response
 from .mechanisms import pps_reward, ppss_reward
 from .model import (
     DemandModel,
@@ -87,8 +88,6 @@ def _policy_allocation(state: SimulationState, i: int) -> float:
     memo = state.br_memo[i]
     if memo is not None and memo[0] == last_M:
         return memo[1]
-    from .analysis import best_response
-
     br = best_response(
         state.mechanism, profile.id, state.caps, state.params, state.profiles,
         DemandModel(family="constant", M=last_M),
@@ -233,10 +232,11 @@ def step_round(state: SimulationState) -> None:
     state.next_round += 1
 
 
-def run_simulation(config, seed: int | None = None) -> SimulationLedger:
+def run_simulation(config) -> SimulationLedger:
     """Run the repeated game for config.rounds rounds.
 
-    Bit-reproducible for a given (config, seed); the loop is strictly
+    Bit-reproducible for a given config (its seed included; run another seed
+    with dataclasses.replace(config, seed=...)); the loop is strictly
     sequential because each round's policies and windows read earlier rows.
     """
     if config.rounds < 1:
@@ -247,7 +247,7 @@ def run_simulation(config, seed: int | None = None) -> SimulationLedger:
         policies=config.policies,
         demand=config.demand,
         mechanism=config.mechanism,
-        seed=config.seed if seed is None else seed,
+        seed=config.seed,
         rounds=config.rounds,
     )
     for _ in range(config.rounds):

@@ -9,6 +9,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
@@ -175,17 +176,23 @@ class DemandModel:
             return math.inf
 
     def ppf(self, u):
-        """Quantile function; used for common-random-number sampling."""
-        from scipy import special
+        """Quantile function; used for common-random-number sampling.
 
+        A quantile past the float range is demand no supply reaches, where
+        min(|D|, M) = |D|; it is capped at the largest float, which gives
+        that without inf * 0.
+        """
         u = np.asarray(u, dtype=float)
         if self.family == "constant":
             return np.full_like(u, self.M)
         if self.family == "uniform":
             return self.lo + (self.hi - self.lo) * u
-        if self.family == "gamma":
-            return special.gammaincinv(self.shape, u) / self.rate
-        return np.exp(self.mu + self.sigma * special.ndtri(u))
+        with np.errstate(over="ignore"):
+            if self.family == "gamma":
+                q = special.gammaincinv(self.shape, u) / self.rate
+            else:
+                q = np.exp(self.mu + self.sigma * special.ndtri(u))
+        return np.minimum(q, np.finfo(float).max)
 
 
 def sample_demand(model: DemandModel, rng: np.random.Generator) -> float:

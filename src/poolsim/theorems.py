@@ -1,9 +1,12 @@
 """Numerical audits of the mechanism claims (T1-T7).
 
 Each audit builds the scenario its claim is about on top of the supplied
-config's platform economics, runs a seeded check, and returns one report
-row. A verdict of KNOWN_DISCREPANCY marks a claim that a faithful
-implementation measurably violates (tracked, not a harness failure).
+config's platform economics, runs its check, and returns one report row.
+An audit reads cfg.seed and cfg.replicas only where it draws: T1 and T6
+through run_simulation, T5 for its Monte Carlo floor grid and Chernoff
+samples; T2, T3, T4 and T7 are deterministic. A verdict of
+KNOWN_DISCREPANCY marks a claim that a faithful implementation measurably
+violates (tracked, not a harness failure).
 """
 from __future__ import annotations
 
@@ -42,10 +45,10 @@ def _row(theorem, claim, cfg, verdict, metric, bound, ci=0.0):
     }
 
 
-def audit_t1(cfg, seed: int, replicas: int) -> dict:
+def audit_t1(cfg) -> dict:
     """Every realized PPS payout ratio lies in [0, b/p]."""
     sim_cfg = replace(cfg, mechanism="pps")
-    ledger = run_simulation(sim_cfg, seed=seed)
+    ledger = run_simulation(sim_cfg)
     ratios = ledger.budget_ratio
     cap = cfg.platform.b / cfg.platform.p
     ok = ratios.min() >= 0.0 and ratios.max() <= cap
@@ -55,7 +58,7 @@ def audit_t1(cfg, seed: int, replicas: int) -> dict:
     )
 
 
-def audit_t2(cfg, seed: int, replicas: int) -> dict:
+def audit_t2(cfg) -> dict:
     """PPS best response is capacity when r < b*k and zero when r > b*k."""
     plat = cfg.platform
     profiles = cfg.profiles
@@ -67,7 +70,7 @@ def audit_t2(cfg, seed: int, replicas: int) -> dict:
             [MinerProfile(id=p.id, capacity_A=p.capacity_A,
                           cost=CostFunction(family="linear", r=scale * plat.b * plat.k))
              for p in profiles],
-            demand, replicas=replicas, seed=seed,
+            demand,
         )
         for scale in (0.5, 1.5)
     )
@@ -78,7 +81,7 @@ def audit_t2(cfg, seed: int, replicas: int) -> dict:
     )
 
 
-def audit_t3(cfg, seed: int, replicas: int, cells: int = 11) -> dict:
+def audit_t3(cfg) -> dict:
     """PPS incentive verdict flips where the marginal cost at capacity
     crosses b*k."""
     plat = cfg.platform
@@ -86,6 +89,7 @@ def audit_t3(cfg, seed: int, replicas: int, cells: int = 11) -> dict:
     A = base[0].capacity_A
     total_A = sum(p.capacity_A for p in base)
     demand = DemandModel(family="constant", M=3.0 * plat.k * total_A)
+    cells = 11
     scales = np.linspace(0.8, 1.2, cells)
     passes = []
     for s in scales:
@@ -96,8 +100,7 @@ def audit_t3(cfg, seed: int, replicas: int, cells: int = 11) -> dict:
             for p in base
         ]
         # the other miners' verdicts do not enter T3
-        verdict = incentive_verdict("pps", 0, plat, profs, demand, replicas=replicas, seed=seed)
-        passes.append(verdict["passed"])
+        passes.append(incentive_verdict("pps", 0, plat, profs, demand)["passed"])
     flips = [i for i in range(1, cells) if passes[i] != passes[i - 1]]
     crossing = float(np.argmin(np.abs(scales - 1.0)))
     ok = (
@@ -112,14 +115,14 @@ def audit_t3(cfg, seed: int, replicas: int, cells: int = 11) -> dict:
     )
 
 
-def audit_t4(cfg, seed: int, replicas: int) -> dict:
+def audit_t4(cfg) -> dict:
     """PPS admits a round with an interior immediate best response when
     demand falls short of supply (not round-by-round incentive compatible)."""
     plat = cfg.platform
     profiles = cfg.profiles
     total_A = sum(p.capacity_A for p in profiles)
     low_M = 0.2 * plat.k * total_A
-    verdicts = docdic_check("pps", plat, profiles, realized_M=low_M, replicas=replicas, seed=seed)
+    verdicts = docdic_check("pps", plat, profiles, realized_M=low_M)
     interior = [v for v in verdicts if not v["passed"]]
     ok = bool(interior)
     metric = min(v["argmax"] / v["capacity"] for v in verdicts)
@@ -129,7 +132,7 @@ def audit_t4(cfg, seed: int, replicas: int) -> dict:
     )
 
 
-def audit_t5(cfg, seed: int, replicas: int) -> dict:
+def audit_t5(cfg) -> dict:
     """Subsidized mechanism: MC payoff dominates the guaranteed floor, the
     floor best response is capacity, and the tail/identity bounds hold."""
     plat = cfg.platform
@@ -148,18 +151,18 @@ def audit_t5(cfg, seed: int, replicas: int) -> dict:
         alloc[0] = a
         est = expected_payoff_mc(
             "ppss", 0, alloc, plat, profiles, demand,
-            replicas=replicas, seed=seed,
+            replicas=cfg.replicas, seed=cfg.seed,
         )
         fl = floor_payoff(a, ct, prof.cost)
         margins.append(est.mean - (fl - 3.0 * est.ci_half_width))
     floor_ok = all(m >= 0 for m in margins)
 
-    verdicts = ocdic_check("ppss", plat, profiles, demand, replicas=replicas, seed=seed)
+    verdicts = ocdic_check("ppss", plat, profiles, demand)
     br_ok = all(v["passed"] for v in verdicts)
 
     # Chernoff validity against the exact lower tail
     chern_ok = True
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
     for _ in range(10):
         s = rng.uniform(2.0, 400.0)
         t = rng.uniform(0.3, 0.95) * s
@@ -181,13 +184,13 @@ def audit_t5(cfg, seed: int, replicas: int) -> dict:
     )
 
 
-def audit_t6(cfg, seed: int, replicas: int) -> dict:
+def audit_t6(cfg) -> dict:
     """Long-term PPSS payout ratio against the claimed bound
     sum(c~_i * A_i) / (mu_F * p)."""
     plat = cfg.platform
     profiles = cfg.profiles
     sim_cfg = replace(cfg, mechanism="ppss")
-    ledger = run_simulation(sim_cfg, seed=seed)
+    ledger = run_simulation(sim_cfg)
     bound = sum(c_tilde(p) * p.capacity_A for p in profiles) / (cfg.demand.mu_F * plat.p)
     report = bb_audit(ledger, BudgetBounds(theta=0.0, gamma=bound))
     verdict = "PASS" if report["long_term_pass"] else "KNOWN_DISCREPANCY"
@@ -197,16 +200,13 @@ def audit_t6(cfg, seed: int, replicas: int) -> dict:
     )
 
 
-def audit_t7(cfg, seed: int, replicas: int) -> dict:
+def audit_t7(cfg) -> dict:
     """Round-level capacity commitment for PPSS with warm windows.
 
     Warm windows (N-1 rounds at capacity) are the premise of the floor
     argument, not an input: the floor objective the verdict maximises reads
     neither the windows nor the announced M."""
-    verdicts = docdic_check(
-        "ppss", cfg.platform, cfg.profiles, realized_M=cfg.demand.mu_F,
-        replicas=replicas, seed=seed,
-    )
+    verdicts = docdic_check("ppss", cfg.platform, cfg.profiles, realized_M=cfg.demand.mu_F)
     ok = all(v["passed"] for v in verdicts)
     metric = min(v["argmax"] / v["capacity"] for v in verdicts)
     return _row(
@@ -226,11 +226,12 @@ AUDITS = {
 }
 
 
-def run_audits(cfg, theorems=None, seed: int | None = None, replicas: int | None = None):
+def run_audits(cfg, theorems=None):
+    """One report row per theorem, all of T1-T7 by default. To audit another
+    seed, pass dataclasses.replace(cfg, seed=...): the rows' config_digest
+    then names the config that ran."""
     theorems = list(theorems) if theorems else list(ALL_THEOREMS)
     unknown = [t for t in theorems if t not in AUDITS]
     if unknown:
         raise ValueError(f"unknown theorem(s): {', '.join(unknown)}")
-    seed = cfg.seed if seed is None else seed
-    replicas = cfg.replicas if replicas is None else replicas
-    return [AUDITS[t](cfg, seed, replicas) for t in theorems]
+    return [AUDITS[t](cfg) for t in theorems]

@@ -253,7 +253,7 @@ class TestOcdicCheck:
 
     def test_pps_cheap_cost_passes(self):
         profs = [linear_miner(0, A=5.0, r=0.5), linear_miner(1, A=5.0, r=0.5)]
-        verdicts = ocdic_check("pps", self.PARAMS, profs, self.DEMAND, replicas=4000, seed=0)
+        verdicts = ocdic_check("pps", self.PARAMS, profs, self.DEMAND)
         assert all(v["passed"] for v in verdicts)
 
     def test_power_cost_boundary_flip(self):
@@ -261,9 +261,7 @@ class TestOcdicCheck:
         for c, expect_pass in ((0.8, True), (1.2, False)):
             cost = CostFunction(family="power", c=c, q=2.0)
             profs = [MinerProfile(id=0, capacity_A=1.0, cost=cost)]
-            verdicts = ocdic_check(
-                "pps", self.PARAMS, profs, self.DEMAND, replicas=8000, seed=0
-            )
+            verdicts = ocdic_check("pps", self.PARAMS, profs, self.DEMAND)
             assert verdicts[0]["passed"] is expect_pass
             if not expect_pass:
                 # marginal-cost crossing b*k at a = bk/(2c) = 0.833
@@ -273,7 +271,7 @@ class TestOcdicCheck:
         profs = [linear_miner(0, A=1.0, r=150.0)]
         params = PlatformParams(p=1.0, b=1.0, k=100.0, lam=0.8)
         demand = DemandModel(family="constant", M=300.0)
-        verdicts = ocdic_check("ppss", params, profs, demand, replicas=2000, seed=0)
+        verdicts = ocdic_check("ppss", params, profs, demand)
         assert verdicts[0]["objective"] == "floor"
         assert verdicts[0]["passed"]
 
@@ -283,10 +281,7 @@ class TestDocdicCheck:
         # two miners, A=1, k=10, b=1, r=1, realized M=2: interior optimum
         params = PlatformParams(p=1.0, b=1.0, k=10.0)
         profs = [linear_miner(0), linear_miner(1)]
-        verdicts = docdic_check(
-            "pps", params, profs, realized_M=2.0,
-            replicas=20_000, seed=0,
-        )
+        verdicts = docdic_check("pps", params, profs, realized_M=2.0)
         for v in verdicts:
             assert not v["passed"]
             assert 0.35 <= v["argmax"] <= 0.50
@@ -294,20 +289,14 @@ class TestDocdicCheck:
     def test_pps_demand_dominant_round_passes(self):
         params = PlatformParams(p=1.0, b=1.0, k=2.0)
         profs = [linear_miner(0, A=2.0, r=0.5), linear_miner(1, A=2.0, r=0.5)]
-        verdicts = docdic_check(
-            "pps", params, profs, realized_M=50.0,
-            replicas=4000, seed=0,
-        )
+        verdicts = docdic_check("pps", params, profs, realized_M=50.0)
         assert all(v["passed"] for v in verdicts)
 
     def test_ppss_warm_windows_pass_with_diagnostic(self):
         params = PlatformParams(p=1.0, b=1.0, k=100.0, lam=0.8, window_N=5)
         profs = [linear_miner(0, A=1.0, r=150.0)]
         windows = [(400.0, 4)]  # the last N-1 = 4 rounds at 100 each
-        verdicts = docdic_check(
-            "ppss", params, profs, realized_M=300.0,
-            replicas=4000, seed=0,
-        )
+        verdicts = docdic_check("ppss", params, profs, realized_M=300.0)
         assert verdicts[0]["passed"]
         assert verdicts[0]["objective"] == "floor"
         # the raw MC diagnostic: the payoff best response at the same windows
@@ -460,7 +449,7 @@ class TestBrDynamics:
         params = PlatformParams(p=1.0, b=1.0, k=2.0)
         profs = [linear_miner(0, A=3.0, r=0.5), linear_miner(1, A=2.0, r=0.5)]
         demand = DemandModel(family="constant", M=50.0)
-        out = br_dynamics("pps", params, profs, demand, replicas=3000, seed=0)
+        out = br_dynamics("pps", params, profs, demand)
         assert out["converged"]
         assert np.allclose(out["trajectory"][1], [3.0, 2.0], atol=0.1)
         assert np.allclose(out["fixed_point"], [3.0, 2.0], atol=0.1)
@@ -469,9 +458,7 @@ class TestBrDynamics:
         params = PlatformParams(p=1.0, b=1.0, k=2.0)
         profs = [linear_miner(0, A=3.0, r=3.0), linear_miner(1, A=2.0, r=3.0)]
         demand = DemandModel(family="constant", M=50.0)
-        out = br_dynamics(
-            "pps", params, profs, demand, start=[3.0, 2.0], replicas=3000, seed=0
-        )
+        out = br_dynamics("pps", params, profs, demand, start=[3.0, 2.0])
         assert out["converged"]
         assert np.allclose(out["fixed_point"], [0.0, 0.0], atol=0.1)
 
@@ -481,10 +468,7 @@ class TestBrDynamics:
         params = PlatformParams(p=1.0, b=1.0, k=10.0)
         profs = [linear_miner(0), linear_miner(1)]
         demand = DemandModel(family="constant", M=2.0)
-        out = br_dynamics(
-            "pps", params, profs, demand, start=[1.0, 1.0],
-            replicas=4000, seed=0,
-        )
+        out = br_dynamics("pps", params, profs, demand, start=[1.0, 1.0])
         assert out["converged"]
         assert np.allclose(out["fixed_point"], [0.5, 0.5], atol=0.05)
 
@@ -492,10 +476,7 @@ class TestBrDynamics:
         params = PlatformParams(p=1.0, b=1.0, k=10.0)
         profs = [linear_miner(0), linear_miner(1)]
         demand = DemandModel(family="constant", M=2.0)
-        out = br_dynamics(
-            "pps", params, profs, demand, start=[1.0, 1.0],
-            replicas=4000, seed=0,
-        )
+        out = br_dynamics("pps", params, profs, demand, start=[1.0, 1.0])
         fp = out["fixed_point"]
         for i in range(2):
             br = best_response(
@@ -508,10 +489,7 @@ class TestBrDynamics:
         params = PlatformParams(p=1.0, b=1.0, k=10.0)
         profs = [linear_miner(0), linear_miner(1)]
         demand = DemandModel(family="constant", M=2.0)
-        out = br_dynamics(
-            "pps", params, profs, demand, max_iters=1, start=[1.0, 1.0],
-            replicas=2000, seed=0,
-        )
+        out = br_dynamics("pps", params, profs, demand, max_iters=1, start=[1.0, 1.0])
         assert not out["converged"]
         assert out["fixed_point"] is None
         assert len(out["trajectory"]) == 2

@@ -28,6 +28,20 @@ BASE_CONFIG = {
     "seed": 3,
 }
 
+# two identical ppss miners at constant demand above supply
+PPSS_CONFIG = {
+    "mechanism": "ppss",
+    "platform": {"p": 1.0, "k": 100.0, "lambda": 0.8, "N": 10},
+    "miners": [
+        {"capacity_A": 1.0, "cost": {"family": "linear", "r": 150.0}},
+        {"capacity_A": 1.0, "cost": {"family": "linear", "r": 150.0}},
+    ],
+    "demand": {"family": "constant", "M": 600.0},
+    "rounds": 50,
+    "replicas": 512,
+    "seed": 0,
+}
+
 
 @pytest.fixture
 def config_path(tmp_path):
@@ -270,6 +284,16 @@ class TestBestResponse:
         _, rows = read_csv(str(tmp_path / "out-16" / "br_curve.csv"))
         assert {row[2] for row in rows} == {"0"}
 
+    def test_overflowing_demand_quantile_is_capped(self, config_path, tmp_out):
+        # the mean exp(695 + 12.5) is finite, but about 0.15% of the demand
+        # quantiles overflow; ppf caps them, so no overflow warning is raised
+        # (pytest turns one into an error)
+        data = dict(PPSS_CONFIG, demand={"family": "lognormal", "mu": 695.0, "sigma": 5.0})
+        assert main([
+            "best-response", "--config", config_path(data), "--out", tmp_out,
+            "--miner", "0", "--grid", "2", "--replicas", "4000", "--objective", "payoff",
+        ]) == 0
+
     def test_grid_below_two_exits_2(self, config_path, tmp_out, capsys):
         assert main([
             "best-response", "--config", config_path(), "--out", tmp_out,
@@ -329,6 +353,21 @@ class TestSweep:
             "mean_budget_ratio",
         ]
         assert [float(r[0]) for r in rows] == [1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize("mechanism", ["pps", "ppss"])
+    def test_sweep_does_not_depend_on_replicas(self, mechanism, config_path, tmp_path):
+        # verdicts are deterministic and the simulation draws from the seed alone
+        path = config_path(dict(PPSS_CONFIG, mechanism=mechanism))
+        sweeps = []
+        for replicas in ("1", "9000"):
+            out = tmp_path / f"out-{replicas}"
+            out.mkdir()
+            assert main([
+                "sweep", "--config", path, "--out", str(out),
+                "--axis", "platform.lambda=0.7:0.9:3", "--replicas", replicas,
+            ]) == 0
+            sweeps.append((out / "sweep.csv").read_bytes())
+        assert sweeps[0] == sweeps[1]
 
     def test_miner_axis_path(self, config_path, tmp_out):
         data = dict(BASE_CONFIG, rounds=20, replicas=1000)

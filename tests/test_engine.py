@@ -1,11 +1,12 @@
 """Round loop, miner policies, window upkeep, and ledger accounting."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from poolsim import analysis
+from poolsim import analysis, engine
 from poolsim.engine import (
     MinerPolicy,
     delta_adaptive_policy,
@@ -122,7 +123,8 @@ class TestMyopicMemo:
             calls.append(args[5].M)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(analysis, "best_response", counting)
+        # the engine's own binding, the one _policy_allocation calls
+        monkeypatch.setattr(engine, "best_response", counting)
         return run_simulation(cfg), calls
 
     def test_constant_demand_solves_once_per_myopic_miner(self, monkeypatch):
@@ -308,8 +310,8 @@ class TestReproducibility:
 
     def test_seed_override_argument(self):
         cfg = base_config(rounds=10)
-        a = run_simulation(cfg, seed=99)
-        b = run_simulation(cfg, seed=99)
+        a = run_simulation(replace(cfg, seed=99))
+        b = run_simulation(replace(cfg, seed=99))
         c = run_simulation(cfg)
         assert np.array_equal(a.D, b.D) and np.array_equal(a.rewards, b.rewards)
         assert not np.array_equal(a.D, c.D)

@@ -1,4 +1,6 @@
 """Audit harness: verdict semantics and report rows."""
+from dataclasses import replace
+
 import pytest
 
 from poolsim.theorems import ALL_THEOREMS, run_audits
@@ -56,6 +58,18 @@ class TestHarness:
         a = run_audits(ppss_config(), ["T6"])
         b = run_audits(ppss_config(), ["T6"])
         assert a == b
+
+    @pytest.mark.parametrize("make_config", [pps_config, ppss_config])
+    def test_verdicts_do_not_depend_on_seed_or_replicas(self, make_config):
+        # T2, T3, T4 and T7 draw no random numbers; only the digest of the
+        # config that ran differs
+        theorems = ["T2", "T3", "T4", "T7"]
+        cfg = make_config()
+        a = run_audits(replace(cfg, seed=0, replicas=16), theorems)
+        b = run_audits(replace(cfg, seed=7, replicas=9000), theorems)
+        for row_a, row_b in zip(a, b, strict=True):
+            assert row_a.pop("config_digest") != row_b.pop("config_digest")
+            assert row_a == row_b
 
 
 class TestVerdicts:
