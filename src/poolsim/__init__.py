@@ -27,7 +27,7 @@ from .engine import (
     run_simulation,
     step_round,
 )
-from .mechanisms import pps_reward, ppss_reward, subsidy_shape
+from .mechanisms import pps_reward, ppss_reward, subsidy_shape, subsidy_terms
 from .model import (
     CostFunction,
     DemandModel,

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import best_response
-from .mechanisms import pps_reward, ppss_reward
+from .mechanisms import pps_reward, ppss_reward, subsidy_terms
 from .model import (
     DemandModel,
     MinerProfile,
@@ -68,14 +68,13 @@ def delta_adaptive_policy(
 
 
 def _policy_allocation(state: SimulationState, i: int) -> float:
-    """Miner i's allocation for the next round. A miner sees only the closed
-    rounds' announced demand and delta and its own row, never the other
-    miners' allocations. A myopic_br miner maximises the raw payoff at the
-    last announced M, on purpose: that payoff is what it earns (MinerPolicy).
+    """Non-static miner i's allocation for the next round (a static miner's,
+    min(a, A), is fixed in init_state). A miner sees only the closed rounds'
+    announced demand and delta and its own row, never the other miners'
+    allocations. A myopic_br miner maximises the raw payoff at the last
+    announced M, on purpose: that payoff is what it earns (MinerPolicy).
     """
     policy, profile = state.policies[i], state.profiles[i]
-    if policy.kind == "static":
-        return min(policy.a, profile.capacity_A)
     led, prev = state.ledger, state.next_round - 2  # last closed round's row
     if policy.kind == "delta_adaptive":
         if prev < 0:
@@ -158,7 +157,11 @@ class SimulationState:
     seed: int
     ledger: SimulationLedger
     caps: np.ndarray
-    c_tildes: np.ndarray
+    # Per-run constants: each static miner's allocation (None for the other
+    # policies) and ppss_reward's subsidy_terms.
+    static_a: list[float | None]
+    unit: np.ndarray
+    numerator: np.ndarray
     # Per miner, (announced M, argmax) of its last myopic best response.
     br_memo: list[tuple[float, float] | None]
     next_round: int = 1
@@ -175,6 +178,8 @@ def init_state(
 ) -> SimulationState:
     """A state whose ledger has room for `rounds` rounds."""
     n = len(profiles)
+    caps = np.array([p.capacity_A for p in profiles], dtype=float)
+    unit, numerator = subsidy_terms(caps, np.array([c_tilde(p) for p in profiles]), params)
     return SimulationState(
         params=params,
         profiles=profiles,
@@ -183,8 +188,13 @@ def init_state(
         mechanism=mechanism,
         seed=seed,
         ledger=SimulationLedger.empty(rounds, n, params.p),
-        caps=np.array([p.capacity_A for p in profiles], dtype=float),
-        c_tildes=np.array([c_tilde(p) for p in profiles]),
+        caps=caps,
+        static_a=[
+            min(pol.a, prof.capacity_A) if pol.kind == "static" else None
+            for pol, prof in zip(policies, profiles)
+        ],
+        unit=unit,
+        numerator=numerator,
         br_memo=[None] * n,
     )
 
@@ -205,8 +215,10 @@ def step_round(state: SimulationState) -> None:
         from .config import ConfigError
 
         raise ConfigError("demand", f"round {j} drew M = {M!r}; demand draws must lie in (0, inf)")
-    a = np.array([_policy_allocation(state, i) for i in range(len(state.profiles))])
-    if not np.all((0 <= a) & (a <= state.caps)):
+    a = np.array([
+        _policy_allocation(state, i) if s is None else s for i, s in enumerate(state.static_a)
+    ])
+    if not ((0 <= a) & (a <= state.caps)).all():
         raise ValueError(f"allocations {a.tolist()} outside [0, {state.caps.tolist()}]")
     d = sample_transcript(params, a, rng)
     total = float(d.sum())
@@ -219,9 +231,9 @@ def step_round(state: SimulationState) -> None:
     else:
         window_sum, window_len = led.window(row, params.window_N)
         rewards, led.flags[row] = ppss_reward(
-            d, total, M, window_sum, window_len, state.caps, state.c_tildes, params,
+            d, total, M, window_sum, window_len, state.unit, state.numerator, params,
         )
-        ratio = np.sum(rewards) / (M * params.p)
+        ratio = rewards.sum() / (M * params.p)
 
     led.M[row] = M
     led.a[row] = a

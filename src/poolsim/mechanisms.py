@@ -30,7 +30,7 @@ def subsidy_shape(D, capacity, params: PlatformParams):
 
 def _share(d, total):
     """D_i / |D|, and 0 where |D| = 0."""
-    return np.divide(d, total, out=np.zeros_like(d, dtype=float), where=total > 0)
+    return np.divide(d, total, out=np.zeros(np.shape(d)), where=total > 0)
 
 
 def pps_reward(d, total, M, params: PlatformParams):
@@ -38,24 +38,36 @@ def pps_reward(d, total, M, params: PlatformParams):
     return _share(d, total) * params.b * np.minimum(total, M)
 
 
-def ppss_reward(d, total, M, window_sum, window_len, caps, c_tildes, params: PlatformParams):
-    """Pay-Per-Share with Subsidy; returns (rewards, flags).
-
-    R_i = (D_i / |D|) * (b + B_i * (c~_i/k - b) / max(K(D_i), eps_k)) * min{|D|, M}.
-
-    B_i, the rolling-window indicator, is 1 iff D_i > 0 and window_sum + D_i
-    (the last window_len <= N-1 completed rounds plus the current one) clears
-    lambda * A_i * k per round counted; during cold start the threshold is
-    prorated to the rounds available. A negative numerator (marginal cost
-    below the base reward rate) is clamped to zero unless
-    subsidy_clamp_nonneg is off. Coincides with pps_reward wherever no flag
-    is set.
+def subsidy_terms(caps, c_tildes, params: PlatformParams):
+    """(unit, numerator) = (lambda * A * k, c~/k - b): the per-miner
+    constants of ppss_reward, clamping the numerator at zero unless
+    subsidy_clamp_nonneg is off. They do not change within a run or a Monte
+    Carlo block, so callers compute them once.
     """
-    threshold = params.lam * caps * params.k * (window_len + 1)
-    flags = (d > 0) & (window_sum + d >= threshold)
+    unit = params.lam * caps * params.k
     numerator = c_tildes / params.k - params.b
     if params.subsidy_clamp_nonneg:
         numerator = np.maximum(numerator, 0.0)
-    K = np.maximum(subsidy_shape(np.where(flags, d, 1.0), caps, params), params.eps_k)
+    return unit, numerator
+
+
+def ppss_reward(d, total, M, window_sum, window_len, unit, numerator, params: PlatformParams):
+    """Pay-Per-Share with Subsidy; returns (rewards, flags).
+
+    R_i = (D_i / |D|) * (b + B_i * numerator_i / max(K(D_i), eps_k)) * min{|D|, M},
+    with (unit, numerator) = subsidy_terms(A, c~, params).
+
+    B_i, the rolling-window indicator, is 1 iff D_i > 0 and window_sum + D_i
+    (the last window_len <= N-1 completed rounds plus the current one) clears
+    unit_i = lambda * A_i * k per round counted; during cold start the
+    threshold is prorated to the rounds available. A negative numerator
+    (marginal cost below the base reward rate) is clamped to zero by
+    subsidy_terms unless subsidy_clamp_nonneg is off. Coincides with
+    pps_reward wherever no flag is set.
+    """
+    flags = (d > 0) & (window_sum + d >= unit * (window_len + 1))
+    # subsidy_shape inline, without its D > 0 check: a flag implies d > 0
+    x = unit / np.where(flags, d, 1.0)
+    K = np.maximum(1.0 - x * np.exp(1.0 - x), params.eps_k)
     per_unit = params.b + np.where(flags, numerator / K, 0.0)
     return _share(d, total) * per_unit * np.minimum(total, M), flags

@@ -210,13 +210,12 @@ def sample_transcript(params: PlatformParams, allocations, rng: np.random.Genera
     """One round's outputs: D_i ~ Gamma(k * a_i, 1) independently per miner.
 
     Miners with a_i = 0 produce exactly 0. Draws happen in miner order from
-    the supplied stream, so the outputs are reproducible bit for bit.
+    the supplied stream, so the outputs are reproducible bit for bit. A shape
+    of 0 draws nothing from the stream. The where maps every shape that is
+    not positive to +0.0: standard_gamma rejects -0.0, and would return NaN
+    for a NaN shape.
     """
     shapes = params.k * np.asarray(allocations, dtype=float)
-    if np.any(shapes < 0):
+    if (shapes < 0).any():
         raise ValueError("allocations must be nonnegative")
-    d = np.zeros_like(shapes)
-    pos = shapes > 0
-    if np.any(pos):
-        d[pos] = rng.gamma(shapes[pos])
-    return d
+    return rng.standard_gamma(np.where(shapes > 0, shapes, 0.0))

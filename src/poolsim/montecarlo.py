@@ -27,7 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from scipy import special
 
-from .mechanisms import pps_reward, ppss_reward
+from .mechanisms import pps_reward, ppss_reward, subsidy_terms
 from .model import DemandModel, MinerProfile, PlatformParams, cost_eval, c_tilde, substream
 
 BLOCK_SIZE = 4096
@@ -94,9 +94,8 @@ def _block_payoffs(
         if fixed_windows is not None:
             wsum, wlen = fixed_windows[miner_index]
         prof = profiles[miner_index]
-        rewards, _ = ppss_reward(
-            d_i, totals, M, wsum, wlen, prof.capacity_A, c_tilde(prof), params,
-        )
+        unit, numerator = subsidy_terms(prof.capacity_A, c_tilde(prof), params)
+        rewards, _ = ppss_reward(d_i, totals, M, wsum, wlen, unit, numerator, params)
     else:
         raise ValueError(f"unknown mechanism {mechanism!r}")
 

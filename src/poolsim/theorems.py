@@ -30,8 +30,6 @@ from .engine import run_simulation
 from .mechanisms import subsidy_shape
 from .model import CostFunction, DemandModel, MinerProfile, c_tilde
 
-ALL_THEOREMS = ("T1", "T2", "T3", "T4", "T5", "T6", "T7")
-
 
 def _row(theorem, claim, cfg, verdict, metric, bound, ci=0.0):
     return {
@@ -224,6 +222,9 @@ AUDITS = {
     "T6": audit_t6,
     "T7": audit_t7,
 }
+# The theorem names, in report order; run_audits looks each audit up in
+# AUDITS when it runs.
+ALL_THEOREMS = tuple(AUDITS)
 
 
 def run_audits(cfg, theorems=None):
@@ -231,7 +232,7 @@ def run_audits(cfg, theorems=None):
     seed, pass dataclasses.replace(cfg, seed=...): the rows' config_digest
     then names the config that ran."""
     theorems = list(theorems) if theorems else list(ALL_THEOREMS)
-    unknown = [t for t in theorems if t not in AUDITS]
+    unknown = [t for t in theorems if t not in ALL_THEOREMS]
     if unknown:
         raise ValueError(f"unknown theorem(s): {', '.join(unknown)}")
     return [AUDITS[t](cfg) for t in theorems]

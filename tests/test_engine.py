@@ -14,8 +14,15 @@ from poolsim.engine import (
     run_simulation,
     step_round,
 )
-from poolsim.mechanisms import pps_reward, ppss_reward
-from poolsim.model import CostFunction, DemandModel, MinerProfile, c_tilde
+from poolsim.mechanisms import pps_reward, ppss_reward, subsidy_terms
+from poolsim.model import (
+    CostFunction,
+    DemandModel,
+    MinerProfile,
+    c_tilde,
+    sample_demand,
+    substream,
+)
 
 from conftest import quiet_parse, small_configs
 
@@ -228,8 +235,10 @@ class TestStepRound:
         })
         led = run_simulation(cfg)
         profiles = cfg.profiles
-        caps = np.array([p.capacity_A for p in profiles])
-        c_tildes = np.array([c_tilde(p) for p in profiles])
+        terms = subsidy_terms(
+            np.array([p.capacity_A for p in profiles]),
+            np.array([c_tilde(p) for p in profiles]), cfg.platform,
+        )
         for row in range(led.rounds):
             d, M = led.D[row], led.M[row]
             if mechanism == "pps":
@@ -238,7 +247,7 @@ class TestStepRound:
             else:
                 wsum, wlen = led.window(row, cfg.platform.window_N)
                 expected, flags = ppss_reward(
-                    d, float(d.sum()), M, wsum, wlen, caps, c_tildes, cfg.platform,
+                    d, float(d.sum()), M, wsum, wlen, *terms, cfg.platform,
                 )
                 assert np.array_equal(led.rewards[row], expected)
                 assert np.array_equal(led.flags[row], flags)
@@ -315,6 +324,38 @@ class TestReproducibility:
         c = run_simulation(cfg)
         assert np.array_equal(a.D, b.D) and np.array_equal(a.rewards, b.rewards)
         assert not np.array_equal(a.D, c.D)
+
+    @pytest.mark.parametrize("mechanism", ["pps", "ppss"])
+    def test_round_stream_layout(self, mechanism):
+        # Round j draws from substream(seed, TAG_ROUND, j): demand first,
+        # then Gamma(k * a_i) for each miner with a_i > 0, in miner order.
+        cfg = quiet_parse({
+            "mechanism": mechanism,
+            "platform": {"p": 1.0, "b": 1.0, "k": 50.0, "lambda": 0.8, "N": 3},
+            "miners": [
+                {"capacity_A": 1.0, "cost": {"family": "linear", "r": 90.0},
+                 "policy": {"kind": "static", "a": 0.7}},
+                {"capacity_A": 2.0, "cost": {"family": "linear", "r": 60.0},
+                 "policy": {"kind": "static", "a": 0.0}},
+                {"capacity_A": 1.5, "cost": {"family": "power", "c": 40.0, "q": 2.0},
+                 "policy": {"kind": "delta_adaptive", "step": 0.5, "floor": 0.0}},
+                {"capacity_A": 1.0, "cost": {"family": "linear", "r": 120.0},
+                 "policy": {"kind": "myopic_br", "grid": 3, "replicas": 8}},
+            ],
+            "demand": {"family": "gamma", "shape": 4.0, "rate": 0.04},
+            "rounds": 40, "seed": 12,
+        })
+        led = run_simulation(cfg)
+        assert (led.a[:, 1] == 0.0).all() and (led.D[:, 0] > 0.0).all()
+        for row in range(led.rounds):
+            rng = substream(cfg.seed, engine.TAG_ROUND, row + 1)
+            M = sample_demand(cfg.demand, rng)
+            d = np.zeros(len(cfg.profiles))
+            for i, a in enumerate(led.a[row]):
+                if cfg.platform.k * a > 0:
+                    d[i] = rng.gamma(cfg.platform.k * a)
+            assert led.M[row] == M
+            assert np.array_equal(led.D[row], d)
 
 
 class TestAdaptiveExploitation:

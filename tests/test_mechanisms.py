@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from poolsim.engine import SimulationLedger, run_simulation
-from poolsim.mechanisms import pps_reward, ppss_reward, subsidy_shape
+from poolsim.mechanisms import pps_reward, ppss_reward, subsidy_shape, subsidy_terms
 from poolsim.model import DemandModel, PlatformParams
 
 from conftest import quiet_parse
@@ -31,7 +31,22 @@ def pps(d, M, params):
 def ppss(d, M, params, window_sum, window_len, caps=1.0, r=150.0):
     """One round of linear-cost miners: c~ = r."""
     d = np.asarray(d, dtype=float)
-    return ppss_reward(d, float(d.sum()), M, window_sum, window_len, caps, r, params)
+    unit, numerator = subsidy_terms(caps, r, params)
+    return ppss_reward(d, float(d.sum()), M, window_sum, window_len, unit, numerator, params)
+
+
+def _ppss_reference(d, total, M, window_sum, window_len, caps, c_tildes, params):
+    """The PPSS kernel as first written, recomputing its per-miner constants
+    and calling subsidy_shape on every call; the oracle for ppss_reward."""
+    threshold = params.lam * caps * params.k * (window_len + 1)
+    flags = (d > 0) & (window_sum + d >= threshold)
+    numerator = c_tildes / params.k - params.b
+    if params.subsidy_clamp_nonneg:
+        numerator = np.maximum(numerator, 0.0)
+    K = np.maximum(subsidy_shape(np.where(flags, d, 1.0), caps, params), params.eps_k)
+    per_unit = params.b + np.where(flags, numerator / K, 0.0)
+    share = np.divide(d, total, out=np.zeros_like(d, dtype=float), where=total > 0)
+    return share * per_unit * np.minimum(total, M), flags
 
 
 def ledger_with_outputs(outputs):
@@ -306,19 +321,45 @@ class TestKernelProperties:
         d, M, wsum, wlen, caps, c_tildes, params = play
         totals = d.sum(axis=1)
         m, n = d.shape
+        unit, numerator = subsidy_terms(caps, c_tildes, params)
         pps_rows = np.array([pps_reward(d[j], totals[j], M[j], params) for j in range(m)])
         ppss_rows = [
-            ppss_reward(d[j], totals[j], M[j], wsum[j], wlen, caps, c_tildes, params)
+            ppss_reward(d[j], totals[j], M[j], wsum[j], wlen, unit, numerator, params)
             for j in range(m)
         ]
         for i in range(n):
             col = pps_reward(d[:, i], totals, M, params)
             assert np.array_equal(col, pps_rows[:, i])
             col, col_flags = ppss_reward(
-                d[:, i], totals, M, wsum[:, i], wlen, caps[i], c_tildes[i], params,
+                d[:, i], totals, M, wsum[:, i], wlen,
+                *subsidy_terms(caps[i], c_tildes[i], params), params,
             )
             assert np.array_equal(col, [r[i] for r, _ in ppss_rows])
             assert np.array_equal(col_flags, [f[i] for _, f in ppss_rows])
+
+    @pytest.mark.parametrize("clamp", [True, False])
+    @given(play=rounds_of_play())
+    @settings(max_examples=150, deadline=None)
+    def test_kernel_equals_reference_bitwise(self, clamp, play):
+        # engine rows and Monte Carlo columns, against the kernel that
+        # recomputed lambda*A*k and c~/k - b and called subsidy_shape
+        d, M, wsum, wlen, caps, c_tildes, params = play
+        params = replace(params, subsidy_clamp_nonneg=clamp)
+        totals = d.sum(axis=1)
+        unit, numerator = subsidy_terms(caps, c_tildes, params)
+        calls = [
+            ((d[j], totals[j], M[j], wsum[j], wlen), (unit, numerator), (caps, c_tildes))
+            for j in range(d.shape[0])
+        ] + [
+            ((d[:, i], totals, M, wsum[:, i], wlen),
+             subsidy_terms(caps[i], c_tildes[i], params), (caps[i], c_tildes[i]))
+            for i in range(d.shape[1])
+        ]
+        for play_args, terms, economics in calls:
+            rewards, flags = ppss_reward(*play_args, *terms, params)
+            ref, ref_flags = _ppss_reference(*play_args, *economics, params)
+            assert rewards.tobytes() == ref.tobytes()
+            assert np.array_equal(flags, ref_flags)
 
     @given(rounds_of_play())
     @settings(max_examples=150, deadline=None)
@@ -326,8 +367,9 @@ class TestKernelProperties:
         d, M, wsum, wlen, caps, c_tildes, params = play
         params = replace(params, subsidy_clamp_nonneg=True)
         totals = d.sum(axis=1)
+        terms = subsidy_terms(caps, c_tildes, params)
         for j in range(d.shape[0]):
-            rewards, _ = ppss_reward(d[j], totals[j], M[j], wsum[j], wlen, caps, c_tildes, params)
+            rewards, _ = ppss_reward(d[j], totals[j], M[j], wsum[j], wlen, *terms, params)
             assert np.all(rewards >= 0.0)
             assert np.all(pps_reward(d[j], totals[j], M[j], params) >= 0.0)
 
@@ -336,8 +378,9 @@ class TestKernelProperties:
     def test_ppss_equals_pps_where_no_flag(self, play):
         d, M, wsum, wlen, caps, c_tildes, params = play
         totals = d.sum(axis=1)
+        terms = subsidy_terms(caps, c_tildes, params)
         for j in range(d.shape[0]):
-            rewards, flags = ppss_reward(d[j], totals[j], M[j], wsum[j], wlen, caps, c_tildes, params)
+            rewards, flags = ppss_reward(d[j], totals[j], M[j], wsum[j], wlen, *terms, params)
             base = pps_reward(d[j], totals[j], M[j], params)
             assert np.array_equal(rewards[~flags], base[~flags])
 

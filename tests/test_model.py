@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import special
 
 from poolsim.analysis import expected_payoff_mc
@@ -280,6 +283,28 @@ class TestSampleTranscript:
         t1 = sample_transcript(PARAMS_K2, [1.0, 2.0], substream(42, 3))
         t2 = sample_transcript(PARAMS_K2, [1.0, 2.0], substream(42, 3))
         assert t1.tolist() == t2.tolist()
+
+    @given(
+        allocations=hnp.arrays(np.float64, st.integers(0, 6), elements=st.one_of(
+            st.sampled_from([0.0, -0.0]), st.floats(1e-6, 50.0),
+        )),
+        k=st.floats(0.01, 200.0),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_draws_equal_masked_gamma_on_twin_stream(self, allocations, k, seed):
+        # the stream layout: one Gamma(k * a_i, 1) draw per positive shape, in
+        # miner order, and none for a zero shape
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        params = PlatformParams(p=1.0, b=1.0, k=k)
+        d = sample_transcript(params, allocations, rng)
+        shapes = k * allocations
+        expected = np.zeros_like(shapes)
+        pos = shapes > 0
+        if pos.any():
+            expected[pos] = twin.gamma(shapes[pos])
+        assert d.dtype == expected.dtype and d.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_distinct_stream_keys_differ(self):
         t1 = sample_transcript(PARAMS_K2, [1.0, 2.0], substream(42, 3))

@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 from scipy import special
 
 from poolsim import montecarlo
-from poolsim.mechanisms import ppss_reward
+from poolsim.mechanisms import ppss_reward, subsidy_terms
 from poolsim.model import CostFunction, DemandModel, MinerProfile, PlatformParams, c_tilde, cost_eval
 from poolsim.montecarlo import (
     BLOCK_SIZE,
@@ -191,7 +191,7 @@ class TestUniformLayout:
         prof = SUBSIDISED[0]
         ref, _ = ppss_reward(
             d[:, 0], d.sum(axis=1), M, window, params.window_N - 1,
-            prof.capacity_A, c_tilde(prof), params,
+            *subsidy_terms(prof.capacity_A, c_tilde(prof), params), params,
         )
         ref_mean, ref_ci = exact_mean_ci(ref - cost_eval(SUBSIDISED[0].cost, 4.0))
         assert abs(mean - ref_mean) <= ci + ref_ci
