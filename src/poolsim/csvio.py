@@ -34,14 +34,42 @@ def atomic_write(path: str, write) -> None:
         raise
 
 
+# %-conversions that give exactly fmt's text for cells of these exact types
+_NUMERIC_CONVERSIONS = {bool: "%d", int: "%d", float: "%.17g"}
+
+
+def _row_template(cell_types: tuple) -> str | None:
+    """One %-format line for a row of these exact cell types, or None when a
+    cell is not a plain bool, int or float. Numeric text never needs csv
+    quoting, so the line is what csv.writer would write for fmt's cells."""
+    try:
+        return ",".join(_NUMERIC_CONVERSIONS[t] for t in cell_types) + "\n"
+    except KeyError:
+        return None
+
+
 def write_csv(path: str, header: list[str], rows) -> None:
-    """Write header + rows atomically (temp file, then rename)."""
+    """Write header + rows atomically (temp file, then rename).
+
+    Every cell is fmt's text under csv.writer's quoting; a row of plain
+    numbers is written with one %-format per row, which gives the same bytes.
+    """
 
     def write(fh):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
+        templates: dict[tuple, str | None] = {}
         for row in rows:
-            writer.writerow([fmt(v) for v in row])
+            row = tuple(row)
+            cell_types = tuple(map(type, row))
+            try:
+                line = templates[cell_types]
+            except KeyError:
+                line = templates[cell_types] = _row_template(cell_types)
+            if line is None:
+                writer.writerow([fmt(v) for v in row])
+            else:
+                fh.write(line % row)
 
     atomic_write(path, write)
 

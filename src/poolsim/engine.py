@@ -215,11 +215,19 @@ def step_round(state: SimulationState) -> None:
         from .config import ConfigError
 
         raise ConfigError("demand", f"round {j} drew M = {M!r}; demand draws must lie in (0, inf)")
-    a = np.array([
-        _policy_allocation(state, i) if s is None else s for i, s in enumerate(state.static_a)
-    ])
-    if not ((0 <= a) & (a <= state.caps)).all():
-        raise ValueError(f"allocations {a.tolist()} outside [0, {state.caps.tolist()}]")
+    # a static miner's min(a, A) is fixed in init_state (MinerPolicy rejects a
+    # negative or NaN a), so only the allocations policies compute are checked
+    alloc = []
+    for i, s in enumerate(state.static_a):
+        if s is None:
+            s = _policy_allocation(state, i)
+            profile = state.profiles[i]
+            if not 0 <= s <= profile.capacity_A:
+                raise ValueError(
+                    f"allocation {s} outside [0, {profile.capacity_A}] for miner {profile.id}"
+                )
+        alloc.append(s)
+    a = np.array(alloc)
     d = sample_transcript(params, a, rng)
     total = float(d.sum())
 

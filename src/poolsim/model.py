@@ -16,9 +16,21 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     """Independent RNG substream keyed by (seed, *path).
 
     The key is positional, so the same stream is obtained regardless of
-    which worker (or in which order) it is derived.
+    which worker (or in which order) it is derived. The stream is numpy's
+    default_rng(SeedSequence([seed, *path])); the key is split into the
+    uint32 words numpy would make of it (least significant first, one zero
+    word for 0), which skips numpy's per-int coercion.
     """
-    return np.random.default_rng(np.random.SeedSequence([int(seed), *[int(p) for p in path]]))
+    words = []
+    for key in (seed, *path):
+        key = int(key)
+        if key < 0:
+            raise ValueError("expected non-negative integer")
+        words.append(key & 0xFFFFFFFF)
+        while key := key >> 32:
+            words.append(key & 0xFFFFFFFF)
+    entropy = np.random.SeedSequence(np.array(words, dtype=np.uint32))
+    return np.random.Generator(np.random.PCG64(entropy))
 
 
 @dataclass(frozen=True)
@@ -211,11 +223,12 @@ def sample_transcript(params: PlatformParams, allocations, rng: np.random.Genera
 
     Miners with a_i = 0 produce exactly 0. Draws happen in miner order from
     the supplied stream, so the outputs are reproducible bit for bit. A shape
-    of 0 draws nothing from the stream. The where maps every shape that is
-    not positive to +0.0: standard_gamma rejects -0.0, and would return NaN
-    for a NaN shape.
+    that is not positive (0, -0.0 or NaN) draws nothing and gives 0.0. Each
+    draw is a scalar standard_gamma call, the same draw as the array form's
+    element without its per-call array validation.
     """
     shapes = params.k * np.asarray(allocations, dtype=float)
     if (shapes < 0).any():
         raise ValueError("allocations must be nonnegative")
-    return rng.standard_gamma(np.where(shapes > 0, shapes, 0.0))
+    draws = [rng.standard_gamma(s) if s > 0 else 0.0 for s in shapes.ravel().tolist()]
+    return np.array(draws).reshape(shapes.shape) if shapes.ndim else draws[0]

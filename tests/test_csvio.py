@@ -1,0 +1,77 @@
+"""CSV emission: write_csv's bytes against the plain csv.writer + fmt writer."""
+import csv
+import math
+import sys
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from poolsim.csvio import atomic_write, fmt, write_csv
+
+
+def _write_csv_reference(path, header, rows):
+    """The writer every CSV cell is defined by: csv.writer over fmt's text."""
+
+    def write(fh):
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([fmt(v) for v in row])
+
+    atomic_write(path, write)
+
+
+_floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([
+        -0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, sys.float_info.min / 3,
+        1e308, -1e308, 0.1, 1 / 3,
+    ]),
+)
+_ints = st.one_of(st.integers(), st.integers(2**64, 2**200), st.integers(-(2**200), -(2**64)))
+_numpy = st.one_of(
+    _floats.map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+)
+_text = st.one_of(st.text(), st.sampled_from(["a,b", 'say "hi"', "two\nlines", "", " x "]))
+_cell = st.one_of(st.booleans(), _ints, _floats, _numpy, _text)
+
+
+@st.composite
+def _tables(draw):
+    """Rows of mixed width and type: all-numeric rows of a few fixed layouts
+    (each column switches between int, bool and float from row to row, so a
+    cached layout cannot truncate a float through %d), rows holding numpy
+    scalars or text, and empty rows."""
+    width = draw(st.integers(1, 6))
+    numeric = st.lists(st.one_of(st.booleans(), _ints, _floats), min_size=width, max_size=width)
+    row = st.one_of(
+        numeric.map(tuple),
+        numeric,
+        st.lists(_cell, max_size=width + 2),
+        st.just(()),
+    )
+    return draw(st.lists(row, max_size=25))
+
+
+class TestWriteCsv:
+    @given(rows=_tables())
+    @settings(max_examples=300, deadline=None)
+    def test_bytes_equal_reference_writer(self, rows, tmp_path_factory):
+        out = tmp_path_factory.mktemp("csv")
+        header = ["round", "x,y", 'q"']
+        write_csv(str(out / "fast.csv"), header, rows)
+        _write_csv_reference(str(out / "ref.csv"), header, rows)
+        assert (out / "fast.csv").read_bytes() == (out / "ref.csv").read_bytes()
+
+    def test_column_switching_int_to_float_keeps_the_fraction(self, tmp_path):
+        rows = [(1, 2), (1, 2.5), (True, 1e308), (3.0, -0.0)]
+        write_csv(str(tmp_path / "t.csv"), ["a", "b"], rows)
+        assert (tmp_path / "t.csv").read_text() == "a,b\n1,2\n1,2.5\n1,1e+308\n3,-0\n"
+
+    def test_rows_are_streamed_from_an_iterator(self, tmp_path):
+        rows = iter([(i, i / 4) for i in range(3)])
+        write_csv(str(tmp_path / "t.csv"), ["i", "q"], rows)
+        assert (tmp_path / "t.csv").read_text() == "i,q\n0,0\n1,0.25\n2,0.5\n"

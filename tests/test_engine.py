@@ -94,6 +94,31 @@ class TestPolicies:
         ledger = run_simulation(cfg)
         assert np.all(ledger.a[:, 0] == 1.0)
 
+    @pytest.mark.parametrize("bad", ["above", -0.5, math.nan])
+    def test_moving_miner_outside_capacity_rejected(self, monkeypatch, bad):
+        # the guard covers every allocation a policy computes, naming the miner
+        cfg = base_config(miners=[
+            {"capacity_A": 4.0, "cost": {"family": "linear", "r": 1.0},
+             "policy": {"kind": "static", "a": 2.0}},
+            {"capacity_A": 6.0, "cost": {"family": "linear", "r": 1.0},
+             "policy": {"kind": "delta_adaptive", "step": 0.5}},
+        ], rounds=2)
+        value = 6.0 + 1 if bad == "above" else bad
+        monkeypatch.setattr(engine, "_policy_allocation", lambda state, i: value)
+        with pytest.raises(ValueError, match="miner 1"):
+            run_simulation(cfg)
+
+    def test_static_miner_above_capacity_runs_at_capacity(self, monkeypatch):
+        # a static allocation is clipped once, in init_state, and never asked
+        # of _policy_allocation
+        cfg = base_config(miners=[{
+            "capacity_A": 1.5,
+            "cost": {"family": "linear", "r": 1.0},
+            "policy": {"kind": "static", "a": 9.0},
+        }], rounds=4)
+        monkeypatch.setattr(engine, "_policy_allocation", None)
+        assert run_simulation(cfg).a[:, 0].tolist() == [1.5] * 4
+
     def test_myopic_br_runs_at_capacity_when_cheap(self):
         cfg = base_config(miners=[{
             "capacity_A": 2.0,

@@ -26,6 +26,29 @@ LINEAR2 = CostFunction(family="linear", r=2.0)
 SQUARE = CostFunction(family="power", c=1.0, q=2.0)
 
 
+class TestSubstream:
+    @given(
+        seed=st.integers(0, 2**70),
+        path=st.lists(st.one_of(
+            st.sampled_from([0, 2**32 - 1, 2**32, 2**64]), st.integers(0, 2**70),
+        ), max_size=4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_default_rng_of_seed_sequence(self, seed, path):
+        # the stream is numpy's own default_rng(SeedSequence([seed, *path]))
+        rng = substream(seed, *path)
+        oracle = np.random.default_rng(np.random.SeedSequence([seed, *path]))
+        assert rng.bit_generator.state == oracle.bit_generator.state
+        assert rng.random(8).tobytes() == oracle.random(8).tobytes()
+
+    @pytest.mark.parametrize("key", [(-1,), (0, -1), (5, 2, -(2**40))])
+    def test_negative_key_rejected_as_numpy_does(self, key):
+        with pytest.raises(ValueError):
+            np.random.SeedSequence(list(key))
+        with pytest.raises(ValueError):
+            substream(*key)
+
+
 class TestCostEval:
     def test_linear(self):
         assert cost_eval(LINEAR2, 3.0) == 6.0
@@ -304,6 +327,22 @@ class TestSampleTranscript:
         if pos.any():
             expected[pos] = twin.gamma(shapes[pos])
         assert d.dtype == expected.dtype and d.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_zero_d_allocation_returns_a_float(self):
+        d = sample_transcript(PARAMS_K2, np.float64(1.5), substream(42, 5))
+        twin = substream(42, 5).standard_gamma(3.0)
+        assert type(d) is float and d == twin
+        assert sample_transcript(PARAMS_K2, 0.0, substream(42, 5)) == 0.0
+
+    def test_negative_zero_d_allocation_rejected(self):
+        with pytest.raises(ValueError):
+            sample_transcript(PARAMS_K2, -1.0, substream(0, 0))
+
+    def test_nan_shape_draws_nothing(self):
+        rng, twin = substream(7, 1), substream(7, 1)
+        d = sample_transcript(PARAMS_K2, [math.nan, 1.0, -0.0], rng)
+        assert d.tolist() == [0.0, twin.standard_gamma(2.0), 0.0]
         assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_distinct_stream_keys_differ(self):
