@@ -20,7 +20,6 @@ from .analysis import (
 )
 from .config import ConfigError, ExperimentConfig, dump_config, load_config, parse_config
 from .engine import (
-    MinerPolicy,
     SimulationLedger,
     delta_adaptive_policy,
     init_state,
@@ -31,6 +30,7 @@ from .mechanisms import pps_reward, ppss_reward, subsidy_shape, subsidy_terms
 from .model import (
     CostFunction,
     DemandModel,
+    MinerPolicy,
     MinerProfile,
     PlatformParams,
     c_tilde,

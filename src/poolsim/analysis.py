@@ -79,9 +79,9 @@ class BudgetBounds:
 def _checked_allocations(allocations, profiles: list[MinerProfile]) -> np.ndarray:
     """The allocation vector as floats; every entry must lie in [0, A_i]."""
     allocations = np.asarray(allocations, dtype=float)
-    for a, prof in zip(allocations, profiles, strict=True):
+    for i, (a, prof) in enumerate(zip(allocations, profiles, strict=True)):
         if not 0 <= a <= prof.capacity_A:
-            raise ValueError(f"allocation {a} outside [0, {prof.capacity_A}] for miner {prof.id}")
+            raise ValueError(f"allocation {a} outside [0, {prof.capacity_A}] for miner {i}")
     return allocations
 
 

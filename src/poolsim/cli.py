@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import itertools
 import math
 import os
 import sys
@@ -62,8 +63,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _parse(read_yaml(args.config), args)
-    theorems = args.theorems.split(",") if args.theorems else list(ALL_THEOREMS)
-    theorems = [t.strip().upper() for t in theorems if t.strip()]
+    names = ALL_THEOREMS if args.theorems is None else args.theorems.split(",")
+    theorems = [t.strip().upper() for t in names if t.strip()]
+    if not theorems:
+        print(f"error: --theorems {args.theorems!r} names no theorem", file=sys.stderr)
+        return EXIT_CONFIG
     unknown = [t for t in theorems if t not in ALL_THEOREMS]
     if unknown:
         print(f"error: unknown theorem(s): {', '.join(unknown)}", file=sys.stderr)
@@ -150,15 +154,9 @@ def cmd_sweep(args) -> int:
             return EXIT_CONFIG
     base = read_yaml(args.config)
 
-    grids = [axes[0][1]] if len(axes) == 1 else [axes[0][1], axes[1][1]]
-    cells = (
-        [(v,) for v in grids[0]]
-        if len(axes) == 1
-        else [(v0, v1) for v0 in grids[0] for v1 in grids[1]]
-    )
     rows = []
     n_miners = None
-    for cell in cells:
+    for cell in itertools.product(*(grid for _, grid in axes)):
         data = copy.deepcopy(base)
         for (path, _), v in zip(axes, cell):
             if not _set_path(data, path, float(v)):

@@ -10,8 +10,7 @@ from dataclasses import dataclass
 
 import yaml
 
-from .engine import MinerPolicy
-from .model import CostFunction, DemandModel, MinerProfile, PlatformParams
+from .model import CostFunction, DemandModel, MinerPolicy, MinerProfile, PlatformParams
 
 _INT64 = 2**63
 # Largest simulation ledger a config may ask for: rounds * (3 + 4n) float64s
@@ -124,8 +123,8 @@ def _variant_dict(obj, variants: _Variants) -> dict:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A validated experiment; `profiles[i]` (id i) and `policies[i]`
-    describe miner i."""
+    """A validated experiment; `profiles[i]` and `policies[i]` describe
+    miner i."""
 
     mechanism: str
     platform: PlatformParams
@@ -221,7 +220,7 @@ def parse_config(data: dict, warn_stream=None) -> ExperimentConfig:
         )
         if policy.kind == "delta_adaptive" and policy.floor > cap:
             raise ConfigError(f"{fname}.policy.floor", "must not exceed capacity_A")
-        profiles.append(MinerProfile(id=idx, capacity_A=cap, cost=cost))
+        profiles.append(MinerProfile(capacity_A=cap, cost=cost))
         policies.append(policy)
 
     demand = _parse_variant(data.get("demand"), DEMAND, "demand")

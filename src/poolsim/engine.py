@@ -7,11 +7,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import best_response
+from .config import ConfigError, ExperimentConfig
 from .mechanisms import pps_reward, ppss_reward, subsidy_terms
 from .model import (
     DemandModel,
+    MinerPolicy,
     MinerProfile,
-    PlatformParams,
     c_tilde,
     sample_demand,
     sample_transcript,
@@ -19,38 +20,6 @@ from .model import (
 )
 
 TAG_ROUND = 7
-
-
-@dataclass(frozen=True)
-class MinerPolicy:
-    """Policy kinds: static(a), myopic_br(grid, replicas), delta_adaptive(step, floor).
-
-    myopic_br maximises the raw expected payoff under both mechanisms (exact
-    under pps, Monte Carlo under ppss), not the floor objective that ppss
-    incentive verdicts use: the raw payoff is what a myopic miner actually
-    earns in the round it plays.
-    """
-
-    kind: str
-    a: float = 0.0
-    grid: int = 64
-    replicas: int = 2000
-    step: float = 0.5
-    floor: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("static", "myopic_br", "delta_adaptive"):
-            raise ValueError(f"unknown policy kind {self.kind!r}")
-        if self.kind == "static" and not self.a >= 0:
-            raise ValueError("static allocation a must be nonnegative")
-        if self.kind == "myopic_br" and self.grid < 2:
-            raise ValueError("myopic_br grid must be at least 2")
-        if self.kind == "myopic_br" and self.replicas < 1:
-            raise ValueError("myopic_br replicas must be at least 1")
-        if self.kind == "delta_adaptive" and not 0 < self.step < 1:
-            raise ValueError("delta_adaptive step must lie in (0, 1)")
-        if self.kind == "delta_adaptive" and not self.floor >= 0:
-            raise ValueError("delta_adaptive floor must be nonnegative")
 
 
 def delta_adaptive_policy(
@@ -74,7 +43,8 @@ def _policy_allocation(state: SimulationState, i: int) -> float:
     allocations. A myopic_br miner maximises the raw payoff at the last
     announced M, on purpose: that payoff is what it earns (MinerPolicy).
     """
-    policy, profile = state.policies[i], state.profiles[i]
+    cfg = state.cfg
+    policy, profile = cfg.policies[i], cfg.profiles[i]
     led, prev = state.ledger, state.next_round - 2  # last closed round's row
     if policy.kind == "delta_adaptive":
         if prev < 0:
@@ -83,14 +53,14 @@ def _policy_allocation(state: SimulationState, i: int) -> float:
     # Myopic best response to the last announced demand, assuming the
     # other miners run at capacity. Within a run the argmax is a pure
     # function of (miner, M), so it is reused while M repeats.
-    last_M = float(led.M[prev]) if prev >= 0 else state.demand.mu_F
+    last_M = float(led.M[prev]) if prev >= 0 else cfg.demand.mu_F
     memo = state.br_memo[i]
     if memo is not None and memo[0] == last_M:
         return memo[1]
     br = best_response(
-        state.mechanism, profile.id, state.caps, state.params, state.profiles,
+        cfg.mechanism, i, state.caps, cfg.platform, cfg.profiles,
         DemandModel(family="constant", M=last_M),
-        grid_points=policy.grid, replicas=policy.replicas, seed=state.seed,
+        grid_points=policy.grid, replicas=policy.replicas, seed=cfg.seed,
     )
     state.br_memo[i] = (last_M, br.argmax_a)
     return br.argmax_a
@@ -149,12 +119,7 @@ class SimulationLedger:
 
 @dataclass
 class SimulationState:
-    params: PlatformParams
-    profiles: list[MinerProfile]
-    policies: list[MinerPolicy]
-    demand: DemandModel
-    mechanism: str
-    seed: int
+    cfg: ExperimentConfig
     ledger: SimulationLedger
     caps: np.ndarray
     # Per-run constants: each static miner's allocation (None for the other
@@ -167,31 +132,19 @@ class SimulationState:
     next_round: int = 1
 
 
-def init_state(
-    params: PlatformParams,
-    profiles: list[MinerProfile],
-    policies: list[MinerPolicy],
-    demand: DemandModel,
-    mechanism: str,
-    seed: int,
-    rounds: int,
-) -> SimulationState:
-    """A state whose ledger has room for `rounds` rounds."""
+def init_state(cfg: ExperimentConfig) -> SimulationState:
+    """A state before round 1 whose ledger has room for cfg.rounds rounds."""
+    profiles, params = cfg.profiles, cfg.platform
     n = len(profiles)
     caps = np.array([p.capacity_A for p in profiles], dtype=float)
     unit, numerator = subsidy_terms(caps, np.array([c_tilde(p) for p in profiles]), params)
     return SimulationState(
-        params=params,
-        profiles=profiles,
-        policies=policies,
-        demand=demand,
-        mechanism=mechanism,
-        seed=seed,
-        ledger=SimulationLedger.empty(rounds, n, params.p),
+        cfg=cfg,
+        ledger=SimulationLedger.empty(cfg.rounds, n, params.p),
         caps=caps,
         static_a=[
             min(pol.a, prof.capacity_A) if pol.kind == "static" else None
-            for pol, prof in zip(policies, profiles)
+            for pol, prof in zip(cfg.policies, profiles)
         ],
         unit=unit,
         numerator=numerator,
@@ -205,15 +158,13 @@ def step_round(state: SimulationState) -> None:
     All policies decide synchronously from rounds < j, then demand and the
     outputs are drawn from the round's substream.
     """
-    j = state.next_round
-    row, params, led = j - 1, state.params, state.ledger
-    rng = substream(state.seed, TAG_ROUND, j)
-    M = sample_demand(state.demand, rng)
+    j, cfg = state.next_round, state.cfg
+    row, params, led = j - 1, cfg.platform, state.ledger
+    rng = substream(cfg.seed, TAG_ROUND, j)
+    M = sample_demand(cfg.demand, rng)
     if not 0 < M < math.inf:
         # a demand whose draws underflow to 0 (the pps ratio divides by M) or
         # overflow to inf (the budget ratio would read 0)
-        from .config import ConfigError
-
         raise ConfigError("demand", f"round {j} drew M = {M!r}; demand draws must lie in (0, inf)")
     # a static miner's min(a, A) is fixed in init_state (MinerPolicy rejects a
     # negative or NaN a), so only the allocations policies compute are checked
@@ -221,17 +172,15 @@ def step_round(state: SimulationState) -> None:
     for i, s in enumerate(state.static_a):
         if s is None:
             s = _policy_allocation(state, i)
-            profile = state.profiles[i]
-            if not 0 <= s <= profile.capacity_A:
-                raise ValueError(
-                    f"allocation {s} outside [0, {profile.capacity_A}] for miner {profile.id}"
-                )
+            cap = cfg.profiles[i].capacity_A
+            if not 0 <= s <= cap:
+                raise ValueError(f"allocation {s} outside [0, {cap}] for miner {i}")
         alloc.append(s)
     a = np.array(alloc)
     d = sample_transcript(params, a, rng)
     total = float(d.sum())
 
-    if state.mechanism == "pps":
+    if cfg.mechanism == "pps":
         rewards = pps_reward(d, total, M, params)
         # analytic ratio (b/p) * (min{|D|, M} / M): equals the summed form in
         # real arithmetic but cannot exceed b/p by a rounding ulp
@@ -252,7 +201,7 @@ def step_round(state: SimulationState) -> None:
     state.next_round += 1
 
 
-def run_simulation(config) -> SimulationLedger:
+def run_simulation(config: ExperimentConfig) -> SimulationLedger:
     """Run the repeated game for config.rounds rounds.
 
     Bit-reproducible for a given config (its seed included; run another seed
@@ -261,15 +210,7 @@ def run_simulation(config) -> SimulationLedger:
     """
     if config.rounds < 1:
         raise ValueError("rounds must be at least 1")
-    state = init_state(
-        params=config.platform,
-        profiles=config.profiles,
-        policies=config.policies,
-        demand=config.demand,
-        mechanism=config.mechanism,
-        seed=config.seed,
-        rounds=config.rounds,
-    )
+    state = init_state(config)
     for _ in range(config.rounds):
         step_round(state)
     return state.ledger

@@ -121,9 +121,9 @@ def cost_marginal(cost: CostFunction, a) -> float:
 
 @dataclass(frozen=True)
 class MinerProfile:
-    """Economic identity of one miner: capacity plus opportunity cost."""
+    """Economic identity of one miner: capacity plus opportunity cost. A
+    miner is its index in the config's profiles and policies."""
 
-    id: int
     capacity_A: float
     cost: CostFunction
 
@@ -135,6 +135,38 @@ class MinerProfile:
 def c_tilde(profile: MinerProfile) -> float:
     """Marginal opportunity cost at full capacity, C'(A); maximal on [0, A]."""
     return float(cost_marginal(profile.cost, profile.capacity_A))
+
+
+@dataclass(frozen=True)
+class MinerPolicy:
+    """Policy kinds: static(a), myopic_br(grid, replicas), delta_adaptive(step, floor).
+
+    myopic_br maximises the raw expected payoff under both mechanisms (exact
+    under pps, Monte Carlo under ppss), not the floor objective that ppss
+    incentive verdicts use: the raw payoff is what a myopic miner actually
+    earns in the round it plays.
+    """
+
+    kind: str
+    a: float = 0.0
+    grid: int = 64
+    replicas: int = 2000
+    step: float = 0.5
+    floor: float = 0.0
+
+    def __post_init__(self):
+        if self.kind not in ("static", "myopic_br", "delta_adaptive"):
+            raise ValueError(f"unknown policy kind {self.kind!r}")
+        if self.kind == "static" and not self.a >= 0:
+            raise ValueError("static allocation a must be nonnegative")
+        if self.kind == "myopic_br" and self.grid < 2:
+            raise ValueError("myopic_br grid must be at least 2")
+        if self.kind == "myopic_br" and self.replicas < 1:
+            raise ValueError("myopic_br replicas must be at least 1")
+        if self.kind == "delta_adaptive" and not 0 < self.step < 1:
+            raise ValueError("delta_adaptive step must lie in (0, 1)")
+        if self.kind == "delta_adaptive" and not self.floor >= 0:
+            raise ValueError("delta_adaptive floor must be nonnegative")
 
 
 @dataclass(frozen=True)

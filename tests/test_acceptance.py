@@ -106,7 +106,7 @@ def test_criterion_2_best_response_branches():
     t0 = time.time()
     results = {}
     for label, r in (("cheap", 0.5 * 2.0), ("dear", 1.5 * 2.0)):
-        profs = [MinerProfile(id=0, capacity_A=10.0,
+        profs = [MinerProfile(capacity_A=10.0,
                               cost=CostFunction(family="linear", r=r))]
         results[label] = best_response(
             "pps", 0, np.array([10.0]), params, profs, demand,
@@ -129,7 +129,7 @@ def test_criterion_3_marginal_cost_threshold():
     passes = []
     for s in scales:
         c = s * 1.0 * 2.0 / 2.0  # power q=2, A=1: C'(A) = 2c = s*b*k
-        profs = [MinerProfile(id=0, capacity_A=1.0,
+        profs = [MinerProfile(capacity_A=1.0,
                               cost=CostFunction(family="power", c=float(c), q=2.0))]
         verdicts = ocdic_check("pps", params, profs, demand)
         passes.append(verdicts[0]["passed"])
@@ -145,8 +145,8 @@ def test_criterion_3_marginal_cost_threshold():
 def test_criterion_4_shortfall_counterexample_and_exploitation():
     params = PlatformParams(p=1.0, b=1.0, k=10.0)
     profs = [
-        MinerProfile(id=i, capacity_A=1.0, cost=CostFunction(family="linear", r=1.0))
-        for i in range(2)
+        MinerProfile(capacity_A=1.0, cost=CostFunction(family="linear", r=1.0))
+        for _ in range(2)
     ]
     verdicts = docdic_check("pps", params, profs, realized_M=2.0)
     argmaxes = [v["argmax"] for v in verdicts]

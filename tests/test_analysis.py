@@ -38,15 +38,15 @@ PROB_LOWER_AT_CAPACITY = 0.022877793471864133  # 1 - 0.8*e^0.2
 G_AT_D90 = 6767.2056129294915  # 0.5*90 / K(x=8/9)
 
 
-def linear_miner(i=0, A=1.0, r=1.0):
-    return MinerProfile(id=i, capacity_A=A, cost=CostFunction(family="linear", r=r))
+def linear_miner(A=1.0, r=1.0):
+    return MinerProfile(capacity_A=A, cost=CostFunction(family="linear", r=r))
 
 
 class TestClosedForm:
     """Limits of the exact pps expected payoff pps_expected_payoff."""
 
     PARAMS = PlatformParams(p=1.0, b=1.5, k=2.0)
-    PROFS = [linear_miner(0, A=10.0, r=0.5), linear_miner(1, A=30.0, r=0.5)]
+    PROFS = [linear_miner(A=10.0, r=0.5), linear_miner(A=30.0, r=0.5)]
 
     def _reward(self, allocs, demand):
         payoff = pps_expected_payoff(0, allocs, self.PARAMS, self.PROFS, demand)
@@ -81,7 +81,7 @@ class TestClosedForm:
 class TestExpectedPayoffMc:
     def test_zero_strategy_is_exactly_zero(self):
         params = PlatformParams(p=1.0, b=1.0, k=2.0)
-        profs = [linear_miner(0, A=10.0, r=1.0)]
+        profs = [linear_miner(A=10.0, r=1.0)]
         demand = DemandModel(family="constant", M=100.0)
         est = expected_payoff_mc(
             "pps", 0, [0.0], params, profs, demand,
@@ -93,7 +93,7 @@ class TestExpectedPayoffMc:
     def test_single_miner_matches_linear_payoff(self):
         # E[payoff] = b*k*a - r*a = 20 - 10 = 10 in the demand-dominant regime
         params = PlatformParams(p=1.0, b=1.0, k=2.0)
-        profs = [linear_miner(0, A=10.0, r=1.0)]
+        profs = [linear_miner(A=10.0, r=1.0)]
         demand = DemandModel(family="constant", M=1000.0)
         est = expected_payoff_mc(
             "pps", 0, [10.0], params, profs, demand,
@@ -103,7 +103,7 @@ class TestExpectedPayoffMc:
 
     def test_two_miner_reward_share(self):
         params = PlatformParams(p=1.0, b=1.0, k=2.0)
-        profs = [linear_miner(0, A=10.0, r=1.0), linear_miner(1, A=30.0, r=1.0)]
+        profs = [linear_miner(A=10.0, r=1.0), linear_miner(A=30.0, r=1.0)]
         demand = DemandModel(family="constant", M=1000.0)
         est = expected_payoff_mc(
             "pps", 0, [10.0, 30.0], params, profs, demand,
@@ -122,7 +122,7 @@ class TestExpectedPayoffMc:
             caps = rng.uniform(1.0, 5.0, n)
             allocs = caps * rng.uniform(0.2, 1.0, n)
             params = PlatformParams(p=1.0, b=b, k=k)
-            profs = [linear_miner(i, A=float(caps[i]), r=0.5) for i in range(n)]
+            profs = [linear_miner(A=float(caps[i]), r=0.5) for i in range(n)]
             demand = DemandModel(family="constant", M=3.0 * k * float(caps.sum()))
             est = expected_payoff_mc(
                 "pps", 0, allocs, params, profs, demand,
@@ -170,7 +170,7 @@ class TestFloorPayoff:
 
     def test_nondecreasing_up_to_capacity(self):
         cost = CostFunction(family="power", c=0.7, q=3.0)
-        prof = MinerProfile(id=0, capacity_A=4.0, cost=cost)
+        prof = MinerProfile(capacity_A=4.0, cost=cost)
         ct = 0.7 * 3.0 * 4.0**2
         vals = [floor_payoff(a, ct, cost) for a in np.linspace(0.0, 4.0, 200)]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
@@ -179,7 +179,7 @@ class TestFloorPayoff:
 class TestBestResponse:
     def test_pps_cheap_cost_full_capacity(self):
         params = PlatformParams(p=1.0, b=1.0, k=2.0)
-        profs = [linear_miner(0, A=10.0, r=0.5)]
+        profs = [linear_miner(A=10.0, r=0.5)]
         demand = DemandModel(family="constant", M=100.0)
         br = best_response(
             "pps", 0, np.array([10.0]), params, profs, demand,
@@ -190,7 +190,7 @@ class TestBestResponse:
 
     def test_pps_expensive_cost_zero(self):
         params = PlatformParams(p=1.0, b=1.0, k=2.0)
-        profs = [linear_miner(0, A=10.0, r=3.0)]
+        profs = [linear_miner(A=10.0, r=3.0)]
         demand = DemandModel(family="constant", M=100.0)
         br = best_response(
             "pps", 0, np.array([10.0]), params, profs, demand,
@@ -202,7 +202,7 @@ class TestBestResponse:
     def test_floor_objective_power_cost(self):
         params = PlatformParams(p=1.0, b=1.0, k=2.0)
         cost = CostFunction(family="power", c=1.0, q=2.0)
-        profs = [MinerProfile(id=0, capacity_A=5.0, cost=cost)]
+        profs = [MinerProfile(capacity_A=5.0, cost=cost)]
         demand = DemandModel(family="constant", M=100.0)
         br = best_response(
             "ppss", 0, np.array([5.0]), params, profs, demand,
@@ -215,7 +215,7 @@ class TestBestResponse:
     def test_flat_objective_ties_toward_capacity(self):
         # linear cost with c~ = r makes the floor identically zero
         params = PlatformParams(p=1.0, b=1.0, k=2.0)
-        profs = [linear_miner(0, A=3.0, r=1.0)]
+        profs = [linear_miner(A=3.0, r=1.0)]
         demand = DemandModel(family="constant", M=100.0)
         br = best_response(
             "ppss", 0, np.array([3.0]), params, profs, demand,
@@ -225,7 +225,7 @@ class TestBestResponse:
 
     def test_curve_shape(self):
         params = PlatformParams(p=1.0, b=1.0, k=2.0)
-        profs = [linear_miner(0, A=2.0, r=0.5)]
+        profs = [linear_miner(A=2.0, r=0.5)]
         demand = DemandModel(family="constant", M=50.0)
         curve = best_response(
             "pps", 0, np.array([2.0]), params, profs, demand,
@@ -237,7 +237,7 @@ class TestBestResponse:
 
     def test_rejects_bad_arguments(self):
         params = PlatformParams(p=1.0, b=1.0, k=2.0)
-        profs = [linear_miner(0)]
+        profs = [linear_miner()]
         demand = DemandModel(family="constant", M=10.0)
         with pytest.raises(ValueError):
             best_response("pps", 0, np.array([1.0]), params, profs, demand, grid_points=1)
@@ -252,7 +252,7 @@ class TestOcdicCheck:
     DEMAND = DemandModel(family="constant", M=100.0)
 
     def test_pps_cheap_cost_passes(self):
-        profs = [linear_miner(0, A=5.0, r=0.5), linear_miner(1, A=5.0, r=0.5)]
+        profs = [linear_miner(A=5.0, r=0.5), linear_miner(A=5.0, r=0.5)]
         verdicts = ocdic_check("pps", self.PARAMS, profs, self.DEMAND)
         assert all(v["passed"] for v in verdicts)
 
@@ -260,7 +260,7 @@ class TestOcdicCheck:
         # C'(A) = 2cA crosses b*k = 2 at c = 1/A = 1
         for c, expect_pass in ((0.8, True), (1.2, False)):
             cost = CostFunction(family="power", c=c, q=2.0)
-            profs = [MinerProfile(id=0, capacity_A=1.0, cost=cost)]
+            profs = [MinerProfile(capacity_A=1.0, cost=cost)]
             verdicts = ocdic_check("pps", self.PARAMS, profs, self.DEMAND)
             assert verdicts[0]["passed"] is expect_pass
             if not expect_pass:
@@ -268,7 +268,7 @@ class TestOcdicCheck:
                 assert 0.6 <= verdicts[0]["argmax"] <= 0.95
 
     def test_ppss_uses_floor_objective_by_default(self):
-        profs = [linear_miner(0, A=1.0, r=150.0)]
+        profs = [linear_miner(A=1.0, r=150.0)]
         params = PlatformParams(p=1.0, b=1.0, k=100.0, lam=0.8)
         demand = DemandModel(family="constant", M=300.0)
         verdicts = ocdic_check("ppss", params, profs, demand)
@@ -280,7 +280,7 @@ class TestDocdicCheck:
     def test_pps_shortfall_counterexample(self):
         # two miners, A=1, k=10, b=1, r=1, realized M=2: interior optimum
         params = PlatformParams(p=1.0, b=1.0, k=10.0)
-        profs = [linear_miner(0), linear_miner(1)]
+        profs = [linear_miner(), linear_miner()]
         verdicts = docdic_check("pps", params, profs, realized_M=2.0)
         for v in verdicts:
             assert not v["passed"]
@@ -288,13 +288,13 @@ class TestDocdicCheck:
 
     def test_pps_demand_dominant_round_passes(self):
         params = PlatformParams(p=1.0, b=1.0, k=2.0)
-        profs = [linear_miner(0, A=2.0, r=0.5), linear_miner(1, A=2.0, r=0.5)]
+        profs = [linear_miner(A=2.0, r=0.5), linear_miner(A=2.0, r=0.5)]
         verdicts = docdic_check("pps", params, profs, realized_M=50.0)
         assert all(v["passed"] for v in verdicts)
 
     def test_ppss_warm_windows_pass_with_diagnostic(self):
         params = PlatformParams(p=1.0, b=1.0, k=100.0, lam=0.8, window_N=5)
-        profs = [linear_miner(0, A=1.0, r=150.0)]
+        profs = [linear_miner(A=1.0, r=150.0)]
         windows = [(400.0, 4)]  # the last N-1 = 4 rounds at 100 each
         verdicts = docdic_check("ppss", params, profs, realized_M=300.0)
         assert verdicts[0]["passed"]
@@ -310,7 +310,7 @@ class TestDocdicCheck:
     def test_rejects_nonpositive_demand(self):
         params = PlatformParams(p=1.0, b=1.0, k=2.0)
         with pytest.raises(ValueError):
-            docdic_check("pps", params, [linear_miner(0)], realized_M=0.0)
+            docdic_check("pps", params, [linear_miner()], realized_M=0.0)
 
 
 class TestChernoff:
@@ -380,7 +380,7 @@ class TestSubsidyProbLower:
             lam = float(rng.uniform(0.05, 0.95))
             k = float(rng.uniform(0.5, 200.0))
             params = PlatformParams(p=1.0, b=1.0, k=k, lam=lam)
-            prof = linear_miner(0, A=A, r=1.0)
+            prof = linear_miner(A=A, r=1.0)
             lhs = subsidy_prob_lower(a, A, lam)
             rhs = max(0.0, float(subsidy_shape(a * k, prof.capacity_A, params)))
             assert abs(lhs - rhs) <= 1e-12
@@ -388,10 +388,10 @@ class TestSubsidyProbLower:
 
 class TestGFunction:
     PARAMS = PlatformParams(p=1.0, b=1.0, k=100.0, lam=0.8)
-    PROF = linear_miner(0, A=1.0, r=150.0)
+    PROF = linear_miner(A=1.0, r=150.0)
 
     def test_zero_numerator(self):
-        prof = linear_miner(0, A=1.0, r=150.0)
+        prof = linear_miner(A=1.0, r=150.0)
         out = g_function(np.array([50.0, 90.0, 500.0]), 100.0, self.PARAMS, prof)
         assert np.all(out == 0.0)
 
@@ -447,7 +447,7 @@ class TestBudgetAudit:
 class TestBrDynamics:
     def test_cheap_cost_converges_to_capacity_immediately(self):
         params = PlatformParams(p=1.0, b=1.0, k=2.0)
-        profs = [linear_miner(0, A=3.0, r=0.5), linear_miner(1, A=2.0, r=0.5)]
+        profs = [linear_miner(A=3.0, r=0.5), linear_miner(A=2.0, r=0.5)]
         demand = DemandModel(family="constant", M=50.0)
         out = br_dynamics("pps", params, profs, demand)
         assert out["converged"]
@@ -456,7 +456,7 @@ class TestBrDynamics:
 
     def test_expensive_cost_converges_to_zero(self):
         params = PlatformParams(p=1.0, b=1.0, k=2.0)
-        profs = [linear_miner(0, A=3.0, r=3.0), linear_miner(1, A=2.0, r=3.0)]
+        profs = [linear_miner(A=3.0, r=3.0), linear_miner(A=2.0, r=3.0)]
         demand = DemandModel(family="constant", M=50.0)
         out = br_dynamics("pps", params, profs, demand, start=[3.0, 2.0])
         assert out["converged"]
@@ -466,7 +466,7 @@ class TestBrDynamics:
         # symmetric first-order condition M*a_other/(a + a_other)^2 = r
         # at M=2, r=1 gives a = M/(4r) = 0.5 for each miner
         params = PlatformParams(p=1.0, b=1.0, k=10.0)
-        profs = [linear_miner(0), linear_miner(1)]
+        profs = [linear_miner(), linear_miner()]
         demand = DemandModel(family="constant", M=2.0)
         out = br_dynamics("pps", params, profs, demand, start=[1.0, 1.0])
         assert out["converged"]
@@ -474,7 +474,7 @@ class TestBrDynamics:
 
     def test_fixed_point_is_mutual_best_response(self):
         params = PlatformParams(p=1.0, b=1.0, k=10.0)
-        profs = [linear_miner(0), linear_miner(1)]
+        profs = [linear_miner(), linear_miner()]
         demand = DemandModel(family="constant", M=2.0)
         out = br_dynamics("pps", params, profs, demand, start=[1.0, 1.0])
         fp = out["fixed_point"]
@@ -487,7 +487,7 @@ class TestBrDynamics:
 
     def test_non_convergence_reported(self):
         params = PlatformParams(p=1.0, b=1.0, k=10.0)
-        profs = [linear_miner(0), linear_miner(1)]
+        profs = [linear_miner(), linear_miner()]
         demand = DemandModel(family="constant", M=2.0)
         out = br_dynamics("pps", params, profs, demand, max_iters=1, start=[1.0, 1.0])
         assert not out["converged"]
@@ -497,5 +497,5 @@ class TestBrDynamics:
     def test_rejects_bad_iteration_count(self):
         params = PlatformParams(p=1.0, b=1.0, k=1.0)
         with pytest.raises(ValueError):
-            br_dynamics("pps", params, [linear_miner(0)],
+            br_dynamics("pps", params, [linear_miner()],
                         DemandModel(family="constant", M=5.0), max_iters=0)

@@ -244,6 +244,14 @@ class TestVerify:
         _, rows = read_csv(os.path.join(tmp_out, "theorem_report.csv"))
         assert rows[0][3] == "FAIL"
 
+    @pytest.mark.parametrize("names", [",", " , ", ""])
+    def test_theorems_naming_none_exits_2(self, config_path, tmp_out, capsys, names):
+        assert main([
+            "verify", "--config", config_path(), "--out", tmp_out, "--theorems", names,
+        ]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(tmp_out, "theorem_report.csv"))
+
     def test_unknown_theorem_exits_2(self, config_path, tmp_out):
         assert main([
             "verify", "--config", config_path(), "--out", tmp_out, "--theorems", "T9",

@@ -51,7 +51,7 @@ class TestDefaults:
             {"capacity_A": 2.0, "cost": {"family": "power", "c": 1.0, "q": 2.0}},
         ])
         profs = quiet_parse(data).profiles
-        assert [p.id for p in profs] == [0, 1]
+        assert [p.capacity_A for p in profs] == [4.0, 2.0]
         assert profs[1].cost.family == "power"
 
 

@@ -7,17 +7,12 @@ import pytest
 from hypothesis import given, settings
 
 from poolsim import analysis, engine
-from poolsim.engine import (
-    MinerPolicy,
-    delta_adaptive_policy,
-    init_state,
-    run_simulation,
-    step_round,
-)
+from poolsim.engine import delta_adaptive_policy, init_state, run_simulation, step_round
 from poolsim.mechanisms import pps_reward, ppss_reward, subsidy_terms
 from poolsim.model import (
     CostFunction,
     DemandModel,
+    MinerPolicy,
     MinerProfile,
     c_tilde,
     sample_demand,
@@ -59,18 +54,18 @@ class TestPolicies:
             MinerPolicy(kind="myopic_br", replicas=0)
 
     def test_delta_adaptive_returns_to_capacity_without_shortfall(self):
-        prof = MinerProfile(id=0, capacity_A=2.0, cost=CostFunction(family="linear", r=1.0))
+        prof = MinerProfile(capacity_A=2.0, cost=CostFunction(family="linear", r=1.0))
         policy = MinerPolicy(kind="delta_adaptive", step=0.5, floor=0.0)
         assert delta_adaptive_policy(1.0, 2.0, prof, policy) == 2.0
         assert delta_adaptive_policy(1.0, 0.5, prof, policy) == 1.0
 
     def test_delta_adaptive_halves_on_shortfall(self):
-        prof = MinerProfile(id=0, capacity_A=2.0, cost=CostFunction(family="linear", r=1.0))
+        prof = MinerProfile(capacity_A=2.0, cost=CostFunction(family="linear", r=1.0))
         policy = MinerPolicy(kind="delta_adaptive", step=0.5, floor=0.0)
         assert delta_adaptive_policy(0.5, 1.0, prof, policy) == 0.5
 
     def test_delta_adaptive_respects_floor(self):
-        prof = MinerProfile(id=0, capacity_A=2.0, cost=CostFunction(family="linear", r=1.0))
+        prof = MinerProfile(capacity_A=2.0, cost=CostFunction(family="linear", r=1.0))
         policy = MinerPolicy(kind="delta_adaptive", step=0.5, floor=0.4)
         assert delta_adaptive_policy(0.3, 0.5, prof, policy) == 0.4
 
@@ -206,10 +201,7 @@ class TestStepRound:
     def test_windows_grow_then_evict(self):
         cfg = base_config(rounds=1)
         N = cfg.platform.window_N
-        state = init_state(
-            params=cfg.platform, profiles=cfg.profiles, policies=cfg.policies,
-            demand=cfg.demand, mechanism="pps", seed=0, rounds=N + 7,
-        )
+        state = init_state(replace(cfg, mechanism="pps", seed=0, rounds=N + 7))
         led = state.ledger
         for expected_len in (1, 2, 3):
             step_round(state)
@@ -234,10 +226,7 @@ class TestStepRound:
     def test_round_indices_strictly_increasing(self):
         # row j-1 holds round j, and step_round fills the rows in order
         cfg = base_config(rounds=20)
-        state = init_state(
-            params=cfg.platform, profiles=cfg.profiles, policies=cfg.policies,
-            demand=cfg.demand, mechanism="pps", seed=cfg.seed, rounds=20,
-        )
+        state = init_state(cfg)
         for j in range(1, 21):
             assert state.next_round == j
             step_round(state)

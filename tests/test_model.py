@@ -115,20 +115,20 @@ class TestCostMarginal:
 
 class TestCTilde:
     def test_power_square_capacity_5(self):
-        prof = MinerProfile(id=0, capacity_A=5.0, cost=SQUARE)
+        prof = MinerProfile(capacity_A=5.0, cost=SQUARE)
         assert c_tilde(prof) == 10.0
 
     def test_linear_150(self):
-        prof = MinerProfile(id=0, capacity_A=1.0, cost=CostFunction(family="linear", r=150.0))
+        prof = MinerProfile(capacity_A=1.0, cost=CostFunction(family="linear", r=150.0))
         assert c_tilde(prof) == 150.0
 
     def test_linear_unit(self):
-        prof = MinerProfile(id=0, capacity_A=7.0, cost=CostFunction(family="linear", r=1.0))
+        prof = MinerProfile(capacity_A=7.0, cost=CostFunction(family="linear", r=1.0))
         assert c_tilde(prof) == 1.0
 
     def test_dominates_marginal_on_capacity_interval(self):
         for cost in (LINEAR2, SQUARE, CostFunction(family="power", c=0.5, q=3.0)):
-            prof = MinerProfile(id=0, capacity_A=4.0, cost=cost)
+            prof = MinerProfile(capacity_A=4.0, cost=cost)
             ct = c_tilde(prof)
             for a in np.linspace(0.0, 4.0, 64):
                 assert ct >= cost_marginal(cost, a) - 1e-12
@@ -249,7 +249,7 @@ class TestGammaSample:
 class TestStrategyProfile:
     def test_validate_bounds(self):
         # a strategy profile is an allocation vector within [0, A_i]
-        profs = [MinerProfile(id=0, capacity_A=2.0, cost=LINEAR2)]
+        profs = [MinerProfile(capacity_A=2.0, cost=LINEAR2)]
         demand = DemandModel(family="constant", M=10.0)
 
         def estimate(a):

@@ -24,14 +24,14 @@ from poolsim.montecarlo import (
 
 PARAMS = PlatformParams(p=1.0, b=1.0, k=2.0, window_N=4)
 PROFILES = [
-    MinerProfile(id=0, capacity_A=5.0, cost=CostFunction(family="linear", r=0.5)),
-    MinerProfile(id=1, capacity_A=5.0, cost=CostFunction(family="linear", r=0.5)),
+    MinerProfile(capacity_A=5.0, cost=CostFunction(family="linear", r=0.5)),
+    MinerProfile(capacity_A=5.0, cost=CostFunction(family="linear", r=0.5)),
 ]
 DEMAND = DemandModel(family="uniform", lo=10.0, hi=30.0)
 # c~/k = 2.5 > b, so the subsidy pays whenever the window indicator fires
 SUBSIDISED = [
-    MinerProfile(id=i, capacity_A=5.0, cost=CostFunction(family="linear", r=5.0))
-    for i in range(2)
+    MinerProfile(capacity_A=5.0, cost=CostFunction(family="linear", r=5.0))
+    for _ in range(2)
 ]
 
 

@@ -41,6 +41,10 @@ class TestHarness:
         with pytest.raises(ValueError):
             run_audits(pps_config(), ["T9"])
 
+    def test_empty_selection_runs_no_audit(self):
+        # only None means "all of T1-T7"
+        assert run_audits(pps_config(), []) == []
+
     def test_row_schema(self):
         rows = run_audits(pps_config(), ["T1"])
         assert len(rows) == 1
