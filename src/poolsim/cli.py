@@ -206,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="YAML experiment config")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.add_argument("--replicas", type=int, default=None, help="replica override")
 
     p = sub.add_parser("simulate", help="run the round loop, emit ledger.csv/summary.csv")
     common(p)
@@ -214,11 +213,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run theorem audits, emit theorem_report.csv")
     common(p)
+    p.add_argument("--replicas", type=int, default=None, help="replica override")
     p.add_argument("--theorems", default=None, help="comma list, e.g. T1,T5")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("best-response", help="best-response curve for one miner")
     common(p)
+    p.add_argument("--replicas", type=int, default=None, help="replica override")
     p.add_argument("--miner", type=int, required=True)
     p.add_argument("--grid", type=int, default=64)
     p.add_argument("--objective", choices=["payoff", "floor"], default=None)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import best_response
-from .config import ConfigError, ExperimentConfig
+from .config import ExperimentConfig
 from .mechanisms import pps_reward, ppss_reward, subsidy_terms
 from .model import (
     DemandModel,
@@ -162,10 +162,6 @@ def step_round(state: SimulationState) -> None:
     row, params, led = j - 1, cfg.platform, state.ledger
     rng = substream(cfg.seed, TAG_ROUND, j)
     M = sample_demand(cfg.demand, rng)
-    if not 0 < M < math.inf:
-        # a demand whose draws underflow to 0 (the pps ratio divides by M) or
-        # overflow to inf (the budget ratio would read 0)
-        raise ConfigError("demand", f"round {j} drew M = {M!r}; demand draws must lie in (0, inf)")
     # a static miner's min(a, A) is fixed in init_state (MinerPolicy rejects a
     # negative or NaN a), so only the allocations policies compute are checked
     alloc = []

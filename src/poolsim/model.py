@@ -33,6 +33,10 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(entropy))
 
 
+# The smallest positive and the largest uniform Generator.random returns.
+U_MIN, U_MAX = 2.0**-53, 1.0 - 2.0**-53
+
+
 @dataclass(frozen=True)
 class PlatformParams:
     """Platform-chosen constants.
@@ -174,8 +178,8 @@ class DemandModel:
     """Per-round demand distribution F with analytic mean mu_F.
 
     Families: constant(M), uniform(lo, hi), gamma(shape, rate),
-    lognormal(mu, sigma). All samples are positive, and mu_F must be
-    finite and positive.
+    lognormal(mu, sigma). mu_F must be finite and positive, and so must
+    ppf at U_MIN and at U_MAX, which bound every draw.
     """
 
     family: str
@@ -204,6 +208,11 @@ class DemandModel:
             raise ValueError(f"unknown demand family {self.family!r}")
         if not 0 < self.mu_F < math.inf:
             raise ValueError(f"demand mean mu_F must be finite and positive, got {self.mu_F}")
+        # ppf is monotone, so its values at the extreme uniforms bound every draw
+        with np.errstate(over="ignore"):
+            lo, hi = float(self.ppf(U_MIN)), float(self.ppf(U_MAX))
+        if not 0 < lo <= hi < math.inf:
+            raise ValueError(f"demand draws must lie in (0, inf); its quantiles span [{lo}, {hi}]")
 
     @property
     def mu_F(self) -> float:
@@ -220,34 +229,21 @@ class DemandModel:
             return math.inf
 
     def ppf(self, u):
-        """Quantile function; used for common-random-number sampling.
-
-        A quantile past the float range is demand no supply reaches, where
-        min(|D|, M) = |D|; it is capped at the largest float, which gives
-        that without inf * 0.
-        """
-        u = np.asarray(u, dtype=float)
-        if self.family == "constant":
-            return np.full_like(u, self.M)
+        """Quantile function at u (a float or an array), the demand's only
+        sampler; gamma and lognormal read u below U_MIN (an exact 0) as U_MIN."""
         if self.family == "uniform":
             return self.lo + (self.hi - self.lo) * u
-        with np.errstate(over="ignore"):
-            if self.family == "gamma":
-                q = special.gammaincinv(self.shape, u) / self.rate
-            else:
-                q = np.exp(self.mu + self.sigma * special.ndtri(u))
-        return np.minimum(q, np.finfo(float).max)
+        u = np.maximum(u, U_MIN)
+        if self.family == "constant":
+            return np.full_like(u, self.M)
+        if self.family == "gamma":
+            return special.gammaincinv(self.shape, u) / self.rate
+        return np.exp(self.mu + self.sigma * special.ndtri(u))
 
 
 def sample_demand(model: DemandModel, rng: np.random.Generator) -> float:
-    """One positive demand draw M_j."""
-    if model.family == "constant":
-        return model.M
-    if model.family == "uniform":
-        return float(rng.uniform(model.lo, model.hi))
-    if model.family == "gamma":
-        return float(rng.gamma(model.shape) / model.rate)
-    return float(rng.lognormal(model.mu, model.sigma))
+    """One demand draw M_j = ppf(u), u the stream's next uniform; a constant draws nothing."""
+    return model.M if model.family == "constant" else float(model.ppf(rng.random()))
 
 
 def sample_transcript(params: PlatformParams, allocations, rng: np.random.Generator) -> np.ndarray:

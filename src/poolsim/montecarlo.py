@@ -114,6 +114,8 @@ def payoff_samples(
     fixed_windows: list[tuple[float, int]] | None = None,
 ) -> np.ndarray:
     """Per-replica payoff draws for one miner, in replica order."""
+    if replicas < 1:
+        raise ValueError("replicas must be at least 1")
     allocations = np.asarray(allocations, dtype=float)
     n_blocks = (replicas + BLOCK_SIZE - 1) // BLOCK_SIZE
     out = np.empty(replicas)

@@ -53,11 +53,13 @@ class TestClosedForm:
         return payoff + cost_eval(self.PROFS[0].cost, allocs[0])
 
     def test_demand_dominant_branch(self):
-        # M far above |D| almost surely: min{|D|, M} = |D|, so E[R_0] = b*k*a_0;
-        # the lognormal's upper quantile nodes overflow to inf
+        # M far above |D| almost surely: min{|D|, M} = |D|, so E[R_0] = b*k*a_0
         for demand in (DemandModel(family="constant", M=1e6),
-                       DemandModel(family="lognormal", mu=695.0, sigma=5.0)):
+                       DemandModel(family="lognormal", mu=50.0, sigma=1.0)):
             assert self._reward([10.0, 30.0], demand) == pytest.approx(30.0, rel=1e-12)
+        # a heavier lognormal whose upper quantiles overflow to inf cannot be built
+        with pytest.raises(ValueError):
+            DemandModel(family="lognormal", mu=695.0, sigma=5.0)
 
     def test_supply_dominant_branch(self):
         # M -> 0: min{|D|, M} = M, so E[R_0] = b * (s_0/s) * M
@@ -79,6 +81,18 @@ class TestClosedForm:
 
 
 class TestExpectedPayoffMc:
+    @pytest.mark.parametrize("replicas", [0, -1])
+    def test_replicas_below_one_rejected(self, replicas):
+        params = PlatformParams(p=1.0, b=1.0, k=2.0)
+        profs = [linear_miner(A=10.0, r=1.0), linear_miner(A=10.0, r=1.0)]
+        demand = DemandModel(family="constant", M=100.0)
+        with pytest.raises(ValueError, match="replicas must be at least 1"):
+            expected_payoff_mc("ppss", 0, [5.0, 10.0], params, profs, demand,
+                               replicas=replicas, seed=0)
+        with pytest.raises(ValueError, match="replicas must be at least 1"):
+            best_response("ppss", 0, np.array([10.0, 10.0]), params, profs, demand,
+                          grid_points=2, replicas=replicas, objective="payoff")
+
     def test_zero_strategy_is_exactly_zero(self):
         params = PlatformParams(p=1.0, b=1.0, k=2.0)
         profs = [linear_miner(A=10.0, r=1.0)]

@@ -122,12 +122,12 @@ class TestSimulate:
         {"demand": {"family": "gamma", "shape": 1.0, "rate": 1.0e-320}},
         {"rounds": 2.7},
         {"rounds": 10**20},
-        # the mean exp(-740 + 12.5) is a positive subnormal, so this parses,
-        # but about one draw in five underflows to M = 0
+        # the mean exp(-740 + 12.5) is a positive subnormal, but about one
+        # quantile in five underflows to M = 0
         {"demand": {"family": "lognormal", "mu": -740.0, "sigma": 5.0}},
         {"rounds": 2**62},  # fits in int64, but not the ledger size limit
-        # the mean exp(709.705) is finite, but under seed 3 draws overflow to
-        # M = inf from round 7 on
+        # the mean exp(709.705) is finite, but about one quantile in five
+        # overflows to M = inf
         {"demand": {"family": "lognormal", "mu": 709.7, "sigma": 0.1}},
     ])
     def test_bad_config_value_exits_2(self, change, config_path, tmp_out, capsys):
@@ -207,10 +207,11 @@ def test_commands_exit_0_2_or_3(data):
         with open(path, "w") as fh:
             yaml.safe_dump(data, fh)  # json.dump writes 1e-05, which YAML reads as a string
         for command, *extra in (
-            ["simulate"], ["verify"],
-            ["best-response", "--miner", "0", "--grid", "4", "--objective", "payoff"],
+            ["simulate"], ["verify", "--replicas", "32"],
+            ["best-response", "--replicas", "32", "--miner", "0", "--grid", "4",
+             "--objective", "payoff"],
         ):
-            argv = [command, "--config", path, "--out", tmp, "--replicas", "32", *extra]
+            argv = [command, "--config", path, "--out", tmp, *extra]
             assert main(argv) in (0, 2, 3)
 
 
@@ -292,15 +293,21 @@ class TestBestResponse:
         _, rows = read_csv(str(tmp_path / "out-16" / "br_curve.csv"))
         assert {row[2] for row in rows} == {"0"}
 
-    def test_overflowing_demand_quantile_is_capped(self, config_path, tmp_out):
+    def test_overflowing_demand_quantile_exits_2(self, config_path, tmp_out, capsys):
         # the mean exp(695 + 12.5) is finite, but about 0.15% of the demand
-        # quantiles overflow; ppf caps them, so no overflow warning is raised
-        # (pytest turns one into an error)
-        data = dict(PPSS_CONFIG, demand={"family": "lognormal", "mu": 695.0, "sigma": 5.0})
-        assert main([
-            "best-response", "--config", config_path(data), "--out", tmp_out,
-            "--miner", "0", "--grid", "2", "--replicas", "4000", "--objective", "payoff",
-        ]) == 0
+        # quantiles overflow, so every command rejects the config before it
+        # draws anything
+        data = dict(PPSS_CONFIG, demand={"family": "lognormal", "mu": 695.0, "sigma": 5.0},
+                    rounds=3000)
+        path = config_path(data)
+        for argv in (
+            ["simulate"], ["verify"],
+            ["best-response", "--miner", "0", "--grid", "2", "--replicas", "4000",
+             "--objective", "payoff"],
+        ):
+            assert main([*argv, "--config", path, "--out", tmp_out]) == 2
+            assert "demand" in capsys.readouterr().err
+        assert os.listdir(tmp_out) == []
 
     def test_grid_below_two_exits_2(self, config_path, tmp_out, capsys):
         assert main([
@@ -329,8 +336,17 @@ class TestSweep:
     def test_bad_override_exits_2(self, config_path, tmp_out):
         assert main([
             "sweep", "--config", config_path(), "--out", tmp_out,
-            "--axis", "platform.k=1:2:2", "--replicas", "0",
+            "--axis", "platform.k=1:2:2", "--seed", "-1",
         ]) == 2
+
+    @pytest.mark.parametrize("command", [["simulate"], ["sweep", "--axis", "platform.k=1:2:2"]],
+                             ids=["simulate", "sweep"])
+    def test_replicas_flag_is_a_usage_error(self, command, config_path, tmp_out, capsys):
+        # neither command reads replicas, so neither takes the flag
+        with pytest.raises(SystemExit) as e:
+            main([*command, "--config", config_path(), "--out", tmp_out, "--replicas", "1"])
+        assert e.value.code == 2
+        assert "unrecognized arguments: --replicas 1" in capsys.readouterr().err
 
     def test_malformed_axis_exits_2(self, config_path, tmp_out):
         assert main([
@@ -365,14 +381,15 @@ class TestSweep:
     @pytest.mark.parametrize("mechanism", ["pps", "ppss"])
     def test_sweep_does_not_depend_on_replicas(self, mechanism, config_path, tmp_path):
         # verdicts are deterministic and the simulation draws from the seed alone
-        path = config_path(dict(PPSS_CONFIG, mechanism=mechanism))
         sweeps = []
-        for replicas in ("1", "9000"):
+        for replicas in (1, 9000):
+            path = config_path(dict(PPSS_CONFIG, mechanism=mechanism, replicas=replicas),
+                               name=f"exp-{replicas}.yaml")
             out = tmp_path / f"out-{replicas}"
             out.mkdir()
             assert main([
                 "sweep", "--config", path, "--out", str(out),
-                "--axis", "platform.lambda=0.7:0.9:3", "--replicas", replicas,
+                "--axis", "platform.lambda=0.7:0.9:3",
             ]) == 0
             sweeps.append((out / "sweep.csv").read_bytes())
         assert sweeps[0] == sweeps[1]

@@ -16,6 +16,7 @@ from poolsim.model import (
     MinerProfile,
     c_tilde,
     sample_demand,
+    sample_transcript,
     substream,
 )
 
@@ -370,6 +371,22 @@ class TestReproducibility:
                     d[i] = rng.gamma(cfg.platform.k * a)
             assert led.M[row] == M
             assert np.array_equal(led.D[row], d)
+
+    @given(small_configs())
+    @settings(max_examples=40, deadline=None)
+    def test_demand_is_ppf_of_the_rounds_first_uniform(self, data):
+        # for every family M_j = ppf(u), u the first uniform of round j's
+        # stream; a constant demand draws nothing, so the outputs start the
+        # stream
+        cfg = quiet_parse(data)
+        led = run_simulation(cfg)
+        for row in range(led.rounds):
+            rng = substream(cfg.seed, engine.TAG_ROUND, row + 1)
+            if cfg.demand.family == "constant":
+                assert led.M[row] == cfg.demand.M
+            else:
+                assert led.M[row] == cfg.demand.ppf(rng.random())
+            assert np.array_equal(led.D[row], sample_transcript(cfg.platform, led.a[row], rng))
 
 
 class TestAdaptiveExploitation:

@@ -14,6 +14,8 @@ from poolsim.model import (
     DemandModel,
     MinerProfile,
     PlatformParams,
+    U_MAX,
+    U_MIN,
     c_tilde,
     cost_eval,
     cost_marginal,
@@ -21,6 +23,8 @@ from poolsim.model import (
     sample_transcript,
     substream,
 )
+
+from conftest import _demand
 
 LINEAR2 = CostFunction(family="linear", r=2.0)
 SQUARE = CostFunction(family="power", c=1.0, q=2.0)
@@ -155,11 +159,20 @@ class TestDemand:
         assert all(sample_demand(model, rng) == 40.0 for _ in range(100))
         assert model.mu_F == 40.0
 
+    @staticmethod
+    def _draws(model, count, *key):
+        """`count` successive sample_demand draws from substream(*key), made
+        as one ppf call on the stream's uniforms; the first 1000 are checked
+        against sample_demand itself."""
+        draws = model.ppf(substream(*key).random(count))
+        twin = substream(*key)
+        assert np.array_equal(draws[:1000], [sample_demand(model, twin) for _ in range(1000)])
+        return draws
+
     def test_uniform_mean(self):
         model = DemandModel(family="uniform", lo=30.0, hi=50.0)
         assert model.mu_F == 40.0
-        rng = substream(11, 2)
-        mean = np.mean([sample_demand(model, rng) for _ in range(1_000_000)])
+        mean = np.mean(self._draws(model, 1_000_000, 11, 2))
         assert abs(mean - 40.0) <= 0.1
 
     def test_lognormal_mean(self):
@@ -167,15 +180,13 @@ class TestDemand:
         sigma = 0.5
         model = DemandModel(family="lognormal", mu=math.log(100.0) - 0.125, sigma=sigma)
         assert abs(model.mu_F - 100.0) <= 1e-9
-        rng = substream(12, 3)
-        mean = np.mean([sample_demand(model, rng) for _ in range(1_000_000)])
+        mean = np.mean(self._draws(model, 1_000_000, 12, 3))
         assert abs(mean - 100.0) <= 1.0
 
     def test_gamma_family_mean(self):
         model = DemandModel(family="gamma", shape=8.0, rate=2.0)
         assert model.mu_F == 4.0
-        rng = substream(13, 4)
-        mean = np.mean([sample_demand(model, rng) for _ in range(200_000)])
+        mean = np.mean(self._draws(model, 200_000, 13, 4))
         assert abs(mean - 4.0) <= 0.02
 
     def test_samples_positive(self):
@@ -186,6 +197,28 @@ class TestDemand:
         ):
             rng = substream(14, 5)
             assert all(sample_demand(model, rng) > 0 for _ in range(1000))
+
+    @given(
+        demand=st.one_of(
+            _demand(),
+            st.fixed_dictionaries({"family": st.just("lognormal"),
+                                   "mu": st.floats(-800.0, 800.0),
+                                   "sigma": st.floats(0.0, 60.0)}),
+            st.fixed_dictionaries({"family": st.just("gamma"),
+                                   "shape": st.floats(1e-3, 1e3),
+                                   "rate": st.floats(1e-320, 1e300)}),
+        ),
+        u=st.floats(0.0, U_MAX),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_model_that_constructs_draws_in_open_interval(self, demand, u):
+        try:
+            model = DemandModel(**demand)
+        except ValueError:
+            return
+        q = model.ppf(np.array([0.0, U_MIN, U_MAX, u]))
+        assert (0 < q).all() and (q < math.inf).all()
+        assert 0 < model.ppf(u) < math.inf
 
     def test_invalid_families_rejected(self):
         with pytest.raises(ValueError):
