@@ -2,14 +2,15 @@
 budget-balance audits.
 
 Incentive checks come in two flavors. The raw expected payoff is the
-mechanism as implemented: exact under pps (pps_expected_payoff), a Monte
-Carlo estimate under ppss. The "floor" objective is the guaranteed-payoff
-lower bound a * c~ - C(a), which is the object the subsidy mechanism's
-capacity-commitment argument actually maximizes. PPSS incentive verdicts
-use the floor objective; the raw MC curve stays available as a diagnostic
-(best_response with objective="payoff") because the guarded subsidy
-overpays near D = lambda*A*k and its raw best response can sit below
-capacity.
+mechanism as implemented, exact under both mechanisms: pps_expected_payoff
+in closed form, ppss_expected_payoff by quadrature. The "floor" objective is
+the guaranteed-payoff lower bound a * c~ - C(a), which is the object the
+subsidy mechanism's capacity-commitment argument actually maximizes. PPSS
+incentive verdicts use the floor objective; the raw payoff curve stays
+available as a diagnostic (best_response with objective="payoff") because
+the guarded subsidy overpays near D = lambda*A*k and its raw best response
+can sit below capacity. expected_payoff_mc is the Monte Carlo estimate of
+either payoff, kept as the oracle the exact forms are tested against.
 
 OCD-IC and DOCD-IC are one test, incentive_verdict, under different
 information: OCD-IC passes the demand distribution F, DOCD-IC a constant
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .mechanisms import subsidy_shape
+from .mechanisms import subsidy_shape, subsidy_terms
 from .model import (
     CostFunction,
     DemandModel,
@@ -59,10 +60,11 @@ class BestResponseResult:
     argmax_a: float
     value: float
     grid_resolution: float
-    # "closed_form": the floor objective, or the exact pps payoff (ci = 0);
-    # "grid_mc": the Monte Carlo ppss payoff
+    # "closed_form": the floor objective, or the pps payoff;
+    # "quadrature": the ppss payoff (ppss_expected_payoff)
     method: str
-    # (a, objective mean, CI half-width) at each grid point, in grid order
+    # (a, objective, CI half-width) at each grid point, in grid order; every
+    # objective is exact, so the half-width is 0
     curve: tuple[tuple[float, float, float], ...]
 
 
@@ -146,6 +148,233 @@ def pps_expected_payoff(
     return params.b * (float(allocations[i]) / total) * float(expected_min) - cost
 
 
+# Quadrature for the ppss payoff. A Gamma(shape) output is integrated over
+# its normal score t, the point where the standard normal CDF equals the
+# output's CDF: the output is then nearly linear in t at every shape, and the
+# weight is the normal density. Scores are cut at |t| <= _T (mass outside:
+# 2 * Phi(-8) = 1.2e-15). Each rule is composite Gauss-Legendre.
+_T = 8.0
+_OUTER_X, _OUTER_W = np.polynomial.legendre.leggauss(10)
+_OUTER_WIDTH = 2.0  # widest outer panel, in t
+_INNER_X, _INNER_W = np.polynomial.legendre.leggauss(8)
+_INNER_PANELS = 16
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# An inner panel's reference points on [-1, 1] (its edges and nodes), and the
+# matrix that turns values there into monomial coefficients.
+_INNER_REF = np.concatenate(([-1.0], _INNER_X, [1.0]))
+_INNER_FIT = np.linalg.inv(np.vander(_INNER_REF, len(_INNER_REF), increasing=True))
+
+
+def _gamma_score(shape: float, x) -> np.ndarray:
+    """Normal score of x under Gamma(shape, 1), taken from the nearer tail."""
+    x = np.asarray(x, dtype=float)
+    p = special.gammainc(shape, x)
+    t = special.ndtri(p)
+    upper = p > 0.5
+    t[upper] = -special.ndtri(special.gammaincc(shape, x[upper]))
+    return t
+
+
+def _gamma_at_score(shape: float, t: np.ndarray) -> np.ndarray:
+    """Gamma(shape, 1) quantile at normal score t, taken from the nearer tail."""
+    x = np.empty_like(t)
+    lower = t <= 0
+    x[lower] = special.gammaincinv(shape, special.ndtr(t[lower]))
+    x[~lower] = special.gammainccinv(shape, special.ndtr(-t[~lower]))
+    return x
+
+
+def _normal_rule(edges: np.ndarray, width: float, gl_x, gl_w):
+    """Nodes and weights of E[f(Z)], Z standard normal, on [edges[0], edges[-1]]:
+    each interval between sorted distinct edges is cut into equal panels no
+    wider than `width`, with one Gauss-Legendre rule per panel."""
+    lengths = np.diff(edges)
+    counts = np.ceil(lengths / width).astype(int)
+    step = np.repeat(lengths / counts, counts)
+    offset = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    half = 0.5 * step
+    mid = np.repeat(edges[:-1], counts) + step * offset + half
+    t = (mid[:, None] + half[:, None] * gl_x).ravel()
+    w = (half[:, None] * gl_w).ravel() * np.exp(-0.5 * t * t) * _INV_SQRT_2PI
+    return t, w
+
+
+class _OthersRule:
+    """h(x) = E[min(1, M/(x + Y))] for Y ~ Gamma(shape, 1), the other miners'
+    summed output. The rule on Y's score is built once: _INNER_PANELS equal
+    panels of 8 nodes. min(1, .) kinks at Y = c = M - x, so the panel holding
+    c's score is integrated from that score up, at outputs interpolated
+    (degree 9, in log y) from the panel's edges and nodes."""
+
+    def __init__(self, shape: float):
+        self.shape = shape
+        self.width = 2.0 * _T / _INNER_PANELS
+        self.edges = np.linspace(-_T, _T, _INNER_PANELS + 1)
+        self.t, self.w = _normal_rule(self.edges, self.width, _INNER_X, _INNER_W)
+        self.y = _gamma_at_score(shape, self.t)
+        self.panel = np.repeat(np.arange(_INNER_PANELS), len(_INNER_X))
+        y_edges = _gamma_at_score(shape, self.edges)
+        ref = np.column_stack((y_edges[:-1], self.y.reshape(_INNER_PANELS, -1), y_edges[1:]))
+        # An output that underflows to 0 has no logarithm; a kink in such a
+        # panel takes exact quantiles instead.
+        self.smooth = (ref > 0).all(axis=1)
+        self.coef = _INNER_FIT @ np.log(np.where(ref > 0, ref, 1.0)).T
+
+    def h(self, x: np.ndarray, M: float) -> np.ndarray:
+        out = np.empty_like(x)
+        c = M - x
+        # t_c at or below -_T: no mass below the kink, and its panel is the first
+        tc = np.full_like(x, -_T)
+        pos = c > 0
+        tc[pos] = np.maximum(_gamma_score(self.shape, c[pos]), -_T)
+        full = tc >= _T
+        out[full] = 1.0  # the kink lies past Y's range
+        rows = np.nonzero(~full)[0]
+        if not len(rows):
+            return out
+        tc, xr = tc[rows], x[rows]
+        p = np.minimum(((tc + _T) / self.width).astype(int), _INNER_PANELS - 1)
+        above = self.panel[None, :] > p[:, None]
+        res = special.ndtr(tc) - special.ndtr(-_T)  # min(1, .) = 1 below the kink
+        res += (np.where(above, M / (xr[:, None] + self.y), 0.0)) @ self.w
+        lo = self.edges[p]
+        half = 0.5 * (lo + self.width - tc)
+        tau = tc[:, None] + half[:, None] * (_INNER_X + 1.0)
+        rho = 2.0 * (tau - lo[:, None]) / self.width - 1.0
+        coef = self.coef[:, p]
+        log_y = coef[-1][:, None]
+        for cm in coef[-2::-1]:
+            log_y = log_y * rho + cm[:, None]
+        y = np.exp(log_y)
+        rough = ~self.smooth[p]
+        if rough.any():
+            y[rough] = _gamma_at_score(self.shape, tau[rough].ravel()).reshape(-1, len(_INNER_X))
+        wk = half[:, None] * _INNER_W * np.exp(-0.5 * tau * tau) * _INV_SQRT_2PI
+        res += (wk * M / (xr[:, None] + y)).sum(axis=1)
+        out[rows] = res
+        return out
+
+
+class _PpssReward:
+    """Miner i's exact expected ppss reward E[R_i] as a function of its own
+    allocation, the other miners' held fixed (see ppss_expected_payoff). What
+    does not change along a best-response curve is built once: the others'
+    output rule, the two roots of K = eps_k, subsidy_terms and the demand
+    nodes."""
+
+    def __init__(
+        self,
+        i: int,
+        others_total: float,
+        params: PlatformParams,
+        profiles: list[MinerProfile],
+        demand: DemandModel,
+        fixed_windows: list[tuple[float, int]] | None,
+    ):
+        prof = profiles[i]
+        self.params = params
+        self.unit, self.numerator = (
+            float(v) for v in subsidy_terms(prof.capacity_A, c_tilde(prof), params)
+        )
+        # The indicator fires when the window sum plus the current output
+        # reaches `threshold`: a warm window of N-1 rounds adds a
+        # Gamma((N-1)*s) sum, a pinned window a known one.
+        if fixed_windows is not None:
+            w_sum, w_len = fixed_windows[i]
+            self.threshold, self.window_rounds = self.unit * (w_len + 1) - w_sum, 0
+        else:
+            self.threshold, self.window_rounds = self.unit * params.window_N, params.window_N - 1
+        # K(x) = eps_k where x*e^(1-x) = 1 - eps_k, x = unit/D: the two real
+        # branches of Lambert W
+        arg = -(1.0 - params.eps_k) / math.e
+        self.roots = tuple(
+            self.unit / -special.lambertw(arg, branch).real for branch in (-1, 0)
+        )
+        self.others = _OthersRule(params.k * others_total) if others_total > 0 else None
+        if demand.family == "constant":
+            self.demand = ((demand.M, 1.0),)
+        else:
+            self.demand = tuple(zip(demand.ppf(_GL_U).tolist(), _GL_W.tolist()))
+
+    def __call__(self, a: float) -> float:
+        if a == 0:
+            return 0.0  # no output, so no reward, as in the MC
+        s = self.params.k * a
+        return math.fsum(w * self._at_demand(s, M) for M, w in self.demand)
+
+    def _at_demand(self, s: float, M: float) -> float:
+        # x * f_s(x) = s * f_{s+1}(x), so E[X g(X)] = s * E[g(X')] with
+        # X' ~ Gamma(s + 1): the integrand g = per-unit rate * h is bounded.
+        shape = s + 1.0
+        params, subsidised = self.params, self.numerator != 0
+        points = [M]
+        if subsidised:
+            points += [*self.roots, self.unit]
+            if self.threshold > 0:
+                points.append(self.threshold)
+        scores = _gamma_score(shape, points)
+        breaks = [scores[0]]
+        if subsidised:
+            # 1/K has a double pole at D = unit, just past each root: grade the
+            # panels beyond a root geometrically until they reach full width.
+            low, high, pole = scores[1:4]
+            breaks += list(scores[1:3]) + list(scores[4:])
+            for root in (low, high):
+                gap = root - pole
+                if np.isfinite(root) and np.isfinite(gap) and gap and abs(root) < _T:
+                    levels = int(np.clip(np.ceil(np.log2(_OUTER_WIDTH / abs(gap))), 0, 40))
+                    breaks += list(root + gap * (2.0 ** np.arange(1, levels + 1) - 1.0))
+        breaks = np.asarray(breaks)
+        edges = np.unique(np.concatenate(([-_T, _T], breaks[np.abs(breaks) < _T])))
+        t, w = _normal_rule(edges, _OUTER_WIDTH, _OUTER_X, _OUTER_W)
+        x = _gamma_at_score(shape, t)
+        rate = np.full_like(x, params.b)
+        if subsidised:
+            if self.window_rounds > 0:
+                fires = special.gammaincc(self.window_rounds * s, np.maximum(self.threshold - x, 0.0))
+            else:
+                fires = x >= self.threshold
+            z = self.unit / x
+            K = np.maximum(1.0 - z * np.exp(1.0 - z), params.eps_k)
+            rate += fires * self.numerator / K
+        h = self.others.h(x, M) if self.others is not None else np.minimum(1.0, M / x)
+        return s * float(w @ (rate * h))
+
+
+def ppss_expected_payoff(
+    i: int,
+    allocations,
+    params: PlatformParams,
+    profiles: list[MinerProfile],
+    demand: DemandModel,
+    fixed_windows: list[tuple[float, int]] | None = None,
+) -> float:
+    """Exact ppss expected payoff E[R_i] - C(a_i) of miner i.
+
+    Condition on miner i's output x ~ Gamma(s_i), s_i = k*a_i. With
+    (unit, numerator) = subsidy_terms(...), the others' output
+    Y ~ Gamma(k * sum_{j != i} a_j) and a warm window W ~ Gamma((N-1)*s_i)
+    (W, Y and x independent):
+
+        E[R_i] = integral of f_{s_i}(x) * phi(x) * x * h(x) dx,
+        phi(x) = b + P(W >= unit*N - x) * numerator / max(K(x), eps_k),
+        h(x) = E_{M,Y}[min(1, M/(x + Y))].
+
+    N = 1, or a window pinned by `fixed_windows` (sum w over L rounds), turns
+    P into the indicator x >= unit*(L+1) - w; a single miner has
+    h(x) = E_M[min(1, M/x)]. The integrals are composite Gauss-Legendre on
+    normal scores, split where the integrand kinks or jumps (see _PpssReward
+    and _OthersRule); a random demand is integrated over its quantile with
+    the 64-node rule pps_expected_payoff uses. Every allocation must lie in
+    [0, A_i].
+    """
+    allocations = _checked_allocations(allocations, profiles)
+    a = float(allocations[i])
+    others = float(np.delete(allocations, i).sum())
+    reward = _PpssReward(i, others, params, profiles, demand, fixed_windows)
+    return reward(a) - cost_eval(profiles[i].cost, a)
+
+
 def floor_payoff(a: float, c_tilde_value: float, cost: CostFunction) -> float:
     """Guaranteed-payoff lower bound a * c~ - C(a); nondecreasing on [0, A]."""
     return float(a) * float(c_tilde_value) - float(cost_eval(cost, a))
@@ -159,18 +388,16 @@ def best_response(
     profiles: list[MinerProfile],
     demand: DemandModel,
     grid_points: int = 64,
-    replicas: int = 10_000,
-    seed: int = 0,
     objective: str = "payoff",
     fixed_windows: list[tuple[float, int]] | None = None,
 ) -> BestResponseResult:
     """Maximize the chosen objective over a uniform grid on [0, A_i], then
     refine with golden-section search on the bracketing interval.
 
-    The pps payoff is exact (pps_expected_payoff), so `replicas` and `seed`
-    do not enter it. MC evaluations (the ppss payoff) share the seed across
-    grid points (common random numbers), turning the argmax into a paired
-    comparison. Ties break toward the larger allocation.
+    Both objectives are exact: the floor in closed form, the payoff by
+    pps_expected_payoff or ppss_expected_payoff (`fixed_windows` pins the
+    ppss windows). Every curve point has a CI half-width of 0. Ties break
+    toward the larger allocation.
     """
     if grid_points < 2:
         raise ValueError("grid_points must be at least 2")
@@ -181,35 +408,35 @@ def best_response(
     if objective == "floor":
         ct = c_tilde(prof)
 
-        def f(a: float) -> tuple[float, float]:
-            return floor_payoff(a, ct, prof.cost), 0.0
+        def f(a: float) -> float:
+            return floor_payoff(a, ct, prof.cost)
 
         method = "closed_form"
     elif objective == "payoff" and mechanism == "pps":
 
-        def f(a: float) -> tuple[float, float]:
-            alloc = base.copy()
-            alloc[miner_index] = a
-            return pps_expected_payoff(miner_index, alloc, params, profiles, demand), 0.0
+        def f(a: float) -> float:
+            base[miner_index] = a
+            return pps_expected_payoff(miner_index, base, params, profiles, demand)
 
         method = "closed_form"
+    elif objective == "payoff" and mechanism == "ppss":
+        base[miner_index] = 0.0
+        _checked_allocations(base, profiles)
+        reward = _PpssReward(
+            miner_index, float(base.sum()), params, profiles, demand, fixed_windows,
+        )
+
+        def f(a: float) -> float:
+            return reward(a) - cost_eval(prof.cost, a)
+
+        method = "quadrature"
     elif objective == "payoff":
-
-        def f(a: float) -> tuple[float, float]:
-            alloc = base.copy()
-            alloc[miner_index] = a
-            est = expected_payoff_mc(
-                mechanism, miner_index, alloc, params,
-                profiles, demand, replicas, seed, fixed_windows=fixed_windows,
-            )
-            return est.mean, est.ci_half_width
-
-        method = "grid_mc"
+        raise ValueError(f"unknown mechanism {mechanism!r}")
     else:
         raise ValueError(f"unknown objective {objective!r}")
 
     grid = np.linspace(0.0, A, grid_points)
-    curve = tuple((float(a), *f(float(a))) for a in grid)
+    curve = tuple((float(a), f(float(a)), 0.0) for a in grid)
     best_i = 0
     for i in range(1, grid_points):
         if curve[i][1] >= curve[best_i][1]:
@@ -223,18 +450,18 @@ def best_response(
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = hi - invphi * (hi - lo)
     d = lo + invphi * (hi - lo)
-    fc, fd = f(c)[0], f(d)[0]
+    fc, fd = f(c), f(d)
     for _ in range(16):
         if hi - lo < resolution / 16:
             break
         if fc > fd:
             hi, d, fd = d, c, fc
             c = hi - invphi * (hi - lo)
-            fc = f(c)[0]
+            fc = f(c)
         else:
             lo, c, fc = c, d, fd
             d = lo + invphi * (hi - lo)
-            fd = f(d)[0]
+            fd = f(d)
     for a_cand, v_cand in ((c, fc), (d, fd)):
         if v_cand > best_v or (v_cand == best_v and a_cand > best_a):
             best_a, best_v = a_cand, v_cand
@@ -247,7 +474,7 @@ def best_response(
 
 def _default_objective(mechanism: str) -> str:
     # PPSS incentive verdicts target the guaranteed-payoff floor; see the
-    # module docstring for why the raw MC argmax is diagnostic only.
+    # module docstring for why the raw payoff argmax is diagnostic only.
     return "floor" if mechanism == "ppss" else "payoff"
 
 

@@ -97,7 +97,7 @@ def cmd_best_response(args) -> int:
     capacities = np.array([p.capacity_A for p in profiles])
     result = best_response(
         cfg.mechanism, args.miner, capacities, cfg.platform, profiles,
-        cfg.demand, grid_points=args.grid, replicas=cfg.replicas, seed=cfg.seed,
+        cfg.demand, grid_points=args.grid,
         objective=args.objective or _default_objective(cfg.mechanism),
     )
     write_csv(
@@ -213,13 +213,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run theorem audits, emit theorem_report.csv")
     common(p)
-    p.add_argument("--replicas", type=int, default=None, help="replica override")
+    p.add_argument("--replicas", type=int, default=None,
+                   help="replica override (validated; no command reads it)")
     p.add_argument("--theorems", default=None, help="comma list, e.g. T1,T5")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("best-response", help="best-response curve for one miner")
     common(p)
-    p.add_argument("--replicas", type=int, default=None, help="replica override")
+    p.add_argument("--replicas", type=int, default=None,
+                   help="replica override (validated; no command reads it)")
     p.add_argument("--miner", type=int, required=True)
     p.add_argument("--grid", type=int, default=64)
     p.add_argument("--objective", choices=["payoff", "floor"], default=None)

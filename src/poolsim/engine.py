@@ -60,7 +60,7 @@ def _policy_allocation(state: SimulationState, i: int) -> float:
     br = best_response(
         cfg.mechanism, i, state.caps, cfg.platform, cfg.profiles,
         DemandModel(family="constant", M=last_M),
-        grid_points=policy.grid, replicas=policy.replicas, seed=cfg.seed,
+        grid_points=policy.grid,
     )
     state.br_memo[i] = (last_M, br.argmax_a)
     return br.argmax_a

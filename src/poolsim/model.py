@@ -145,10 +145,11 @@ def c_tilde(profile: MinerProfile) -> float:
 class MinerPolicy:
     """Policy kinds: static(a), myopic_br(grid, replicas), delta_adaptive(step, floor).
 
-    myopic_br maximises the raw expected payoff under both mechanisms (exact
-    under pps, Monte Carlo under ppss), not the floor objective that ppss
-    incentive verdicts use: the raw payoff is what a myopic miner actually
-    earns in the round it plays.
+    myopic_br maximises the raw expected payoff, exact under both mechanisms
+    (pps_expected_payoff, ppss_expected_payoff), not the floor objective that
+    ppss incentive verdicts use: the raw payoff is what a myopic miner
+    actually earns in the round it plays. `replicas` is validated but read
+    by nothing; it stays while existing configs still set it.
     """
 
     kind: str

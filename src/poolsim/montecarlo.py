@@ -1,4 +1,5 @@
-"""Vectorized replica engine for expected-payoff estimation.
+"""Vectorized replica engine for expected-payoff estimation: the Monte Carlo
+oracle that the exact payoffs in `analysis` are tested against.
 
 Replicas are drawn in fixed-size blocks, each from a substream keyed by
 (seed, tag, block index). Workers may process blocks in any order; results

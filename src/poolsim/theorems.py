@@ -2,9 +2,9 @@
 
 Each audit builds the scenario its claim is about on top of the supplied
 config's platform economics, runs its check, and returns one report row.
-An audit reads cfg.seed and cfg.replicas only where it draws: T1 and T6
-through run_simulation, T5 for its Monte Carlo floor grid; T2, T3, T4 and
-T7 are deterministic. A verdict of KNOWN_DISCREPANCY marks a claim that a
+An audit reads cfg.seed only where it draws: T1 and T6 through
+run_simulation; T2, T3, T4, T5 and T7 are deterministic, and no audit reads
+cfg.replicas. A verdict of KNOWN_DISCREPANCY marks a claim that a
 faithful implementation measurably violates (tracked, not a harness
 failure).
 """
@@ -20,10 +20,10 @@ from .analysis import (
     bb_audit,
     chernoff_tail_upper,
     docdic_check,
-    expected_payoff_mc,
     floor_payoff,
     incentive_verdict,
     ocdic_check,
+    ppss_expected_payoff,
     subsidy_prob_lower,
 )
 from .engine import run_simulation
@@ -126,8 +126,8 @@ def audit_t4(cfg) -> dict:
 
 
 def audit_t5(cfg) -> dict:
-    """Subsidized mechanism: MC payoff dominates the guaranteed floor, the
-    floor best response is capacity, and the tail/identity bounds hold."""
+    """Subsidized mechanism: the exact payoff dominates the guaranteed floor,
+    the floor best response is capacity, and the tail/identity bounds hold."""
     plat = cfg.platform
     profiles = cfg.profiles
     capacities = np.array([p.capacity_A for p in profiles])
@@ -142,12 +142,8 @@ def audit_t5(cfg) -> dict:
     for a in np.linspace(plat.lam * prof.capacity_A, prof.capacity_A, 16):
         alloc = capacities.copy()
         alloc[0] = a
-        est = expected_payoff_mc(
-            "ppss", 0, alloc, plat, profiles, demand,
-            replicas=cfg.replicas, seed=cfg.seed,
-        )
-        fl = floor_payoff(a, ct, prof.cost)
-        margins.append(est.mean - (fl - 3.0 * est.ci_half_width))
+        payoff = ppss_expected_payoff(0, alloc, plat, profiles, demand)
+        margins.append(payoff - floor_payoff(a, ct, prof.cost))
     floor_ok = all(m >= 0 for m in margins)
 
     verdicts = ocdic_check("ppss", plat, profiles, demand)

@@ -110,7 +110,7 @@ def test_criterion_2_best_response_branches():
                               cost=CostFunction(family="linear", r=r))]
         results[label] = best_response(
             "pps", 0, np.array([10.0]), params, profs, demand,
-            grid_points=64, replicas=10_000, seed=0,
+            grid_points=64,
         )
     elapsed = time.time() - t0
     tol = 2 * 10.0 / 63

@@ -293,6 +293,23 @@ class TestBestResponse:
         _, rows = read_csv(str(tmp_path / "out-16" / "br_curve.csv"))
         assert {row[2] for row in rows} == {"0"}
 
+    def test_ppss_payoff_curve_is_exact(self, config_path, tmp_path, capsys):
+        # the ppss payoff is exact too: ci = 0, and replicas and seed do not enter
+        curves = []
+        for replicas, seed in (("16", "0"), ("9000", "5")):
+            out = tmp_path / f"out-{replicas}"
+            out.mkdir()
+            assert main([
+                "best-response", "--config", config_path(PPSS_CONFIG), "--out", str(out),
+                "--miner", "0", "--grid", "9", "--replicas", replicas, "--seed", seed,
+                "--objective", "payoff",
+            ]) == 0
+            assert "method=quadrature" in capsys.readouterr().out
+            curves.append((out / "br_curve.csv").read_bytes())
+        assert curves[0] == curves[1]
+        _, rows = read_csv(str(tmp_path / "out-16" / "br_curve.csv"))
+        assert {row[2] for row in rows} == {"0"}
+
     def test_overflowing_demand_quantile_exits_2(self, config_path, tmp_out, capsys):
         # the mean exp(695 + 12.5) is finite, but about 0.15% of the demand
         # quantiles overflow, so every command rejects the config before it

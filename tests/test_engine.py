@@ -181,7 +181,7 @@ class TestMyopicMemo:
                 br = analysis.best_response(
                     "ppss", i, capacities, cfg.platform, profiles,
                     DemandModel(family="constant", M=M),
-                    grid_points=5, replicas=256, seed=cfg.seed,
+                    grid_points=5,
                 )
                 assert ledger.a[row, i] == br.argmax_a
 

@@ -1,11 +1,19 @@
 """Audit harness: verdict semantics and report rows."""
+import math
 from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
+import yaml
 
+from poolsim.analysis import ppss_expected_payoff
+from poolsim.model import cost_eval
 from poolsim.theorems import ALL_THEOREMS, run_audits
 
 from conftest import quiet_parse
+
+VERIFY_AUDIT_YAML = Path(__file__).parents[1] / "perfbench" / "workloads" / "verify-audit.yaml"
 
 
 def pps_config(**overrides):
@@ -65,9 +73,9 @@ class TestHarness:
 
     @pytest.mark.parametrize("make_config", [pps_config, ppss_config])
     def test_verdicts_do_not_depend_on_seed_or_replicas(self, make_config):
-        # T2, T3, T4 and T7 draw no random numbers; only the digest of the
-        # config that ran differs
-        theorems = ["T2", "T3", "T4", "T7"]
+        # T2, T3, T4, T5 and T7 draw no random numbers; only the digest of
+        # the config that ran differs
+        theorems = ["T2", "T3", "T4", "T5", "T7"]
         cfg = make_config()
         a = run_audits(replace(cfg, seed=0, replicas=16), theorems)
         b = run_audits(replace(cfg, seed=7, replicas=9000), theorems)
@@ -119,3 +127,19 @@ class TestVerdicts:
     def test_t7_round_level_commitment(self):
         row = run_audits(ppss_config(replicas=4000), ["T7"])[0]
         assert row["verdict"] == "PASS"
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_t6_mean_ratio_matches_exact_payoffs(self, seed):
+        # Every miner at capacity with warm windows: the long-term ratio is
+        # sum_i E[R_i] / (M * p), about 17.97 here. The run's first N-1
+        # rounds have cold windows, which 2000 rounds dilute.
+        cfg = quiet_parse(yaml.safe_load(VERIFY_AUDIT_YAML.read_text()))
+        caps = np.array([p.capacity_A for p in cfg.profiles])
+        rewards = [
+            ppss_expected_payoff(i, caps, cfg.platform, cfg.profiles, cfg.demand)
+            + cost_eval(prof.cost, prof.capacity_A)
+            for i, prof in enumerate(cfg.profiles)
+        ]
+        exact = math.fsum(rewards) / (cfg.demand.M * cfg.platform.p)
+        row = run_audits(replace(cfg, seed=seed), ["T6"])[0]
+        assert abs(row["metric"] - exact) <= row["ci"]
