@@ -15,6 +15,7 @@ from .analysis import (
     g_function,
     incentive_verdict,
     ocdic_check,
+    payoff_curve,
     pps_expected_payoff,
     ppss_expected_payoff,
     subsidy_prob_lower,

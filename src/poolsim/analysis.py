@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .mechanisms import subsidy_shape, subsidy_terms
 from .model import (
@@ -103,6 +102,9 @@ def expected_payoff_mc(
     PPSS runs fill the rolling window with N-1 rounds at the same strategy
     unless `fixed_windows` pins the history; a constant `demand` pins M.
     Reproducible for any worker count. Every allocation must lie in [0, A_i].
+    The CI is exact_mean_ci's normal one, which undercovers ppss payoffs
+    whose subsidy pays up to numerator/eps_k on outputs rarer than
+    1/replicas (recorded example there); ppss_expected_payoff is exact.
     """
     allocations = _checked_allocations(allocations, profiles)
     samples = payoff_samples(
@@ -113,9 +115,31 @@ def expected_payoff_mc(
     return PayoffEstimate(mean=mean, ci_half_width=ci)
 
 
-def _expected_min_gamma(s: float, M):
+def _expected_min_gamma(s, M):
     """E[min(G, M)] for G ~ Gamma(s, 1): s * P(s+1, M) + M * Q(s, M)."""
+    from scipy import special
+
     return s * special.gammainc(s + 1.0, M) + M * special.gammaincc(s, M)
+
+
+def _pps_expected_reward(
+    allocations: np.ndarray, i: int, params: PlatformParams, demand: DemandModel,
+) -> np.ndarray:
+    """Miner i's exact pps reward at each row of `allocations` (see
+    pps_expected_payoff); a row whose entry i is 0 reads 0."""
+    a = allocations[:, i]
+    total = allocations.sum(axis=1)
+    s = params.k * total
+    if demand.family == "constant":
+        expected_min = _expected_min_gamma(s, demand.M)
+    else:
+        rows = _expected_min_gamma(s[:, None], demand.ppf(_GL_U))
+        # one dot product per row, as a single allocation takes: a matrix
+        # product may sum a row in another order
+        expected_min = np.array([_GL_W @ row for row in rows])
+    with np.errstate(invalid="ignore"):  # 0/0 on a row of zeros
+        reward = params.b * (a / total) * expected_min
+    return np.where(a == 0, 0.0, reward)
 
 
 def pps_expected_payoff(
@@ -133,19 +157,12 @@ def pps_expected_payoff(
     E[min(|D|, M)] = s * P(s+1, M) + M * Q(s, M), P and Q the regularized
     incomplete gamma functions. A constant demand takes one evaluation; any
     other demand is integrated over its quantile with a fixed 64-node
-    Gauss-Legendre rule. Every allocation must lie in [0, A_i].
+    Gauss-Legendre rule. Every allocation must lie in [0, A_i]. The
+    one-allocation case of payoff_curve.
     """
-    allocations = _checked_allocations(allocations, profiles)
-    cost = cost_eval(profiles[i].cost, float(allocations[i]))
-    total = float(allocations.sum())
-    if allocations[i] == 0:
-        return 0.0 - cost  # +0.0, as the MC's reward - cost
-    s = params.k * total
-    if demand.family == "constant":
-        expected_min = _expected_min_gamma(s, demand.M)
-    else:
-        expected_min = _GL_W @ _expected_min_gamma(s, demand.ppf(_GL_U))
-    return params.b * (float(allocations[i]) / total) * float(expected_min) - cost
+    allocations = np.asarray(allocations, dtype=float)
+    own = allocations[i:i + 1]
+    return float(payoff_curve("pps", i, allocations, own, params, profiles, demand)[0])
 
 
 # Quadrature for the ppss payoff. A Gamma(shape) output is integrated over
@@ -163,37 +180,49 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # matrix that turns values there into monomial coefficients.
 _INNER_REF = np.concatenate(([-1.0], _INNER_X, [1.0]))
 _INNER_FIT = np.linalg.inv(np.vander(_INNER_REF, len(_INNER_REF), increasing=True))
+# Outer nodes evaluated together: h builds a (nodes, 128) matrix, so a grid of
+# many allocations, or of allocations times demand nodes, goes in blocks.
+_BLOCK_NODES = 4096
 
 
-def _gamma_score(shape: float, x) -> np.ndarray:
-    """Normal score of x under Gamma(shape, 1), taken from the nearer tail."""
-    x = np.asarray(x, dtype=float)
+def _gamma_score(shape, x: np.ndarray) -> np.ndarray:
+    """Normal score of x under Gamma(shape, 1), taken from the nearer tail;
+    shape is a float or an array of x's shape."""
+    from scipy import special
+
     p = special.gammainc(shape, x)
     t = special.ndtri(p)
     upper = p > 0.5
-    t[upper] = -special.ndtri(special.gammaincc(shape, x[upper]))
+    t[upper] = -special.ndtri(special.gammaincc(_at(shape, upper), x[upper]))
     return t
 
 
-def _gamma_at_score(shape: float, t: np.ndarray) -> np.ndarray:
-    """Gamma(shape, 1) quantile at normal score t, taken from the nearer tail."""
+def _gamma_at_score(shape, t: np.ndarray) -> np.ndarray:
+    """Gamma(shape, 1) quantile at normal score t, taken from the nearer
+    tail; shape is a float or an array of t's shape."""
+    from scipy import special
+
     x = np.empty_like(t)
     lower = t <= 0
-    x[lower] = special.gammaincinv(shape, special.ndtr(t[lower]))
-    x[~lower] = special.gammainccinv(shape, special.ndtr(-t[~lower]))
+    x[lower] = special.gammaincinv(_at(shape, lower), special.ndtr(t[lower]))
+    upper = ~lower
+    x[upper] = special.gammainccinv(_at(shape, upper), special.ndtr(-t[upper]))
     return x
 
 
-def _normal_rule(edges: np.ndarray, width: float, gl_x, gl_w):
-    """Nodes and weights of E[f(Z)], Z standard normal, on [edges[0], edges[-1]]:
-    each interval between sorted distinct edges is cut into equal panels no
-    wider than `width`, with one Gauss-Legendre rule per panel."""
-    lengths = np.diff(edges)
-    counts = np.ceil(lengths / width).astype(int)
+def _at(shape, mask):
+    """A float shape as it is, an array one at the mask."""
+    return shape[mask] if np.ndim(shape) else shape
+
+
+def _normal_rule(left, lengths, counts, gl_x, gl_w):
+    """Nodes and weights of E[f(Z)], Z standard normal, on the intervals
+    [left, left + lengths): each is cut into `counts` equal panels, with one
+    Gauss-Legendre rule per panel."""
     step = np.repeat(lengths / counts, counts)
     offset = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
     half = 0.5 * step
-    mid = np.repeat(edges[:-1], counts) + step * offset + half
+    mid = np.repeat(left, counts) + step * offset + half
     t = (mid[:, None] + half[:, None] * gl_x).ravel()
     w = (half[:, None] * gl_w).ravel() * np.exp(-0.5 * t * t) * _INV_SQRT_2PI
     return t, w
@@ -210,7 +239,9 @@ class _OthersRule:
         self.shape = shape
         self.width = 2.0 * _T / _INNER_PANELS
         self.edges = np.linspace(-_T, _T, _INNER_PANELS + 1)
-        self.t, self.w = _normal_rule(self.edges, self.width, _INNER_X, _INNER_W)
+        lengths = np.diff(self.edges)
+        counts = np.ceil(lengths / self.width).astype(int)
+        self.t, self.w = _normal_rule(self.edges[:-1], lengths, counts, _INNER_X, _INNER_W)
         self.y = _gamma_at_score(shape, self.t)
         self.panel = np.repeat(np.arange(_INNER_PANELS), len(_INNER_X))
         y_edges = _gamma_at_score(shape, self.edges)
@@ -220,7 +251,13 @@ class _OthersRule:
         self.smooth = (ref > 0).all(axis=1)
         self.coef = _INNER_FIT @ np.log(np.where(ref > 0, ref, 1.0)).T
 
-    def h(self, x: np.ndarray, M: float) -> np.ndarray:
+    def h(self, x: np.ndarray, M: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+        """h at outputs x, each with its own demand M. `bounds` cut x into
+        segments, and each segment's rows above the kink take one matrix
+        product of their own: BLAS sums rows in groups, so one product over
+        several segments could round a row otherwise than a lone segment."""
+        from scipy import special
+
         out = np.empty_like(x)
         c = M - x
         # t_c at or below -_T: no mass below the kink, and its panel is the first
@@ -232,11 +269,16 @@ class _OthersRule:
         rows = np.nonzero(~full)[0]
         if not len(rows):
             return out
-        tc, xr = tc[rows], x[rows]
+        tc, xr, M = tc[rows], x[rows], M[rows]
         p = np.minimum(((tc + _T) / self.width).astype(int), _INNER_PANELS - 1)
-        above = self.panel[None, :] > p[:, None]
         res = special.ndtr(tc) - special.ndtr(-_T)  # min(1, .) = 1 below the kink
-        res += (np.where(above, M / (xr[:, None] + self.y), 0.0)) @ self.w
+        tail = xr[:, None] + self.y
+        np.divide(M[:, None], tail, out=tail)
+        tail[self.panel[None, :] <= p[:, None]] = 0.0  # at or below the kink's panel
+        cuts = np.searchsorted(rows, bounds)
+        for r0, r1 in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+            if r1 > r0:
+                res[r0:r1] += tail[r0:r1] @ self.w
         lo = self.edges[p]
         half = 0.5 * (lo + self.width - tc)
         tau = tc[:, None] + half[:, None] * (_INNER_X + 1.0)
@@ -250,7 +292,7 @@ class _OthersRule:
         if rough.any():
             y[rough] = _gamma_at_score(self.shape, tau[rough].ravel()).reshape(-1, len(_INNER_X))
         wk = half[:, None] * _INNER_W * np.exp(-0.5 * tau * tau) * _INV_SQRT_2PI
-        res += (wk * M / (xr[:, None] + y)).sum(axis=1)
+        res += (wk * M[:, None] / (xr[:, None] + y)).sum(axis=1)
         out[rows] = res
         return out
 
@@ -260,7 +302,8 @@ class _PpssReward:
     allocation, the other miners' held fixed (see ppss_expected_payoff). What
     does not change along a best-response curve is built once: the others'
     output rule, the two roots of K = eps_k, subsidy_terms and the demand
-    nodes."""
+    nodes. A call takes an array of allocations and integrates all of them,
+    at every demand node, in one pass."""
 
     def __init__(
         self,
@@ -271,6 +314,8 @@ class _PpssReward:
         demand: DemandModel,
         fixed_windows: list[tuple[float, int]] | None,
     ):
+        from scipy import special
+
         prof = profiles[i]
         self.params = params
         self.unit, self.numerator = (
@@ -287,49 +332,68 @@ class _PpssReward:
         # K(x) = eps_k where x*e^(1-x) = 1 - eps_k, x = unit/D: the two real
         # branches of Lambert W
         arg = -(1.0 - params.eps_k) / math.e
-        self.roots = tuple(
-            self.unit / -special.lambertw(arg, branch).real for branch in (-1, 0)
-        )
+        roots = tuple(self.unit / -special.lambertw(arg, branch).real for branch in (-1, 0))
+        # Where the integrand kinks or jumps besides x = M, under a subsidy:
+        # the roots, the indicator's threshold, and the pole of 1/K, last.
+        self.kinks = ()
+        if self.numerator != 0:
+            threshold = (self.threshold,) if self.threshold > 0 else ()
+            self.kinks = (*roots, *threshold, self.unit)
         self.others = _OthersRule(params.k * others_total) if others_total > 0 else None
         if demand.family == "constant":
-            self.demand = ((demand.M, 1.0),)
+            self.demand_M, self.demand_w = np.array([demand.M]), np.array([1.0])
         else:
-            self.demand = tuple(zip(demand.ppf(_GL_U).tolist(), _GL_W.tolist()))
+            self.demand_M, self.demand_w = demand.ppf(_GL_U), _GL_W
 
-    def __call__(self, a: float) -> float:
-        if a == 0:
-            return 0.0  # no output, so no reward, as in the MC
-        s = self.params.k * a
-        return math.fsum(w * self._at_demand(s, M) for M, w in self.demand)
+    def __call__(self, a: np.ndarray) -> np.ndarray:
+        """E[R_i] at each allocation in the 1-D array a."""
+        out = np.zeros(len(a))  # a = 0: no output, so no reward, as in the MC
+        live = np.flatnonzero(a)
+        if not len(live):
+            return out
+        # one segment per (allocation, demand node), allocation-major
+        nodes = len(self.demand_M)
+        s = np.repeat(self.params.k * a[live], nodes)
+        M = np.tile(self.demand_M, len(live))
+        terms = (s * self._means(s, M)).reshape(len(live), nodes) * self.demand_w
+        out[live] = [math.fsum(row) for row in terms.tolist()]
+        return out
 
-    def _at_demand(self, s: float, M: float) -> float:
+    def _means(self, s: np.ndarray, M: np.ndarray) -> np.ndarray:
         # x * f_s(x) = s * f_{s+1}(x), so E[X g(X)] = s * E[g(X')] with
         # X' ~ Gamma(s + 1): the integrand g = per-unit rate * h is bounded.
+        # Returns E[g(X')] per segment.
         shape = s + 1.0
-        params, subsidised = self.params, self.numerator != 0
-        points = [M]
-        if subsidised:
-            points += [*self.roots, self.unit]
-            if self.threshold > 0:
-                points.append(self.threshold)
-        scores = _gamma_score(shape, points)
-        breaks = [scores[0]]
-        if subsidised:
-            # 1/K has a double pole at D = unit, just past each root: grade the
-            # panels beyond a root geometrically until they reach full width.
-            low, high, pole = scores[1:4]
-            breaks += list(scores[1:3]) + list(scores[4:])
-            for root in (low, high):
-                gap = root - pole
-                if np.isfinite(root) and np.isfinite(gap) and gap and abs(root) < _T:
-                    levels = int(np.clip(np.ceil(np.log2(_OUTER_WIDTH / abs(gap))), 0, 40))
-                    breaks += list(root + gap * (2.0 ** np.arange(1, levels + 1) - 1.0))
-        breaks = np.asarray(breaks)
-        edges = np.unique(np.concatenate(([-_T, _T], breaks[np.abs(breaks) < _T])))
-        t, w = _normal_rule(edges, _OUTER_WIDTH, _OUTER_X, _OUTER_W)
-        x = _gamma_at_score(shape, t)
+        left, lengths, seg = self._intervals(shape, M)
+        counts = np.ceil(lengths / _OUTER_WIDTH).astype(int)  # panels no wider than that
+        # each segment's first interval and first node, and the ends
+        first = np.searchsorted(seg, np.arange(len(s) + 1))
+        start = np.concatenate(([0], np.cumsum(counts)))[first] * len(_OUTER_X)
+        out = np.empty(len(s))
+        # a block holds the segments whose first node falls in one stretch
+        # of _BLOCK_NODES nodes
+        cuts = [0, *(np.flatnonzero(np.diff(start[:-1] // _BLOCK_NODES)) + 1).tolist(), len(s)]
+        for j, e in zip(cuts[:-1], cuts[1:]):
+            iv = slice(first[j], first[e])
+            t, w = _normal_rule(left[iv], lengths[iv], counts[iv], _OUTER_X, _OUTER_W)
+            node = np.repeat(seg[iv], counts[iv] * len(_OUTER_X))
+            x = _gamma_at_score(shape[node], t)
+            bounds = start[j:e + 1] - start[j]
+            if self.others is not None:
+                h = self.others.h(x, M[node], bounds)
+            else:
+                h = np.minimum(1.0, M[node] / x)
+            g = self._rate(x, s[node]) * h
+            out[j:e] = [w[lo:hi] @ g[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+        return out
+
+    def _rate(self, x: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """Per-unit rate b + fires * numerator / K(x) at outputs x."""
+        from scipy import special
+
+        params = self.params
         rate = np.full_like(x, params.b)
-        if subsidised:
+        if self.numerator != 0:
             if self.window_rounds > 0:
                 fires = special.gammaincc(self.window_rounds * s, np.maximum(self.threshold - x, 0.0))
             else:
@@ -337,8 +401,43 @@ class _PpssReward:
             z = self.unit / x
             K = np.maximum(1.0 - z * np.exp(1.0 - z), params.eps_k)
             rate += fires * self.numerator / K
-        h = self.others.h(x, M) if self.others is not None else np.minimum(1.0, M / x)
-        return s * float(w @ (rate * h))
+        return rate
+
+    def _intervals(self, shape: np.ndarray, M: np.ndarray):
+        """Each segment's outer rule as intervals of normal score: (left
+        edges, lengths, segment), sorted by segment. The score range
+        [-_T, _T] is split where the integrand kinks or jumps: at x = M and,
+        under a subsidy, at the roots of K = eps_k and the indicator's
+        threshold."""
+        n = len(shape)
+        points = np.empty((n, 1 + len(self.kinks)))
+        points[:, 0], points[:, 1:] = M, self.kinks
+        scores = _gamma_score(np.repeat(shape[:, None], points.shape[1], axis=1), points)
+        breaks = scores
+        if len(self.kinks):
+            # 1/K has a double pole at D = unit (the last kink), just past
+            # each root: grade the panels beyond a root geometrically until
+            # they reach full width.
+            roots, breaks = scores[:, 1:3], scores[:, :-1]
+            with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+                gap = roots - scores[:, -1:]
+                levels = np.where(
+                    np.isfinite(roots) & np.isfinite(gap) & (gap != 0) & (np.abs(roots) < _T),
+                    np.minimum(np.ceil(np.log2(_OUTER_WIDTH / np.abs(gap))), 40), 0,
+                )
+                level = np.arange(1, int(levels.max()) + 1)  # empty below 1
+                graded = roots[:, :, None] + gap[:, :, None] * (2.0**level - 1.0)
+            graded = np.where(level <= levels[:, :, None], graded, -_T)
+            breaks = np.concatenate((breaks, graded.reshape(n, -1)), axis=1)
+        # A break outside (-_T, _T) becomes a copy of -_T, and copies give
+        # the empty intervals that are dropped.
+        edges = np.concatenate(
+            (np.full((n, 2), (-_T, _T)), np.where(np.abs(breaks) < _T, breaks, -_T)), axis=1,
+        )
+        edges.sort(axis=1)
+        lengths = np.diff(edges, axis=1)
+        keep = lengths > 0
+        return edges[:, :-1][keep], lengths[keep], np.nonzero(keep)[0]
 
 
 def ppss_expected_payoff(
@@ -366,18 +465,79 @@ def ppss_expected_payoff(
     normal scores, split where the integrand kinks or jumps (see _PpssReward
     and _OthersRule); a random demand is integrated over its quantile with
     the 64-node rule pps_expected_payoff uses. Every allocation must lie in
-    [0, A_i].
+    [0, A_i]. The one-allocation case of payoff_curve.
     """
+    allocations = np.asarray(allocations, dtype=float)
+    own = allocations[i:i + 1]
+    return float(payoff_curve(
+        "ppss", i, allocations, own, params, profiles, demand, fixed_windows,
+    )[0])
+
+
+def _payoff_objective(
+    mechanism: str,
+    i: int,
+    allocations,
+    params: PlatformParams,
+    profiles: list[MinerProfile],
+    demand: DemandModel,
+    fixed_windows: list[tuple[float, int]] | None,
+):
+    """Miner i's exact expected payoff as a function of an array of its own
+    allocations, the other miners held at `allocations` (entry i is
+    ignored). What does not depend on miner i's allocation is built here,
+    once."""
     allocations = _checked_allocations(allocations, profiles)
-    a = float(allocations[i])
-    others = float(np.delete(allocations, i).sum())
-    reward = _PpssReward(i, others, params, profiles, demand, fixed_windows)
-    return reward(a) - cost_eval(profiles[i].cost, a)
+    cost = profiles[i].cost
+    if mechanism == "pps":
+
+        def payoff(a: np.ndarray) -> np.ndarray:
+            rows = np.repeat(allocations[None, :], len(a), axis=0)
+            rows[:, i] = a
+            return _pps_expected_reward(rows, i, params, demand) - cost_eval(cost, a)
+
+    elif mechanism == "ppss":
+        others = allocations.copy()
+        others[i] = 0.0
+        reward = _PpssReward(i, float(others.sum()), params, profiles, demand, fixed_windows)
+
+        def payoff(a: np.ndarray) -> np.ndarray:
+            return reward(a) - cost_eval(cost, a)
+
+    else:
+        raise ValueError(f"unknown mechanism {mechanism!r}")
+    return payoff
 
 
-def floor_payoff(a: float, c_tilde_value: float, cost: CostFunction) -> float:
-    """Guaranteed-payoff lower bound a * c~ - C(a); nondecreasing on [0, A]."""
-    return float(a) * float(c_tilde_value) - float(cost_eval(cost, a))
+def payoff_curve(
+    mechanism: str,
+    i: int,
+    allocations,
+    grid,
+    params: PlatformParams,
+    profiles: list[MinerProfile],
+    demand: DemandModel,
+    fixed_windows: list[tuple[float, int]] | None = None,
+) -> np.ndarray:
+    """Miner i's exact expected payoff E[R_i] - C(a) at every allocation a in
+    `grid`, the other miners at `allocations` (entry i is ignored), in one
+    array pass: pps_expected_payoff's closed form or ppss_expected_payoff's
+    quadrature (`fixed_windows` pins the ppss windows). Each value equals
+    the one-allocation call. Every allocation must lie in [0, A_i]."""
+    grid = np.asarray(grid, dtype=float).ravel()
+    capacity = profiles[i].capacity_A
+    if not ((grid >= 0) & (grid <= capacity)).all():
+        raise ValueError(f"grid outside [0, {capacity}] for miner {i}")
+    payoff = _payoff_objective(mechanism, i, allocations, params, profiles, demand, fixed_windows)
+    return payoff(grid)
+
+
+def floor_payoff(a, c_tilde_value: float, cost: CostFunction):
+    """Guaranteed-payoff lower bound a * c~ - C(a); nondecreasing on [0, A].
+    A float for a float, an array for an array."""
+    a = np.asarray(a, dtype=float)
+    out = a * float(c_tilde_value) - cost_eval(cost, a)
+    return out if out.ndim else float(out)
 
 
 def best_response(
@@ -396,52 +556,44 @@ def best_response(
 
     Both objectives are exact: the floor in closed form, the payoff by
     pps_expected_payoff or ppss_expected_payoff (`fixed_windows` pins the
-    ppss windows). Every curve point has a CI half-width of 0. Ties break
-    toward the larger allocation.
+    ppss windows). The whole grid is evaluated in one array pass
+    (payoff_curve); the refinement evaluates one point at a time. Every
+    curve point has a CI half-width of 0. Ties break toward the larger
+    allocation.
     """
     if grid_points < 2:
         raise ValueError("grid_points must be at least 2")
     prof = profiles[miner_index]
     A = prof.capacity_A
-    base = np.asarray(others_fixed, dtype=float).copy()
 
     if objective == "floor":
         ct = c_tilde(prof)
 
-        def f(a: float) -> float:
+        def f(a: np.ndarray) -> np.ndarray:
             return floor_payoff(a, ct, prof.cost)
 
         method = "closed_form"
-    elif objective == "payoff" and mechanism == "pps":
-
-        def f(a: float) -> float:
-            base[miner_index] = a
-            return pps_expected_payoff(miner_index, base, params, profiles, demand)
-
-        method = "closed_form"
-    elif objective == "payoff" and mechanism == "ppss":
-        base[miner_index] = 0.0
-        _checked_allocations(base, profiles)
-        reward = _PpssReward(
-            miner_index, float(base.sum()), params, profiles, demand, fixed_windows,
-        )
-
-        def f(a: float) -> float:
-            return reward(a) - cost_eval(prof.cost, a)
-
-        method = "quadrature"
     elif objective == "payoff":
-        raise ValueError(f"unknown mechanism {mechanism!r}")
+        base = np.asarray(others_fixed, dtype=float).copy()
+        base[miner_index] = 0.0
+        f = _payoff_objective(
+            mechanism, miner_index, base, params, profiles, demand, fixed_windows,
+        )
+        method = "closed_form" if mechanism == "pps" else "quadrature"
     else:
         raise ValueError(f"unknown objective {objective!r}")
 
     grid = np.linspace(0.0, A, grid_points)
-    curve = tuple((float(a), f(float(a)), 0.0) for a in grid)
+    values = f(grid).tolist()
+    curve = tuple((a, v, 0.0) for a, v in zip(grid.tolist(), values))
     best_i = 0
     for i in range(1, grid_points):
-        if curve[i][1] >= curve[best_i][1]:
+        if values[i] >= values[best_i]:
             best_i = i
     best_a, best_v = curve[best_i][0], curve[best_i][1]
+
+    def f1(a: float) -> float:
+        return f(np.array([a]))[0]
 
     # One golden-section refinement pass over the bracketing interval.
     lo = grid[max(best_i - 1, 0)]
@@ -450,18 +602,18 @@ def best_response(
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = hi - invphi * (hi - lo)
     d = lo + invphi * (hi - lo)
-    fc, fd = f(c), f(d)
+    fc, fd = f(np.array([c, d])).tolist()
     for _ in range(16):
         if hi - lo < resolution / 16:
             break
         if fc > fd:
             hi, d, fd = d, c, fc
             c = hi - invphi * (hi - lo)
-            fc = f(c)
+            fc = f1(c)
         else:
             lo, c, fc = c, d, fd
             d = lo + invphi * (hi - lo)
-            fd = f(d)
+            fd = f1(d)
     for a_cand, v_cand in ((c, fc), (d, fd)):
         if v_cand > best_v or (v_cand == best_v and a_cand > best_a):
             best_a, best_v = a_cand, v_cand

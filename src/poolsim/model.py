@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
@@ -237,6 +236,8 @@ class DemandModel:
         u = np.maximum(u, U_MIN)
         if self.family == "constant":
             return np.full_like(u, self.M)
+        from scipy import special  # here, so constant and uniform demands never load it
+
         if self.family == "gamma":
             return special.gammaincinv(self.shape, u) / self.rate
         return np.exp(self.mu + self.sigma * special.ndtri(u))

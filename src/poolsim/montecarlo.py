@@ -26,7 +26,6 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy import special
 
 from .mechanisms import pps_reward, ppss_reward, subsidy_terms
 from .model import DemandModel, MinerProfile, PlatformParams, cost_eval, c_tilde, substream
@@ -50,6 +49,8 @@ def gamma_ppf(shape: float, u: np.ndarray) -> np.ndarray:
         raise ValueError("shape must be nonnegative")
     if shape == 0:
         return np.zeros_like(np.asarray(u, dtype=float))
+    from scipy import special
+
     return special.gammaincinv(shape, u)
 
 
@@ -140,7 +141,18 @@ def payoff_samples(
 
 
 def exact_mean_ci(samples: np.ndarray) -> tuple[float, float]:
-    """(mean, 95% CI half-width) via fixed-order compensated summation."""
+    """(mean, 95% CI half-width) via fixed-order compensated summation.
+
+    The half-width is the normal one, 1.96 * sd / sqrt(r). It undercovers a
+    heavy-tailed sample whose large values are rarer than 1/r: a ppss
+    payoff whose subsidy pays up to numerator/eps_k near D = lambda*A*k.
+    Recorded example (lognormal demand, mu 4.3749, sigma 6.1e-5; k 52.25,
+    N 4, b 1.1; capacities 1.0, 0.699, 0.589 with linear costs 229.1,
+    156.9, 21.6; allocations 0.5524, 0, 0.5096): the exact reward of miner
+    0 is 32.236, and the estimate reads 31.74 +- 0.08 at 2e4 replicas,
+    31.79 +- 0.10 at 2e5 and 32.28 +- 0.17 at 8e6, where one replica
+    reads 143 582.
+    """
     r = len(samples)
     mean = math.fsum(samples.tolist()) / r
     if r < 2:

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import replace
 
 import numpy as np
-from scipy import special
 
 from .analysis import (
     BudgetBounds,
@@ -23,7 +22,7 @@ from .analysis import (
     floor_payoff,
     incentive_verdict,
     ocdic_check,
-    ppss_expected_payoff,
+    payoff_curve,
     subsidy_prob_lower,
 )
 from .engine import run_simulation
@@ -128,6 +127,8 @@ def audit_t4(cfg) -> dict:
 def audit_t5(cfg) -> dict:
     """Subsidized mechanism: the exact payoff dominates the guaranteed floor,
     the floor best response is capacity, and the tail/identity bounds hold."""
+    from scipy import special
+
     plat = cfg.platform
     profiles = cfg.profiles
     capacities = np.array([p.capacity_A for p in profiles])
@@ -137,13 +138,11 @@ def audit_t5(cfg) -> dict:
 
     # Floor soundness on a 16-point allocation grid over [lam*A, A]: the
     # floor's derivation needs a > lam*A (below that the subsidy indicator
-    # is essentially never on and the bound is vacuous).
-    margins = []
-    for a in np.linspace(plat.lam * prof.capacity_A, prof.capacity_A, 16):
-        alloc = capacities.copy()
-        alloc[0] = a
-        payoff = ppss_expected_payoff(0, alloc, plat, profiles, demand)
-        margins.append(payoff - floor_payoff(a, ct, prof.cost))
+    # is essentially never on and the bound is vacuous), integrated in one
+    # pass.
+    grid = np.linspace(plat.lam * prof.capacity_A, prof.capacity_A, 16)
+    payoffs = payoff_curve("ppss", 0, capacities, grid, plat, profiles, demand)
+    margins = (payoffs - floor_payoff(grid, ct, prof.cost)).tolist()
     floor_ok = all(m >= 0 for m in margins)
 
     verdicts = ocdic_check("ppss", plat, profiles, demand)

@@ -19,6 +19,7 @@ from poolsim.analysis import (
     floor_payoff,
     g_function,
     ocdic_check,
+    payoff_curve,
     pps_expected_payoff,
     ppss_expected_payoff,
     subsidy_prob_lower,
@@ -429,6 +430,80 @@ class TestBestResponse:
             best_response(
                 "pps", 0, np.array([1.0]), params, profs, demand, objective="nonsense"
             )
+
+
+def pps_scalar_reference(i, allocations, params, profiles, demand):
+    """The pps payoff b*(a_i/sum a)*E[min(|D|, M)] - C(a_i) for one
+    allocation vector, in scalar arithmetic: the form pps_expected_payoff
+    had before the array path."""
+    allocations = np.asarray(allocations, dtype=float)
+    cost = cost_eval(profiles[i].cost, float(allocations[i]))
+    total = float(allocations.sum())
+    if allocations[i] == 0:
+        return 0.0 - cost
+    s = params.k * total
+
+    def expected_min(M):
+        return s * special.gammainc(s + 1.0, M) + M * special.gammaincc(s, M)
+
+    if demand.family == "constant":
+        em = expected_min(demand.M)
+    else:
+        x, w = np.polynomial.legendre.leggauss(64)
+        em = (0.5 * w) @ expected_min(demand.ppf(0.5 * (x + 1.0)))
+    return params.b * (float(allocations[i]) / total) * float(em) - cost
+
+
+class TestPayoffCurve:
+    """payoff_curve, the one array pass behind best_response, equals the
+    one-allocation calls bit for bit."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        data=small_configs(), miner=st.integers(0, 2), grid_points=st.integers(2, 5),
+        fractions=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+        windows=st.one_of(st.none(), st.lists(
+            st.tuples(st.floats(0.0, 2.0), st.integers(0, 9)), min_size=3, max_size=3,
+        )),
+    )
+    def test_grid_equals_one_allocation_calls(self, data, miner, grid_points, fractions, windows):
+        cfg = quiet_parse(data)
+        params, profiles, demand = cfg.platform, list(cfg.profiles), cfg.demand
+        caps = np.array([p.capacity_A for p in profiles])
+        i = miner % len(caps)
+        allocs = caps * np.array(fractions[:len(caps)])
+        pinned = None
+        if windows is not None and cfg.mechanism == "ppss":
+            # a window of L rounds summing to f times L rounds' mean output at capacity
+            pinned = [(f * params.k * cap * L, L) for (f, L), cap in zip(windows, caps)]
+        grid = np.linspace(0.0, caps[i], grid_points)  # a = 0 and a = A included
+        curve = payoff_curve(cfg.mechanism, i, allocs, grid, params, profiles, demand, pinned)
+        # assert_array_equal: exact, and a NaN equals a NaN (scipy's gamma
+        # quantiles are NaN at a subnormal shape, so a subnormal allocation
+        # of the others makes the ppss payoff NaN on both paths)
+        same = np.testing.assert_array_equal
+        for a, value in zip(grid, curve):
+            point = allocs.copy()
+            point[i] = a
+            if cfg.mechanism == "pps":
+                same(value, pps_expected_payoff(i, point, params, profiles, demand))
+                same(value, pps_scalar_reference(i, point, params, profiles, demand))
+            else:
+                same(value, ppss_expected_payoff(i, point, params, profiles, demand, pinned))
+        br = best_response(cfg.mechanism, i, allocs, params, profiles, demand,
+                           grid_points=grid_points, fixed_windows=pinned)
+        same([v for _, v, _ in br.curve], curve)
+
+    def test_grid_outside_capacity_rejected(self):
+        for grid in ([0.5, 1.5], [-0.1, 0.5]):
+            for mechanism in ("pps", "ppss"):
+                with pytest.raises(ValueError):
+                    payoff_curve(mechanism, 0, [1.0, 1.0], grid,
+                                 AUDIT_PARAMS, AUDIT_PROFS, AUDIT_DEMAND)
+
+    def test_unknown_mechanism_rejected(self):
+        with pytest.raises(ValueError, match="unknown mechanism"):
+            payoff_curve("pplns", 0, [1.0, 1.0], [0.5], AUDIT_PARAMS, AUDIT_PROFS, AUDIT_DEMAND)
 
 
 class TestOcdicCheck:

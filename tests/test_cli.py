@@ -1,6 +1,8 @@
 """Command line surface: subcommands, schemas, exit codes, determinism."""
 import csv
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -443,3 +445,22 @@ class TestFig1:
         assert svg.startswith("<svg")
         assert "polyline" in svg
         assert svg.rstrip().endswith("</svg>")
+
+
+def test_simulate_runs_without_scipy(config_path, tmp_out):
+    # scipy.special is imported only by the functions that call it; a
+    # static ppss run under uniform demand calls none of them
+    cfg = dict(BASE_CONFIG, mechanism="ppss",
+               demand={"family": "uniform", "lo": 10.0, "hi": 30.0}, rounds=50)
+    script = (
+        "import sys\n"
+        "from poolsim.cli import main\n"
+        f"assert main(['simulate', '--config', {config_path(cfg)!r}, '--out', {tmp_out!r}]) == 0\n"
+        "sys.exit('scipy.special' in sys.modules)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert os.path.exists(os.path.join(tmp_out, "ledger.csv"))

@@ -6,11 +6,19 @@ import pytest
 import yaml
 from hypothesis import given, settings
 
-from poolsim.config import MAX_LEDGER_BYTES, ConfigError, dump_config, load_config, parse_config
+from poolsim.config import (
+    MAX_LEDGER_BYTES,
+    ConfigError,
+    dump_config,
+    load_config,
+    parse_config,
+    read_yaml,
+)
 
 from conftest import quiet_parse, small_configs
 
 WORKLOADS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def minimal(**overrides):
@@ -314,3 +322,25 @@ class TestRoundTrip:
         path.write_text(yaml.safe_dump(self.full_config()))
         cfg = load_config(str(path), warn_stream=io.StringIO())
         assert cfg == quiet_parse(self.full_config())
+
+
+class TestReadYaml:
+    """read_yaml uses libyaml's loader where PyYAML has it; it must read the
+    same documents as PyYAML's pure-Python SafeLoader."""
+
+    @pytest.mark.parametrize(
+        "name", sorted(n for n in os.listdir(WORKLOADS) if n.endswith(".yaml")),
+    )
+    def test_workload_same_document(self, name):
+        path = os.path.join(WORKLOADS, name)
+        with open(path) as fh:
+            assert read_yaml(path) == yaml.load(fh, Loader=yaml.SafeLoader)
+
+    def test_readme_example_same_document(self, tmp_path):
+        with open(README) as fh:
+            example = fh.read().split("```yaml\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "readme.yaml"
+        path.write_text(example)
+        doc = read_yaml(str(path))
+        assert doc == yaml.load(example, Loader=yaml.SafeLoader)
+        assert doc["mechanism"] in ("pps", "ppss")
