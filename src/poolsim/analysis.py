@@ -339,7 +339,10 @@ class _PpssReward:
         if self.numerator != 0:
             threshold = (self.threshold,) if self.threshold > 0 else ()
             self.kinks = (*roots, *threshold, self.unit)
-        self.others = _OthersRule(params.k * others_total) if others_total > 0 else None
+        # scipy's inverse incomplete gamma is NaN at a subnormal shape, whose
+        # output is 0 to within the rule's accuracy: no other miner
+        others_shape = params.k * others_total
+        self.others = _OthersRule(others_shape) if others_shape >= np.finfo(float).tiny else None
         if demand.family == "constant":
             self.demand_M, self.demand_w = np.array([demand.M]), np.array([1.0])
         else:

@@ -4,7 +4,6 @@ from __future__ import annotations
 import argparse
 import copy
 import itertools
-import math
 import os
 import sys
 
@@ -16,6 +15,7 @@ from .csvio import ledger_header, ledger_rows, write_csv
 from .engine import run_simulation
 from .mechanisms import subsidy_shape
 from .model import PlatformParams, cost_eval
+from .montecarlo import exact_sum
 from .svgplot import line_plot_svg, write_svg
 from .theorems import ALL_THEOREMS, run_audits
 
@@ -36,7 +36,7 @@ def _parse(data, args):
 
 
 def _mean(column) -> float:
-    return math.fsum(column.tolist()) / len(column)
+    return exact_sum(column) / len(column)
 
 
 def cmd_simulate(args) -> int:

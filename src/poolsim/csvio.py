@@ -2,8 +2,14 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import os
 import tempfile
+
+# Rounds (array rows) converted to Python objects at a time by ledger_rows
+# and montecarlo.exact_sum, so neither holds a Python copy of a whole ledger.
+# A few hundred: 4 096 already shows in a simulate run's peak RSS.
+ROW_BLOCK = 256
 
 
 def fmt(value) -> str:
@@ -82,11 +88,22 @@ def ledger_header(n_miners: int) -> list[str]:
     return cols
 
 
-def ledger_rows(ledger):
-    """One row per round, in ledger_header's column order."""
-    cols = [range(1, ledger.rounds + 1), ledger.M.tolist()]
-    for i in range(ledger.a.shape[1]):
-        cols += [ledger.a[:, i].tolist(), ledger.D[:, i].tolist(),
-                 ledger.rewards[:, i].tolist(), ledger.flags[:, i].tolist()]
-    cols += [ledger.delta.tolist(), ledger.budget_ratio.tolist()]
+def _ledger_block(ledger, lo: int, hi: int):
+    cols = [range(lo + 1, hi + 1), ledger.M[lo:hi].tolist()]
+    per_miner = [x[lo:hi].T.tolist() for x in (ledger.a, ledger.D, ledger.rewards, ledger.flags)]
+    for a, d, reward, flag in zip(*per_miner):
+        cols += [a, d, reward, flag]
+    cols += [ledger.delta[lo:hi].tolist(), ledger.budget_ratio[lo:hi].tolist()]
     return zip(*cols)
+
+
+def ledger_rows(ledger):
+    """One row per round, in ledger_header's column order, as an iterator.
+    The columns are converted to Python objects ROW_BLOCK rounds at a time,
+    when the rows are read: the rows in memory are one block's, not a copy
+    of the ledger."""
+    rounds = ledger.rounds
+    return itertools.chain.from_iterable(
+        _ledger_block(ledger, lo, min(lo + ROW_BLOCK, rounds))
+        for lo in range(0, rounds, ROW_BLOCK)
+    )

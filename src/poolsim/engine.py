@@ -1,7 +1,6 @@
 """The repeated game: round loop, miner policies, columnar ledger."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +17,7 @@ from .model import (
     sample_transcript,
     substream,
 )
+from .montecarlo import exact_sum
 
 TAG_ROUND = 7
 
@@ -110,11 +110,11 @@ class SimulationLedger:
 
     @property
     def cumulative_intake(self) -> float:
-        return math.fsum((self.p * np.minimum(self.D.sum(axis=1), self.M)).tolist())
+        return exact_sum(self.p * np.minimum(self.D.sum(axis=1), self.M))
 
     @property
     def cumulative_outflow(self) -> float:
-        return math.fsum(self.rewards.ravel().tolist())
+        return exact_sum(self.rewards)
 
 
 @dataclass

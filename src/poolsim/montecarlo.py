@@ -21,12 +21,14 @@ the pairing across allocations is kept.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from .csvio import ROW_BLOCK
 from .mechanisms import pps_reward, ppss_reward, subsidy_terms
 from .model import DemandModel, MinerProfile, PlatformParams, cost_eval, c_tilde, substream
 
@@ -140,8 +142,20 @@ def payoff_samples(
     return out
 
 
+def exact_sum(x: np.ndarray) -> float:
+    """math.fsum over x's values in x.ravel() order, converted to Python
+    floats ROW_BLOCK rows at a time. fsum is exactly rounded over the same
+    values in the same order, so the result (or exception) is that of one
+    call on the whole array's list, while no Python copy of the whole array
+    is made."""
+    return math.fsum(itertools.chain.from_iterable(
+        x[lo:lo + ROW_BLOCK].ravel().tolist() for lo in range(0, len(x), ROW_BLOCK)
+    ))
+
+
 def exact_mean_ci(samples: np.ndarray) -> tuple[float, float]:
-    """(mean, 95% CI half-width) via fixed-order compensated summation.
+    """(mean, 95% CI half-width) via exactly rounded sums (exact_sum) of the
+    samples and of their squared deviations.
 
     The half-width is the normal one, 1.96 * sd / sqrt(r). It undercovers a
     heavy-tailed sample whose large values are rarer than 1/r: a ppss
@@ -154,8 +168,8 @@ def exact_mean_ci(samples: np.ndarray) -> tuple[float, float]:
     reads 143 582.
     """
     r = len(samples)
-    mean = math.fsum(samples.tolist()) / r
+    mean = exact_sum(samples) / r
     if r < 2:
         return mean, 0.0
-    var = math.fsum(((samples - mean) ** 2).tolist()) / (r - 1)
+    var = exact_sum((samples - mean) ** 2) / (r - 1)
     return mean, 1.96 * math.sqrt(var / r)

@@ -305,6 +305,20 @@ class TestPpssExpectedPayoff:
             with pytest.raises(ValueError):
                 ppss_expected_payoff(0, allocs, AUDIT_PARAMS, AUDIT_PROFS, AUDIT_DEMAND)
 
+    @pytest.mark.parametrize("others", [5e-324, 1e-310])
+    def test_subnormal_others_count_as_no_other_miner(self, others):
+        # scipy's gamma quantiles are NaN at a subnormal shape
+        params = PlatformParams(p=1.0, b=1.0, k=1.0, window_N=1)
+        profs, demand = [linear_miner()] * 3, DemandModel(family="constant", M=1.0)
+        alone = ppss_expected_payoff(0, [1.0, 0.0, 0.0], params, profs, demand)
+        assert ppss_expected_payoff(0, [1.0, 0.0, others], params, profs, demand) == pytest.approx(
+            alone, rel=1e-12)
+        grid = [0.0, 0.5, 1.0]
+        curve = payoff_curve("ppss", 0, [1.0, 0.0, others], grid, params, profs, demand)
+        assert np.isfinite(curve).all()
+        alone_curve = payoff_curve("ppss", 0, [1.0, 0.0, 0.0], grid, params, profs, demand)
+        np.testing.assert_allclose(curve, alone_curve, rtol=1e-12)
+
     def test_raw_payoff_peaks_below_capacity(self):
         # The guarded subsidy pays most near D = lambda*A*k, where K is
         # smallest, so the raw payoff's argmax sits well below capacity.
@@ -478,10 +492,7 @@ class TestPayoffCurve:
             pinned = [(f * params.k * cap * L, L) for (f, L), cap in zip(windows, caps)]
         grid = np.linspace(0.0, caps[i], grid_points)  # a = 0 and a = A included
         curve = payoff_curve(cfg.mechanism, i, allocs, grid, params, profiles, demand, pinned)
-        # assert_array_equal: exact, and a NaN equals a NaN (scipy's gamma
-        # quantiles are NaN at a subnormal shape, so a subnormal allocation
-        # of the others makes the ppss payoff NaN on both paths)
-        same = np.testing.assert_array_equal
+        same = np.testing.assert_array_equal  # exact
         for a, value in zip(grid, curve):
             point = allocs.copy()
             point[i] = a

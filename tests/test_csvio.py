@@ -1,13 +1,17 @@
-"""CSV emission: write_csv's bytes against the plain csv.writer + fmt writer."""
+"""CSV emission: write_csv's bytes against the plain csv.writer + fmt writer,
+and ledger_rows' blocks against whole-ledger columns."""
 import csv
 import math
 import sys
+import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poolsim.csvio import atomic_write, fmt, write_csv
+from poolsim.csvio import ROW_BLOCK, atomic_write, fmt, ledger_header, ledger_rows, write_csv
+from poolsim.engine import SimulationLedger
 
 
 def _write_csv_reference(path, header, rows):
@@ -75,3 +79,57 @@ class TestWriteCsv:
         rows = iter([(i, i / 4) for i in range(3)])
         write_csv(str(tmp_path / "t.csv"), ["i", "q"], rows)
         assert (tmp_path / "t.csv").read_text() == "i,q\n0,0\n1,0.25\n2,0.5\n"
+
+
+def _random_ledger(rounds, n, seed=0, wide=True):
+    """A ledger of random values: of any sign and magnitude (`wide`), or in
+    [0, 1), which are quicker to format."""
+    rng = np.random.default_rng(seed)
+    led = SimulationLedger.empty(rounds, n, p=1.0)
+    for col in (led.M, led.a, led.D, led.rewards, led.delta, led.budget_ratio):
+        if wide:
+            col[...] = rng.standard_normal(col.shape) * 10.0 ** rng.integers(-300, 300, col.shape)
+        else:
+            col[...] = rng.random(col.shape)
+    led.flags[...] = rng.random(led.flags.shape) < 0.5
+    return led
+
+
+def _whole_ledger_rows(led):
+    """ledger_rows as one zip of whole-ledger .tolist() columns."""
+    cols = [range(1, led.rounds + 1), led.M.tolist()]
+    for i in range(led.a.shape[1]):
+        cols += [led.a[:, i].tolist(), led.D[:, i].tolist(),
+                 led.rewards[:, i].tolist(), led.flags[:, i].tolist()]
+    cols += [led.delta.tolist(), led.budget_ratio.tolist()]
+    return zip(*cols)
+
+
+class TestLedgerRows:
+    @pytest.mark.parametrize("rounds", [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 3])
+    def test_blocks_equal_whole_ledger_columns(self, rounds, tmp_path):
+        led = _random_ledger(rounds, 3, seed=rounds)
+        rows = list(ledger_rows(led))
+        whole = list(_whole_ledger_rows(led))
+        assert rows == whole
+        assert [tuple(map(type, r)) for r in rows] == [tuple(map(type, r)) for r in whole]
+        header = ledger_header(3)
+        write_csv(str(tmp_path / "fast.csv"), header, ledger_rows(led))
+        _write_csv_reference(str(tmp_path / "ref.csv"), header, _whole_ledger_rows(led))
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_empty_ledger_writes_the_header(self, tmp_path):
+        write_csv(str(tmp_path / "t.csv"), ledger_header(2), ledger_rows(_random_ledger(0, 2)))
+        assert (tmp_path / "t.csv").read_text() == ",".join(ledger_header(2)) + "\n"
+
+    def test_writing_holds_one_block_not_the_ledger(self, tmp_path):
+        # 40 000 rounds of 4 miners: a 5 MB ledger, whose Python copy would
+        # take about 20 MB
+        led = _random_ledger(40_000, 4, wide=False)
+        tracemalloc.start()
+        try:
+            write_csv(str(tmp_path / "ledger.csv"), ledger_header(4), ledger_rows(led))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20

@@ -11,11 +11,13 @@ from hypothesis.extra import numpy as hnp
 from scipy import special
 
 from poolsim import montecarlo
+from poolsim.csvio import ROW_BLOCK
 from poolsim.mechanisms import ppss_reward, subsidy_terms
 from poolsim.model import CostFunction, DemandModel, MinerProfile, PlatformParams, c_tilde, cost_eval
 from poolsim.montecarlo import (
     BLOCK_SIZE,
     exact_mean_ci,
+    exact_sum,
     gamma_ppf,
     payoff_samples,
     worker_count,
@@ -116,6 +118,47 @@ class TestGammaPpf:
     def test_negative_shape_rejected(self):
         with pytest.raises(ValueError):
             gamma_ppf(-1.0, np.array([0.5]))
+
+
+def _outcome(f, x):
+    """f(x)'s bits, or its exception's type and message."""
+    try:
+        return np.float64(f(x)).tobytes()
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+_SUM_ROWS = st.sampled_from([0, 1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 3])
+_SUM_ELEMENTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308, 0.1]),
+)
+
+
+class TestExactSum:
+    """exact_sum is math.fsum over the whole array's values, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(x=st.one_of(
+        hnp.arrays(np.float64, _SUM_ROWS, elements=_SUM_ELEMENTS),
+        hnp.arrays(np.float64, st.tuples(_SUM_ROWS, st.integers(1, 3)), elements=_SUM_ELEMENTS),
+    ), view=st.sampled_from(["whole", "transposed", "first column"]))
+    def test_equals_fsum_of_the_whole_array(self, x, view):
+        if view == "transposed":
+            x = x.T
+        elif view == "first column" and x.ndim == 2:
+            x = x[:, 0]
+        assert _outcome(exact_sum, x) == _outcome(lambda v: math.fsum(v.ravel().tolist()), x)
+
+    @pytest.mark.parametrize("values, error", [
+        ([math.inf, -math.inf], ValueError),
+        ([1e308, 1e308, -1e308], OverflowError),  # intermediate overflow
+    ])
+    def test_same_exception_as_fsum(self, values, error):
+        x = np.concatenate((np.ones(ROW_BLOCK), values, np.ones(ROW_BLOCK)))
+        reference = _outcome(lambda v: math.fsum(v.tolist()), x)
+        assert reference[0] is error
+        assert _outcome(exact_sum, x) == reference
 
 
 class TestExactMeanCi:
