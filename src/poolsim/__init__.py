@@ -22,10 +22,13 @@ from .analysis import (
 )
 from .config import ConfigError, ExperimentConfig, dump_config, load_config, parse_config
 from .engine import (
+    PlayedGame,
     SimulationLedger,
     delta_adaptive_policy,
     init_state,
+    play,
     run_simulation,
+    settle,
     step_round,
 )
 from .mechanisms import pps_reward, ppss_reward, subsidy_shape, subsidy_terms

@@ -62,9 +62,8 @@ class BestResponseResult:
     # "closed_form": the floor objective, or the pps payoff;
     # "quadrature": the ppss payoff (ppss_expected_payoff)
     method: str
-    # (a, objective, CI half-width) at each grid point, in grid order; every
-    # objective is exact, so the half-width is 0
-    curve: tuple[tuple[float, float, float], ...]
+    # (a, objective) at each grid point, in grid order
+    curve: tuple[tuple[float, float], ...]
 
 
 @dataclass(frozen=True)
@@ -560,9 +559,8 @@ def best_response(
     Both objectives are exact: the floor in closed form, the payoff by
     pps_expected_payoff or ppss_expected_payoff (`fixed_windows` pins the
     ppss windows). The whole grid is evaluated in one array pass
-    (payoff_curve); the refinement evaluates one point at a time. Every
-    curve point has a CI half-width of 0. Ties break toward the larger
-    allocation.
+    (payoff_curve); the refinement evaluates one point at a time. Ties
+    break toward the larger allocation.
     """
     if grid_points < 2:
         raise ValueError("grid_points must be at least 2")
@@ -588,12 +586,12 @@ def best_response(
 
     grid = np.linspace(0.0, A, grid_points)
     values = f(grid).tolist()
-    curve = tuple((a, v, 0.0) for a, v in zip(grid.tolist(), values))
+    curve = tuple(zip(grid.tolist(), values))
     best_i = 0
     for i in range(1, grid_points):
         if values[i] >= values[best_i]:
             best_i = i
-    best_a, best_v = curve[best_i][0], curve[best_i][1]
+    best_a, best_v = curve[best_i]
 
     def f1(a: float) -> float:
         return f(np.array([a]))[0]

@@ -102,7 +102,7 @@ def cmd_best_response(args) -> int:
     )
     write_csv(
         os.path.join(args.out, "br_curve.csv"),
-        ["a", "payoff_mean", "ci"],
+        ["a", "payoff_mean"],
         result.curve,
     )
     print(

@@ -1,12 +1,21 @@
-"""The repeated game: round loop, miner policies, columnar ledger."""
+"""The repeated game in two phases: play, then settle.
+
+play runs the round loop (demand, miner policies, output draws, delta) into
+a PlayedGame; settle pays a played game under one mechanism into a
+SimulationLedger. No policy reads a payment, so one played game can be
+settled under each mechanism when no policy reads the mechanism either
+(reads_mechanism).
+"""
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import best_response
 from .config import ExperimentConfig
+from .csvio import ROW_BLOCK
 from .mechanisms import pps_reward, ppss_reward, subsidy_terms
 from .model import (
     DemandModel,
@@ -45,7 +54,7 @@ def _policy_allocation(state: SimulationState, i: int) -> float:
     """
     cfg = state.cfg
     policy, profile = cfg.policies[i], cfg.profiles[i]
-    led, prev = state.ledger, state.next_round - 2  # last closed round's row
+    led, prev = state.game, state.next_round - 2  # last closed round's row
     if policy.kind == "delta_adaptive":
         if prev < 0:
             return profile.capacity_A
@@ -67,22 +76,36 @@ def _policy_allocation(state: SimulationState, i: int) -> float:
 
 
 @dataclass
-class SimulationLedger:
-    """Columnar record of a run: row j-1 holds round j.
+class PlayedGame:
+    """Columnar record of a played run, before it is paid: row j-1 holds
+    round j.
 
-    M, delta and budget_ratio have shape (rounds,); a, D, rewards and flags
-    have shape (rounds, n). Columns are preallocated, and rows past the last
-    stepped round stay zero. delta = min{|D|, M}/|D| (1 when |D| = 0) and
-    budget_ratio = sum(R)/(M * p). Platform intake is p * min{|D|, M}
-    (payment for completed work up to demand).
+    M and delta have shape (rounds,); a and D have shape (rounds, n).
+    Columns are preallocated, and rows past the last stepped round stay
+    zero. delta = min{|D|, M}/|D| (1 when |D| = 0).
     """
 
     M: np.ndarray
     a: np.ndarray
     D: np.ndarray
+    delta: np.ndarray
+
+    @property
+    def rounds(self) -> int:
+        return len(self.M)
+
+
+@dataclass
+class SimulationLedger(PlayedGame):
+    """A played game and its payments under one mechanism.
+
+    rewards and flags have shape (rounds, n), budget_ratio shape (rounds,).
+    budget_ratio = sum(R)/(M * p). Platform intake is p * min{|D|, M}
+    (payment for completed work up to demand).
+    """
+
     rewards: np.ndarray
     flags: np.ndarray
-    delta: np.ndarray
     budget_ratio: np.ndarray
     p: float
 
@@ -93,20 +116,6 @@ class SimulationLedger:
             rewards=np.zeros((rounds, n)), flags=np.zeros((rounds, n), dtype=bool),
             delta=np.zeros(rounds), budget_ratio=np.zeros(rounds), p=p,
         )
-
-    @property
-    def rounds(self) -> int:
-        return len(self.M)
-
-    def window(self, row: int, N: int) -> tuple[np.ndarray, int]:
-        """Per-miner output sum over the last min(row, N-1) rows before `row`,
-        and that row count: the completed rounds the PPSS indicator reads."""
-        lo = max(row - (N - 1), 0)
-        if lo == row:
-            return np.zeros(self.D.shape[1]), 0
-        # cumsum adds the rows oldest first, one at a time; sum(axis=0) may
-        # pair them up and round differently
-        return self.D[lo:row].cumsum(axis=0)[-1], row - lo
 
     @property
     def cumulative_intake(self) -> float:
@@ -120,46 +129,44 @@ class SimulationLedger:
 @dataclass
 class SimulationState:
     cfg: ExperimentConfig
-    ledger: SimulationLedger
+    game: PlayedGame
     caps: np.ndarray
-    # Per-run constants: each static miner's allocation (None for the other
-    # policies) and ppss_reward's subsidy_terms.
+    # Each static miner's allocation, fixed for the run (None for the other
+    # policies).
     static_a: list[float | None]
-    unit: np.ndarray
-    numerator: np.ndarray
     # Per miner, (announced M, argmax) of its last myopic best response.
     br_memo: list[tuple[float, float] | None]
     next_round: int = 1
 
 
 def init_state(cfg: ExperimentConfig) -> SimulationState:
-    """A state before round 1 whose ledger has room for cfg.rounds rounds."""
-    profiles, params = cfg.profiles, cfg.platform
+    """A state before round 1 whose game has room for cfg.rounds rounds."""
+    profiles, rounds = cfg.profiles, cfg.rounds
     n = len(profiles)
-    caps = np.array([p.capacity_A for p in profiles], dtype=float)
-    unit, numerator = subsidy_terms(caps, np.array([c_tilde(p) for p in profiles]), params)
     return SimulationState(
         cfg=cfg,
-        ledger=SimulationLedger.empty(cfg.rounds, n, params.p),
-        caps=caps,
+        game=PlayedGame(
+            M=np.zeros(rounds), a=np.zeros((rounds, n)), D=np.zeros((rounds, n)),
+            delta=np.zeros(rounds),
+        ),
+        caps=np.array([p.capacity_A for p in profiles], dtype=float),
         static_a=[
             min(pol.a, prof.capacity_A) if pol.kind == "static" else None
             for pol, prof in zip(cfg.policies, profiles)
         ],
-        unit=unit,
-        numerator=numerator,
         br_memo=[None] * n,
     )
 
 
 def step_round(state: SimulationState) -> None:
-    """Resolve exactly one round and write its ledger row.
+    """Play exactly one round and write its row of the game: M, a, D and
+    delta. Nobody is paid here; settle pays the whole game.
 
     All policies decide synchronously from rounds < j, then demand and the
     outputs are drawn from the round's substream.
     """
-    j, cfg = state.next_round, state.cfg
-    row, params, led = j - 1, cfg.platform, state.ledger
+    j, cfg, game = state.next_round, state.cfg, state.game
+    row = j - 1
     rng = substream(cfg.seed, TAG_ROUND, j)
     M = sample_demand(cfg.demand, rng)
     # a static miner's min(a, A) is fixed in init_state (MinerPolicy rejects a
@@ -173,40 +180,105 @@ def step_round(state: SimulationState) -> None:
                 raise ValueError(f"allocation {s} outside [0, {cap}] for miner {i}")
         alloc.append(s)
     a = np.array(alloc)
-    d = sample_transcript(params, a, rng)
+    d = sample_transcript(cfg.platform, a, rng)
     total = float(d.sum())
 
-    if cfg.mechanism == "pps":
-        rewards = pps_reward(d, total, M, params)
-        # analytic ratio (b/p) * (min{|D|, M} / M): equals the summed form in
-        # real arithmetic but cannot exceed b/p by a rounding ulp
-        ratio = (params.b / params.p) * (min(total, M) / M) if total else 0.0
-    else:
-        window_sum, window_len = led.window(row, params.window_N)
-        rewards, led.flags[row] = ppss_reward(
-            d, total, M, window_sum, window_len, state.unit, state.numerator, params,
-        )
-        ratio = rewards.sum() / (M * params.p)
-
-    led.M[row] = M
-    led.a[row] = a
-    led.D[row] = d
-    led.rewards[row] = rewards
-    led.delta[row] = min(total, M) / total if total else 1.0
-    led.budget_ratio[row] = ratio
+    game.M[row] = M
+    game.a[row] = a
+    game.D[row] = d
+    game.delta[row] = min(total, M) / total if total else 1.0
     state.next_round += 1
 
 
-def run_simulation(config: ExperimentConfig) -> SimulationLedger:
-    """Run the repeated game for config.rounds rounds.
+def reads_mechanism(cfg: ExperimentConfig) -> bool:
+    """Whether play(cfg) depends on cfg.mechanism. Only a myopic_br miner
+    reads it; without one, the game played under pps and under ppss is the
+    same, and only settle tells the mechanisms apart."""
+    return any(pol.kind == "myopic_br" for pol in cfg.policies)
 
-    Bit-reproducible for a given config (its seed included; run another seed
-    with dataclasses.replace(config, seed=...)); the loop is strictly
-    sequential because each round's policies and windows read earlier rows.
+
+def play(cfg: ExperimentConfig) -> PlayedGame:
+    """Phase 1: play cfg.rounds rounds, one step_round each.
+
+    Bit-reproducible for a given config (its seed included; play another
+    seed with dataclasses.replace(config, seed=...)); the loop is strictly
+    sequential because each round's policies read earlier rows.
     """
-    if config.rounds < 1:
+    if cfg.rounds < 1:
         raise ValueError("rounds must be at least 1")
-    state = init_state(config)
-    for _ in range(config.rounds):
+    state = init_state(cfg)
+    for _ in range(cfg.rounds):
         step_round(state)
-    return state.ledger
+    return state.game
+
+
+def window_sums(D: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of D, each miner's output sum over the last min(row, N-1) rows
+    before it, and that row count: the completed rounds the PPSS indicator
+    reads.
+
+    The window is added oldest first, one lagged copy of D at a time, onto
+    0.0 (which adds exactly): the order a per-row cumsum adds it in. A
+    pairwise sum could round differently.
+    """
+    rounds = len(D)
+    sums = np.zeros_like(D)
+    for lag in range(min(N - 1, rounds - 1), 0, -1):
+        sums[lag:] += D[:-lag]
+    return sums, np.minimum(np.arange(rounds), N - 1)
+
+
+def _round_rows(*columns):
+    """The columns zipped row by row, one round per item. A 1-D column gives
+    Python scalars, which the kernels take faster than numpy's; they are
+    converted ROW_BLOCK rounds at a time, never as a list of a whole column."""
+    return itertools.chain.from_iterable(
+        zip(*(c[lo:lo + ROW_BLOCK].tolist() if c.ndim == 1 else c[lo:lo + ROW_BLOCK]
+              for c in columns))
+        for lo in range(0, len(columns[0]), ROW_BLOCK)
+    )
+
+
+def settle(played: PlayedGame, cfg: ExperimentConfig) -> SimulationLedger:
+    """Phase 2: pay a fully played game under cfg.mechanism.
+
+    The ledger shares played's M, a, D and delta columns. Rewards and flags
+    come from one kernel call per round row; the totals |D|, the window
+    sums and budget_ratio are computed over whole columns, and each row of
+    them has the bits the row's own sum would. A policy never reads a
+    payment, so paying after the last round gives the ledger that paying
+    each round in turn would.
+    """
+    params, M, D = cfg.platform, played.M, played.D
+    # every drawn demand is positive, so M = 0 marks a row never played,
+    # whose budget_ratio would divide by zero
+    if not M.all():
+        raise ValueError(f"game has {M.size - np.count_nonzero(M)} unplayed round(s)")
+    total = D.sum(axis=1)
+    rewards = np.zeros_like(D)
+    flags = np.zeros(D.shape, dtype=bool)
+    if cfg.mechanism == "pps":
+        for row, args in enumerate(_round_rows(D, total, M)):
+            rewards[row] = pps_reward(*args, params)
+        # analytic ratio (b/p) * (min{|D|, M} / M): equals the summed form in
+        # real arithmetic but cannot exceed b/p by a rounding ulp
+        ratio = np.where(total > 0, (params.b / params.p) * (np.minimum(total, M) / M), 0.0)
+    else:
+        profiles = cfg.profiles
+        unit, numerator = subsidy_terms(
+            np.array([p.capacity_A for p in profiles], dtype=float),
+            np.array([c_tilde(p) for p in profiles]), params,
+        )
+        sums, lens = window_sums(D, params.window_N)
+        for row, args in enumerate(_round_rows(D, total, M, sums, lens)):
+            rewards[row], flags[row] = ppss_reward(*args, unit, numerator, params)
+        ratio = rewards.sum(axis=1) / (M * params.p)
+    return SimulationLedger(
+        M=M, a=played.a, D=D, delta=played.delta,
+        rewards=rewards, flags=flags, budget_ratio=ratio, p=params.p,
+    )
+
+
+def run_simulation(config: ExperimentConfig) -> SimulationLedger:
+    """Run the repeated game for config.rounds rounds: settle(play(config))."""
+    return settle(play(config), config)

@@ -2,11 +2,16 @@
 
 Each audit builds the scenario its claim is about on top of the supplied
 config's platform economics, runs its check, and returns one report row.
-An audit reads cfg.seed only where it draws: T1 and T6 through
-run_simulation; T2, T3, T4, T5 and T7 are deterministic, and no audit reads
-cfg.replicas. A verdict of KNOWN_DISCREPANCY marks a claim that a
-faithful implementation measurably violates (tracked, not a harness
-failure).
+An audit reads cfg.seed only where it draws: T1 and T6 settle a played game
+(engine.play, then engine.settle); T2, T3, T4, T5 and T7 are deterministic,
+and no audit reads cfg.replicas. A verdict of KNOWN_DISCREPANCY marks a
+claim that a faithful implementation measurably violates (tracked, not a
+harness failure).
+
+T1 settles the game under pps and T6 under ppss. Within one run_audits
+call they settle the same played game when no miner's policy reads the
+mechanism (engine.reads_mechanism); otherwise each plays its own. Either
+way each row is the one the audit gives when run alone.
 """
 from __future__ import annotations
 
@@ -25,7 +30,7 @@ from .analysis import (
     payoff_curve,
     subsidy_prob_lower,
 )
-from .engine import run_simulation
+from .engine import play, reads_mechanism, settle
 from .mechanisms import subsidy_shape
 from .model import CostFunction, DemandModel, c_tilde
 
@@ -42,10 +47,11 @@ def _row(theorem, claim, cfg, verdict, metric, bound, ci=0.0):
     }
 
 
-def audit_t1(cfg) -> dict:
-    """Every realized PPS payout ratio lies in [0, b/p]."""
+def audit_t1(cfg, play=play) -> dict:
+    """Every realized PPS payout ratio lies in [0, b/p]. `play` plays the
+    game it settles (run_audits passes one that shares it with T6)."""
     sim_cfg = replace(cfg, mechanism="pps")
-    ledger = run_simulation(sim_cfg)
+    ledger = settle(play(sim_cfg), sim_cfg)
     ratios = ledger.budget_ratio
     cap = cfg.platform.b / cfg.platform.p
     ok = ratios.min() >= 0.0 and ratios.max() <= cap
@@ -170,13 +176,14 @@ def audit_t5(cfg) -> dict:
     )
 
 
-def audit_t6(cfg) -> dict:
+def audit_t6(cfg, play=play) -> dict:
     """Long-term PPSS payout ratio against the claimed bound
-    sum(c~_i * A_i) / (mu_F * p)."""
+    sum(c~_i * A_i) / (mu_F * p). `play` plays the game it settles (run_audits
+    passes one that shares it with T1)."""
     plat = cfg.platform
     profiles = cfg.profiles
     sim_cfg = replace(cfg, mechanism="ppss")
-    ledger = run_simulation(sim_cfg)
+    ledger = settle(play(sim_cfg), sim_cfg)
     bound = sum(c_tilde(p) * p.capacity_A for p in profiles) / (cfg.demand.mu_F * plat.p)
     report = bb_audit(ledger, BudgetBounds(theta=0.0, gamma=bound))
     verdict = "PASS" if report["long_term_pass"] else "KNOWN_DISCREPANCY"
@@ -213,14 +220,39 @@ AUDITS = {
 # The theorem names, in report order; run_audits looks each audit up in
 # AUDITS when it runs.
 ALL_THEOREMS = tuple(AUDITS)
+# The audits that settle a played game; run_audits passes them its `play`.
+PLAYING = ("T1", "T6")
+
+
+def _shared_play():
+    """engine.play, except that configs whose games cannot differ get one
+    game: without a policy that reads the mechanism, the game is the same
+    under every mechanism, so it is keyed on the config less its mechanism.
+    The memo lives as long as the returned function."""
+    games = {}
+
+    def shared(cfg):
+        if reads_mechanism(cfg):
+            return play(cfg)
+        key = replace(cfg, mechanism="pps")  # any one mechanism
+        if key not in games:
+            games[key] = play(cfg)
+        return games[key]
+
+    return shared
 
 
 def run_audits(cfg, theorems=None):
     """One report row per theorem, all of T1-T7 by default. To audit another
     seed, pass dataclasses.replace(cfg, seed=...): the rows' config_digest
-    then names the config that ran."""
+    then names the config that ran. T1 and T6 share one played game for the
+    length of the call (_shared_play); nothing is kept between calls."""
     theorems = list(ALL_THEOREMS if theorems is None else theorems)
     unknown = [t for t in theorems if t not in ALL_THEOREMS]
     if unknown:
         raise ValueError(f"unknown theorem(s): {', '.join(unknown)}")
-    return [AUDITS[t](cfg) for t in theorems]
+    shared = _shared_play()
+    return [
+        AUDITS[t](cfg, play=shared) if t in PLAYING else AUDITS[t](cfg)
+        for t in theorems
+    ]

@@ -50,18 +50,18 @@ def _demand(draw):
     ))
 
 
-def small_configs(mechanisms=("pps", "ppss"), myopic=False):
-    """Config mappings for short runs: 1-3 static or delta_adaptive miners
-    under any demand family. myopic_br miners are drawn only with
-    `myopic=True`, for properties that do not run the config (they are
-    slow to simulate)."""
+def small_configs(mechanisms=("pps", "ppss"), myopic=False, miners=(1, 3)):
+    """Config mappings for short runs: `miners` = (fewest, most) static or
+    delta_adaptive miners, 1-3 by default, under any demand family.
+    myopic_br miners are drawn only with `myopic=True`, for properties that
+    do not run the config (they are slow to simulate)."""
     return st.fixed_dictionaries({
         "mechanism": st.sampled_from(mechanisms),
         "platform": st.fixed_dictionaries({
             "p": _num(0.1, 10.0), "b": _num(0.1, 10.0),
             "k": _num(0.5, 100.0), "N": st.integers(1, 6),
         }),
-        "miners": st.lists(_miner(myopic), min_size=1, max_size=3),
+        "miners": st.lists(_miner(myopic), min_size=miners[0], max_size=miners[1]),
         "demand": _demand(),
         "rounds": st.integers(1, 12),
         "seed": st.integers(0, 2**32 - 1),

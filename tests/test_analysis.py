@@ -329,7 +329,6 @@ class TestPpssExpectedPayoff:
                            AUDIT_DEMAND, objective="payoff")
         assert br.argmax_a == pytest.approx(0.8494, abs=1e-3)
         assert br.method == "quadrature"
-        assert all(ci == 0.0 for _, _, ci in br.curve)
 
     # Derandomized: where the subsidy's peak rate numerator/eps_k sits on
     # outputs rarer than 1/replicas, the 20 000-replica CI misses it (about
@@ -432,7 +431,7 @@ class TestBestResponse:
         ).curve
         assert len(curve) == 16
         assert curve[0][0] == 0.0 and curve[-1][0] == 2.0
-        assert all(len(pt) == 3 for pt in curve)
+        assert all(len(pt) == 2 for pt in curve)
 
     def test_rejects_bad_arguments(self):
         params = PlatformParams(p=1.0, b=1.0, k=2.0)
@@ -503,7 +502,7 @@ class TestPayoffCurve:
                 same(value, ppss_expected_payoff(i, point, params, profiles, demand, pinned))
         br = best_response(cfg.mechanism, i, allocs, params, profiles, demand,
                            grid_points=grid_points, fixed_windows=pinned)
-        same([v for _, v, _ in br.curve], curve)
+        same([v for _, v in br.curve], curve)
 
     def test_grid_outside_capacity_rejected(self):
         for grid in ([0.5, 1.5], [-0.1, 0.5]):

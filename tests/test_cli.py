@@ -255,6 +255,21 @@ class TestVerify:
         assert "error:" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(tmp_out, "theorem_report.csv"))
 
+    def test_t1_and_t6_rows_do_not_depend_on_the_selection(self, tmp_path):
+        # the full report shares one played game between T1 and T6; each
+        # alone plays its own
+        config = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                              "workloads", "verify-audit.yaml")
+        reports = {}
+        for selection in (None, "T1", "T6"):
+            out = tmp_path / str(selection)
+            argv = ["verify", "--config", config, "--out", str(out), "--seed", "1"]
+            assert main(argv + (["--theorems", selection] if selection else [])) == 0
+            reports[selection] = read_csv(str(out / "theorem_report.csv"))
+        header, full = reports[None]
+        for t in ("T1", "T6"):
+            assert reports[t] == (header, [row for row in full if row[0] == t])
+
     def test_unknown_theorem_exits_2(self, config_path, tmp_out):
         assert main([
             "verify", "--config", config_path(), "--out", tmp_out, "--theorems", "T9",
@@ -271,7 +286,7 @@ class TestBestResponse:
         ])
         assert code == 0
         header, rows = read_csv(os.path.join(tmp_out, "br_curve.csv"))
-        assert header == ["a", "payoff_mean", "ci"]
+        assert header == ["a", "payoff_mean"]
         assert len(rows) == 17
         out = capsys.readouterr().out
         assert "argmax" in out
@@ -280,7 +295,7 @@ class TestBestResponse:
         assert argmax <= 2 * (4.0 / 16)
 
     def test_pps_curve_is_exact(self, config_path, tmp_path, capsys):
-        # the pps payoff is exact: ci = 0, and replicas and seed do not enter
+        # the pps payoff is exact: replicas and seed do not enter
         curves = []
         for replicas, seed in (("16", "0"), ("9000", "5")):
             out = tmp_path / f"out-{replicas}"
@@ -292,11 +307,11 @@ class TestBestResponse:
             assert "method=closed_form" in capsys.readouterr().out
             curves.append((out / "br_curve.csv").read_bytes())
         assert curves[0] == curves[1]
-        _, rows = read_csv(str(tmp_path / "out-16" / "br_curve.csv"))
-        assert {row[2] for row in rows} == {"0"}
+        header, rows = read_csv(str(tmp_path / "out-16" / "br_curve.csv"))
+        assert header == ["a", "payoff_mean"] and {len(row) for row in rows} == {2}
 
     def test_ppss_payoff_curve_is_exact(self, config_path, tmp_path, capsys):
-        # the ppss payoff is exact too: ci = 0, and replicas and seed do not enter
+        # the ppss payoff is exact too: replicas and seed do not enter
         curves = []
         for replicas, seed in (("16", "0"), ("9000", "5")):
             out = tmp_path / f"out-{replicas}"
@@ -309,8 +324,8 @@ class TestBestResponse:
             assert "method=quadrature" in capsys.readouterr().out
             curves.append((out / "br_curve.csv").read_bytes())
         assert curves[0] == curves[1]
-        _, rows = read_csv(str(tmp_path / "out-16" / "br_curve.csv"))
-        assert {row[2] for row in rows} == {"0"}
+        header, rows = read_csv(str(tmp_path / "out-16" / "br_curve.csv"))
+        assert header == ["a", "payoff_mean"] and {len(row) for row in rows} == {2}
 
     def test_overflowing_demand_quantile_exits_2(self, config_path, tmp_out, capsys):
         # the mean exp(695 + 12.5) is finite, but about 0.15% of the demand

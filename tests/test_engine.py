@@ -1,13 +1,21 @@
-"""Round loop, miner policies, window upkeep, and ledger accounting."""
+"""Round loop, miner policies, settling a played game, and ledger accounting."""
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poolsim import analysis, engine
-from poolsim.engine import delta_adaptive_policy, init_state, run_simulation, step_round
+from poolsim.engine import (
+    delta_adaptive_policy,
+    init_state,
+    play,
+    run_simulation,
+    step_round,
+    window_sums,
+)
 from poolsim.mechanisms import pps_reward, ppss_reward, subsidy_terms
 from poolsim.model import (
     CostFunction,
@@ -21,6 +29,42 @@ from poolsim.model import (
 )
 
 from conftest import quiet_parse, small_configs
+
+
+def row_at_a_time(cfg):
+    """The reference for settle: play's game paid one round at a time, with
+    each row's window summed by a cumsum over the rows before it, one kernel
+    call on the row and the row's own sums. Returns (game, rewards, flags,
+    budget_ratio)."""
+    game, params = play(cfg), cfg.platform
+    rounds, n = game.D.shape
+    unit, numerator = subsidy_terms(
+        np.array([p.capacity_A for p in cfg.profiles]),
+        np.array([c_tilde(p) for p in cfg.profiles]), params,
+    )
+    rewards, flags = np.zeros((rounds, n)), np.zeros((rounds, n), dtype=bool)
+    ratio = np.zeros(rounds)
+    for row in range(rounds):
+        d = game.D[row].copy()
+        total, M = float(d.sum()), float(game.M[row])
+        if cfg.mechanism == "pps":
+            rewards[row] = pps_reward(d, total, M, params)
+            ratio[row] = (params.b / params.p) * (min(total, M) / M) if total else 0.0
+        else:
+            lo = max(row - (params.window_N - 1), 0)
+            wsum = game.D[lo:row].cumsum(axis=0)[-1] if row > lo else np.zeros(n)
+            r, flags[row] = ppss_reward(d, total, M, wsum, row - lo, unit, numerator, params)
+            rewards[row], ratio[row] = r, r.sum() / (M * params.p)
+    return game, rewards, flags, ratio
+
+
+def assert_ledger_equals_reference(led, cfg):
+    game, rewards, flags, ratio = row_at_a_time(cfg)
+    for col in ("M", "a", "D", "delta"):
+        assert getattr(led, col).tobytes() == getattr(game, col).tobytes()
+    assert led.rewards.tobytes() == rewards.tobytes()
+    assert np.array_equal(led.flags, flags)
+    assert led.budget_ratio.tobytes() == ratio.tobytes()
 
 
 def base_config(**overrides):
@@ -202,19 +246,11 @@ class TestStepRound:
     def test_windows_grow_then_evict(self):
         cfg = base_config(rounds=1)
         N = cfg.platform.window_N
-        state = init_state(replace(cfg, mechanism="pps", seed=0, rounds=N + 7))
-        led = state.ledger
-        for expected_len in (1, 2, 3):
-            step_round(state)
-            assert led.window(state.next_round - 1, N)[1] == expected_len
-        for _ in range(N + 3):
-            step_round(state)
-        rows = state.next_round - 1
-        window_sum, window_len = led.window(rows, N)
-        assert window_len == N - 1
-        assert window_sum.tolist() == [sum(led.D[rows - N + 1:rows, i].tolist()) for i in range(2)]
-        step_round(state)
-        assert led.window(state.next_round - 1, N)[1] == N - 1
+        D = play(replace(cfg, mechanism="pps", seed=0, rounds=N + 7)).D
+        sums, lens = window_sums(D, N)
+        assert lens.tolist() == list(range(N)) + [N - 1] * 7
+        for row in range(N - 1, N + 7):
+            assert sums[row].tolist() == [sum(D[row - N + 1:row, i].tolist()) for i in range(2)]
 
     def test_delta_matches_definition(self):
         cfg = base_config(demand={"family": "constant", "M": 10.0}, rounds=50)
@@ -231,8 +267,8 @@ class TestStepRound:
         for j in range(1, 21):
             assert state.next_round == j
             step_round(state)
-            assert np.all(state.ledger.M[j:] == 0.0) and state.ledger.M[j - 1] > 0.0
-        assert np.array_equal(state.ledger.D, run_simulation(cfg).D)
+            assert np.all(state.game.M[j:] == 0.0) and state.game.M[j - 1] > 0.0
+        assert np.array_equal(state.game.D, run_simulation(cfg).D)
 
     @pytest.mark.parametrize("mechanism", ["pps", "ppss"])
     def test_engine_rewards_equal_kernel_rewards(self, mechanism):
@@ -249,25 +285,49 @@ class TestStepRound:
             "rounds": 300, "seed": 8,
         })
         led = run_simulation(cfg)
-        profiles = cfg.profiles
-        terms = subsidy_terms(
-            np.array([p.capacity_A for p in profiles]),
-            np.array([c_tilde(p) for p in profiles]), cfg.platform,
-        )
-        for row in range(led.rounds):
-            d, M = led.D[row], led.M[row]
-            if mechanism == "pps":
-                expected = pps_reward(d, float(d.sum()), M, cfg.platform)
-                assert np.array_equal(led.rewards[row], expected)
-            else:
-                wsum, wlen = led.window(row, cfg.platform.window_N)
-                expected, flags = ppss_reward(
-                    d, float(d.sum()), M, wsum, wlen, *terms, cfg.platform,
-                )
-                assert np.array_equal(led.rewards[row], expected)
-                assert np.array_equal(led.flags[row], flags)
+        assert_ledger_equals_reference(led, cfg)
         if mechanism == "ppss":
             assert led.flags.any() and not led.flags.all()
+
+
+class TestTwoPhase:
+    @pytest.mark.parametrize("miners", [(1, 3), (9, 12)])
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_equals_row_at_a_time_reference(self, miners, data):
+        # numpy sums a row of more than 8 elements in another order, so the
+        # whole-column sums are checked on 9-12 miners as well
+        cfg = quiet_parse(data.draw(small_configs(miners=miners)))
+        for N in {cfg.platform.window_N, 1}:
+            for mechanism in ("pps", "ppss"):
+                run = replace(cfg, mechanism=mechanism,
+                              platform=replace(cfg.platform, window_N=N))
+                assert_ledger_equals_reference(run_simulation(run), run)
+
+    @given(small_configs())
+    @settings(max_examples=30, deadline=None)
+    def test_game_does_not_depend_on_mechanism(self, data):
+        # no static or delta_adaptive miner reads the mechanism
+        cfg = quiet_parse(data)
+        pps, ppss = (play(replace(cfg, mechanism=m)) for m in ("pps", "ppss"))
+        for col in ("M", "a", "D", "delta"):
+            assert getattr(pps, col).tobytes() == getattr(ppss, col).tobytes()
+
+    def test_partly_played_game_rejected(self):
+        cfg = base_config(rounds=5)
+        state = init_state(cfg)
+        step_round(state)
+        step_round(state)
+        for mechanism in ("pps", "ppss"):
+            with pytest.raises(ValueError, match="3 unplayed round"):
+                engine.settle(state.game, replace(cfg, mechanism=mechanism))
+
+    def test_ledger_shares_the_played_columns(self):
+        cfg = base_config(rounds=5)
+        game = play(cfg)
+        led = engine.settle(game, replace(cfg, mechanism="ppss"))
+        for col in ("M", "a", "D", "delta"):
+            assert getattr(led, col) is getattr(game, col)
 
 
 class TestLedgerAccounting:

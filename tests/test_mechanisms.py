@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from poolsim.engine import SimulationLedger, run_simulation
+from poolsim.engine import run_simulation, window_sums
 from poolsim.mechanisms import pps_reward, ppss_reward, subsidy_shape, subsidy_terms
 from poolsim.model import DemandModel, PlatformParams
 
@@ -49,11 +49,11 @@ def _ppss_reference(d, total, M, window_sum, window_len, caps, c_tildes, params)
     return share * per_unit * np.minimum(total, M), flags
 
 
-def ledger_with_outputs(outputs):
-    """A one-miner ledger whose D column holds `outputs`."""
-    ledger = SimulationLedger.empty(len(outputs), 1, p=1.0)
-    ledger.D[:, 0] = outputs
-    return ledger
+def one_miner_windows(outputs, N):
+    """window_sums of a one-miner D column holding `outputs`: per row, the
+    window sum and its length."""
+    sums, lens = window_sums(np.array(outputs, dtype=float)[:, None], N)
+    return sums[:, 0].tolist(), lens.tolist()
 
 
 def one_miner_config(mechanism, a=1.0, p=1.0, b=1.0, k=100.0, M=300.0, rounds=50):
@@ -142,21 +142,31 @@ class TestBudgetRatio:
 class TestRollingWindow:
     def test_evicts_oldest_beyond_capacity(self):
         # N = 3: the indicator reads the last N-1 = 2 completed rounds
-        ledger = ledger_with_outputs([1.0, 2.0, 3.0, 4.0])
-        window_sum, window_len = ledger.window(4, 3)
-        assert window_sum.tolist() == [7.0] and window_len == 2
-        ledger.D[:2, 0] = 1e9  # rows older than the window do not count
-        assert ledger.window(4, 3)[0].tolist() == [7.0]
+        sums, lens = one_miner_windows([1.0, 2.0, 3.0, 4.0, 0.0], 3)
+        assert sums[4] == 7.0 and lens[4] == 2
+        # rows older than the window do not count
+        assert one_miner_windows([1e9, 1e9, 3.0, 4.0, 0.0], 3)[0][4] == 7.0
 
     def test_tail_sum_and_len(self):
-        ledger = ledger_with_outputs([1.0, 2.0, 3.0])
-        assert ledger.window(3, 3)[0].tolist() == [5.0]
-        assert ledger.window(3, 3)[1] == 2
-        assert ledger.window(3, 11)[0].tolist() == [6.0]  # cold start: fewer rows
-        assert ledger.window(3, 11)[1] == 3
-        assert ledger.window(0, 5)[0].tolist() == [0.0]
-        assert ledger.window(0, 5)[1] == 0
-        assert ledger.window(3, 1)[1] == 0  # N = 1 reads no past round
+        outputs = [1.0, 2.0, 3.0, 0.0]
+        assert one_miner_windows(outputs, 3) == ([0.0, 1.0, 3.0, 5.0], [0, 1, 2, 2])
+        # cold start: fewer rows than N-1
+        assert one_miner_windows(outputs, 11) == ([0.0, 1.0, 3.0, 6.0], [0, 1, 2, 3])
+        # N = 1 reads no past round
+        assert one_miner_windows(outputs, 1) == ([0.0] * 4, [0] * 4)
+
+    def test_adds_oldest_first_like_a_row_cumsum(self):
+        # outputs spread over 16 orders of magnitude, where the order of the
+        # adds shows in the bits: the sums are a per-row cumsum's, bit for bit
+        rng = np.random.default_rng(4)
+        D = rng.gamma(0.3, 1e3, size=(60, 5)) * rng.choice([1e-8, 1.0, 1e8], size=(60, 5))
+        for N in (1, 2, 7, 80):
+            sums, lens = window_sums(D, N)
+            for row in range(len(D)):
+                lo = max(row - (N - 1), 0)
+                assert lens[row] == row - lo
+                want = D[lo:row].cumsum(axis=0)[-1] if row > lo else np.zeros(5)
+                assert np.array_equal(sums[row], want)
 
 
 class TestSubsidyIndicator:
@@ -180,8 +190,9 @@ class TestSubsidyIndicator:
 
     def test_only_last_n_minus_1_prior_rounds_count(self):
         params = PlatformParams(p=1.0, b=1.0, k=1.0, lam=0.5, window_N=2)
-        ledger = ledger_with_outputs([100.0, 0.0])  # round 1 falls out of view
-        window_sum, window_len = ledger.window(2, params.window_N)
+        # round 1 falls out of view of round 3
+        sums, lens = one_miner_windows([100.0, 0.0, 0.0], params.window_N)
+        window_sum, window_len = sums[2], lens[2]
         # threshold 0.5*1*1*2 = 1.0 over last prior round (0.0) + current
         assert ppss([0.5], 1e9, params, window_sum, window_len, r=2.0)[1].tolist() == [False]
         assert ppss([1.0], 1e9, params, window_sum, window_len, r=2.0)[1].tolist() == [True]

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 import yaml
 
+from poolsim import engine
 from poolsim.analysis import ppss_expected_payoff
 from poolsim.model import cost_eval
-from poolsim.theorems import ALL_THEOREMS, run_audits
+from poolsim.theorems import ALL_THEOREMS, audit_t1, audit_t6, run_audits
 
 from conftest import quiet_parse
 
@@ -143,3 +144,54 @@ class TestVerdicts:
         exact = math.fsum(rewards) / (cfg.demand.M * cfg.platform.p)
         row = run_audits(replace(cfg, seed=seed), ["T6"])[0]
         assert abs(row["metric"] - exact) <= row["ci"]
+
+
+class TestSharedGame:
+    MYOPIC = {"kind": "myopic_br", "grid": 5, "replicas": 64}
+
+    @pytest.fixture
+    def played_rounds(self, monkeypatch):
+        """The rounds engine.step_round plays, in call order."""
+        rounds, real = [], engine.step_round
+
+        def counting(state):
+            rounds.append(state.next_round)
+            real(state)
+
+        # play looks step_round up in the engine module on every call
+        monkeypatch.setattr(engine, "step_round", counting)
+        return rounds
+
+    def test_t1_and_t6_settle_one_played_game(self, played_rounds):
+        cfg = ppss_config(rounds=40)
+        run_audits(cfg, ["T1", "T6"])
+        assert played_rounds == list(range(1, 41))
+
+    def test_no_game_survives_the_call(self, played_rounds):
+        cfg = ppss_config(rounds=40)
+        run_audits(cfg, ["T1", "T6"])
+        run_audits(cfg, ["T6"])
+        assert len(played_rounds) == 80
+
+    def test_myopic_miner_plays_a_game_per_mechanism(self, played_rounds):
+        # a myopic_br miner best-responds under the audit's own mechanism
+        cfg = ppss_config(
+            miners=[
+                {"capacity_A": 1.0, "cost": {"family": "linear", "r": 150.0},
+                 "policy": self.MYOPIC},
+                {"capacity_A": 1.0, "cost": {"family": "linear", "r": 150.0}},
+            ],
+            rounds=4,
+        )
+        run_audits(cfg, ["T1", "T6"])
+        assert played_rounds == list(range(1, 5)) * 2
+
+    @pytest.mark.parametrize("policy", [None, MYOPIC])
+    def test_rows_equal_the_audits_run_alone(self, policy):
+        miner = {"capacity_A": 1.0, "cost": {"family": "linear", "r": 150.0}}
+        cfg = ppss_config(miners=[dict(miner, policy=policy) if policy else miner, miner],
+                          rounds=30 if policy else 300)
+        alone = [audit_t1(cfg), audit_t6(cfg)]
+        assert run_audits(cfg, ["T1", "T6"]) == alone
+        assert run_audits(cfg, ["T6", "T1"]) == alone[::-1]
+        assert run_audits(cfg, ["T6"]) == alone[1:]
