@@ -30,6 +30,7 @@ import numpy as np
 
 from .mechanisms import subsidy_shape, subsidy_terms
 from .model import (
+    MAX_GRID,
     CostFunction,
     DemandModel,
     MinerProfile,
@@ -100,7 +101,8 @@ def expected_payoff_mc(
 
     PPSS runs fill the rolling window with N-1 rounds at the same strategy
     unless `fixed_windows` pins the history; a constant `demand` pins M.
-    Reproducible for any worker count. Every allocation must lie in [0, A_i].
+    A function of its arguments, seed included. Every allocation must lie
+    in [0, A_i].
     The CI is exact_mean_ci's normal one, which undercovers ppss payoffs
     whose subsidy pays up to numerator/eps_k on outputs rarer than
     1/replicas (recorded example there); ppss_expected_payoff is exact.
@@ -562,8 +564,8 @@ def best_response(
     (payoff_curve); the refinement evaluates one point at a time. Ties
     break toward the larger allocation.
     """
-    if grid_points < 2:
-        raise ValueError("grid_points must be at least 2")
+    if not 2 <= grid_points <= MAX_GRID:
+        raise ValueError(f"grid_points must lie in [2, {MAX_GRID}], got {grid_points}")
     prof = profiles[miner_index]
     A = prof.capacity_A
 

@@ -14,7 +14,7 @@ from .config import ConfigError, parse_config, read_yaml
 from .csvio import ledger_header, ledger_rows, write_csv
 from .engine import run_simulation
 from .mechanisms import subsidy_shape
-from .model import PlatformParams, cost_eval
+from .model import MAX_GRID, PlatformParams, cost_eval
 from .montecarlo import exact_sum
 from .svgplot import line_plot_svg, write_svg
 from .theorems import ALL_THEOREMS, run_audits
@@ -26,12 +26,10 @@ EXIT_AUDIT_FAIL = 3
 
 
 def _parse(data, args):
-    """parse_config on `data` with the --seed/--replicas overrides applied
-    first, so that they pass the same validation as the file's values."""
-    if isinstance(data, dict):
-        for key in ("seed", "replicas"):
-            if getattr(args, key, None) is not None:
-                data = {**data, key: getattr(args, key)}
+    """parse_config on `data` with the --seed override applied first, so
+    that it passes the same validation as the file's value."""
+    if isinstance(data, dict) and args.seed is not None:
+        data = {**data, "seed": args.seed}
     return parse_config(data)
 
 
@@ -91,8 +89,8 @@ def cmd_best_response(args) -> int:
     if not 0 <= args.miner < len(profiles):
         print(f"error: miner index {args.miner} out of range", file=sys.stderr)
         return EXIT_CONFIG
-    if args.grid < 2:
-        print(f"error: --grid must be at least 2, got {args.grid}", file=sys.stderr)
+    if not 2 <= args.grid <= MAX_GRID:
+        print(f"error: --grid must lie in [2, {MAX_GRID}], got {args.grid}", file=sys.stderr)
         return EXIT_CONFIG
     capacities = np.array([p.capacity_A for p in profiles])
     result = best_response(
@@ -145,13 +143,14 @@ def cmd_sweep(args) -> int:
         try:
             path, rng = spec.split("=", 1)
             lo, hi, count = rng.split(":")
-            axes.append((path, np.linspace(float(lo), float(hi), int(count))))
+            lo, hi, count = float(lo), float(hi), int(count)
         except ValueError:
             print(f"error: bad axis spec {spec!r} (want field=lo:hi:count)", file=sys.stderr)
             return EXIT_CONFIG
-        if not len(axes[-1][1]):
-            print(f"error: axis count must be at least 1 in {spec!r}", file=sys.stderr)
+        if not 1 <= count <= MAX_GRID:
+            print(f"error: axis count must lie in [1, {MAX_GRID}] in {spec!r}", file=sys.stderr)
             return EXIT_CONFIG
+        axes.append((path, np.linspace(lo, hi, count)))
     base = read_yaml(args.config)
 
     rows = []
@@ -213,15 +212,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run theorem audits, emit theorem_report.csv")
     common(p)
-    p.add_argument("--replicas", type=int, default=None,
-                   help="replica override (validated; no command reads it)")
     p.add_argument("--theorems", default=None, help="comma list, e.g. T1,T5")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("best-response", help="best-response curve for one miner")
     common(p)
-    p.add_argument("--replicas", type=int, default=None,
-                   help="replica override (validated; no command reads it)")
     p.add_argument("--miner", type=int, required=True)
     p.add_argument("--grid", type=int, default=64)
     p.add_argument("--objective", choices=["payoff", "floor"], default=None)
@@ -233,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("fig1", help="subsidy-shape curve, emit fig1.csv and fig1.svg")
-    # no config, so no --seed/--replicas to override
+    # no config, so no --seed to override
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_fig1)
 

@@ -25,6 +25,16 @@ class ConfigError(ValueError):
         super().__init__(f"config field '{field_name}': {message}")
 
 
+# Keys that nothing reads any more. Configs may still carry them where they
+# were fields (the root and a myopic_br policy); they are dropped there
+# unread, so they are neither validated nor stored, dumped or digested.
+_RETIRED = frozenset({"replicas"})
+
+
+def _without_retired(node: dict) -> dict:
+    return {k: v for k, v in node.items() if k not in _RETIRED}
+
+
 def _require_mapping(node, field_name: str) -> dict:
     if not isinstance(node, dict):
         raise ConfigError(field_name, "expected a mapping")
@@ -92,7 +102,7 @@ COST = _Variants("family", "cost family", CostFunction, {
 # parse_config; a missing or null policy is static at capacity
 POLICY = _Variants("kind", "policy kind", MinerPolicy, {
     "static": {"a": None},
-    "myopic_br": {"grid": 64, "replicas": 2000},
+    "myopic_br": {"grid": 64},
     "delta_adaptive": {"step": 0.5, "floor": 0.0},
 })
 
@@ -132,7 +142,6 @@ class ExperimentConfig:
     policies: tuple[MinerPolicy, ...]
     demand: DemandModel
     rounds: int
-    replicas: int
     seed: int
 
     def to_dict(self) -> dict:
@@ -155,7 +164,6 @@ class ExperimentConfig:
             ],
             "demand": _variant_dict(self.demand, DEMAND),
             "rounds": self.rounds,
-            "replicas": self.replicas,
             "seed": self.seed,
         }
 
@@ -165,12 +173,10 @@ class ExperimentConfig:
 
 
 def parse_config(data: dict, warn_stream=None) -> ExperimentConfig:
-    data = _require_mapping(data, "<root>")
+    data = _without_retired(_require_mapping(data, "<root>"))
     if "audit" in data:
         raise ConfigError("audit", "the audit block was removed; T6 sets its own bounds")
-    _reject_unknown(
-        data, {"mechanism", "platform", "miners", "demand", "rounds", "replicas", "seed"}, "<root>"
-    )
+    _reject_unknown(data, {"mechanism", "platform", "miners", "demand", "rounds", "seed"}, "<root>")
     mechanism = data.get("mechanism")
     if mechanism not in ("pps", "ppss"):
         raise ConfigError("mechanism", f"must be 'pps' or 'ppss', got {mechanism!r}")
@@ -214,6 +220,8 @@ def parse_config(data: dict, warn_stream=None) -> ExperimentConfig:
             raise ConfigError(f"{fname}.capacity_A", "must be positive")
         cost = _parse_variant(mnode.get("cost"), COST, f"{fname}.cost")
         pnode = mnode.get("policy")
+        if isinstance(pnode, dict) and pnode.get("kind") == "myopic_br":
+            pnode = _without_retired(pnode)
         policy = _parse_variant(
             {"kind": "static"} if pnode is None else pnode, POLICY, f"{fname}.policy",
             defaults={"a": cap},
@@ -234,9 +242,6 @@ def parse_config(data: dict, warn_stream=None) -> ExperimentConfig:
             "rounds", f"the ledger of {rounds} rounds needs {ledger_bytes} bytes, "
             f"over the {MAX_LEDGER_BYTES}-byte limit",
         )
-    replicas = _integer(data, "replicas", "<root>", default=10_000)
-    if replicas < 1:
-        raise ConfigError("replicas", "must be at least 1")
     seed = _integer(data, "seed", "<root>", default=0)
     if seed < 0:
         raise ConfigError("seed", "must be nonnegative")
@@ -248,7 +253,6 @@ def parse_config(data: dict, warn_stream=None) -> ExperimentConfig:
         policies=tuple(policies),
         demand=demand,
         rounds=rounds,
-        replicas=replicas,
         seed=seed,
     )
 

@@ -10,12 +10,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Most points a best-response grid or a sweep axis may ask for. A best
+# response keeps a value per grid point and a sweep runs every cell, so a
+# larger count is refused as a usage error rather than allocated.
+MAX_GRID = 2**16
+
 
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Independent RNG substream keyed by (seed, *path).
 
     The key is positional, so the same stream is obtained regardless of
-    which worker (or in which order) it is derived. The stream is numpy's
+    the order in which it is derived. The stream is numpy's
     default_rng(SeedSequence([seed, *path])); the key is split into the
     uint32 words numpy would make of it (least significant first, one zero
     word for 0), which skips numpy's per-int coercion.
@@ -142,19 +147,17 @@ def c_tilde(profile: MinerProfile) -> float:
 
 @dataclass(frozen=True)
 class MinerPolicy:
-    """Policy kinds: static(a), myopic_br(grid, replicas), delta_adaptive(step, floor).
+    """Policy kinds: static(a), myopic_br(grid), delta_adaptive(step, floor).
 
     myopic_br maximises the raw expected payoff, exact under both mechanisms
     (pps_expected_payoff, ppss_expected_payoff), not the floor objective that
     ppss incentive verdicts use: the raw payoff is what a myopic miner
-    actually earns in the round it plays. `replicas` is validated but read
-    by nothing; it stays while existing configs still set it.
+    actually earns in the round it plays. Its grid has 2 to MAX_GRID points.
     """
 
     kind: str
     a: float = 0.0
     grid: int = 64
-    replicas: int = 2000
     step: float = 0.5
     floor: float = 0.0
 
@@ -163,10 +166,8 @@ class MinerPolicy:
             raise ValueError(f"unknown policy kind {self.kind!r}")
         if self.kind == "static" and not self.a >= 0:
             raise ValueError("static allocation a must be nonnegative")
-        if self.kind == "myopic_br" and self.grid < 2:
-            raise ValueError("myopic_br grid must be at least 2")
-        if self.kind == "myopic_br" and self.replicas < 1:
-            raise ValueError("myopic_br replicas must be at least 1")
+        if self.kind == "myopic_br" and not 2 <= self.grid <= MAX_GRID:
+            raise ValueError(f"myopic_br grid must lie in [2, {MAX_GRID}], got {self.grid}")
         if self.kind == "delta_adaptive" and not 0 < self.step < 1:
             raise ValueError("delta_adaptive step must lie in (0, 1)")
         if self.kind == "delta_adaptive" and not self.floor >= 0:

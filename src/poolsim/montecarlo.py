@@ -2,9 +2,9 @@
 oracle that the exact payoffs in `analysis` are tested against.
 
 Replicas are drawn in fixed-size blocks, each from a substream keyed by
-(seed, tag, block index). Workers may process blocks in any order; results
-land in a preallocated array by block index and are reduced with exact
-summation, so estimates are bit-identical for any worker count.
+(seed, tag, block index), and reduced with exact summation, so an estimate
+is a function of its arguments and seed. The oracle is single-threaded; no
+command runs it.
 
 Sampling goes through quantile functions applied to a fixed layout of
 uniforms, which makes same-seed evaluations at different allocations
@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -34,15 +32,6 @@ from .model import DemandModel, MinerProfile, PlatformParams, cost_eval, c_tilde
 
 BLOCK_SIZE = 4096
 TAG_PAYOFF = 101
-
-
-def worker_count() -> int:
-    """MC worker threads; overridable via POOLSIM_WORKERS."""
-    raw = os.environ.get("POOLSIM_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def gamma_ppf(shape: float, u: np.ndarray) -> np.ndarray:
@@ -117,28 +106,19 @@ def payoff_samples(
     seed: int,
     fixed_windows: list[tuple[float, int]] | None = None,
 ) -> np.ndarray:
-    """Per-replica payoff draws for one miner, in replica order."""
+    """Per-replica payoff draws for one miner, in replica order: block b
+    holds replicas [b * BLOCK_SIZE, (b + 1) * BLOCK_SIZE), drawn from its
+    own substream."""
     if replicas < 1:
         raise ValueError("replicas must be at least 1")
     allocations = np.asarray(allocations, dtype=float)
-    n_blocks = (replicas + BLOCK_SIZE - 1) // BLOCK_SIZE
     out = np.empty(replicas)
-
-    def run(bi: int) -> None:
-        lo = bi * BLOCK_SIZE
+    for lo in range(0, replicas, BLOCK_SIZE):
         hi = min(lo + BLOCK_SIZE, replicas)
         out[lo:hi] = _block_payoffs(
             mechanism, miner_index, allocations, params, profiles, demand,
-            seed, bi, hi - lo, fixed_windows,
+            seed, lo // BLOCK_SIZE, hi - lo, fixed_windows,
         )
-
-    workers = worker_count()
-    if workers == 1 or n_blocks == 1:
-        for bi in range(n_blocks):
-            run(bi)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, range(n_blocks)))
     return out
 
 

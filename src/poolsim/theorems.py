@@ -3,10 +3,10 @@
 Each audit builds the scenario its claim is about on top of the supplied
 config's platform economics, runs its check, and returns one report row.
 An audit reads cfg.seed only where it draws: T1 and T6 settle a played game
-(engine.play, then engine.settle); T2, T3, T4, T5 and T7 are deterministic,
-and no audit reads cfg.replicas. A verdict of KNOWN_DISCREPANCY marks a
-claim that a faithful implementation measurably violates (tracked, not a
-harness failure).
+(engine.play, then engine.settle); T2, T3, T4, T5 and T7 are deterministic.
+No audit runs the Monte Carlo oracle, so none has a replica count. A
+verdict of KNOWN_DISCREPANCY marks a claim that a faithful implementation
+measurably violates (tracked, not a harness failure).
 
 T1 settles the game under pps and T6 under ppss. Within one run_audits
 call they settle the same played game when no miner's policy reads the

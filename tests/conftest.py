@@ -26,7 +26,7 @@ def _miner(draw, myopic=False):
     if myopic:
         policies.append(st.fixed_dictionaries({
             "kind": st.just("myopic_br"),
-            "grid": st.integers(2, 128), "replicas": st.integers(1, 5000),
+            "grid": st.integers(2, 128),
         }))
     policy = draw(st.one_of(policies))
     cost = draw(st.one_of(

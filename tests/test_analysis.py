@@ -28,6 +28,7 @@ from poolsim.engine import run_simulation
 from poolsim.mechanisms import subsidy_shape
 from poolsim.montecarlo import payoff_samples
 from poolsim.model import (
+    MAX_GRID,
     CostFunction,
     DemandModel,
     MinerProfile,
@@ -439,6 +440,9 @@ class TestBestResponse:
         demand = DemandModel(family="constant", M=10.0)
         with pytest.raises(ValueError):
             best_response("pps", 0, np.array([1.0]), params, profs, demand, grid_points=1)
+        with pytest.raises(ValueError, match="grid_points"):
+            best_response("pps", 0, np.array([1.0]), params, profs, demand,
+                          grid_points=MAX_GRID + 1)
         with pytest.raises(ValueError):
             best_response(
                 "pps", 0, np.array([1.0]), params, profs, demand, objective="nonsense"

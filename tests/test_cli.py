@@ -26,7 +26,6 @@ BASE_CONFIG = {
     ],
     "demand": {"family": "constant", "M": 40.0},
     "rounds": 50,
-    "replicas": 2000,
     "seed": 3,
 }
 
@@ -40,7 +39,6 @@ PPSS_CONFIG = {
     ],
     "demand": {"family": "constant", "M": 600.0},
     "rounds": 50,
-    "replicas": 512,
     "seed": 0,
 }
 
@@ -131,6 +129,9 @@ class TestSimulate:
         # the mean exp(709.705) is finite, but about one quantile in five
         # overflows to M = inf
         {"demand": {"family": "lognormal", "mu": 709.7, "sigma": 0.1}},
+        # a myopic_br grid over MAX_GRID points
+        {"miners": [{"capacity_A": 4.0, "cost": {"family": "linear", "r": 1.0},
+                     "policy": {"kind": "myopic_br", "grid": 10**12}}]},
     ])
     def test_bad_config_value_exits_2(self, change, config_path, tmp_out, capsys):
         bad = dict(BASE_CONFIG, **change)
@@ -209,9 +210,8 @@ def test_commands_exit_0_2_or_3(data):
         with open(path, "w") as fh:
             yaml.safe_dump(data, fh)  # json.dump writes 1e-05, which YAML reads as a string
         for command, *extra in (
-            ["simulate"], ["verify", "--replicas", "32"],
-            ["best-response", "--replicas", "32", "--miner", "0", "--grid", "4",
-             "--objective", "payoff"],
+            ["simulate"], ["verify"],
+            ["best-response", "--miner", "0", "--grid", "4", "--objective", "payoff"],
         ):
             argv = [command, "--config", path, "--out", tmp, *extra]
             assert main(argv) in (0, 2, 3)
@@ -221,7 +221,7 @@ class TestVerify:
     def test_report_schema_and_exit(self, config_path, tmp_out):
         code = main([
             "verify", "--config", config_path(), "--out", tmp_out,
-            "--theorems", "T1", "--replicas", "2000",
+            "--theorems", "T1",
         ])
         assert code == 0
         header, rows = read_csv(os.path.join(tmp_out, "theorem_report.csv"))
@@ -231,12 +231,21 @@ class TestVerify:
         assert rows[0][0] == "T1"
         assert rows[0][3] == "PASS"
 
-    def test_zero_replicas_override_exits_2(self, config_path, tmp_out, capsys):
-        assert main([
-            "verify", "--config", config_path(), "--out", tmp_out,
-            "--theorems", "T2", "--replicas", "0",
-        ]) == 2
-        assert "replicas" in capsys.readouterr().err
+    def test_retired_replicas_line_leaves_report_unchanged(self, tmp_path):
+        # configs that differ only in the retired key share a digest
+        config = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                              "workloads", "verify-audit.yaml")
+        with open(config) as fh:
+            text = fh.read()
+        assert "\nreplicas: 512\n" in text
+        without = tmp_path / "without.yaml"
+        without.write_text(text.replace("\nreplicas: 512\n", "\n"))
+        reports = []
+        for path in (config, str(without)):
+            out = tmp_path / f"out-{len(reports)}"
+            assert main(["verify", "--config", path, "--out", str(out)]) == 0
+            reports.append((out / "theorem_report.csv").read_bytes())
+        assert reports[0] == reports[1]
 
     def test_fail_verdict_exits_3(self, config_path, tmp_out, monkeypatch):
         row = {"theorem": "T1", "claim": "c", "config_digest": "d", "verdict": "FAIL",
@@ -295,36 +304,35 @@ class TestBestResponse:
         assert argmax <= 2 * (4.0 / 16)
 
     def test_pps_curve_is_exact(self, config_path, tmp_path, capsys):
-        # the pps payoff is exact: replicas and seed do not enter
+        # the pps payoff is exact: the seed does not enter
         curves = []
-        for replicas, seed in (("16", "0"), ("9000", "5")):
-            out = tmp_path / f"out-{replicas}"
+        for seed in ("0", "5"):
+            out = tmp_path / f"out-{seed}"
             out.mkdir()
             assert main([
                 "best-response", "--config", config_path(), "--out", str(out),
-                "--miner", "0", "--grid", "9", "--replicas", replicas, "--seed", seed,
+                "--miner", "0", "--grid", "9", "--seed", seed,
             ]) == 0
             assert "method=closed_form" in capsys.readouterr().out
             curves.append((out / "br_curve.csv").read_bytes())
         assert curves[0] == curves[1]
-        header, rows = read_csv(str(tmp_path / "out-16" / "br_curve.csv"))
+        header, rows = read_csv(str(tmp_path / "out-0" / "br_curve.csv"))
         assert header == ["a", "payoff_mean"] and {len(row) for row in rows} == {2}
 
     def test_ppss_payoff_curve_is_exact(self, config_path, tmp_path, capsys):
-        # the ppss payoff is exact too: replicas and seed do not enter
+        # the ppss payoff is exact too: the seed does not enter
         curves = []
-        for replicas, seed in (("16", "0"), ("9000", "5")):
-            out = tmp_path / f"out-{replicas}"
+        for seed in ("0", "5"):
+            out = tmp_path / f"out-{seed}"
             out.mkdir()
             assert main([
                 "best-response", "--config", config_path(PPSS_CONFIG), "--out", str(out),
-                "--miner", "0", "--grid", "9", "--replicas", replicas, "--seed", seed,
-                "--objective", "payoff",
+                "--miner", "0", "--grid", "9", "--seed", seed, "--objective", "payoff",
             ]) == 0
             assert "method=quadrature" in capsys.readouterr().out
             curves.append((out / "br_curve.csv").read_bytes())
         assert curves[0] == curves[1]
-        header, rows = read_csv(str(tmp_path / "out-16" / "br_curve.csv"))
+        header, rows = read_csv(str(tmp_path / "out-0" / "br_curve.csv"))
         assert header == ["a", "payoff_mean"] and {len(row) for row in rows} == {2}
 
     def test_overflowing_demand_quantile_exits_2(self, config_path, tmp_out, capsys):
@@ -336,8 +344,7 @@ class TestBestResponse:
         path = config_path(data)
         for argv in (
             ["simulate"], ["verify"],
-            ["best-response", "--miner", "0", "--grid", "2", "--replicas", "4000",
-             "--objective", "payoff"],
+            ["best-response", "--miner", "0", "--grid", "2", "--objective", "payoff"],
         ):
             assert main([*argv, "--config", path, "--out", tmp_out]) == 2
             assert "demand" in capsys.readouterr().err
@@ -349,6 +356,14 @@ class TestBestResponse:
             "--miner", "0", "--grid", "1",
         ]) == 2
         assert "--grid" in capsys.readouterr().err
+
+    def test_huge_grid_exits_2(self, config_path, tmp_out, capsys):
+        assert main([
+            "best-response", "--config", config_path(), "--out", tmp_out,
+            "--miner", "0", "--grid", str(10**12),
+        ]) == 2
+        assert "--grid" in capsys.readouterr().err
+        assert os.listdir(tmp_out) == []
 
     def test_miner_index_out_of_range_exits_2(self, config_path, tmp_out):
         assert main([
@@ -373,10 +388,12 @@ class TestSweep:
             "--axis", "platform.k=1:2:2", "--seed", "-1",
         ]) == 2
 
-    @pytest.mark.parametrize("command", [["simulate"], ["sweep", "--axis", "platform.k=1:2:2"]],
-                             ids=["simulate", "sweep"])
+    @pytest.mark.parametrize("command", [
+        ["simulate"], ["sweep", "--axis", "platform.k=1:2:2"], ["verify"],
+        ["best-response", "--miner", "0"],
+    ], ids=["simulate", "sweep", "verify", "best-response"])
     def test_replicas_flag_is_a_usage_error(self, command, config_path, tmp_out, capsys):
-        # neither command reads replicas, so neither takes the flag
+        # no command reads replicas, so none takes the flag
         with pytest.raises(SystemExit) as e:
             main([*command, "--config", config_path(), "--out", tmp_out, "--replicas", "1"])
         assert e.value.code == 2
@@ -397,8 +414,16 @@ class TestSweep:
         assert "error:" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(tmp_out, "sweep.csv"))
 
+    def test_huge_axis_count_exits_2(self, config_path, tmp_out, capsys):
+        assert main([
+            "sweep", "--config", config_path(), "--out", tmp_out,
+            "--axis", f"platform.k=1:2:{10**12}",
+        ]) == 2
+        assert "axis count" in capsys.readouterr().err
+        assert os.listdir(tmp_out) == []
+
     def test_single_axis_sweep(self, config_path, tmp_out):
-        data = dict(BASE_CONFIG, rounds=20, replicas=1000)
+        data = dict(BASE_CONFIG, rounds=20)
         code = main([
             "sweep", "--config", config_path(data), "--out", tmp_out,
             "--axis", "platform.k=1:3:3",
@@ -414,11 +439,13 @@ class TestSweep:
 
     @pytest.mark.parametrize("mechanism", ["pps", "ppss"])
     def test_sweep_does_not_depend_on_replicas(self, mechanism, config_path, tmp_path):
-        # verdicts are deterministic and the simulation draws from the seed alone
+        # the retired key is dropped unread, whatever its value
         sweeps = []
-        for replicas in (1, 9000):
-            path = config_path(dict(PPSS_CONFIG, mechanism=mechanism, replicas=replicas),
-                               name=f"exp-{replicas}.yaml")
+        for replicas in (None, 1, 9000):
+            data = dict(PPSS_CONFIG, mechanism=mechanism)
+            if replicas is not None:
+                data["replicas"] = replicas
+            path = config_path(data, name=f"exp-{replicas}.yaml")
             out = tmp_path / f"out-{replicas}"
             out.mkdir()
             assert main([
@@ -426,10 +453,10 @@ class TestSweep:
                 "--axis", "platform.lambda=0.7:0.9:3",
             ]) == 0
             sweeps.append((out / "sweep.csv").read_bytes())
-        assert sweeps[0] == sweeps[1]
+        assert sweeps[0] == sweeps[1] == sweeps[2]
 
     def test_miner_axis_path(self, config_path, tmp_out):
-        data = dict(BASE_CONFIG, rounds=20, replicas=1000)
+        data = dict(BASE_CONFIG, rounds=20)
         data["miners"] = [{"capacity_A": 4.0, "cost": {"family": "linear", "r": 1.0}}]
         code = main([
             "sweep", "--config", config_path(data), "--out", tmp_out,

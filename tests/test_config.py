@@ -5,6 +5,7 @@ import os
 import pytest
 import yaml
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poolsim.config import (
     MAX_LEDGER_BYTES,
@@ -14,6 +15,7 @@ from poolsim.config import (
     parse_config,
     read_yaml,
 )
+from poolsim.model import MAX_GRID
 
 from conftest import quiet_parse, small_configs
 
@@ -44,7 +46,6 @@ class TestDefaults:
     def test_run_defaults(self):
         cfg = quiet_parse(minimal())
         assert cfg.rounds == 10_000
-        assert cfg.replicas == 10_000
         assert cfg.seed == 0
 
     def test_default_policy_is_static_at_capacity(self):
@@ -153,8 +154,8 @@ class TestValidation:
     def test_bad_rounds_and_replicas(self):
         with pytest.raises(ConfigError):
             quiet_parse(minimal(rounds=0))
-        with pytest.raises(ConfigError):
-            quiet_parse(minimal(replicas=0))
+        # replicas is retired: a value once rejected is now dropped unread
+        assert quiet_parse(minimal(replicas=0)) == quiet_parse(minimal())
 
     def test_negative_seed(self):
         with pytest.raises(ConfigError) as e:
@@ -163,7 +164,8 @@ class TestValidation:
 
     @pytest.mark.parametrize("policy, field", [
         ({"kind": "myopic_br", "grid": 1}, "grid"),
-        ({"kind": "myopic_br", "replicas": 0}, "replicas"),
+        # the retired key is accepted only where it was a field
+        ({"kind": "static", "replicas": 5}, "replicas"),
         ({"kind": "static", "a": -1.0}, "nonnegative"),
         ({"kind": "delta_adaptive", "floor": -0.5}, "floor"),
         ({"kind": "delta_adaptive", "floor": 5.0}, "floor"),
@@ -217,12 +219,12 @@ class TestValidation:
     @pytest.mark.parametrize("path, value", [
         (("rounds",), 2.7),
         (("rounds",), 10**20),
-        (("replicas",), 1.0e30),
+        (("seed",), 1.0e30),
         (("seed",), 2**63),
         (("seed",), 0.5),
         (("platform", "N"), 2.5),
         (("miners", 0, "policy", "grid"), 3.5),
-        (("miners", 0, "policy", "replicas"), 10**19),
+        (("miners", 0, "policy", "grid"), 10**19),
     ])
     def test_integer_field_must_be_integral_int64(self, path, value):
         data = minimal()
@@ -253,6 +255,51 @@ class TestValidation:
                 quiet_parse(minimal(rounds=rounds))
             assert e.value.field == "rounds"
 
+    def test_policy_grid_limit(self):
+        data = minimal()
+        data["miners"][0]["policy"] = {"kind": "myopic_br", "grid": MAX_GRID}
+        assert quiet_parse(data).policies[0].grid == MAX_GRID
+        data["miners"][0]["policy"]["grid"] = MAX_GRID + 1
+        with pytest.raises(ConfigError) as e:
+            quiet_parse(data)
+        assert e.value.field == "miners[0].policy" and "grid" in str(e.value)
+
+
+class TestRetiredKey:
+    """`replicas` is read by nothing; configs may still carry it at the root
+    and in a myopic_br policy, where it is dropped unread."""
+
+    @given(small_configs(myopic=True),
+           st.one_of(st.integers(), st.floats(), st.text(), st.none()))
+    @settings(max_examples=50, deadline=None)
+    def test_dropped_unread(self, data, replicas):
+        cfg = quiet_parse(data)
+        old = dict(data, replicas=replicas, miners=[
+            dict(m, policy=dict(m["policy"], replicas=replicas))
+            if m["policy"]["kind"] == "myopic_br" else m
+            for m in data["miners"]
+        ])
+        again = quiet_parse(old)
+        assert again == cfg
+        assert again.digest() == cfg.digest()
+        assert dump_config(again) == dump_config(cfg)
+        assert "replicas" not in dump_config(again)
+
+    @pytest.mark.parametrize("path", [
+        ("platform",), ("demand",), ("miners", 0), ("miners", 0, "cost"),
+        ("miners", 0, "policy"),
+    ])
+    def test_rejected_where_it_was_no_field(self, path):
+        data = minimal()
+        data["miners"][0]["policy"] = {"kind": "delta_adaptive"}
+        node = data
+        for key in path:
+            node = node[key]
+        node["replicas"] = 1000
+        with pytest.raises(ConfigError) as e:
+            quiet_parse(data)
+        assert e.value.field.endswith(".replicas") and "unknown field" in str(e.value)
+
 
 class TestSupplyWarning:
     def test_warns_when_demand_below_supply(self):
@@ -279,11 +326,10 @@ class TestRoundTrip:
                 {"capacity_A": 2.0, "cost": {"family": "power", "c": 2.0, "q": 3.0},
                  "policy": {"kind": "delta_adaptive", "step": 0.5, "floor": 0.1}},
                 {"capacity_A": 1.5, "cost": {"family": "linear", "r": 200.0},
-                 "policy": {"kind": "myopic_br", "grid": 32, "replicas": 500}},
+                 "policy": {"kind": "myopic_br", "grid": 32}},
             ],
             "demand": {"family": "lognormal", "mu": 6.3, "sigma": 0.4},
             "rounds": 123,
-            "replicas": 456,
             "seed": 9,
         }
 
@@ -309,9 +355,9 @@ class TestRoundTrip:
         assert again.digest() == cfg.digest()
 
     @pytest.mark.parametrize("name, digest", [
-        ("simulate-ledger", "e62c6d5de2fe"),
-        ("verify-audit", "927b98b7dce0"),
-        ("myopic-game", "a1e52dcf448c"),
+        ("simulate-ledger", "18133880cb68"),
+        ("verify-audit", "61974547f4ee"),
+        ("myopic-game", "e6d74eb2f45b"),
     ])
     def test_workload_digests_pinned(self, name, digest):
         cfg = load_config(os.path.join(WORKLOADS, f"{name}.yaml"), warn_stream=io.StringIO())

@@ -18,6 +18,7 @@ from poolsim.engine import (
 )
 from poolsim.mechanisms import pps_reward, ppss_reward, subsidy_terms
 from poolsim.model import (
+    MAX_GRID,
     CostFunction,
     DemandModel,
     MinerPolicy,
@@ -96,7 +97,7 @@ class TestPolicies:
         with pytest.raises(ValueError):
             MinerPolicy(kind="myopic_br", grid=1)
         with pytest.raises(ValueError):
-            MinerPolicy(kind="myopic_br", replicas=0)
+            MinerPolicy(kind="myopic_br", grid=MAX_GRID + 1)
 
     def test_delta_adaptive_returns_to_capacity_without_shortfall(self):
         prof = MinerProfile(capacity_A=2.0, cost=CostFunction(family="linear", r=1.0))
@@ -163,7 +164,7 @@ class TestPolicies:
         cfg = base_config(miners=[{
             "capacity_A": 2.0,
             "cost": {"family": "linear", "r": 0.5},
-            "policy": {"kind": "myopic_br", "grid": 9, "replicas": 1024},
+            "policy": {"kind": "myopic_br", "grid": 9},
         }], demand={"family": "constant", "M": 50.0}, rounds=3)
         ledger = run_simulation(cfg)
         assert np.all(ledger.a[:, 0] >= 2.0 - 2 * (2.0 / 8))
@@ -171,7 +172,7 @@ class TestPolicies:
 
 class TestMyopicMemo:
     def _config(self, demand):
-        myopic = {"kind": "myopic_br", "grid": 5, "replicas": 256}
+        myopic = {"kind": "myopic_br", "grid": 5}
         return quiet_parse({
             "mechanism": "ppss",
             "platform": {"p": 1.0, "k": 100.0, "lambda": 0.8, "N": 4},
@@ -415,7 +416,7 @@ class TestReproducibility:
                 {"capacity_A": 1.5, "cost": {"family": "power", "c": 40.0, "q": 2.0},
                  "policy": {"kind": "delta_adaptive", "step": 0.5, "floor": 0.0}},
                 {"capacity_A": 1.0, "cost": {"family": "linear", "r": 120.0},
-                 "policy": {"kind": "myopic_br", "grid": 3, "replicas": 8}},
+                 "policy": {"kind": "myopic_br", "grid": 3}},
             ],
             "demand": {"family": "gamma", "shape": 4.0, "rate": 0.04},
             "rounds": 40, "seed": 12,

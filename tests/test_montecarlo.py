@@ -1,7 +1,6 @@
-"""Replica engine: determinism across workers, summation, quantile sampling."""
+"""Replica engine: determinism and block layout, summation, quantile sampling."""
 import hashlib
 import math
-import os
 
 import numpy as np
 import pytest
@@ -20,7 +19,6 @@ from poolsim.montecarlo import (
     exact_sum,
     gamma_ppf,
     payoff_samples,
-    worker_count,
 )
 
 
@@ -45,29 +43,20 @@ def _samples(replicas, mechanism="pps", demand=DEMAND, **kw):
 
 
 class TestWorkerDeterminism:
-    def _with_workers(self, n, fn):
-        old = os.environ.get("POOLSIM_WORKERS")
-        os.environ["POOLSIM_WORKERS"] = str(n)
-        try:
-            return fn()
-        finally:
-            if old is None:
-                del os.environ["POOLSIM_WORKERS"]
-            else:
-                os.environ["POOLSIM_WORKERS"] = old
-
-    def test_worker_count_parsing(self):
-        assert self._with_workers(3, worker_count) == 3
-        assert self._with_workers("junk", worker_count) == 1
-        assert self._with_workers(0, worker_count) == 1
-
-    def test_samples_identical_for_any_worker_count(self):
+    def test_blocks_are_independent_substreams(self):
+        # block b holds replicas [b * BLOCK_SIZE, (b + 1) * BLOCK_SIZE) and
+        # draws them from its own substream, so a full block reads the same
+        # in any call and the last block is a short block of its own
         replicas = 3 * BLOCK_SIZE + 17
         for mechanism in ("pps", "ppss"):
-            base = self._with_workers(1, lambda: _samples(replicas, mechanism))
-            for n in (2, 8):
-                other = self._with_workers(n, lambda: _samples(replicas, mechanism))
-                assert np.array_equal(base, other)
+            whole = _samples(replicas, mechanism)
+            assert np.array_equal(whole[:2 * BLOCK_SIZE], _samples(2 * BLOCK_SIZE, mechanism))
+            assert not np.array_equal(whole[:BLOCK_SIZE], whole[BLOCK_SIZE:2 * BLOCK_SIZE])
+            tail = montecarlo._block_payoffs(
+                mechanism, 0, np.array([4.0, 5.0]), PARAMS, PROFILES, DEMAND,
+                11, 3, 17, None,
+            )
+            assert np.array_equal(whole[3 * BLOCK_SIZE:], tail)
 
     def test_repeat_call_is_identical(self):
         a = _samples(BLOCK_SIZE + 5)

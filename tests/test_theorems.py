@@ -24,7 +24,6 @@ def pps_config(**overrides):
         "miners": [{"capacity_A": 4.0, "cost": {"family": "linear", "r": 1.0}}],
         "demand": {"family": "constant", "M": 40.0},
         "rounds": 400,
-        "replicas": 3000,
         "seed": 1,
     }
     data.update(overrides)
@@ -38,7 +37,6 @@ def ppss_config(**overrides):
         "miners": [{"capacity_A": 1.0, "cost": {"family": "linear", "r": 150.0}}],
         "demand": {"family": "constant", "M": 300.0},
         "rounds": 1000,
-        "replicas": 4000,
         "seed": 1,
     }
     data.update(overrides)
@@ -64,7 +62,7 @@ class TestHarness:
         assert row["config_digest"] == pps_config().digest()
 
     def test_default_runs_all(self):
-        rows = run_audits(ppss_config(rounds=200, replicas=2000))
+        rows = run_audits(ppss_config(rounds=200))
         assert [r["theorem"] for r in rows] == list(ALL_THEOREMS)
 
     def test_deterministic_given_seed(self):
@@ -74,12 +72,11 @@ class TestHarness:
 
     @pytest.mark.parametrize("make_config", [pps_config, ppss_config])
     def test_verdicts_do_not_depend_on_seed_or_replicas(self, make_config):
-        # T2, T3, T4, T5 and T7 draw no random numbers; only the digest of
-        # the config that ran differs
+        # T2, T3, T4, T5 and T7 draw no random numbers, and the retired
+        # replicas key is dropped unread; only the digest of the seed differs
         theorems = ["T2", "T3", "T4", "T5", "T7"]
-        cfg = make_config()
-        a = run_audits(replace(cfg, seed=0, replicas=16), theorems)
-        b = run_audits(replace(cfg, seed=7, replicas=9000), theorems)
+        a = run_audits(make_config(seed=0, replicas=16), theorems)
+        b = run_audits(make_config(seed=7, replicas=9000), theorems)
         for row_a, row_b in zip(a, b, strict=True):
             assert row_a.pop("config_digest") != row_b.pop("config_digest")
             assert row_a == row_b
@@ -92,11 +89,11 @@ class TestVerdicts:
         assert row["metric"] <= row["bound"]
 
     def test_t2_branch_flip(self):
-        row = run_audits(pps_config(replicas=4000), ["T2"])[0]
+        row = run_audits(pps_config(), ["T2"])[0]
         assert row["verdict"] == "PASS"
 
     def test_t3_threshold_flip(self):
-        row = run_audits(pps_config(replicas=4000), ["T3"])[0]
+        row = run_audits(pps_config(), ["T3"])[0]
         assert row["verdict"] == "PASS"
         assert abs(row["metric"] - 1.0) <= 0.05
 
@@ -108,14 +105,13 @@ class TestVerdicts:
                 {"capacity_A": 1.0, "cost": {"family": "linear", "r": 1.0}},
                 {"capacity_A": 1.0, "cost": {"family": "linear", "r": 1.0}},
             ],
-            replicas=8000,
         )
         row = run_audits(cfg, ["T4"])[0]
         assert row["verdict"] == "PASS"
         assert row["metric"] < 1.0  # interior argmax exists
 
     def test_t5_floor_and_bounds(self):
-        row = run_audits(ppss_config(replicas=8000), ["T5"])[0]
+        row = run_audits(ppss_config(), ["T5"])[0]
         assert row["verdict"] == "PASS"
         assert row["metric"] >= 0.0
 
@@ -126,7 +122,7 @@ class TestVerdicts:
         assert row["ci"] > 0.0
 
     def test_t7_round_level_commitment(self):
-        row = run_audits(ppss_config(replicas=4000), ["T7"])[0]
+        row = run_audits(ppss_config(), ["T7"])[0]
         assert row["verdict"] == "PASS"
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -147,7 +143,7 @@ class TestVerdicts:
 
 
 class TestSharedGame:
-    MYOPIC = {"kind": "myopic_br", "grid": 5, "replicas": 64}
+    MYOPIC = {"kind": "myopic_br", "grid": 5}
 
     @pytest.fixture
     def played_rounds(self, monkeypatch):
