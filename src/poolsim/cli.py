@@ -15,7 +15,7 @@ from .csvio import ledger_header, ledger_rows, write_csv
 from .engine import run_simulation
 from .mechanisms import subsidy_shape
 from .model import MAX_GRID, PlatformParams, cost_eval
-from .montecarlo import exact_sum
+from .montecarlo import exact_mean
 from .svgplot import line_plot_svg, write_svg
 from .theorems import ALL_THEOREMS, run_audits
 
@@ -33,23 +33,19 @@ def _parse(data, args):
     return parse_config(data)
 
 
-def _mean(column) -> float:
-    return exact_sum(column) / len(column)
-
-
 def cmd_simulate(args) -> int:
     cfg = _parse(read_yaml(args.config), args)
     ledger = run_simulation(cfg)
     n = len(cfg.profiles)
     write_csv(os.path.join(args.out, "ledger.csv"), ledger_header(n), ledger_rows(ledger))
 
-    mean_ratio = _mean(ledger.budget_ratio)
+    mean_ratio = exact_mean(ledger.budget_ratio)
     summary_rows = []
     for i, profile in enumerate(cfg.profiles):
         rewards = ledger.rewards[:, i]
-        payoff = _mean(rewards - cost_eval(profile.cost, ledger.a[:, i]))
+        payoff = exact_mean(rewards - cost_eval(profile.cost, ledger.a[:, i]))
         summary_rows.append([
-            i, _mean(rewards), payoff, _mean(ledger.flags[:, i]), mean_ratio,
+            i, exact_mean(rewards), payoff, exact_mean(ledger.flags[:, i]), mean_ratio,
         ])
     write_csv(
         os.path.join(args.out, "summary.csv"),
@@ -164,7 +160,7 @@ def cmd_sweep(args) -> int:
         cfg = _parse(data, args)
         n_miners = len(cfg.profiles)
         verdicts = ocdic_check(cfg.mechanism, cfg.platform, cfg.profiles, cfg.demand)
-        mean_ratio = _mean(run_simulation(cfg).budget_ratio)
+        mean_ratio = exact_mean(run_simulation(cfg).budget_ratio)
         row = list(cell)
         for v in verdicts:
             row += [int(v["passed"]), v["argmax"]]

@@ -58,7 +58,7 @@ def _policy_allocation(state: SimulationState, i: int) -> float:
     if policy.kind == "delta_adaptive":
         if prev < 0:
             return profile.capacity_A
-        return delta_adaptive_policy(led.delta[prev], led.a[prev, i], profile, policy)
+        return delta_adaptive_policy(led.delta.item(prev), led.a.item(prev, i), profile, policy)
     # Myopic best response to the last announced demand, assuming the
     # other miners run at capacity. Within a run the argmax is a pure
     # function of (miner, M), so it is reused while M repeats.
@@ -179,13 +179,14 @@ def step_round(state: SimulationState) -> None:
             if not 0 <= s <= cap:
                 raise ValueError(f"allocation {s} outside [0, {cap}] for miner {i}")
         alloc.append(s)
-    a = np.array(alloc)
-    d = sample_transcript(cfg.platform, a, rng)
+    # the row stays in Python floats until it is written into the game
+    game.a[row] = alloc
+    d = game.D[row]
+    d[:] = sample_transcript(cfg.platform, alloc, rng, as_list=True)
+    # numpy's sum of the written row: a left-to-right sum of 9 or more
+    # outputs would round differently from numpy's pairwise one
     total = float(d.sum())
-
     game.M[row] = M
-    game.a[row] = a
-    game.D[row] = d
     game.delta[row] = min(total, M) / total if total else 1.0
     state.next_round += 1
 
@@ -242,12 +243,17 @@ def _round_rows(*columns):
 def settle(played: PlayedGame, cfg: ExperimentConfig) -> SimulationLedger:
     """Phase 2: pay a fully played game under cfg.mechanism.
 
-    The ledger shares played's M, a, D and delta columns. Rewards and flags
-    come from one kernel call per round row; the totals |D|, the window
-    sums and budget_ratio are computed over whole columns, and each row of
-    them has the bits the row's own sum would. A policy never reads a
-    payment, so paying after the last round gives the ledger that paying
-    each round in turn would.
+    The ledger shares played's M, a, D and delta columns. Under pps the
+    rewards come from one pps_reward call on the whole (rounds, n) game,
+    with totals and demands as (rounds, 1) columns: the shape convention of
+    a Monte Carlo block, computing each element as a row's call would.
+    Under ppss they come from one ppss_reward call per round row, because
+    the benchmark's self-test (perfbench/selftest.py) pins ppss_reward's
+    call count at one per round; a whole-game ppss call waits for that
+    count to be restated. The totals |D|, the window sums and budget_ratio
+    are computed over whole columns, and each row of them has the bits the
+    row's own sum would. A policy never reads a payment, so paying after
+    the last round gives the ledger that paying each round in turn would.
     """
     params, M, D = cfg.platform, played.M, played.D
     # every drawn demand is positive, so M = 0 marks a row never played,
@@ -255,11 +261,10 @@ def settle(played: PlayedGame, cfg: ExperimentConfig) -> SimulationLedger:
     if not M.all():
         raise ValueError(f"game has {M.size - np.count_nonzero(M)} unplayed round(s)")
     total = D.sum(axis=1)
-    rewards = np.zeros_like(D)
     flags = np.zeros(D.shape, dtype=bool)
     if cfg.mechanism == "pps":
-        for row, args in enumerate(_round_rows(D, total, M)):
-            rewards[row] = pps_reward(*args, params)
+        # one call on the whole game, shaped as a Monte Carlo block
+        rewards = pps_reward(D, total[:, None], M[:, None], params)
         # analytic ratio (b/p) * (min{|D|, M} / M): equals the summed form in
         # real arithmetic but cannot exceed b/p by a rounding ulp
         ratio = np.where(total > 0, (params.b / params.p) * (np.minimum(total, M) / M), 0.0)
@@ -270,6 +275,7 @@ def settle(played: PlayedGame, cfg: ExperimentConfig) -> SimulationLedger:
             np.array([c_tilde(p) for p in profiles]), params,
         )
         sums, lens = window_sums(D, params.window_N)
+        rewards = np.zeros_like(D)
         for row, args in enumerate(_round_rows(D, total, M, sums, lens)):
             rewards[row], flags[row] = ppss_reward(*args, unit, numerator, params)
         ratio = rewards.sum(axis=1) / (M * params.p)

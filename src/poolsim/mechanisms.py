@@ -1,9 +1,11 @@
 """PPS and PPSS reward kernels.
 
-Both rules are written once, as broadcasting array functions. The engine
-calls them with one round's (n,) miner row; the Monte Carlo calls them with
-one miner's (m,) replica column. Each element is computed with the same
-operations in the same order either way, so the two agree bit for bit.
+Both rules are written once, as broadcasting array functions. The engine's
+settle calls pps_reward once on a whole (rounds, n) game, with (rounds, 1)
+totals and demands, and ppss_reward once per (n,) round row; the Monte Carlo
+calls them with one miner's (m,) replica column. Each element is computed
+with the same operations in the same order in every shape, so all of them
+agree bit for bit.
 """
 from __future__ import annotations
 

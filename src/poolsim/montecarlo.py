@@ -133,9 +133,26 @@ def exact_sum(x: np.ndarray) -> float:
     ))
 
 
+def exact_mean(x: np.ndarray) -> float:
+    """exact_sum(x) / len(x), finite for finite x. Where that sum overflows,
+    it is taken over x * 2**-e instead, with e the bit length of len(x), and
+    the mean scaled back by 2**e: an exact power of two, so the result is
+    the mean of the unbounded-exponent sum (up to the bits that scaling
+    drops from values below 2**(e-1022))."""
+    try:
+        return exact_sum(x) / len(x)
+    except OverflowError:
+        scale = 2.0 ** len(x).bit_length()
+        return exact_sum(x / scale) / len(x) * scale
+
+
 def exact_mean_ci(samples: np.ndarray) -> tuple[float, float]:
     """(mean, 95% CI half-width) via exactly rounded sums (exact_sum) of the
-    samples and of their squared deviations.
+    samples and of their squared deviations. Where a deviation, its square
+    or their sum overflows, though every sample is finite, the deviations
+    are taken of the samples scaled by an exact power of two (2**-e with
+    every |sample| below 2**e) and the half-width scaled back; the mean is
+    exact_mean's.
 
     The half-width is the normal one, 1.96 * sd / sqrt(r). It undercovers a
     heavy-tailed sample whose large values are rarer than 1/r: a ppss
@@ -148,8 +165,17 @@ def exact_mean_ci(samples: np.ndarray) -> tuple[float, float]:
     reads 143 582.
     """
     r = len(samples)
-    mean = exact_sum(samples) / r
+    mean = exact_mean(samples)
     if r < 2:
         return mean, 0.0
-    var = exact_sum((samples - mean) ** 2) / (r - 1)
-    return mean, 1.96 * math.sqrt(var / r)
+    with np.errstate(over="ignore"):
+        squares = (samples - mean) ** 2
+    try:
+        var = exact_sum(squares) / (r - 1)
+    except OverflowError:
+        var = math.inf
+    if var < math.inf or not np.isfinite(samples).all():
+        return mean, 1.96 * math.sqrt(var / r)
+    scale = 2.0 ** min(math.frexp(float(np.abs(samples).max()))[1], 1023)
+    var = exact_sum((samples / scale - mean / scale) ** 2) / (r - 1)
+    return mean, 1.96 * math.sqrt(var / r) * scale

@@ -15,6 +15,7 @@ way each row is the one the audit gives when run alone.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -35,6 +36,10 @@ from .mechanisms import subsidy_shape
 from .model import CostFunction, DemandModel, c_tilde
 
 
+# T1's tolerance on paid against analytic payout ratios, in units of b/p
+T1_PAID_TOL = 1e-12
+
+
 def _row(theorem, claim, cfg, verdict, metric, bound, ci=0.0):
     return {
         "theorem": theorem,
@@ -49,12 +54,28 @@ def _row(theorem, claim, cfg, verdict, metric, bound, ci=0.0):
 
 def audit_t1(cfg, play=play) -> dict:
     """Every realized PPS payout ratio lies in [0, b/p]. `play` plays the
-    game it settles (run_audits passes one that shares it with T6)."""
+    game it settles (run_audits passes one that shares it with T6).
+
+    The ledger's budget_ratio under pps is the analytic (b/p)·(min{|D|,
+    M}/M), within [0, b/p] by construction, so T1 also checks what
+    pps_reward paid: each round's sum(R_i)/(M·p) must agree with that
+    ratio to T1_PAID_TOL·b/p, which covers ulp-level rounding. A reward in
+    the subnormal range rounds to a multiple of 2**-1074 before and after
+    its min{|D|, M} factor, so the tolerance adds 2**-1074·(1 + 1/M)/p per
+    miner. The metric is the analytic maximum."""
     sim_cfg = replace(cfg, mechanism="pps")
     ledger = settle(play(sim_cfg), sim_cfg)
-    ratios = ledger.budget_ratio
-    cap = cfg.platform.b / cfg.platform.p
-    ok = ratios.min() >= 0.0 and ratios.max() <= cap
+    ratios, M, p = ledger.budget_ratio, ledger.M, cfg.platform.p
+    cap = cfg.platform.b / p
+    paid = ledger.rewards.sum(axis=1) / (M * p)
+    # 1/M overflows only for a subnormal M, whose rewards are all subnormal:
+    # that row's tolerance is inf
+    with np.errstate(over="ignore"):
+        tol = T1_PAID_TOL * cap + ledger.D.shape[1] * math.ulp(0.0) * (1.0 + 1.0 / M) / p
+    ok = (
+        ratios.min() >= 0.0 and ratios.max() <= cap
+        and bool((np.abs(paid - ratios) <= tol).all())
+    )
     return _row(
         "T1", "PPS payout ratio within [0, b/p] every round",
         cfg, "PASS" if ok else "FAIL", ratios.max(), cap,

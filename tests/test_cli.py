@@ -4,16 +4,18 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
 
-from poolsim import cli
+from poolsim import cli, engine
 from poolsim.cli import main
 from poolsim.csvio import fmt
 from poolsim.engine import run_simulation
+from poolsim.mechanisms import pps_reward
 
 from conftest import quiet_parse, small_configs
 
@@ -41,6 +43,9 @@ PPSS_CONFIG = {
     "rounds": 50,
     "seed": 0,
 }
+
+VERIFY_AUDIT = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                            "workloads", "verify-audit.yaml")
 
 
 @pytest.fixture
@@ -233,8 +238,7 @@ class TestVerify:
 
     def test_retired_replicas_line_leaves_report_unchanged(self, tmp_path):
         # configs that differ only in the retired key share a digest
-        config = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
-                              "workloads", "verify-audit.yaml")
+        config = VERIFY_AUDIT
         with open(config) as fh:
             text = fh.read()
         assert "\nreplicas: 512\n" in text
@@ -267,8 +271,7 @@ class TestVerify:
     def test_t1_and_t6_rows_do_not_depend_on_the_selection(self, tmp_path):
         # the full report shares one played game between T1 and T6; each
         # alone plays its own
-        config = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
-                              "workloads", "verify-audit.yaml")
+        config = VERIFY_AUDIT
         reports = {}
         for selection in (None, "T1", "T6"):
             out = tmp_path / str(selection)
@@ -279,10 +282,65 @@ class TestVerify:
         for t in ("T1", "T6"):
             assert reports[t] == (header, [row for row in full if row[0] == t])
 
+    def test_t1_fails_when_pps_overpays(self, tmp_path, monkeypatch):
+        # T1's metric is the analytic ratio, which no payment can move; its
+        # verdict also reads what pps_reward paid
+        def overpaying(*args):
+            return 1.001 * pps_reward(*args)
+
+        rows = {}
+        for label in ("exact", "overpaying"):
+            if label == "overpaying":
+                monkeypatch.setattr(engine, "pps_reward", overpaying)
+            out = tmp_path / label
+            argv = ["verify", "--config", VERIFY_AUDIT, "--out", str(out), "--theorems", "T1"]
+            assert main(argv) == (0 if label == "exact" else cli.EXIT_AUDIT_FAIL)
+            rows[label] = read_csv(str(out / "theorem_report.csv"))[1][0]
+        assert [rows[label][3] for label in rows] == ["PASS", "FAIL"]
+        assert rows["exact"][4] == rows["overpaying"][4]
+
     def test_unknown_theorem_exits_2(self, config_path, tmp_out):
         assert main([
             "verify", "--config", config_path(), "--out", tmp_out, "--theorems", "T9",
         ]) == 2
+
+
+class TestTinyPrice:
+    """A price p near the bottom of the float range makes the per-round
+    payout ratios, about 17.4/p on verify-audit.yaml, finite but huge: at
+    p = 1e-306 their sum overflows, and at p = 1e-300 their squared
+    deviations do. Means and CIs stay finite and scale as 1/p."""
+
+    def _run(self, command, p, tmp_path, *extra):
+        with open(VERIFY_AUDIT) as fh:
+            data = yaml.safe_load(fh)
+        data["platform"]["p"] = p
+        path = tmp_path / f"p{p}.yaml"
+        path.write_text(yaml.safe_dump(data))
+        out = tmp_path / f"{command}-{p}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--config", str(path), "--out", str(out), *extra])
+        return code, out
+
+    @pytest.mark.parametrize("p", [1e-300, 1e-306])
+    def test_simulate_mean_ratio(self, p, tmp_path):
+        code, out = self._run("simulate", p, tmp_path)
+        assert code == 0
+        _, rows = read_csv(str(out / "summary.csv"))
+        _, ref = read_csv(str(self._run("simulate", 1.0, tmp_path)[1] / "summary.csv"))
+        assert float(rows[0][4]) == pytest.approx(float(ref[0][4]) / p, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1e-300, 1e-306])
+    def test_verify_t6_mean_and_ci(self, p, tmp_path):
+        code, out = self._run("verify", p, tmp_path, "--theorems", "T1,T6")
+        assert code == 0
+        _, rows = read_csv(str(out / "theorem_report.csv"))
+        _, ref = read_csv(str(self._run("verify", 1.0, tmp_path, "--theorems", "T6")[1]
+                              / "theorem_report.csv"))
+        assert [r[3] for r in rows] == ["PASS", "KNOWN_DISCREPANCY"]
+        for col in (4, 6):  # metric, ci
+            assert float(rows[1][col]) == pytest.approx(float(ref[0][col]) / p, rel=1e-12)
 
 
 class TestBestResponse:

@@ -1,5 +1,6 @@
 """Round loop, miner policies, settling a played game, and ledger accounting."""
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poolsim import analysis, engine
+from poolsim.csvio import ROW_BLOCK
 from poolsim.engine import (
     delta_adaptive_policy,
     init_state,
@@ -36,7 +38,7 @@ def row_at_a_time(cfg):
     """The reference for settle: play's game paid one round at a time, with
     each row's window summed by a cumsum over the rows before it, one kernel
     call on the row and the row's own sums. Returns (game, rewards, flags,
-    budget_ratio)."""
+    budget_ratio, delta)."""
     game, params = play(cfg), cfg.platform
     rounds, n = game.D.shape
     unit, numerator = subsidy_terms(
@@ -44,10 +46,11 @@ def row_at_a_time(cfg):
         np.array([c_tilde(p) for p in cfg.profiles]), params,
     )
     rewards, flags = np.zeros((rounds, n)), np.zeros((rounds, n), dtype=bool)
-    ratio = np.zeros(rounds)
+    ratio, delta = np.zeros(rounds), np.zeros(rounds)
     for row in range(rounds):
         d = game.D[row].copy()
         total, M = float(d.sum()), float(game.M[row])
+        delta[row] = min(total, M) / total if total else 1.0
         if cfg.mechanism == "pps":
             rewards[row] = pps_reward(d, total, M, params)
             ratio[row] = (params.b / params.p) * (min(total, M) / M) if total else 0.0
@@ -56,13 +59,14 @@ def row_at_a_time(cfg):
             wsum = game.D[lo:row].cumsum(axis=0)[-1] if row > lo else np.zeros(n)
             r, flags[row] = ppss_reward(d, total, M, wsum, row - lo, unit, numerator, params)
             rewards[row], ratio[row] = r, r.sum() / (M * params.p)
-    return game, rewards, flags, ratio
+    return game, rewards, flags, ratio, delta
 
 
 def assert_ledger_equals_reference(led, cfg):
-    game, rewards, flags, ratio = row_at_a_time(cfg)
+    game, rewards, flags, ratio, delta = row_at_a_time(cfg)
     for col in ("M", "a", "D", "delta"):
         assert getattr(led, col).tobytes() == getattr(game, col).tobytes()
+    assert led.delta.tobytes() == delta.tobytes()
     assert led.rewards.tobytes() == rewards.tobytes()
     assert np.array_equal(led.flags, flags)
     assert led.budget_ratio.tobytes() == ratio.tobytes()
@@ -303,7 +307,32 @@ class TestTwoPhase:
             for mechanism in ("pps", "ppss"):
                 run = replace(cfg, mechanism=mechanism,
                               platform=replace(cfg.platform, window_N=N))
-                assert_ledger_equals_reference(run_simulation(run), run)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    assert_ledger_equals_reference(run_simulation(run), run)
+
+    @pytest.mark.parametrize("mechanism", ["pps", "ppss"])
+    def test_equals_reference_on_idle_rows_and_long_games(self, mechanism):
+        # outputs of shape 3e-4 are mostly exactly 0, so many rows have
+        # |D| = 0 and some a subnormal |D|; b and p are not 1, and the game
+        # is longer than one ROW_BLOCK
+        cfg = quiet_parse({
+            "mechanism": mechanism,
+            "platform": {"p": 0.9, "b": 1.7, "k": 1.0, "N": 3},
+            "miners": [
+                {"capacity_A": 1.0, "cost": {"family": "linear", "r": 1.0},
+                 "policy": {"kind": "static", "a": a}}
+                for a in (3e-4, 0.0, 2e-3)
+            ],
+            "demand": {"family": "uniform", "lo": 1e-300, "hi": 1.0},
+            "rounds": 2 * ROW_BLOCK + 3, "seed": 4,
+        })
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            led = run_simulation(cfg)
+            assert_ledger_equals_reference(led, cfg)
+        totals = led.D.sum(axis=1)
+        assert (totals == 0).any() and (totals > 0).any()
 
     @given(small_configs())
     @settings(max_examples=30, deadline=None)

@@ -362,6 +362,28 @@ class TestSampleTranscript:
         assert d.dtype == expected.dtype and d.tobytes() == expected.tobytes()
         assert rng.bit_generator.state == twin.bit_generator.state
 
+    @given(
+        allocations=st.lists(st.one_of(
+            st.sampled_from([0.0, -0.0]), st.floats(1e-6, 50.0), st.floats(5e-324, 1e-300),
+        ), max_size=12),
+        k=st.floats(0.01, 200.0),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_list_path_equals_array_path(self, allocations, k, seed):
+        # the engine's list path draws the array path's bits from the same stream
+        params = PlatformParams(p=1.0, b=1.0, k=k)
+        rng, twin = substream(seed, 1), substream(seed, 1)
+        listed = sample_transcript(params, allocations, rng, as_list=True)
+        arrayed = sample_transcript(params, np.array(allocations), twin)
+        assert type(listed) is list and all(type(v) is float for v in listed)
+        assert np.array(listed).tobytes() == arrayed.tobytes()
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_list_path_rejects_a_negative_allocation(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            sample_transcript(PARAMS_K2, [1.0, -1.0], substream(0, 0), as_list=True)
+
     def test_zero_d_allocation_returns_a_float(self):
         d = sample_transcript(PARAMS_K2, np.float64(1.5), substream(42, 5))
         twin = substream(42, 5).standard_gamma(3.0)

@@ -1,6 +1,7 @@
 """Replica engine: determinism and block layout, summation, quantile sampling."""
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from poolsim.mechanisms import ppss_reward, subsidy_terms
 from poolsim.model import CostFunction, DemandModel, MinerProfile, PlatformParams, c_tilde, cost_eval
 from poolsim.montecarlo import (
     BLOCK_SIZE,
+    exact_mean,
     exact_mean_ci,
     exact_sum,
     gamma_ppf,
@@ -150,7 +152,46 @@ class TestExactSum:
         assert _outcome(exact_sum, x) == reference
 
 
+# values of moderate size, at least one of them of magnitude 1 to 4, so that
+# neither the samples nor their deviations are subnormal at any scale below
+_MODERATE = hnp.arrays(
+    np.float64, st.integers(2, 600),
+    elements=st.one_of(st.just(0.0), st.floats(1e-3, 4.0), st.floats(-4.0, -1e-3)),
+).filter(lambda y: np.abs(y).max() >= 1.0)
+
+
+class TestExactMean:
+    @settings(max_examples=150, deadline=None)
+    @given(x=hnp.arrays(np.float64, st.sampled_from([1, ROW_BLOCK + 1, 2 * ROW_BLOCK + 3]),
+                        elements=_SUM_ELEMENTS))
+    def test_exact_sum_over_count_unless_it_overflows(self, x):
+        try:
+            plain = exact_sum(x) / len(x)
+        except OverflowError:
+            assert math.isfinite(exact_mean(x))
+        else:
+            assert np.float64(exact_mean(x)).tobytes() == np.float64(plain).tobytes()
+
+    def test_overflowing_sum_has_a_finite_mean(self):
+        x = np.full(3, 2.0**1023)
+        with pytest.raises(OverflowError):
+            exact_sum(x)
+        assert exact_mean(x) == 2.0**1023
+        assert exact_mean(np.full(3, np.finfo(float).max)) == np.finfo(float).max
+
+
 class TestExactMeanCi:
+    @settings(max_examples=200, deadline=None)
+    @given(y=_MODERATE, e=st.integers(0, 1021))
+    def test_scales_with_a_power_of_two(self, y, e):
+        # the squared deviations of y * 2**e overflow from about e = 510, and
+        # the plain sum of y * 2**e from about e = 1014; the mean and the
+        # half-width still scale exactly
+        mean, ci = exact_mean_ci(y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert exact_mean_ci(y * 2.0**e) == (mean * 2.0**e, ci * 2.0**e)
+
     def test_matches_numpy_oracle(self):
         rng = np.random.default_rng(1)
         x = rng.normal(3.0, 2.0, 5000)

@@ -1,5 +1,6 @@
 """Audit harness: verdict semantics and report rows."""
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -87,6 +88,18 @@ class TestVerdicts:
         row = run_audits(pps_config(), ["T1"])[0]
         assert row["verdict"] == "PASS"
         assert row["metric"] <= row["bound"]
+
+    @pytest.mark.parametrize("platform, demand", [
+        ({"p": 1.0, "b": 1e-318, "k": 2.0}, {"family": "constant", "M": 40.0}),
+        ({"p": 0.9, "b": 1.7, "k": 2.0}, {"family": "constant", "M": 1e-310}),
+    ])
+    def test_t1_passes_on_subnormal_rewards(self, platform, demand):
+        # a subnormal b makes the paid ratios round far from the analytic
+        # ones in units of b/p; a subnormal M makes 1/M overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            row = audit_t1(pps_config(platform=platform, demand=demand, rounds=50))
+        assert row["verdict"] == "PASS"
 
     def test_t2_branch_flip(self):
         row = run_audits(pps_config(), ["T2"])[0]
