@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mechanisms import subsidy_shape, subsidy_terms
+from .mechanisms import shape_k, subsidy_shape, subsidy_terms
 from .model import (
     MAX_GRID,
     CostFunction,
@@ -402,8 +402,7 @@ class _PpssReward:
                 fires = special.gammaincc(self.window_rounds * s, np.maximum(self.threshold - x, 0.0))
             else:
                 fires = x >= self.threshold
-            z = self.unit / x
-            K = np.maximum(1.0 - z * np.exp(1.0 - z), params.eps_k)
+            K = np.maximum(shape_k(self.unit, x), params.eps_k)
             rate += fires * self.numerator / K
         return rate
 

@@ -106,27 +106,27 @@ def cmd_best_response(args) -> int:
     return EXIT_OK
 
 
-def _set_path(data: dict, dotted: str, value) -> bool:
-    node = data
-    parts = dotted.split(".")
-    for part in parts[:-1]:
-        if isinstance(node, list):
-            if not part.isdigit() or int(part) >= len(node):
-                return False
-            node = node[int(part)]
-        elif isinstance(node, dict) and part in node:
-            node = node[part]
-        else:
-            return False
-    last = parts[-1]
+def _child_key(node, part: str):
+    """The key of `node`'s child named `part`: an ASCII decimal index within
+    a list, or a key a dict holds; None where there is no such child."""
     if isinstance(node, list):
-        if not last.isdigit() or int(last) >= len(node):
+        if part.isascii() and part.isdigit() and int(part) < len(node):
+            return int(part)
+    elif isinstance(node, dict) and part in node:
+        return part
+    return None
+
+
+def _set_path(data: dict, dotted: str, value) -> bool:
+    """Set the field at a dotted path of list indices and dict keys; False
+    where the path names no existing field."""
+    node = data
+    for part in dotted.split("."):
+        key = _child_key(node, part)
+        if key is None:
             return False
-        node[int(last)] = value
-    elif isinstance(node, dict) and last in node:
-        node[last] = value
-    else:
-        return False
+        parent, node = node, node[key]
+    parent[key] = value
     return True
 
 

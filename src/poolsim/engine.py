@@ -26,7 +26,6 @@ from .model import (
     sample_transcript,
     substream,
 )
-from .montecarlo import exact_sum
 
 TAG_ROUND = 7
 
@@ -100,30 +99,12 @@ class SimulationLedger(PlayedGame):
     """A played game and its payments under one mechanism.
 
     rewards and flags have shape (rounds, n), budget_ratio shape (rounds,).
-    budget_ratio = sum(R)/(M * p). Platform intake is p * min{|D|, M}
-    (payment for completed work up to demand).
+    budget_ratio = sum(R)/(M * p).
     """
 
     rewards: np.ndarray
     flags: np.ndarray
     budget_ratio: np.ndarray
-    p: float
-
-    @classmethod
-    def empty(cls, rounds: int, n: int, p: float) -> SimulationLedger:
-        return cls(
-            M=np.zeros(rounds), a=np.zeros((rounds, n)), D=np.zeros((rounds, n)),
-            rewards=np.zeros((rounds, n)), flags=np.zeros((rounds, n), dtype=bool),
-            delta=np.zeros(rounds), budget_ratio=np.zeros(rounds), p=p,
-        )
-
-    @property
-    def cumulative_intake(self) -> float:
-        return exact_sum(self.p * np.minimum(self.D.sum(axis=1), self.M))
-
-    @property
-    def cumulative_outflow(self) -> float:
-        return exact_sum(self.rewards)
 
 
 @dataclass
@@ -182,7 +163,7 @@ def step_round(state: SimulationState) -> None:
     # the row stays in Python floats until it is written into the game
     game.a[row] = alloc
     d = game.D[row]
-    d[:] = sample_transcript(cfg.platform, alloc, rng, as_list=True)
+    d[:] = sample_transcript(cfg.platform, alloc, rng)
     # numpy's sum of the written row: a left-to-right sum of 9 or more
     # outputs would round differently from numpy's pairwise one
     total = float(d.sum())
@@ -281,7 +262,7 @@ def settle(played: PlayedGame, cfg: ExperimentConfig) -> SimulationLedger:
         ratio = rewards.sum(axis=1) / (M * params.p)
     return SimulationLedger(
         M=M, a=played.a, D=D, delta=played.delta,
-        rewards=rewards, flags=flags, budget_ratio=ratio, p=params.p,
+        rewards=rewards, flags=flags, budget_ratio=ratio,
     )
 
 

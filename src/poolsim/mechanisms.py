@@ -14,8 +14,15 @@ import numpy as np
 from .model import PlatformParams
 
 
+def shape_k(unit, D):
+    """K = 1 - x * e^(1 - x) with x = unit / D, unit = lambda * A * k: the
+    subsidy shape's one formula, with no check on D."""
+    x = unit / D
+    return 1.0 - x * np.exp(1.0 - x)
+
+
 def subsidy_shape(D, capacity, params: PlatformParams):
-    """K(D) = 1 - x * e^(1 - x) with x = lambda * A * k / D.
+    """K(D) = shape_k(lambda * A * k, D), for D > 0.
 
     `capacity` (A) broadcasts against D. Range [0, 1); exactly 0 at
     D = lambda * A * k. Despite the paper-style reading as a decreasing
@@ -25,8 +32,7 @@ def subsidy_shape(D, capacity, params: PlatformParams):
     D = np.asarray(D, dtype=float)
     if np.any(D <= 0):
         raise ValueError("subsidy_shape requires D > 0")
-    x = params.lam * capacity * params.k / D
-    out = 1.0 - x * np.exp(1.0 - x)
+    out = shape_k(params.lam * capacity * params.k, D)
     return out if out.ndim else float(out)
 
 
@@ -68,8 +74,7 @@ def ppss_reward(d, total, M, window_sum, window_len, unit, numerator, params: Pl
     pps_reward wherever no flag is set.
     """
     flags = (d > 0) & (window_sum + d >= unit * (window_len + 1))
-    # subsidy_shape inline, without its D > 0 check: a flag implies d > 0
-    x = unit / np.where(flags, d, 1.0)
-    K = np.maximum(1.0 - x * np.exp(1.0 - x), params.eps_k)
+    # shape_k has no D > 0 check, and needs none: a flag implies d > 0
+    K = np.maximum(shape_k(unit, np.where(flags, d, 1.0)), params.eps_k)
     per_unit = params.b + np.where(flags, numerator / K, 0.0)
     return _share(d, total) * per_unit * np.minimum(total, M), flags

@@ -249,31 +249,17 @@ def sample_demand(model: DemandModel, rng: np.random.Generator) -> float:
     return model.M if model.family == "constant" else float(model.ppf(rng.random()))
 
 
-def sample_transcript(params: PlatformParams, allocations, rng: np.random.Generator,
-                      *, as_list: bool = False):
+def sample_transcript(params: PlatformParams, allocations, rng: np.random.Generator) -> list[float]:
     """One round's outputs: D_i ~ Gamma(k * a_i, 1) independently per miner.
 
-    Miners with a_i = 0 produce exactly 0. Draws happen in miner order from
-    the supplied stream, so the outputs are reproducible bit for bit. A shape
-    that is not positive (0, -0.0 or NaN) draws nothing and gives 0.0. Each
-    draw is a scalar standard_gamma call, the same draw as the array form's
-    element without its per-call array validation.
-
-    By default allocations is array-like and the outputs come back as an
-    array of its shape (a float for a 0-d one). With as_list, allocations is
-    a sequence of floats and the outputs a list of Python floats, with no
-    numpy array made: the engine's per-round path. Both paths compute the
-    same shapes k * a_i and run the same draw loop, so they draw the same
-    bits from the same stream.
+    allocations is a sequence of floats a_i; the outputs come back as a list
+    of Python floats in the same order. Miners with a_i = 0 produce exactly
+    0. Draws happen in miner order from the supplied stream, one scalar
+    standard_gamma call per positive shape, so the outputs are reproducible
+    bit for bit. A shape that is not positive (0, -0.0 or NaN) draws nothing
+    and gives 0.0.
     """
-    if as_list:
-        shapes = [params.k * a for a in allocations]
-    else:
-        array = params.k * np.asarray(allocations, dtype=float)
-        shapes = array.ravel().tolist()
+    shapes = [params.k * a for a in allocations]
     if any(s < 0 for s in shapes):
         raise ValueError("allocations must be nonnegative")
-    draws = [rng.standard_gamma(s) if s > 0 else 0.0 for s in shapes]
-    if as_list:
-        return draws
-    return np.array(draws).reshape(array.shape) if array.ndim else draws[0]
+    return [rng.standard_gamma(s) if s > 0 else 0.0 for s in shapes]

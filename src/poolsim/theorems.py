@@ -8,10 +8,10 @@ No audit runs the Monte Carlo oracle, so none has a replica count. A
 verdict of KNOWN_DISCREPANCY marks a claim that a faithful implementation
 measurably violates (tracked, not a harness failure).
 
-T1 settles the game under pps and T6 under ppss. Within one run_audits
-call they settle the same played game when no miner's policy reads the
-mechanism (engine.reads_mechanism); otherwise each plays its own. Either
-way each row is the one the audit gives when run alone.
+T1 settles the game under pps and T6 under ppss. When run_audits runs
+both and no miner's policy reads the mechanism (engine.reads_mechanism),
+it plays the game once and passes it to both; otherwise each plays its
+own. Either way each row is the one the audit gives when run alone.
 """
 from __future__ import annotations
 
@@ -52,9 +52,16 @@ def _row(theorem, claim, cfg, verdict, metric, bound, ci=0.0):
     }
 
 
-def audit_t1(cfg, play=play) -> dict:
-    """Every realized PPS payout ratio lies in [0, b/p]. `play` plays the
-    game it settles (run_audits passes one that shares it with T6).
+def _settled(cfg, mechanism, game):
+    """cfg's game (`game`, or one played here when it is None) settled under
+    `mechanism`."""
+    sim_cfg = replace(cfg, mechanism=mechanism)
+    return settle(play(sim_cfg) if game is None else game, sim_cfg)
+
+
+def audit_t1(cfg, game=None) -> dict:
+    """Every realized PPS payout ratio lies in [0, b/p], on `game` (a game
+    played from cfg) or, when it is None, on a game of its own.
 
     The ledger's budget_ratio under pps is the analytic (b/p)·(min{|D|,
     M}/M), within [0, b/p] by construction, so T1 also checks what
@@ -63,8 +70,7 @@ def audit_t1(cfg, play=play) -> dict:
     the subnormal range rounds to a multiple of 2**-1074 before and after
     its min{|D|, M} factor, so the tolerance adds 2**-1074·(1 + 1/M)/p per
     miner. The metric is the analytic maximum."""
-    sim_cfg = replace(cfg, mechanism="pps")
-    ledger = settle(play(sim_cfg), sim_cfg)
+    ledger = _settled(cfg, "pps", game)
     ratios, M, p = ledger.budget_ratio, ledger.M, cfg.platform.p
     cap = cfg.platform.b / p
     paid = ledger.rewards.sum(axis=1) / (M * p)
@@ -197,14 +203,13 @@ def audit_t5(cfg) -> dict:
     )
 
 
-def audit_t6(cfg, play=play) -> dict:
+def audit_t6(cfg, game=None) -> dict:
     """Long-term PPSS payout ratio against the claimed bound
-    sum(c~_i * A_i) / (mu_F * p). `play` plays the game it settles (run_audits
-    passes one that shares it with T1)."""
+    sum(c~_i * A_i) / (mu_F * p), on `game` (a game played from cfg) or,
+    when it is None, on a game of its own."""
     plat = cfg.platform
     profiles = cfg.profiles
-    sim_cfg = replace(cfg, mechanism="ppss")
-    ledger = settle(play(sim_cfg), sim_cfg)
+    ledger = _settled(cfg, "ppss", game)
     bound = sum(c_tilde(p) * p.capacity_A for p in profiles) / (cfg.demand.mu_F * plat.p)
     report = bb_audit(ledger, BudgetBounds(theta=0.0, gamma=bound))
     verdict = "PASS" if report["long_term_pass"] else "KNOWN_DISCREPANCY"
@@ -241,39 +246,17 @@ AUDITS = {
 # The theorem names, in report order; run_audits looks each audit up in
 # AUDITS when it runs.
 ALL_THEOREMS = tuple(AUDITS)
-# The audits that settle a played game; run_audits passes them its `play`.
-PLAYING = ("T1", "T6")
-
-
-def _shared_play():
-    """engine.play, except that configs whose games cannot differ get one
-    game: without a policy that reads the mechanism, the game is the same
-    under every mechanism, so it is keyed on the config less its mechanism.
-    The memo lives as long as the returned function."""
-    games = {}
-
-    def shared(cfg):
-        if reads_mechanism(cfg):
-            return play(cfg)
-        key = replace(cfg, mechanism="pps")  # any one mechanism
-        if key not in games:
-            games[key] = play(cfg)
-        return games[key]
-
-    return shared
 
 
 def run_audits(cfg, theorems=None):
     """One report row per theorem, all of T1-T7 by default. To audit another
     seed, pass dataclasses.replace(cfg, seed=...): the rows' config_digest
-    then names the config that ran. T1 and T6 share one played game for the
-    length of the call (_shared_play); nothing is kept between calls."""
+    then names the config that ran. When both T1 and T6 run and no policy
+    reads the mechanism, the game is played once and both settle it;
+    nothing is kept between calls."""
     theorems = list(ALL_THEOREMS if theorems is None else theorems)
     unknown = [t for t in theorems if t not in ALL_THEOREMS]
     if unknown:
         raise ValueError(f"unknown theorem(s): {', '.join(unknown)}")
-    shared = _shared_play()
-    return [
-        AUDITS[t](cfg, play=shared) if t in PLAYING else AUDITS[t](cfg)
-        for t in theorems
-    ]
+    game = play(cfg) if {"T1", "T6"} <= set(theorems) and not reads_mechanism(cfg) else None
+    return [AUDITS[t](cfg, game) if t in ("T1", "T6") else AUDITS[t](cfg) for t in theorems]

@@ -714,7 +714,12 @@ class TestBudgetAudit:
         from poolsim.engine import SimulationLedger
 
         with pytest.raises(ValueError):
-            bb_audit(SimulationLedger.empty(0, 1, p=1.0), BudgetBounds(theta=0.0, gamma=1.0))
+            empty = SimulationLedger(
+                M=np.zeros(0), a=np.zeros((0, 1)), D=np.zeros((0, 1)), delta=np.zeros(0),
+                rewards=np.zeros((0, 1)), flags=np.zeros((0, 1), dtype=bool),
+                budget_ratio=np.zeros(0),
+            )
+            bb_audit(empty, BudgetBounds(theta=0.0, gamma=1.0))
 
 
 class TestBrDynamics:

@@ -440,6 +440,17 @@ class TestSweep:
             "--axis", "platform.fee=0:1:3",
         ]) == 2
 
+    @pytest.mark.parametrize("index", ["\u00b2", "\u0660"], ids=["superscript-2", "arabic-indic-0"])
+    def test_non_ascii_decimal_list_index_exits_2(self, index, config_path, tmp_out, capsys):
+        # str.isdigit accepts both; int() raises on the first and reads the
+        # second as 0
+        assert main([
+            "sweep", "--config", config_path(), "--out", tmp_out,
+            "--axis", f"miners.{index}.capacity_A=1:2:2",
+        ]) == 2
+        assert "unknown axis field" in capsys.readouterr().err
+        assert os.listdir(tmp_out) == []
+
     def test_bad_override_exits_2(self, config_path, tmp_out):
         assert main([
             "sweep", "--config", config_path(), "--out", tmp_out,

@@ -85,7 +85,11 @@ def _random_ledger(rounds, n, seed=0, wide=True):
     """A ledger of random values: of any sign and magnitude (`wide`), or in
     [0, 1), which are quicker to format."""
     rng = np.random.default_rng(seed)
-    led = SimulationLedger.empty(rounds, n, p=1.0)
+    led = SimulationLedger(
+        M=np.zeros(rounds), a=np.zeros((rounds, n)), D=np.zeros((rounds, n)),
+        delta=np.zeros(rounds), rewards=np.zeros((rounds, n)),
+        flags=np.zeros((rounds, n), dtype=bool), budget_ratio=np.zeros(rounds),
+    )
     for col in (led.M, led.a, led.D, led.rewards, led.delta, led.budget_ratio):
         if wide:
             col[...] = rng.standard_normal(col.shape) * 10.0 ** rng.integers(-300, 300, col.shape)

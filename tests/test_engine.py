@@ -361,18 +361,6 @@ class TestTwoPhase:
 
 
 class TestLedgerAccounting:
-    def test_outflow_matches_per_round_sums(self):
-        ledger = run_simulation(base_config(rounds=2000))
-        expected = math.fsum(math.fsum(row) for row in ledger.rewards.tolist())
-        assert ledger.cumulative_outflow == pytest.approx(expected, rel=1e-10)
-
-    def test_intake_matches_per_round_definition(self):
-        ledger = run_simulation(base_config(rounds=2000))
-        expected = math.fsum(
-            min(sum(d), M) for d, M in zip(ledger.D.tolist(), ledger.M.tolist())
-        )  # p = 1
-        assert ledger.cumulative_intake == pytest.approx(expected, rel=1e-10)
-
     def test_pps_ratio_never_exceeds_payout_rate(self):
         cfg = base_config(demand={"family": "uniform", "lo": 5.0, "hi": 60.0}, rounds=5000)
         ledger = run_simulation(cfg)
@@ -414,8 +402,6 @@ class TestReproducibility:
         b = run_simulation(base_config(rounds=200))
         for col in ("M", "a", "D", "rewards", "flags", "delta", "budget_ratio"):
             assert np.array_equal(getattr(a, col), getattr(b, col))
-        assert a.cumulative_intake == b.cumulative_intake
-        assert a.cumulative_outflow == b.cumulative_outflow
 
     def test_seed_changes_the_run(self):
         a = run_simulation(base_config(rounds=10))
@@ -476,7 +462,7 @@ class TestReproducibility:
                 assert led.M[row] == cfg.demand.M
             else:
                 assert led.M[row] == cfg.demand.ppf(rng.random())
-            assert np.array_equal(led.D[row], sample_transcript(cfg.platform, led.a[row], rng))
+            assert led.D[row].tolist() == sample_transcript(cfg.platform, led.a[row].tolist(), rng)
 
 
 class TestAdaptiveExploitation:
