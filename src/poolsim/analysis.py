@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mechanisms import shape_k, subsidy_shape, subsidy_terms
+from .mechanisms import ppss_rate, subsidy_shape, subsidy_terms
 from .model import (
     MAX_GRID,
     CostFunction,
@@ -391,20 +391,18 @@ class _PpssReward:
             out[j:e] = [w[lo:hi] @ g[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
         return out
 
-    def _rate(self, x: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """Per-unit rate b + fires * numerator / K(x) at outputs x."""
+    def _rate(self, x: np.ndarray, s: np.ndarray):
+        """Per-unit rate ppss_rate at outputs x, firing with the indicator's
+        probability; b where the numerator is 0."""
         from scipy import special
 
-        params = self.params
-        rate = np.full_like(x, params.b)
-        if self.numerator != 0:
-            if self.window_rounds > 0:
-                fires = special.gammaincc(self.window_rounds * s, np.maximum(self.threshold - x, 0.0))
-            else:
-                fires = x >= self.threshold
-            K = np.maximum(shape_k(self.unit, x), params.eps_k)
-            rate += fires * self.numerator / K
-        return rate
+        if self.numerator == 0:
+            return self.params.b
+        if self.window_rounds > 0:
+            fires = special.gammaincc(self.window_rounds * s, np.maximum(self.threshold - x, 0.0))
+        else:
+            fires = x >= self.threshold
+        return ppss_rate(fires, x, self.unit, self.numerator, self.params)
 
     def _intervals(self, shape: np.ndarray, M: np.ndarray):
         """Each segment's outer rule as intervals of normal score: (left

@@ -106,28 +106,26 @@ def cmd_best_response(args) -> int:
     return EXIT_OK
 
 
-def _child_key(node, part: str):
-    """The key of `node`'s child named `part`: an ASCII decimal index within
-    a list, or a key a dict holds; None where there is no such child."""
-    if isinstance(node, list):
-        if part.isascii() and part.isdigit() and int(part) < len(node):
-            return int(part)
-    elif isinstance(node, dict) and part in node:
-        return part
-    return None
-
-
-def _set_path(data: dict, dotted: str, value) -> bool:
-    """Set the field at a dotted path of list indices and dict keys; False
-    where the path names no existing field."""
-    node = data
+def _key_path(data, dotted: str) -> tuple | None:
+    """The keys a dotted path walks in `data`, each part an ASCII decimal
+    index within a list or a key a dict holds; None where the path names no
+    existing field."""
+    keys, node = (), data
     for part in dotted.split("."):
-        key = _child_key(node, part)
-        if key is None:
-            return False
-        parent, node = node, node[key]
-    parent[key] = value
-    return True
+        if isinstance(node, list) and part.isascii() and part.isdigit() and int(part) < len(node):
+            key = int(part)
+        elif isinstance(node, dict) and part in node:
+            key = part
+        else:
+            return None
+        keys, node = (*keys, key), node[key]
+    return keys
+
+
+def _set_keys(data, keys: tuple, value) -> None:
+    for key in keys[:-1]:
+        data = data[key]
+    data[keys[-1]] = value
 
 
 def cmd_sweep(args) -> int:
@@ -148,15 +146,23 @@ def cmd_sweep(args) -> int:
             return EXIT_CONFIG
         axes.append((path, np.linspace(lo, hi, count)))
     base = read_yaml(args.config)
+    # each axis's field as the keys it walks (miners.0 and miners.00 are one
+    # field): an axis on or inside an earlier axis's field would overwrite it
+    fields = []
+    for path, _ in axes:
+        keys = _key_path(base, path)
+        if keys is None or any(keys[:len(f)] == f[:len(keys)] for f in fields):
+            what = "unknown" if keys is None else "overlapping"
+            print(f"error: {what} axis field {path!r}", file=sys.stderr)
+            return EXIT_CONFIG
+        fields.append(keys)
 
     rows = []
     n_miners = None
     for cell in itertools.product(*(grid for _, grid in axes)):
         data = copy.deepcopy(base)
-        for (path, _), v in zip(axes, cell):
-            if not _set_path(data, path, float(v)):
-                print(f"error: unknown axis field {path!r}", file=sys.stderr)
-                return EXIT_CONFIG
+        for keys, v in zip(fields, cell):
+            _set_keys(data, keys, float(v))
         cfg = _parse(data, args)
         n_miners = len(cfg.profiles)
         verdicts = ocdic_check(cfg.mechanism, cfg.platform, cfg.profiles, cfg.demand)

@@ -8,9 +8,10 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
 import yaml
 
-from .model import CostFunction, DemandModel, MinerPolicy, MinerProfile, PlatformParams
+from .model import U_MIN, CostFunction, DemandModel, MinerPolicy, MinerProfile, PlatformParams, c_tilde
 
 _INT64 = 2**63
 # Largest simulation ledger a config may ask for: rounds * (3 + 4n) float64s
@@ -229,9 +230,17 @@ def parse_config(data: dict, warn_stream=None) -> ExperimentConfig:
         if policy.kind == "delta_adaptive" and policy.floor > cap:
             raise ConfigError(f"{fname}.policy.floor", "must not exceed capacity_A")
         profiles.append(MinerProfile(capacity_A=cap, cost=cost))
+        # ppss pays c~/k - b times its indicator, and 0 * inf is NaN
+        with np.errstate(over="ignore"):
+            if mechanism == "ppss" and not math.isfinite(c_tilde(profiles[-1]) / platform.k):
+                raise ConfigError(f"{fname}.cost", "c~/k, the marginal cost at capacity over k, overflows")
         policies.append(policy)
 
     demand = _parse_variant(data.get("demand"), DEMAND, "demand")
+    # every payout ratio divides by M * p, and T6's bound by mu_F * p; ppf is
+    # monotone, so ppf(U_MIN) is the smallest draw, and mu_F is no smaller
+    if not platform.p * demand.ppf(U_MIN) > 0:
+        raise ConfigError("platform.p", "p * M underflows to 0 at the smallest demand draw")
 
     rounds = _integer(data, "rounds", "<root>", default=10_000)
     if rounds < 1:

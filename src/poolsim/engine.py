@@ -8,14 +8,12 @@ settled under each mechanism when no policy reads the mechanism either
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import best_response
 from .config import ExperimentConfig
-from .csvio import ROW_BLOCK
 from .mechanisms import pps_reward, ppss_reward, subsidy_terms
 from .model import (
     DemandModel,
@@ -210,17 +208,6 @@ def window_sums(D: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     return sums, np.minimum(np.arange(rounds), N - 1)
 
 
-def _round_rows(*columns):
-    """The columns zipped row by row, one round per item. A 1-D column gives
-    Python scalars, which the kernels take faster than numpy's; they are
-    converted ROW_BLOCK rounds at a time, never as a list of a whole column."""
-    return itertools.chain.from_iterable(
-        zip(*(c[lo:lo + ROW_BLOCK].tolist() if c.ndim == 1 else c[lo:lo + ROW_BLOCK]
-              for c in columns))
-        for lo in range(0, len(columns[0]), ROW_BLOCK)
-    )
-
-
 def settle(played: PlayedGame, cfg: ExperimentConfig) -> SimulationLedger:
     """Phase 2: pay a fully played game under cfg.mechanism.
 
@@ -231,10 +218,12 @@ def settle(played: PlayedGame, cfg: ExperimentConfig) -> SimulationLedger:
     Under ppss they come from one ppss_reward call per round row, because
     the benchmark's self-test (perfbench/selftest.py) pins ppss_reward's
     call count at one per round; a whole-game ppss call waits for that
-    count to be restated. The totals |D|, the window sums and budget_ratio
-    are computed over whole columns, and each row of them has the bits the
-    row's own sum would. A policy never reads a payment, so paying after
-    the last round gives the ledger that paying each round in turn would.
+    count to be restated; the loop indexes each row, and hands its total,
+    demand and window length over as Python scalars (.item()). The totals
+    |D|, the window sums and budget_ratio are computed over whole columns,
+    and each row of them has the bits the row's own sum would. A policy
+    never reads a payment, so paying after the last round gives the ledger
+    that paying each round in turn would.
     """
     params, M, D = cfg.platform, played.M, played.D
     # every drawn demand is positive, so M = 0 marks a row never played,
@@ -257,8 +246,11 @@ def settle(played: PlayedGame, cfg: ExperimentConfig) -> SimulationLedger:
         )
         sums, lens = window_sums(D, params.window_N)
         rewards = np.zeros_like(D)
-        for row, args in enumerate(_round_rows(D, total, M, sums, lens)):
-            rewards[row], flags[row] = ppss_reward(*args, unit, numerator, params)
+        for row in range(len(D)):
+            rewards[row], flags[row] = ppss_reward(
+                D[row], total.item(row), M.item(row), sums[row], lens.item(row),
+                unit, numerator, params,
+            )
         ratio = rewards.sum(axis=1) / (M * params.p)
     return SimulationLedger(
         M=M, a=played.a, D=D, delta=played.delta,

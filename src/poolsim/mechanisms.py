@@ -5,7 +5,8 @@ settle calls pps_reward once on a whole (rounds, n) game, with (rounds, 1)
 totals and demands, and ppss_reward once per (n,) round row; the Monte Carlo
 calls them with one miner's (m,) replica column. Each element is computed
 with the same operations in the same order in every shape, so all of them
-agree bit for bit.
+agree bit for bit. The exact ppss payoff (analysis) integrates ppss_rate, so
+no other module calls shape_k.
 """
 from __future__ import annotations
 
@@ -59,6 +60,13 @@ def subsidy_terms(caps, c_tildes, params: PlatformParams):
     return unit, numerator
 
 
+def ppss_rate(fires, x, unit, numerator, params: PlatformParams):
+    """PPSS pay per unit of work, b + fires * numerator / max(K(x), eps_k),
+    K = shape_k(unit, x); `fires` is the 0/1 indicator or its probability,
+    and where it is 0 the rate is exactly b (numerator must be finite)."""
+    return params.b + fires * numerator / np.maximum(shape_k(unit, x), params.eps_k)
+
+
 def ppss_reward(d, total, M, window_sum, window_len, unit, numerator, params: PlatformParams):
     """Pay-Per-Share with Subsidy; returns (rewards, flags).
 
@@ -75,6 +83,5 @@ def ppss_reward(d, total, M, window_sum, window_len, unit, numerator, params: Pl
     """
     flags = (d > 0) & (window_sum + d >= unit * (window_len + 1))
     # shape_k has no D > 0 check, and needs none: a flag implies d > 0
-    K = np.maximum(shape_k(unit, np.where(flags, d, 1.0)), params.eps_k)
-    per_unit = params.b + np.where(flags, numerator / K, 0.0)
+    per_unit = ppss_rate(flags, np.where(flags, d, 1.0), unit, numerator, params)
     return _share(d, total) * per_unit * np.minimum(total, M), flags

@@ -8,19 +8,11 @@ MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 55
 
 
 def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
-    if hi <= lo:
-        return [lo]
     step = (hi - lo) / (n - 1)
     return [lo + i * step for i in range(n)]
 
 
-def line_plot_svg(
-    xs,
-    ys,
-    xlabel: str = "",
-    ylabel: str = "",
-    title: str = "",
-) -> str:
+def line_plot_svg(xs, ys, xlabel: str, ylabel: str, title: str) -> str:
     xs = [float(x) for x in xs]
     ys = [float(y) for y in ys]
     x0, x1 = min(xs), max(xs)
@@ -43,12 +35,9 @@ def line_plot_svg(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        f'<text x="{WIDTH / 2}" y="24" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="16">{title}</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{WIDTH / 2}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="16">{title}</text>'
-        )
     # axes
     parts.append(
         f'<line x1="{MARGIN_L}" y1="{MARGIN_T}" x2="{MARGIN_L}" '
@@ -76,17 +65,15 @@ def line_plot_svg(
             f'<text x="{MARGIN_L - 9}" y="{sy(t):.2f}" text-anchor="end" '
             f'dominant-baseline="middle" font-family="sans-serif" font-size="12">{t:.4g}</text>'
         )
-    if xlabel:
-        parts.append(
-            f'<text x="{MARGIN_L + pw / 2}" y="{HEIGHT - 12}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{xlabel}</text>'
-        )
-    if ylabel:
-        cx, cy = 18, MARGIN_T + ph / 2
-        parts.append(
-            f'<text x="{cx}" y="{cy}" text-anchor="middle" font-family="sans-serif" '
-            f'font-size="14" transform="rotate(-90 {cx} {cy})">{ylabel}</text>'
-        )
+    parts.append(
+        f'<text x="{MARGIN_L + pw / 2}" y="{HEIGHT - 12}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="14">{xlabel}</text>'
+    )
+    cx, cy = 18, MARGIN_T + ph / 2
+    parts.append(
+        f'<text x="{cx}" y="{cy}" text-anchor="middle" font-family="sans-serif" '
+        f'font-size="14" transform="rotate(-90 {cx} {cy})">{ylabel}</text>'
+    )
     parts.append(f'<polyline points="{pts}" fill="none" stroke="#1f6fb2" stroke-width="2"/>')
     parts.append("</svg>")
     return "\n".join(parts)

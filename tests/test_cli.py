@@ -342,6 +342,22 @@ class TestTinyPrice:
         for col in (4, 6):  # metric, ci
             assert float(rows[1][col]) == pytest.approx(float(ref[0][col]) / p, rel=1e-12)
 
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_payout_ratio_denominator_underflow_exits_2(self, command, tmp_path, capsys):
+        # M * p = 1e-310 * 1e-20 underflows to 0, so every payout ratio and
+        # T6's bound would divide by zero
+        with open(VERIFY_AUDIT) as fh:
+            data = yaml.safe_load(fh)
+        data["platform"]["p"] = 1.0e-20
+        data["demand"]["M"] = 1.0e-310
+        path = tmp_path / "underflow.yaml"
+        path.write_text(yaml.safe_dump(data))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert "platform.p" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
 
 class TestBestResponse:
     def test_curve_and_argmax(self, config_path, tmp_out, capsys):
@@ -523,6 +539,24 @@ class TestSweep:
             ]) == 0
             sweeps.append((out / "sweep.csv").read_bytes())
         assert sweeps[0] == sweeps[1] == sweeps[2]
+
+    @pytest.mark.parametrize("first, second", [
+        ("platform.k=100:100:1", "platform.k=1:1:1"),
+        # one list index, written two ways
+        ("miners.0.cost.r=1:1:1", "miners.00.cost.r=2:2:1"),
+        # a field inside an earlier axis's field, and the other way round
+        ("miners.0=1:1:1", "miners.0.cost.r=2:2:1"),
+        ("miners.0.cost.r=1:1:1", "miners.0.cost=2:2:1"),
+    ])
+    def test_overlapping_axis_fields_exit_2(self, first, second, config_path, tmp_out, capsys):
+        # the later axis would overwrite the earlier one's values in every
+        # cell, so sweep.csv would report values that never ran
+        assert main([
+            "sweep", "--config", config_path(), "--out", tmp_out,
+            "--axis", first, "--axis", second,
+        ]) == 2
+        assert f"overlapping axis field {second.split('=')[0]!r}" in capsys.readouterr().err
+        assert os.listdir(tmp_out) == []
 
     def test_miner_axis_path(self, config_path, tmp_out):
         data = dict(BASE_CONFIG, rounds=20)

@@ -197,6 +197,34 @@ class TestValidation:
             quiet_parse(data)
         assert "finite" in str(e.value)
 
+    @pytest.mark.parametrize("p, demand", [
+        (1.0e-20, {"family": "constant", "M": 1.0e-310}),
+        (1.0e-30, {"family": "uniform", "lo": 1.0e-300, "hi": 1.0e-290}),
+        # p times the mean 1.7e-286 is positive, p times the smallest draw
+        # 3.2e-304 is not
+        (1.0e-30, {"family": "lognormal", "mu": -666.0, "sigma": 4.0}),
+    ])
+    def test_payout_ratio_denominator_underflow_rejected(self, p, demand):
+        # every payout ratio divides by M * p: at the smallest demand draw,
+        # ppf(U_MIN), it would be 0
+        with pytest.raises(ConfigError) as e:
+            quiet_parse(minimal(platform={"p": p, "k": 2.0}, demand=demand))
+        assert e.value.field == "platform.p"
+
+    @pytest.mark.parametrize("platform, cost", [
+        ({"p": 1.0, "k": 2.0}, {"family": "power", "c": 1.0, "q": 600.0}),  # C'(4) = inf
+        ({"p": 1.0, "k": 1.0e-10}, {"family": "linear", "r": 1.0e300}),  # r/k = inf
+    ])
+    def test_ppss_overflowing_subsidy_numerator_rejected(self, platform, cost):
+        # ppss multiplies c~/k - b by its 0/1 indicator, and 0 * inf is NaN;
+        # pps never reads c~
+        data = minimal(platform=platform)
+        data["miners"][0]["cost"] = cost
+        quiet_parse(data)
+        with pytest.raises(ConfigError) as e:
+            quiet_parse({**data, "mechanism": "ppss"})
+        assert e.value.field == "miners[0].cost"
+
     def test_non_mapping_rejected(self):
         with pytest.raises(ConfigError):
             quiet_parse([1, 2, 3])

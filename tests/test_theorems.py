@@ -1,7 +1,9 @@
 """Audit harness: verdict semantics and report rows."""
 import math
+import sys
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +135,20 @@ class TestVerdicts:
         assert row["verdict"] == "KNOWN_DISCREPANCY"
         assert row["metric"] > row["bound"]
         assert row["ci"] > 0.0
+
+    def test_t6_pass_is_exact_when_its_bound_overflows(self):
+        # sum(c~ * A) / (mu_F * p) = 300 / 1e-310 = 3e312 exceeds every float
+        # and reads inf, while the mean of finite payout ratios is finite:
+        # the PASS is the verdict against the true bound, not a vacuous one
+        data = yaml.safe_load(VERIFY_AUDIT_YAML.read_text())
+        data.update(mechanism="pps", demand={"family": "constant", "M": 1.0e-310})
+        cfg = quiet_parse(data)
+        row = run_audits(cfg, ["T6"])[0]
+        assert (row["verdict"], row["bound"]) == ("PASS", math.inf)
+        assert row["metric"] == pytest.approx(55.2075, abs=5e-5)
+        assert math.isfinite(row["metric"] + row["ci"])
+        true_bound = Fraction(300) / (Fraction(cfg.demand.M) * Fraction(cfg.platform.p))
+        assert true_bound > Fraction(sys.float_info.max)
 
     def test_t7_round_level_commitment(self):
         row = run_audits(ppss_config(), ["T7"])[0]
