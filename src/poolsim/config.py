@@ -59,6 +59,8 @@ def _number(node: dict, key: str, field_name: str, default=None):
         raise ConfigError(f"{field_name}.{key}", "expected a number")
     if isinstance(v, float) and not math.isfinite(v):
         raise ConfigError(f"{field_name}.{key}", f"must be finite, got {v}")
+    if isinstance(v, int) and abs(v) > sys.float_info.max:
+        raise ConfigError(f"{field_name}.{key}", "must be finite, got an int beyond the float range")
     return v
 
 
@@ -207,6 +209,10 @@ def parse_config(data: dict, warn_stream=None) -> ExperimentConfig:
         if isinstance(e, ConfigError):
             raise
         raise ConfigError("platform", str(e)) from e
+
+    # b / p bounds every pps payout ratio and is the one T1 checks against
+    if not math.isfinite(platform.b / platform.p):
+        raise ConfigError("platform.b", f"b / p = {platform.b} / {platform.p} overflows")
 
     miners_node = data.get("miners")
     if not isinstance(miners_node, list) or not miners_node:

@@ -5,6 +5,7 @@ miner i's output is a Gamma(k * a_i, 1) draw, so E[D_i] = k * a_i.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -21,20 +22,115 @@ def substream(seed: int, *path: int) -> np.random.Generator:
 
     The key is positional, so the same stream is obtained regardless of
     the order in which it is derived. The stream is numpy's
-    default_rng(SeedSequence([seed, *path])); the key is split into the
-    uint32 words numpy would make of it (least significant first, one zero
-    word for 0), which skips numpy's per-int coercion.
+    default_rng(SeedSequence([seed, *path])), bit for bit: PCG64 is seeded
+    with the words numpy's SeedSequence would generate for that key. They
+    are hashed 1 024 (_BLOCK) keys at a time, for the aligned block of keys
+    that differ only in their last element, in one pass over uint32
+    arrays, and the last few blocks are kept, so consecutive keys (rounds,
+    Monte Carlo blocks) cost a lookup. The generator's
+    bit_generator.seed_seq is an adapter that holds those words, so
+    spawn() is unsupported. A negative key raises ValueError, as in numpy.
     """
-    words = []
-    for key in (seed, *path):
-        key = int(key)
-        if key < 0:
-            raise ValueError("expected non-negative integer")
-        words.append(key & 0xFFFFFFFF)
-        while key := key >> 32:
-            words.append(key & 0xFFFFFFFF)
-    entropy = np.random.SeedSequence(np.array(words, dtype=np.uint32))
-    return np.random.Generator(np.random.PCG64(entropy))
+    keys = tuple(map(int, (seed, *path)))
+    if min(keys) < 0:
+        raise ValueError("expected non-negative integer")
+    block, row = divmod(keys[-1], _BLOCK)
+    return np.random.Generator(_pcg64()(_SeedWords(_block_words(keys[:-1], block)[row])))
+
+
+# Keys hashed in one pass. 2**32 is a multiple of it, so the last elements
+# of a block's keys split into the same number of uint32 words, and only the
+# lowest word varies.
+_BLOCK = 1024
+_M32 = 0xFFFFFFFF
+# numpy's SeedSequence hash constants (O'Neill's seed_seq_fe, as numpy
+# implements it); XSHIFT is 16 for its 4-word pool.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _key_words(key: int) -> list[int]:
+    """The uint32 words numpy makes of a non-negative int, least
+    significant first, one zero word for 0."""
+    words = [key & _M32]
+    while key := key >> 32:
+        words.append(key & _M32)
+    return words
+
+
+@functools.lru_cache(maxsize=4)
+def _block_words(prefix: tuple[int, ...], block: int) -> np.ndarray:
+    """PCG64 seed words, a read-only (_BLOCK, 4) uint64 array: row t is
+    SeedSequence([*prefix, block * _BLOCK + t]).generate_state(4, uint64)."""
+    low, *high = _key_words(block * _BLOCK)
+    entropy = [np.full(_BLOCK, w, np.uint32) for key in prefix for w in _key_words(key)]
+    entropy.append(np.arange(low, low + _BLOCK, dtype=np.uint32))
+    entropy += [np.full(_BLOCK, w, np.uint32) for w in high]
+    words = _seed_sequence_state(entropy)
+    words.flags.writeable = False
+    return words
+
+
+def _seed_sequence_state(entropy: list[np.ndarray]) -> np.ndarray:
+    """numpy's SeedSequence mix_entropy and generate_state(4, uint64),
+    step for step, on columns: entropy[w] holds word w of every key, and row
+    t of the result is key t's state. uint32 arrays wrap on overflow as the
+    C code does (a numpy uint32 scalar would warn instead)."""
+    h = _INIT_A
+
+    def hashmix(value):
+        nonlocal h
+        value = value ^ h
+        h = h * _MULT_A & _M32
+        value = value * h
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ (result >> 16)
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    h = _INIT_B
+    state = np.empty((len(zero), 8), np.uint32)
+    for i in range(8):
+        value = pool[i % 4] ^ h
+        h = h * _MULT_B & _M32
+        value = value * h
+        state[:, i] = value ^ (value >> 16)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _SeedWords:
+    """The ISeedSequence PCG64 is built from: it returns one key's
+    precomputed seed words and supports nothing else."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if (n_words, dtype) != (4, np.uint64):
+            raise ValueError("holds only PCG64's seed words, generate_state(4, np.uint64)")
+        return self.words
+
+
+@functools.cache
+def _pcg64():
+    """numpy's PCG64, once _SeedWords is registered as an ISeedSequence.
+    Done on the first stream, since it loads numpy.random, which importing
+    poolsim does not."""
+    np.random.bit_generator.ISeedSequence.register(_SeedWords)
+    return np.random.PCG64
 
 
 # The smallest positive and the largest uniform Generator.random returns.

@@ -358,6 +358,22 @@ class TestTinyPrice:
         assert "platform.p" in capsys.readouterr().err
         assert os.listdir(out) == []
 
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_payout_ratio_overflow_exits_2(self, command, tmp_path, capsys):
+        # b / p = 1e300 / 1e-20 exceeds every float, so every pps payout
+        # ratio and T1's bound would read inf
+        with open(VERIFY_AUDIT) as fh:
+            data = yaml.safe_load(fh)
+        data["mechanism"] = "pps"
+        data["platform"].update(p=1.0e-20, b=1.0e300)
+        path = tmp_path / "overflow.yaml"
+        path.write_text(yaml.safe_dump(data))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert "platform.b" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
 
 class TestBestResponse:
     def test_curve_and_argmax(self, config_path, tmp_out, capsys):
@@ -592,6 +608,14 @@ class TestFig1:
         assert svg.rstrip().endswith("</svg>")
 
 
+def _run_python(script):
+    """Run script in a fresh interpreter that imports poolsim from src."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+
+
 def test_simulate_runs_without_scipy(config_path, tmp_out):
     # scipy.special is imported only by the functions that call it; a
     # static ppss run under uniform demand calls none of them
@@ -603,9 +627,14 @@ def test_simulate_runs_without_scipy(config_path, tmp_out):
         f"assert main(['simulate', '--config', {config_path(cfg)!r}, '--out', {tmp_out!r}]) == 0\n"
         "sys.exit('scipy.special' in sys.modules)\n"
     )
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    run = _run_python(script)
     assert run.returncode == 0, run.stderr
     assert os.path.exists(os.path.join(tmp_out, "ledger.csv"))
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # substream loads numpy.random on the first stream; importing the CLI
+    # draws none, so it must not pay for that import
+    script = "import sys\nimport poolsim.cli\nsys.exit('numpy.random' in sys.modules)\n"
+    run = _run_python(script)
+    assert run.returncode == 0, run.stderr or "import poolsim.cli loaded numpy.random"

@@ -211,6 +211,34 @@ class TestValidation:
             quiet_parse(minimal(platform={"p": p, "k": 2.0}, demand=demand))
         assert e.value.field == "platform.p"
 
+    @pytest.mark.parametrize("mechanism", ["pps", "ppss"])
+    @pytest.mark.parametrize("p, b", [(1.0e-20, 1.0e300), (1.0e-309, 1.0)])
+    def test_payout_ratio_overflow_rejected(self, mechanism, p, b):
+        # b / p bounds every pps payout ratio; beyond the float range the
+        # ratios and T1's bound read inf
+        data = minimal(mechanism=mechanism, platform={"p": p, "b": b, "k": 2.0},
+                       demand={"family": "constant", "M": 1.0e300})
+        with pytest.raises(ConfigError) as e:
+            quiet_parse(data)
+        assert e.value.field == "platform.b"
+        quiet_parse(minimal(mechanism=mechanism, platform={"p": 1.0e-20, "b": 1.0e287, "k": 2.0},
+                            demand={"family": "constant", "M": 1.0e300}))
+
+    @pytest.mark.parametrize("path, field", [
+        (("platform", "b"), "platform.b"),
+        (("miners", 0, "capacity_A"), "miners[0].capacity_A"),
+        (("demand", "M"), "demand.M"),
+    ])
+    def test_int_beyond_float_range_rejected(self, path, field):
+        data = minimal()
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = 10**400
+        with pytest.raises(ConfigError) as e:
+            quiet_parse(data)
+        assert e.value.field == field
+
     @pytest.mark.parametrize("platform, cost", [
         ({"p": 1.0, "k": 2.0}, {"family": "power", "c": 1.0, "q": 600.0}),  # C'(4) = inf
         ({"p": 1.0, "k": 1.0e-10}, {"family": "linear", "r": 1.0e300}),  # r/k = inf

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from poolsim import model
 from poolsim.analysis import expected_payoff_mc
+from poolsim.engine import TAG_ROUND
 from poolsim.model import (
     CostFunction,
     DemandModel,
@@ -22,6 +24,8 @@ from poolsim.model import (
     sample_transcript,
     substream,
 )
+
+from poolsim.montecarlo import TAG_PAYOFF
 
 from conftest import _demand
 
@@ -50,6 +54,59 @@ class TestSubstream:
             np.random.SeedSequence(list(key))
         with pytest.raises(ValueError):
             substream(*key)
+
+    @staticmethod
+    def assert_numpy_stream(key):
+        rng = substream(*key)
+        oracle = np.random.default_rng(np.random.SeedSequence(list(key)))
+        assert rng.bit_generator.state == oracle.bit_generator.state, key
+        assert rng.random(8).tobytes() == oracle.random(8).tobytes(), key
+
+    @given(
+        head=st.lists(st.integers(0, 2**70), max_size=4),
+        edge=st.one_of(
+            st.integers(1, 2**22).map(lambda b: b * model._BLOCK),
+            st.sampled_from([2**32, 2**64]),
+        ),
+        offset=st.integers(-3, 2),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_block_edges_equal_default_rng(self, head, edge, offset):
+        # consecutive last elements that cross a block boundary, or the
+        # boundaries at which a key gains a uint32 word; head is the seed and
+        # all but the last path element, so paths have length 0 to 4
+        for last in range(edge + offset, edge + offset + 3):
+            self.assert_numpy_stream((*head, last))
+
+    def test_interleaved_keys_evict_and_refill_the_memo(self):
+        seeds, tags = (0, 3, 2**40), (TAG_ROUND, TAG_PAYOFF)
+        assert len(seeds) * len(tags) > model._block_words.cache_info().maxsize
+        for _ in range(2):
+            for j in (0, 1, model._BLOCK - 1, model._BLOCK, 5000):
+                for seed in seeds:
+                    for tag in tags:
+                        self.assert_numpy_stream((seed, tag, j))
+
+    @given(
+        key=st.lists(st.integers(0, 2**70), min_size=1, max_size=5),
+        data=st.data(),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_negative_key_anywhere_rejected(self, key, data):
+        at = data.draw(st.integers(0, len(key) - 1))
+        key[at] = data.draw(st.integers(-(2**70), -1))
+        with pytest.raises(ValueError):
+            substream(*key)
+
+    def test_seed_seq_is_an_adapter_that_cannot_spawn(self):
+        rng = substream(1, 2)
+        with pytest.raises(TypeError):
+            rng.spawn(1)
+        with pytest.raises(ValueError):
+            rng.bit_generator.seed_seq.generate_state(8)
+        # the memoised block is shared, so the words it hands out are read-only
+        with pytest.raises(ValueError):
+            rng.bit_generator.seed_seq.generate_state(4, np.uint64)[0] = 0
 
 
 class TestCostEval:
