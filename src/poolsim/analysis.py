@@ -166,14 +166,29 @@ def pps_expected_payoff(
     return float(payoff_curve("pps", i, allocations, own, params, profiles, demand)[0])
 
 
-# Quadrature for the ppss payoff. A Gamma(shape) output is integrated over
-# its normal score t, the point where the standard normal CDF equals the
-# output's CDF: the output is then nearly linear in t at every shape, and the
-# weight is the normal density. Scores are cut at |t| <= _T (mass outside:
-# 2 * Phi(-8) = 1.2e-15). Each rule is composite Gauss-Legendre.
+# Quadrature for the ppss payoff. Each rule is composite Gauss-Legendre,
+# cut at |score| <= _T (mass beyond: about 2 * Phi(-8) = 1.2e-15).
+# The outer rule integrates miner i's output X' ~ Gamma(a), a = s + 1 >= 1,
+# over its Wilson-Hilferty score u (Wilson & Hilferty, "The distribution of
+# chi-square", PNAS 17, 1931): x(u) = a * c**3, c = 1 - 1/(9a) + u/(3 sqrt(a)).
+# x is then nearly linear in u and u nearly standard normal, as under the exact
+# normal score, but node, weight and the score of a break are closed forms.
+# u starts where x = 0 when that lies above -_T.
+# The inner rule, over the others' output, keeps the exact normal score t,
+# the point where the standard normal CDF equals the output's CDF, weighted by
+# the normal density: the others' shape may lie below 1, where the density of
+# x(u) is singular at 0.
 _T = 8.0
 _OUTER_X, _OUTER_W = np.polynomial.legendre.leggauss(10)
-_OUTER_WIDTH = 2.0  # widest outer panel, in t
+_OUTER_WIDTH = 2.0  # widest outer panel, in u
+# An outer node's c is at least this, so a node that rounding puts at or
+# below x = 0 is a positive output (x >= 8e-28 * a) of weight below 1e-18.
+_C_MIN = 2.0**-30
+# Below this power, an outer integrand that goes as distance**power at the
+# end of an interval gets panels graded toward that end (_graded_gap). One
+# panel of 10 nodes there loses about 1e-5 at power 0.05, 2e-8 at 2.2 and
+# 1e-12 at 7.5, and less than 1e-13 from about 9 on.
+_POWER_GRADED = 8.0
 _INNER_X, _INNER_W = np.polynomial.legendre.leggauss(8)
 _INNER_PANELS = 16
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -184,6 +199,13 @@ _INNER_FIT = np.linalg.inv(np.vander(_INNER_REF, len(_INNER_REF), increasing=Tru
 # Outer nodes evaluated together: h builds a (nodes, 128) matrix, so a grid of
 # many allocations, or of allocations times demand nodes, goes in blocks.
 _BLOCK_NODES = 4096
+
+
+def _wh_score(shape, x):
+    """Wilson-Hilferty score u of outputs x >= 0 under Gamma(shape, 1), shape
+    >= 1 broadcasting against x: the inverse of x(u) = shape * c**3."""
+    root = np.sqrt(shape)
+    return 3.0 * root * (np.cbrt(x / shape) - 1.0 + 1.0 / (9.0 * shape))
 
 
 def _gamma_score(shape, x: np.ndarray) -> np.ndarray:
@@ -216,8 +238,8 @@ def _at(shape, mask):
     return shape[mask] if np.ndim(shape) else shape
 
 
-def _normal_rule(left, lengths, counts, gl_x, gl_w):
-    """Nodes and weights of E[f(Z)], Z standard normal, on the intervals
+def _panel_rule(left, lengths, counts, gl_x, gl_w):
+    """Nodes and weights of the integral of f over the intervals
     [left, left + lengths): each is cut into `counts` equal panels, with one
     Gauss-Legendre rule per panel."""
     step = np.repeat(lengths / counts, counts)
@@ -225,8 +247,32 @@ def _normal_rule(left, lengths, counts, gl_x, gl_w):
     half = 0.5 * step
     mid = np.repeat(left, counts) + step * offset + half
     t = (mid[:, None] + half[:, None] * gl_x).ravel()
-    w = (half[:, None] * gl_w).ravel() * np.exp(-0.5 * t * t) * _INV_SQRT_2PI
-    return t, w
+    return t, (half[:, None] * gl_w).ravel()
+
+
+def _graded_gap(power: np.ndarray, side: float) -> np.ndarray:
+    """First-panel width, signed by `side`, for grading toward an endpoint
+    singularity distance**power (see _PpssReward._intervals): the last panel
+    is 2**-L of full width, L = ceil(40 / (power + 1)) up to 40, so that its
+    share of the integral is about 2**-40; 0 (no grading) from _POWER_GRADED
+    on."""
+    levels = np.minimum(np.ceil(40.0 / (power + 1.0)), 40.0)
+    return np.where(power < _POWER_GRADED, side * _OUTER_WIDTH * 2.0**-levels, 0.0)
+
+
+def _log_gamma_norm(a: np.ndarray) -> np.ndarray:
+    """(a - 1/2) ln a - a - ln Gamma(a), a >= 1. Written so, it loses about
+    a ln a ulps to cancellation; it equals -ln(2 pi)/2 minus Stirling's
+    remainder, whose series (Abramowitz & Stegun 6.1.41) is exact to an ulp
+    from a = 10 on."""
+    from scipy import special
+
+    r = 1.0 / a
+    r2 = r * r
+    remainder = r * (1 / 12 + r2 * (-1 / 360 + r2 * (1 / 1260 + r2 * (
+        -1 / 1680 + r2 * (1 / 1188 + r2 * (-691 / 360360))))))
+    direct = (a - 0.5) * np.log(a) - a - special.gammaln(a)
+    return np.where(a < 10.0, direct, -0.5 * math.log(2.0 * math.pi) - remainder)
 
 
 class _OthersRule:
@@ -242,7 +288,9 @@ class _OthersRule:
         self.edges = np.linspace(-_T, _T, _INNER_PANELS + 1)
         lengths = np.diff(self.edges)
         counts = np.ceil(lengths / self.width).astype(int)
-        self.t, self.w = _normal_rule(self.edges[:-1], lengths, counts, _INNER_X, _INNER_W)
+        # E[f(Z)], Z standard normal: the panel rule times the normal density
+        self.t, self.w = _panel_rule(self.edges[:-1], lengths, counts, _INNER_X, _INNER_W)
+        self.w = self.w * np.exp(-0.5 * self.t * self.t) * _INV_SQRT_2PI
         self.y = _gamma_at_score(shape, self.t)
         self.panel = np.repeat(np.arange(_INNER_PANELS), len(_INNER_X))
         y_edges = _gamma_at_score(shape, self.edges)
@@ -304,7 +352,10 @@ class _PpssReward:
     does not change along a best-response curve is built once: the others'
     output rule, the two roots of K = eps_k, subsidy_terms and the demand
     nodes. A call takes an array of allocations and integrates all of them,
-    at every demand node, in one pass."""
+    at every demand node, in one pass. The outer rule, over miner i's output,
+    is placed in closed form on the output's Wilson-Hilferty score (no
+    inverse incomplete gamma); the inner rule (_OthersRule) keeps exact
+    gamma quantiles."""
 
     def __init__(
         self,
@@ -348,6 +399,13 @@ class _PpssReward:
             self.demand_M, self.demand_w = np.array([demand.M]), np.array([1.0])
         else:
             self.demand_M, self.demand_w = demand.ppf(_GL_U), _GL_W
+        # 1 - h(x) = E[(x + Y - M)^+ / (x + Y)] goes as (M - x)**(shape + 1)
+        # below x = M, shape the others'. The outer rule is graded toward it
+        # at a constant demand only: a random one is integrated with the
+        # 64-node demand rule, whose error (about 1e-6) grading cannot lower.
+        self.m_gap = 0.0
+        if self.others is not None and demand.family == "constant":
+            self.m_gap = float(_graded_gap(others_shape + 1.0, -1.0))
 
     def __call__(self, a: np.ndarray) -> np.ndarray:
         """E[R_i] at each allocation in the 1-D array a."""
@@ -364,24 +422,35 @@ class _PpssReward:
         return out
 
     def _means(self, s: np.ndarray, M: np.ndarray) -> np.ndarray:
-        # x * f_s(x) = s * f_{s+1}(x), so E[X g(X)] = s * E[g(X')] with
-        # X' ~ Gamma(s + 1): the integrand g = per-unit rate * h is bounded.
-        # Returns E[g(X')] per segment.
+        """E[g(X')] per segment, X' ~ Gamma(a), a = s + 1: x * f_s(x) =
+        s * f_a(x), so E[X g(X)] = s * E[g(X')], and the integrand g = per-unit
+        rate * h is bounded. The rule runs over X''s Wilson-Hilferty score u
+        (see _intervals): a node at u sits at x = a * c**3 and weighs
+        f_a(x) * dx/du = f_a(x) * sqrt(a) * c**2. Its logarithm is taken as
+        (3a - 1) ln c - a (c**3 - 1) + _log_gamma_norm(a), with d = c - 1
+        formed from u directly, so that the terms of size a ln a in
+        ln f_a(x) = (a - 1) ln x - x - ln Gamma(a) cancel in closed form."""
         shape = s + 1.0
-        left, lengths, seg = self._intervals(shape, M)
+        left, lengths, seg = self._intervals(s, M)
         counts = np.ceil(lengths / _OUTER_WIDTH).astype(int)  # panels no wider than that
         # each segment's first interval and first node, and the ends
         first = np.searchsorted(seg, np.arange(len(s) + 1))
         start = np.concatenate(([0], np.cumsum(counts)))[first] * len(_OUTER_X)
+        slope = 1.0 / (3.0 * np.sqrt(shape))
+        log_norm = _log_gamma_norm(shape)
         out = np.empty(len(s))
         # a block holds the segments whose first node falls in one stretch
         # of _BLOCK_NODES nodes
         cuts = [0, *(np.flatnonzero(np.diff(start[:-1] // _BLOCK_NODES)) + 1).tolist(), len(s)]
         for j, e in zip(cuts[:-1], cuts[1:]):
             iv = slice(first[j], first[e])
-            t, w = _normal_rule(left[iv], lengths[iv], counts[iv], _OUTER_X, _OUTER_W)
+            u, w = _panel_rule(left[iv], lengths[iv], counts[iv], _OUTER_X, _OUTER_W)
             node = np.repeat(seg[iv], counts[iv] * len(_OUTER_X))
-            x = _gamma_at_score(shape[node], t)
+            a = shape[node]
+            d = np.maximum(u * slope[node] - 1.0 / (9.0 * a), _C_MIN - 1.0)
+            x = a * (1.0 + d) ** 3
+            log_w = (3.0 * a - 1.0) * np.log1p(d) - a * (d * (3.0 + d * (3.0 + d)))
+            w *= np.exp(log_w + log_norm[node])
             bounds = start[j:e + 1] - start[j]
             if self.others is not None:
                 h = self.others.h(x, M[node], bounds)
@@ -404,37 +473,61 @@ class _PpssReward:
             fires = x >= self.threshold
         return ppss_rate(fires, x, self.unit, self.numerator, self.params)
 
-    def _intervals(self, shape: np.ndarray, M: np.ndarray):
-        """Each segment's outer rule as intervals of normal score: (left
-        edges, lengths, segment), sorted by segment. The score range
-        [-_T, _T] is split where the integrand kinks or jumps: at x = M and,
-        under a subsidy, at the roots of K = eps_k and the indicator's
-        threshold."""
-        n = len(shape)
+    def _intervals(self, s: np.ndarray, M: np.ndarray):
+        """Each segment's outer rule as intervals of Wilson-Hilferty score:
+        (left edges, lengths, segment), sorted by segment. The score range,
+        from the larger of -_T and the score of x = 0 up to _T, is split where
+        the integrand kinks or jumps: at x = M and, under a subsidy, at the
+        roots of K = eps_k and the indicator's threshold. Every break is a
+        closed-form score. Panels are graded geometrically toward the points
+        where the integrand is rough on a scale finer than a panel: past each
+        root, toward 1/K's double pole; and toward the ends where it goes as
+        a small power of the distance (_graded_gap): x = 0 when the range
+        starts there, x = M from below, and the threshold from below."""
+        n, shape = len(s), s + 1.0
+        lo = np.maximum(_wh_score(shape, 0.0), -_T)
         points = np.empty((n, 1 + len(self.kinks)))
         points[:, 0], points[:, 1:] = M, self.kinks
-        scores = _gamma_score(np.repeat(shape[:, None], points.shape[1], axis=1), points)
+        scores = _wh_score(shape[:, None], points)
         breaks = scores
+        # From each anchor, panels of width |gap|, 2|gap|, 4|gap|, ... on the
+        # side the gap's sign gives, until they reach full width; a gap of 0,
+        # or an anchor at -_T, grades none. x(u)'s density goes as
+        # (u - lo)**(3a - 1) where the range starts at x = 0.
+        anchors = [lo[:, None]]
+        gaps = [_graded_gap(3.0 * shape - 1.0, 1.0)[:, None]]
+        if self.m_gap:
+            anchors.append(scores[:, :1])
+            gaps.append(np.full((n, 1), self.m_gap))
         if len(self.kinks):
             # 1/K has a double pole at D = unit (the last kink), just past
-            # each root: grade the panels beyond a root geometrically until
-            # they reach full width.
+            # each root: grade the panels beyond a root, from a first panel
+            # as wide as the root's distance to the pole.
             roots, breaks = scores[:, 1:3], scores[:, :-1]
-            with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-                gap = roots - scores[:, -1:]
-                levels = np.where(
-                    np.isfinite(roots) & np.isfinite(gap) & (gap != 0) & (np.abs(roots) < _T),
-                    np.minimum(np.ceil(np.log2(_OUTER_WIDTH / np.abs(gap))), 40), 0,
-                )
-                level = np.arange(1, int(levels.max()) + 1)  # empty below 1
-                graded = roots[:, :, None] + gap[:, :, None] * (2.0**level - 1.0)
-            graded = np.where(level <= levels[:, :, None], graded, -_T)
-            breaks = np.concatenate((breaks, graded.reshape(n, -1)), axis=1)
-        # A break outside (-_T, _T) becomes a copy of -_T, and copies give
-        # the empty intervals that are dropped.
-        edges = np.concatenate(
-            (np.full((n, 2), (-_T, _T)), np.where(np.abs(breaks) < _T, breaks, -_T)), axis=1,
-        )
+            anchors.append(roots)
+            gaps.append(roots - scores[:, -1:])
+            if self.window_rounds > 0:
+                # a warm window fires with probability 1 - O((threshold -
+                # x)**alpha), alpha = (N-1)*s, below the threshold (the third
+                # kink)
+                anchors.append(scores[:, 3:4])
+                gaps.append(_graded_gap(self.window_rounds * s, -1.0)[:, None])
+        anchors, gap = np.concatenate(anchors, axis=1), np.concatenate(gaps, axis=1)
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            levels = np.where(
+                np.isfinite(anchors) & np.isfinite(gap) & (gap != 0) & (np.abs(anchors) < _T),
+                np.minimum(np.ceil(np.log2(_OUTER_WIDTH / np.abs(gap))), 40), 0,
+            )
+            level = np.arange(1, int(levels.max()) + 1)  # empty below 1
+            graded = anchors[:, :, None] + gap[:, :, None] * (2.0**level - 1.0)
+        graded = np.where(level <= levels[:, :, None], graded, -_T)
+        breaks = np.concatenate((breaks, graded.reshape(n, -1)), axis=1)
+        # A break outside (lo, _T) becomes a copy of lo, and copies give the
+        # empty intervals that are dropped.
+        edges = np.concatenate((
+            lo[:, None], np.full((n, 1), _T),
+            np.where((breaks > lo[:, None]) & (breaks < _T), breaks, lo[:, None]),
+        ), axis=1)
         edges.sort(axis=1)
         lengths = np.diff(edges, axis=1)
         keep = lengths > 0
@@ -462,10 +555,14 @@ def ppss_expected_payoff(
 
     N = 1, or a window pinned by `fixed_windows` (sum w over L rounds), turns
     P into the indicator x >= unit*(L+1) - w; a single miner has
-    h(x) = E_M[min(1, M/x)]. The integrals are composite Gauss-Legendre on
-    normal scores, split where the integrand kinks or jumps (see _PpssReward
-    and _OthersRule); a random demand is integrated over its quantile with
-    the 64-node rule pps_expected_payoff uses. Every allocation must lie in
+    h(x) = E_M[min(1, M/x)]. The integrals are composite Gauss-Legendre,
+    the outer one on x's Wilson-Hilferty score (closed-form nodes and
+    weights), the inner one on Y's exact normal score; both are split where
+    the integrand kinks or jumps, and the outer one is graded toward its
+    endpoint singularities (see _PpssReward and _OthersRule). At a constant
+    demand the result agrees with nested adaptive quadrature to about 1e-11
+    or better. A random demand is integrated over its quantile with the
+    64-node rule pps_expected_payoff uses. Every allocation must lie in
     [0, A_i]. The one-allocation case of payoff_curve.
     """
     allocations = np.asarray(allocations, dtype=float)

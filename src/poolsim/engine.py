@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import best_response
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .mechanisms import pps_reward, ppss_reward, subsidy_terms
 from .model import (
     DemandModel,
@@ -223,7 +223,8 @@ def settle(played: PlayedGame, cfg: ExperimentConfig) -> SimulationLedger:
     |D|, the window sums and budget_ratio are computed over whole columns,
     and each row of them has the bits the row's own sum would. A policy
     never reads a payment, so paying after the last round gives the ledger
-    that paying each round in turn would.
+    that paying each round in turn would. A ppss round whose budget_ratio
+    overflows raises ConfigError naming platform.p.
     """
     params, M, D = cfg.platform, played.M, played.D
     # every drawn demand is positive, so M = 0 marks a row never played,
@@ -251,7 +252,16 @@ def settle(played: PlayedGame, cfg: ExperimentConfig) -> SimulationLedger:
                 D[row], total.item(row), M.item(row), sums[row], lens.item(row),
                 unit, numerator, params,
             )
-        ratio = rewards.sum(axis=1) / (M * params.p)
+        # b/p is checked when parsed, but a subsidised round pays up to
+        # numerator/eps_k per unit, so its ratio can overflow at a p that
+        # passes that check
+        with np.errstate(over="ignore"):
+            ratio = rewards.sum(axis=1) / (M * params.p)
+        if not np.isfinite(ratio).all():
+            raise ConfigError(
+                "platform.p",
+                f"a round's payout ratio sum(R) / (M * p) overflows at p = {params.p}",
+            )
     return SimulationLedger(
         M=M, a=played.a, D=D, delta=played.delta,
         rewards=rewards, flags=flags, budget_ratio=ratio,

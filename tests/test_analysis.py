@@ -277,12 +277,48 @@ class TestPpssExpectedPayoff:
         # s_i = 0.6 and s_others = 0.8, both below 1
         ([0.3, 0.4], SMALL_S, [linear_miner(A=1.0, r=6.0)] * 2, 0.9, None),
         ([0.3, 0.4], SMALL_S, [linear_miner(A=1.0, r=6.0)] * 2, 3.0, None),
+        # a warm window fires with probability 1 - O((threshold - x)**alpha),
+        # alpha = (N-1)*s_i = 0.18: one panel below the threshold is 1e-5 off
+        ([0.03, 0.4], SMALL_S, [linear_miner(A=1.0, r=6.0)] * 2, 3.0, None),
+        ([0.03, 0.4], SMALL_S, [linear_miner(A=1.0, r=6.0)] * 2, 300.0, None),
+        ([0.03], SMALL_S, [linear_miner(A=1.0, r=6.0)], 3.0, None),
+        # M far below supply: h(x) is 1 - O((M - x)**2.3) below x = M, and
+        # one panel there is 3e-8 off
+        ([0.065, 0.065], replace(SMALL_S, k=20.0, lam=0.8), [linear_miner(A=1.3, r=6.0)] * 2,
+         1.0, None),
     ])
     def test_matches_quad_at_constant_demand(self, allocs, params, profs, M, windows):
         demand = DemandModel(family="constant", M=M)
         exact = self._reward(0, allocs, params, profs, demand, windows)
         oracle = quad_ppss_reward(0, allocs, params, profs, demand, windows)
-        assert exact == pytest.approx(oracle, rel=1e-6)
+        assert exact == pytest.approx(oracle, rel=1e-10)
+
+    @pytest.mark.parametrize("s", [1e-3, 0.06, 0.5, 1.5, 6.0, 100.0, 5000.0])
+    def test_lone_miner_without_subsidy_is_pps(self, s):
+        # c~/k <= b clamps the numerator to 0, and a lone miner's share is 1:
+        # the outer rule alone then gives b * E[min(X, M)], the pps closed
+        # form, near a = s + 1 = 1, where x(u)'s density is rough at x = 0,
+        # and at a large shape
+        params = PlatformParams(p=1.0, b=1.0, k=1.0, window_N=4)
+        profs = [linear_miner(A=s, r=0.5)]
+        for M in (0.5 * (s + 1.0), 2.0 * (s + 1.0)):
+            demand = DemandModel(family="constant", M=M)
+            pps = pps_expected_payoff(0, [s], params, profs, demand) + cost_eval(profs[0].cost, s)
+            assert self._reward(0, [s], params, profs, demand) == pytest.approx(pps, rel=1e-13)
+
+    def test_demand_within_rounding_of_zero(self):
+        # x = M = 1e-45 splits the outer rule within rounding of x = 0, where
+        # a node could land at c <= 0 and take the log of 0 (a warning, which
+        # fails the test)
+        params = PlatformParams(p=1.0, b=1.0, k=1.0, window_N=1)
+        demand, grid = DemandModel(family="constant", M=1e-45), [0.0, 0.01, 0.5, 1.0]
+        for allocs in ([1.0], [0.01], [1.0, 0.5]):
+            profs = [linear_miner(r=0.5)] * len(allocs)
+            curve = payoff_curve("ppss", 0, allocs, grid, params, profs, demand)
+            assert np.isfinite(curve).all()
+            # the numerator clamps to 0, so ppss pays as pps
+            pps = payoff_curve("pps", 0, allocs, grid, params, profs, demand)
+            np.testing.assert_allclose(curve, pps, rtol=1e-12)
 
     @pytest.mark.parametrize("demand", [
         DemandModel(family="uniform", lo=100.0, hi=300.0),
@@ -507,6 +543,35 @@ class TestPayoffCurve:
         br = best_response(cfg.mechanism, i, allocs, params, profiles, demand,
                            grid_points=grid_points, fixed_windows=pinned)
         same([v for _, v in br.curve], curve)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        data=small_configs(), miner=st.integers(0, 2), j=st.integers(-8, 8),
+        fractions=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+    )
+    def test_money_scaling_scales_every_value(self, data, miner, j, fractions):
+        # The payoff is homogeneous in its money units: b and every cost
+        # coefficient times 2**j scale every value by exactly 2**j (a power
+        # of two multiplies without rounding), so no absolute epsilon enters,
+        # and best_response's argmax stays where it was.
+        factor = 2.0**j
+        scaled = {**data, "platform": {**data["platform"], "b": data["platform"]["b"] * factor},
+                  "miners": [{**m, "cost": {key: v * factor if key in ("r", "c") else v
+                                            for key, v in m["cost"].items()}}
+                             for m in data["miners"]]}
+        cfg, cfg_scaled = quiet_parse(data), quiet_parse(scaled)
+        caps = np.array([p.capacity_A for p in cfg.profiles])
+        i = miner % len(caps)
+        allocs = caps * np.array(fractions[:len(caps)])
+        br, br_scaled = (
+            best_response(c.mechanism, i, allocs, c.platform, list(c.profiles), c.demand,
+                          grid_points=4)
+            for c in (cfg, cfg_scaled)
+        )
+        np.testing.assert_array_equal([v for _, v in br_scaled.curve],
+                                      [v * factor for _, v in br.curve])
+        assert br_scaled.argmax_a == br.argmax_a
+        assert br_scaled.value == br.value * factor
 
     def test_grid_outside_capacity_rejected(self):
         for grid in ([0.5, 1.5], [-0.1, 0.5]):

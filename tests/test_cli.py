@@ -374,6 +374,16 @@ class TestTinyPrice:
         assert "platform.b" in capsys.readouterr().err
         assert os.listdir(out) == []
 
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_subsidised_ratio_overflow_exits_2(self, command, tmp_path, capsys):
+        # b / p = 3.3e306 is finite, but a subsidised round pays up to
+        # numerator/eps_k per unit: its ratio, about 17.4/p on average,
+        # overflows, where at p = 1e-306 it does not
+        code, out = self._run(command, 3.0e-307, tmp_path)
+        assert code == 2
+        assert "platform.p" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBestResponse:
     def test_curve_and_argmax(self, config_path, tmp_out, capsys):

@@ -497,3 +497,15 @@ class TestBudgetRatioProperty:
         ratios = run_simulation(cfg).budget_ratio
         assert ratios.min() >= 0.0
         assert ratios.max() <= cfg.platform.b / cfg.platform.p
+
+    @given(small_configs(), st.integers(-8, 8))
+    @settings(max_examples=30, deadline=None)
+    def test_price_scaling_scales_every_ratio(self, data, j):
+        # p -> 2**j * p leaves the game and its rewards alone and divides
+        # every budget_ratio by exactly 2**j (p = 2p halves it), under both
+        # mechanisms: the ratio has no absolute epsilon
+        factor = 2.0**j
+        scaled = {**data, "platform": {**data["platform"], "p": data["platform"]["p"] * factor}}
+        base, led = run_simulation(quiet_parse(data)), run_simulation(quiet_parse(scaled))
+        np.testing.assert_array_equal(led.rewards, base.rewards)
+        np.testing.assert_array_equal(led.budget_ratio * factor, base.budget_ratio)
