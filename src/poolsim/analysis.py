@@ -191,6 +191,9 @@ _C_MIN = 2.0**-30
 _POWER_GRADED = 8.0
 _INNER_X, _INNER_W = np.polynomial.legendre.leggauss(8)
 _INNER_PANELS = 16
+# The others' range screens (_OthersRule) sit this far, relatively, past the
+# quantiles at score +-_T.
+_SCREEN_MARGIN = 1e-9
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # An inner panel's reference points on [-1, 1] (its edges and nodes), and the
 # matrix that turns values there into monomial coefficients.
@@ -277,13 +280,36 @@ def _log_gamma_norm(a: np.ndarray) -> np.ndarray:
 
 class _OthersRule:
     """h(x) = E[min(1, M/(x + Y))] for Y ~ Gamma(shape, 1), the other miners'
-    summed output. The rule on Y's score is built once: _INNER_PANELS equal
-    panels of 8 nodes. min(1, .) kinks at Y = c = M - x, so the panel holding
-    c's score is integrated from that score up, at outputs interpolated
-    (degree 9, in log y) from the panel's edges and nodes."""
+    summed output. The rule on Y's score, _INNER_PANELS equal panels of 8
+    nodes, is built once, the first time a kink c = M - x does not lie above
+    Y's range. min(1, .) kinks at Y = c, so the panel holding c's score is
+    integrated from that score up, at outputs interpolated (degree 9, in
+    log y) from the panel's edges and nodes.
+
+    Y's range is cut at score +-_T, and the kink's score t_c is needed only
+    inside it: above Y's quantile at +_T, h = 1, and below its quantile at
+    -_T, t_c is -_T. So only those two quantiles are computed up front, and
+    each screen keeps a relative margin of _SCREEN_MARGIN past its quantile,
+    which covers the inverse's rounding. A screen is kept only if the score
+    at its edge, computed forward, lies beyond +-_T, so every output is the
+    one the score itself would give."""
 
     def __init__(self, shape: float):
         self.shape = shape
+        self.y = None  # the rule on Y's score, built by _build
+        q_lo, q_hi = _gamma_at_score(shape, np.array([-_T, _T]))
+        c_lo, c_hi = q_lo * (1.0 - _SCREEN_MARGIN), q_hi * (1.0 + _SCREEN_MARGIN)
+        # (a quantile of 0, at a shape below about 1e-18, screens every c > 0)
+        tiniest = np.finfo(float).smallest_subnormal
+        t_lo, t_hi = _gamma_score(shape, np.array([c_lo, max(c_hi, tiniest)]))
+        # c below c_lo: t_c = -_T; c above c_hi: h = 1. A NaN edge or score
+        # keeps its screen off.
+        self.c_lo = c_lo if t_lo <= -_T else 0.0
+        self.c_hi = c_hi if t_hi >= _T else np.inf
+
+    def _build(self):
+        """The rule on Y's score, at exact quantiles."""
+        shape = self.shape
         self.width = 2.0 * _T / _INNER_PANELS
         self.edges = np.linspace(-_T, _T, _INNER_PANELS + 1)
         lengths = np.diff(self.edges)
@@ -304,20 +330,26 @@ class _OthersRule:
         """h at outputs x, each with its own demand M. `bounds` cut x into
         segments, and each segment's rows above the kink take one matrix
         product of their own: BLAS sums rows in groups, so one product over
-        several segments could round a row otherwise than a lone segment."""
+        several segments could round a row otherwise than a lone segment.
+        The kink's score is computed only where c lies between the screens
+        (see the class docstring)."""
         from scipy import special
 
         out = np.empty_like(x)
         c = M - x
         # t_c at or below -_T: no mass below the kink, and its panel is the first
         tc = np.full_like(x, -_T)
-        pos = c > 0
-        tc[pos] = np.maximum(_gamma_score(self.shape, c[pos]), -_T)
+        tc[c > self.c_hi] = _T
+        near = (c >= self.c_lo) & (c <= self.c_hi) & (c > 0)
+        if near.any():
+            tc[near] = np.maximum(_gamma_score(self.shape, c[near]), -_T)
         full = tc >= _T
         out[full] = 1.0  # the kink lies past Y's range
         rows = np.nonzero(~full)[0]
         if not len(rows):
             return out
+        if self.y is None:
+            self._build()
         tc, xr, M = tc[rows], x[rows], M[rows]
         p = np.minimum(((tc + _T) / self.width).astype(int), _INNER_PANELS - 1)
         res = special.ndtr(tc) - special.ndtr(-_T)  # min(1, .) = 1 below the kink
@@ -355,7 +387,10 @@ class _PpssReward:
     at every demand node, in one pass. The outer rule, over miner i's output,
     is placed in closed form on the output's Wilson-Hilferty score (no
     inverse incomplete gamma); the inner rule (_OthersRule) keeps exact
-    gamma quantiles."""
+    gamma quantiles. Two screens skip work whose result is fixed, and
+    leave every bit of the result: _OthersRule skips the kink's score
+    outside the others' range, and _rate the warm window's probability
+    where the rate rounds to b."""
 
     def __init__(
         self,
@@ -391,6 +426,10 @@ class _PpssReward:
         if self.numerator != 0:
             threshold = (self.threshold,) if self.threshold > 0 else ()
             self.kinks = (*roots, *threshold, self.unit)
+            # _rate's window screen: a Chernoff exponent above this leaves
+            # the rate at exactly b
+            self.log_cap = (math.log(abs(self.numerator)) - math.log(params.eps_k)
+                            - math.log(params.b) + 56.0 * math.log(2.0))
         # scipy's inverse incomplete gamma is NaN at a subnormal shape, whose
         # output is 0 to within the rule's accuracy: no other miner
         others_shape = params.k * others_total
@@ -462,13 +501,28 @@ class _PpssReward:
 
     def _rate(self, x: np.ndarray, s: np.ndarray):
         """Per-unit rate ppss_rate at outputs x, firing with the indicator's
-        probability; b where the numerator is 0."""
+        probability; b where the numerator is 0.
+
+        A warm window W ~ Gamma(alpha) fires with probability P(W >= w),
+        w = threshold - x, at most exp(-alpha (r - 1 - ln r)), r = w/alpha > 1
+        (Chernoff). Where that bound times |numerator|/eps_k is below
+        b * 2**-56, the subsidy term is under a quarter of b's half-ulp, and
+        the rate rounds to exactly b whatever the probability: it is taken
+        as 0 there, without the gammaincc call. The bound is compared in
+        logarithms, and the factor 4 of slack covers their rounding."""
         from scipy import special
 
         if self.numerator == 0:
             return self.params.b
         if self.window_rounds > 0:
-            fires = special.gammaincc(self.window_rounds * s, np.maximum(self.threshold - x, 0.0))
+            alpha = self.window_rounds * s
+            w = np.maximum(self.threshold - x, 0.0)
+            fires = np.zeros_like(x)
+            need = w <= alpha
+            tail = np.flatnonzero(~need)
+            d = w[tail] / alpha[tail] - 1.0  # r - 1 > 0
+            need[tail] = alpha[tail] * (d - np.log1p(d)) <= self.log_cap
+            fires[need] = special.gammaincc(alpha[need], w[need])
         else:
             fires = x >= self.threshold
         return ppss_rate(fires, x, self.unit, self.numerator, self.params)

@@ -1,5 +1,6 @@
 """Payoff estimation, best responses, incentive checks, bounds, audits."""
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
+from poolsim import analysis, cli
 from poolsim.analysis import (
     BudgetBounds,
     bb_audit,
@@ -42,6 +44,7 @@ from conftest import quiet_parse, small_configs
 CHERNOFF_STD_100_80 = 0.09882989575150939  # exp(100*ln(0.8) + 20)
 PROB_LOWER_AT_CAPACITY = 0.022877793471864133  # 1 - 0.8*e^0.2
 G_AT_D90 = 6767.2056129294915  # 0.5*90 / K(x=8/9)
+WORKLOADS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads")
 
 
 def linear_miner(A=1.0, r=1.0):
@@ -583,6 +586,170 @@ class TestPayoffCurve:
     def test_unknown_mechanism_rejected(self):
         with pytest.raises(ValueError, match="unknown mechanism"):
             payoff_curve("pplns", 0, [1.0, 1.0], [0.5], AUDIT_PARAMS, AUDIT_PROFS, AUDIT_DEMAND)
+
+
+def _unscreened(mp):
+    """Turn the exact ppss payoff's screens off on the MonkeyPatch `mp`: the
+    others' range screens to (0, inf), so every kink's score is computed, and
+    the window tail screen's bound to -inf, so every window probability is."""
+    others_init, reward_init = analysis._OthersRule.__init__, analysis._PpssReward.__init__
+
+    def others(self, shape):
+        others_init(self, shape)
+        self.c_lo, self.c_hi = 0.0, math.inf
+
+    def reward(self, *args):
+        reward_init(self, *args)
+        self.log_cap = math.inf  # no exponent exceeds it
+
+    mp.setattr(analysis._OthersRule, "__init__", others)
+    mp.setattr(analysis._PpssReward, "__init__", reward)
+
+
+def _kink_sides(mp):
+    """Count, on the MonkeyPatch `mp`, the outer nodes whose kink c = M - x
+    lies below, between and above the others' range screens."""
+    sides = {"below": 0, "between": 0, "above": 0}
+    h = analysis._OthersRule.h
+
+    def counted(self, x, M, bounds):
+        c = M - x
+        sides["below"] += int(((c > 0) & (c < self.c_lo)).sum())
+        sides["above"] += int((c > self.c_hi).sum())
+        sides["between"] += int(((c > 0) & (c >= self.c_lo) & (c <= self.c_hi)).sum())
+        return h(self, x, M, bounds)
+
+    mp.setattr(analysis._OthersRule, "h", counted)
+    return sides
+
+
+def _screened_and_not(i, allocs, grid, params, profiles, demand, windows=None):
+    """payoff_curve with the screens, and with them off."""
+    curve = payoff_curve("ppss", i, allocs, grid, params, profiles, demand, windows)
+    with pytest.MonkeyPatch.context() as mp:
+        _unscreened(mp)
+        plain = payoff_curve("ppss", i, allocs, grid, params, profiles, demand, windows)
+    return curve, plain
+
+
+class TestPpssScreens:
+    """The exact ppss payoff skips the kink's score outside the others'
+    range and the window probability where the rate rounds to b; neither
+    may change a bit of any value."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        data=small_configs(("ppss",)), miner=st.integers(0, 2), clamp=st.booleans(),
+        fractions=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+        windows=st.one_of(st.none(), st.lists(
+            st.tuples(st.floats(0.0, 2.0), st.integers(0, 9)), min_size=3, max_size=3,
+        )),
+    )
+    def test_screens_leave_every_bit(self, data, miner, clamp, fractions, windows):
+        # clamp off lets the numerator go negative
+        data = {**data, "platform": {**data["platform"], "subsidy_clamp_nonneg": clamp}}
+        cfg = quiet_parse(data)
+        params, profiles = cfg.platform, list(cfg.profiles)
+        caps = np.array([p.capacity_A for p in profiles])
+        i = miner % len(caps)
+        allocs = caps * np.array(fractions[:len(caps)])
+        pinned = None
+        if windows is not None:
+            pinned = [(f * params.k * cap * L, L) for (f, L), cap in zip(windows, caps)]
+        grid = np.linspace(0.0, caps[i], 5)
+        curve, plain = _screened_and_not(i, allocs, grid, params, profiles, cfg.demand, pinned)
+        np.testing.assert_array_equal(curve, plain)
+
+    @pytest.mark.parametrize("M, side", [(250.0, "above"), (350.0, "above"),
+                                         (140.0, "below"), (150.0, "below")])
+    def test_kinks_straddling_an_end_of_the_range(self, M, side):
+        # the others' Gamma(100) range runs from about 40 to 202 (scores -8
+        # and 8), and miner 0's outputs over the curve from near 0 to about
+        # 200: at M = 250 and 350 the kinks cross the top of the range, at
+        # M = 140 and 150 its bottom. (At M = 250, moving the top screen in
+        # by 0.1% changes a value.)
+        grid = np.linspace(0.0, 1.0, 17)
+        demand = DemandModel(family="constant", M=M)
+        with pytest.MonkeyPatch.context() as mp:
+            sides = _kink_sides(mp)
+            curve, plain = _screened_and_not(0, [1.0, 1.0], grid, AUDIT_PARAMS, AUDIT_PROFS,
+                                             demand)
+        assert sides[side] > 0 and sides["between"] > 0
+        np.testing.assert_array_equal(curve, plain)
+
+    @pytest.mark.parametrize("allocs, params, M", [
+        # SMALL_S: shapes below 1 on both sides
+        ([0.3, 0.4], TestPpssExpectedPayoff.SMALL_S, 0.9),
+        ([0.03, 0.4], TestPpssExpectedPayoff.SMALL_S, 3.0),
+        ([0.03, 0.4], TestPpssExpectedPayoff.SMALL_S, 300.0),
+        # M far below supply: every kink lies below the others' range or at c <= 0
+        ([0.065, 0.065], replace(TestPpssExpectedPayoff.SMALL_S, k=20.0, lam=0.8), 1.0),
+    ])
+    def test_small_shapes_and_low_demand(self, allocs, params, M):
+        profs = [linear_miner(A=1.3, r=6.0)] * 2
+        for demand in (DemandModel(family="constant", M=M),
+                       DemandModel(family="uniform", lo=M, hi=2.0 * M)):
+            curve, plain = _screened_and_not(0, allocs, np.linspace(0.0, 1.3, 6), params,
+                                             profs, demand)
+            np.testing.assert_array_equal(curve, plain)
+
+    def test_others_shape_just_above_tiny(self):
+        # the others' quantile at score 8 underflows to 0, so the upper
+        # screen takes every kink c > 0
+        shape = 2.0 * np.finfo(float).tiny
+        rule = analysis._OthersRule(shape)
+        assert rule.c_hi == 0.0
+        params = PlatformParams(p=1.0, b=1.0, k=1.0, window_N=1)
+        profs, grid = [linear_miner()] * 2, [0.0, 0.25, 0.5, 1.0]
+        for M in (1e-3, 1.0, 50.0):
+            demand = DemandModel(family="constant", M=M)
+            curve, plain = _screened_and_not(0, [1.0, shape], grid, params, profs, demand)
+            np.testing.assert_array_equal(curve, plain)
+
+    def test_window_tail_screen_is_exact(self):
+        # verify-audit's economics at s = 30: the warm window W ~ Gamma(270)
+        # must reach 800 - x, and its Chernoff exponent at x <= 100 is
+        # above 190, so the window probability is skipped, and the rate,
+        # computed or not, is exactly b
+        reward = analysis._PpssReward(0, 1.0, AUDIT_PARAMS, AUDIT_PROFS, AUDIT_DEMAND, None)
+        x = np.linspace(1.0, 100.0, 400)
+        s = np.full_like(x, 30.0)
+        alpha, w = 9.0 * s, 800.0 - x
+        assert (alpha * (w / alpha - 1.0 - np.log(w / alpha)) > reward.log_cap).all()
+        screened = reward._rate(x, s)
+        reward.log_cap = math.inf
+        plain = reward._rate(x, s)
+        np.testing.assert_array_equal(screened, plain)
+        assert (plain == AUDIT_PARAMS.b).all()
+
+    @pytest.mark.parametrize("command, workload", [
+        ("simulate", "myopic-game"), ("verify", "verify-audit"),
+    ])
+    def test_workloads_compute_no_kink_score(self, command, workload, tmp_path):
+        # every kink of these workloads lies above the others' range: the
+        # only scores computed are each rule's two screen edges, and the
+        # inner rule is never built
+        sizes, builds, rules = [], [], []
+        score, build, init = (analysis._gamma_score, analysis._OthersRule._build,
+                              analysis._OthersRule.__init__)
+
+        def counted_score(shape, x):
+            sizes.append(len(x))
+            return score(shape, x)
+
+        def counted_init(self, shape):
+            rules.append(shape)
+            init(self, shape)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "_gamma_score", counted_score)
+            mp.setattr(analysis._OthersRule, "_build", lambda self: builds.append(self) or build(self))
+            mp.setattr(analysis._OthersRule, "__init__", counted_init)
+            config = os.path.join(WORKLOADS, f"{workload}.yaml")
+            assert cli.main([command, "--config", config, "--out", str(tmp_path)]) == 0
+        assert rules
+        assert sizes == [2] * len(rules)
+        assert builds == []
 
 
 class TestOcdicCheck:

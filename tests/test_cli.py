@@ -566,6 +566,29 @@ class TestSweep:
             sweeps.append((out / "sweep.csv").read_bytes())
         assert sweeps[0] == sweeps[1] == sweeps[2]
 
+    @pytest.mark.parametrize("data, field, grid", [
+        (PPSS_CONFIG, "lambda", "0.7:0.9:3"), (BASE_CONFIG, "k", "1:3:3"),
+    ], ids=["ppss", "pps"])
+    def test_cell_ratio_equals_simulate(self, data, field, grid, config_path, tmp_path):
+        # each cell's mean_budget_ratio is the text simulate writes into
+        # summary.csv for that cell's config, at the same seed
+        sweep_out = tmp_path / "sweep"
+        sweep_out.mkdir()
+        assert main([
+            "sweep", "--config", config_path(data), "--out", str(sweep_out),
+            "--axis", f"platform.{field}={grid}",
+        ]) == 0
+        _, rows = read_csv(sweep_out / "sweep.csv")
+        assert len(rows) == 3
+        for n, row in enumerate(rows):
+            cell = {**data, "platform": {**data["platform"], field: float(row[0])}}
+            out = tmp_path / f"cell-{n}"
+            out.mkdir()
+            assert main(["simulate", "--config", config_path(cell, name=f"cell-{n}.yaml"),
+                         "--out", str(out)]) == 0
+            _, summary = read_csv(out / "summary.csv")
+            assert {r[-1] for r in summary} == {row[-1]}
+
     @pytest.mark.parametrize("first, second", [
         ("platform.k=100:100:1", "platform.k=1:1:1"),
         # one list index, written two ways

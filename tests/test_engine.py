@@ -2,9 +2,11 @@
 import math
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,6 +34,8 @@ from poolsim.model import (
 )
 
 from conftest import quiet_parse, small_configs
+
+WORKLOADS = Path(__file__).parent.parent / "perfbench" / "workloads"
 
 
 def row_at_a_time(cfg):
@@ -342,6 +346,48 @@ class TestTwoPhase:
         pps, ppss = (play(replace(cfg, mechanism=m)) for m in ("pps", "ppss"))
         for col in ("M", "a", "D", "delta"):
             assert getattr(pps, col).tobytes() == getattr(ppss, col).tobytes()
+
+    @given(data=small_configs(), field=st.sampled_from(["lambda", "eps_k", "b", "p"]),
+           j=st.integers(-8, 8))
+    @settings(max_examples=40, deadline=None)
+    def test_game_does_not_depend_on_the_economics(self, data, field, j):
+        # without a myopic_br miner, play reads none of lambda, eps_k, b and
+        # p: scaling one by 2**j leaves every played column's bits alone,
+        # under either mechanism (lambda and eps_k must stay below 1)
+        default = {"lambda": 0.8, "eps_k": 1e-3}
+        factor = 2.0 ** (-abs(j) if field == "lambda" else j)
+        platform = data["platform"]
+        scaled = {**data, "platform": {**platform,
+                                       field: platform.get(field, default.get(field)) * factor}}
+        for mechanism in ("pps", "ppss"):
+            base, moved = (play(replace(quiet_parse(d), mechanism=mechanism))
+                           for d in (data, scaled))
+            for col in ("M", "a", "D", "delta"):
+                assert getattr(moved, col).tobytes() == getattr(base, col).tobytes()
+
+    def test_clamped_ppss_pays_as_pps(self):
+        # At b = 5 every simulate-ledger miner's c~/k (1.2 to 2.4) is at or
+        # below b, so every ppss numerator clamps to 0 and its rate is b:
+        # the rewards equal pps's bit for bit, although ppss still sets flags
+        # (in about 79% of cells here). budget_ratio is close but not equal:
+        # ppss sums its rewards, while pps writes the analytic
+        # (b/p) * min{|D|, M}/M; they differ by up to 3 ulps.
+        with open(WORKLOADS / "simulate-ledger.yaml") as fh:
+            data = yaml.safe_load(fh)
+        data["platform"]["b"], data["rounds"] = 5.0, 3000
+        cfg = quiet_parse(data)
+        _, numerator = subsidy_terms(
+            np.array([p.capacity_A for p in cfg.profiles]),
+            np.array([c_tilde(p) for p in cfg.profiles]), cfg.platform,
+        )
+        assert (numerator == 0).all()
+        game = play(cfg)
+        ppss = engine.settle(game, cfg)
+        pps = engine.settle(game, replace(cfg, mechanism="pps"))
+        np.testing.assert_array_equal(ppss.rewards, pps.rewards)
+        assert ppss.flags.mean() > 0.5
+        gap = np.abs(ppss.budget_ratio - pps.budget_ratio)
+        assert (gap <= 4 * np.spacing(pps.budget_ratio)).all()
 
     def test_partly_played_game_rejected(self):
         cfg = base_config(rounds=5)
