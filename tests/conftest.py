@@ -1,5 +1,6 @@
 import io
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -53,8 +54,9 @@ def _demand(draw):
 def small_configs(mechanisms=("pps", "ppss"), myopic=False, miners=(1, 3)):
     """Config mappings for short runs: `miners` = (fewest, most) static or
     delta_adaptive miners, 1-3 by default, under any demand family.
-    myopic_br miners are drawn only with `myopic=True`, for properties that
-    do not run the config (they are slow to simulate)."""
+    myopic_br miners are drawn only with `myopic=True`: each re-solves its
+    best response whenever the announced M changes, so a property that
+    simulates them keeps its games to a few rounds."""
     return st.fixed_dictionaries({
         "mechanism": st.sampled_from(mechanisms),
         "platform": st.fixed_dictionaries({
@@ -66,6 +68,28 @@ def small_configs(mechanisms=("pps", "ppss"), myopic=False, miners=(1, 3)):
         "rounds": st.integers(1, 12),
         "seed": st.integers(0, 2**32 - 1),
     })
+
+
+# Money values whose magnitudes lie in [2**-400, 2**400] scale by 2**j,
+# |j| <= 8, without rounding, and so do the products, squares and quotients
+# the ledger and the audits form from them: none leaves the normal range.
+MONEY_RANGE = (2.0**-400, 2.0**400)
+
+
+def in_money_range(*arrays):
+    """Whether every nonzero value of `arrays` lies in MONEY_RANGE."""
+    lo, hi = MONEY_RANGE
+    x = np.abs(np.concatenate([np.ravel(a) for a in arrays]))
+    return bool(((x == 0) | ((x >= lo) & (x <= hi))).all())
+
+
+def money_scaled(data, factor):
+    """The config mapping `data` with b and every cost coefficient (r, c)
+    times `factor`: the same economics in other money units."""
+    return {**data, "platform": {**data["platform"], "b": data["platform"]["b"] * factor},
+            "miners": [{**m, "cost": {key: v * factor if key in ("r", "c") else v
+                                      for key, v in m["cost"].items()}}
+                       for m in data["miners"]]}
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
@@ -39,7 +40,7 @@ from poolsim.model import (
     cost_eval,
 )
 
-from conftest import quiet_parse, small_configs
+from conftest import money_scaled, quiet_parse, small_configs
 
 CHERNOFF_STD_100_80 = 0.09882989575150939  # exp(100*ln(0.8) + 20)
 PROB_LOWER_AT_CAPACITY = 0.022877793471864133  # 1 - 0.8*e^0.2
@@ -488,6 +489,132 @@ class TestBestResponse:
             )
 
 
+def best_response_reference(mechanism, i, allocations, params, profiles, demand,
+                            grid_points, objective="payoff", fixed_windows=None):
+    """best_response with its golden-section refinement evaluated one probe
+    per pass, as the loop was written before it evaluated two steps a pass:
+    (argmax_a, value, curve)."""
+    prof = profiles[i]
+    A = prof.capacity_A
+    if objective == "floor":
+        ct = c_tilde(prof)
+
+        def f(a):
+            return floor_payoff(a, ct, prof.cost)
+    else:
+        base = np.asarray(allocations, dtype=float).copy()
+        base[i] = 0.0
+        f = analysis._payoff_objective(mechanism, i, base, params, profiles, demand,
+                                       fixed_windows)
+    grid = np.linspace(0.0, A, grid_points)
+    values = f(grid).tolist()
+    curve = tuple(zip(grid.tolist(), values))
+    best_i = 0
+    for k in range(1, grid_points):
+        if values[k] >= values[best_i]:
+            best_i = k
+    best_a, best_v = curve[best_i]
+    lo = grid[max(best_i - 1, 0)]
+    hi = grid[min(best_i + 1, grid_points - 1)]
+    resolution = A / (grid_points - 1)
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = hi - invphi * (hi - lo)
+    d = lo + invphi * (hi - lo)
+    fc, fd = f(np.array([c, d])).tolist()
+    for _ in range(16):
+        if hi - lo < resolution / 16:
+            break
+        if fc > fd:
+            hi, d, fd = d, c, fc
+            c = hi - invphi * (hi - lo)
+            fc = f(np.array([c]))[0]
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + invphi * (hi - lo)
+            fd = f(np.array([d]))[0]
+    for a_cand, v_cand in ((c, fc), (d, fd)):
+        if v_cand > best_v or (v_cand == best_v and a_cand > best_a):
+            best_a, best_v = a_cand, v_cand
+    return float(best_a), float(best_v), curve
+
+
+def assert_equals_reference(br, *args, **kwargs):
+    argmax_a, value, curve = best_response_reference(*args, **kwargs)
+    assert br.argmax_a.hex() == argmax_a.hex()
+    assert br.value.hex() == value.hex()  # NaN included
+    assert [(a.hex(), v.hex()) for a, v in br.curve] == [
+        (a.hex(), v.hex()) for a, v in curve]
+
+
+class TestGoldenSection:
+    """best_response's refinement evaluates two golden-section steps a pass
+    and returns what one probe a pass returns, bit for bit."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        data=small_configs(), miner=st.integers(0, 2), grid_points=st.integers(2, 64),
+        objective=st.sampled_from(["payoff", "floor"]),
+        fractions=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+        windows=st.one_of(st.none(), st.lists(
+            st.tuples(st.floats(0.0, 2.0), st.integers(0, 9)), min_size=3, max_size=3,
+        )),
+    )
+    def test_equals_sequential_reference(self, data, miner, grid_points, objective,
+                                         fractions, windows):
+        cfg = quiet_parse(data)
+        params, profiles = cfg.platform, list(cfg.profiles)
+        caps = np.array([p.capacity_A for p in profiles])
+        i = miner % len(caps)
+        allocs = caps * np.array(fractions[:len(caps)])
+        pinned = None
+        if windows is not None and cfg.mechanism == "ppss":
+            pinned = [(f * params.k * cap * L, L) for (f, L), cap in zip(windows, caps)]
+        args = (cfg.mechanism, i, allocs, params, profiles, cfg.demand)
+        br = best_response(*args, grid_points=grid_points, objective=objective,
+                           fixed_windows=pinned)
+        assert_equals_reference(br, *args, grid_points=grid_points, objective=objective,
+                                fixed_windows=pinned)
+
+    @pytest.mark.parametrize("mechanism", ["pps", "ppss"])
+    @pytest.mark.parametrize("M, end", [(50.0, -1), (0.01, 0)])
+    @pytest.mark.parametrize("grid_points", [2, 3, 17, 64])
+    def test_brackets_at_either_end(self, mechanism, M, end, grid_points):
+        # the payoff peaks at capacity under ample demand and at zero when
+        # the demand pays for almost nothing: the bracket is one grid cell
+        params = PlatformParams(p=1.0, b=1.0, k=2.0)
+        profs = [linear_miner(A=1.5, r=0.5), linear_miner(A=1.0, r=1.0)]
+        args = (mechanism, 0, [1.5, 1.0], params, profs, DemandModel(family="constant", M=M))
+        br = best_response(*args, grid_points=grid_points)
+        values = [v for _, v in br.curve]
+        assert values.index(max(values)) == range(grid_points)[end]
+        assert_equals_reference(br, *args, grid_points=grid_points)
+
+    @pytest.mark.parametrize("M, sizes", [(600.0, [32, 4, 3, 3, 3, 1]), (1.0, [32, 4, 3, 3, 1])])
+    def test_passes_per_best_response(self, M, sizes):
+        # myopic-game's economics at grid 32: the grid pass, then c and d
+        # with both places of step 1's probe, then one probe and both places
+        # of the next: 8 steps in 5 passes for an interior bracket (M = 600),
+        # 6 in 4 for one at a = 0 (M = 1), where one probe a pass took 9
+        # and 7 passes
+        with open(os.path.join(WORKLOADS, "myopic-game.yaml")) as fh:
+            cfg = quiet_parse(yaml.safe_load(fh))
+        calls = []
+        call = analysis._PpssReward.__call__
+
+        def counted(self, a):
+            calls.append(len(a))
+            return call(self, a)
+
+        caps = [p.capacity_A for p in cfg.profiles]
+        args = ("ppss", 0, caps, cfg.platform, list(cfg.profiles),
+                DemandModel(family="constant", M=M))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis._PpssReward, "__call__", counted)
+            br = best_response(*args, grid_points=32)
+        assert calls == sizes
+        assert_equals_reference(br, *args, grid_points=32)
+
+
 def pps_scalar_reference(i, allocations, params, profiles, demand):
     """The pps payoff b*(a_i/sum a)*E[min(|D|, M)] - C(a_i) for one
     allocation vector, in scalar arithmetic: the form pps_expected_payoff
@@ -558,11 +685,7 @@ class TestPayoffCurve:
         # of two multiplies without rounding), so no absolute epsilon enters,
         # and best_response's argmax stays where it was.
         factor = 2.0**j
-        scaled = {**data, "platform": {**data["platform"], "b": data["platform"]["b"] * factor},
-                  "miners": [{**m, "cost": {key: v * factor if key in ("r", "c") else v
-                                            for key, v in m["cost"].items()}}
-                             for m in data["miners"]]}
-        cfg, cfg_scaled = quiet_parse(data), quiet_parse(scaled)
+        cfg, cfg_scaled = quiet_parse(data), quiet_parse(money_scaled(data, factor))
         caps = np.array([p.capacity_A for p in cfg.profiles])
         i = miner % len(caps)
         allocs = caps * np.array(fractions[:len(caps)])

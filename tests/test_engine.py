@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from poolsim import analysis, engine
@@ -33,7 +33,7 @@ from poolsim.model import (
     substream,
 )
 
-from conftest import quiet_parse, small_configs
+from conftest import in_money_range, money_scaled, quiet_parse, small_configs
 
 WORKLOADS = Path(__file__).parent.parent / "perfbench" / "workloads"
 
@@ -555,3 +555,21 @@ class TestBudgetRatioProperty:
         base, led = run_simulation(quiet_parse(data)), run_simulation(quiet_parse(scaled))
         np.testing.assert_array_equal(led.rewards, base.rewards)
         np.testing.assert_array_equal(led.budget_ratio * factor, base.budget_ratio)
+
+
+class TestMoneyScaling:
+    @given(data=small_configs(myopic=True), j=st.integers(-8, 8))
+    @settings(max_examples=30, deadline=None)
+    def test_scales_every_reward(self, data, j):
+        # b and every cost coefficient times 2**j are the same economics in
+        # other money units: every reward and budget_ratio is multiplied by
+        # exactly 2**j, and the game stays bit for bit, also with myopic_br
+        # miners, whose payoff curves scale exactly and keep their argmax
+        data = {**data, "rounds": min(data["rounds"], 4)}
+        factor = 2.0**j
+        base, led = (run_simulation(quiet_parse(d)) for d in (data, money_scaled(data, factor)))
+        for col in ("M", "a", "D", "delta", "flags"):
+            assert getattr(led, col).tobytes() == getattr(base, col).tobytes()
+        assume(in_money_range(base.rewards, led.rewards, base.budget_ratio, led.budget_ratio))
+        np.testing.assert_array_equal(led.rewards, base.rewards * factor)
+        np.testing.assert_array_equal(led.budget_ratio, base.budget_ratio * factor)

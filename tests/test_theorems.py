@@ -9,13 +9,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from poolsim import engine
 from poolsim.analysis import ppss_expected_payoff
 from poolsim.model import cost_eval
 from poolsim.theorems import ALL_THEOREMS, audit_t1, audit_t6, run_audits
 
-from conftest import quiet_parse
+from conftest import in_money_range, money_scaled, quiet_parse, small_configs
 
 VERIFY_AUDIT_YAML = Path(__file__).parents[1] / "perfbench" / "workloads" / "verify-audit.yaml"
 
@@ -220,3 +222,26 @@ class TestSharedGame:
         assert run_audits(cfg, ["T1", "T6"]) == alone
         assert run_audits(cfg, ["T6", "T1"]) == alone[::-1]
         assert run_audits(cfg, ["T6"]) == alone[1:]
+
+
+class TestMoneyScaling:
+    @given(data=small_configs(), j=st.integers(-8, 8))
+    @settings(max_examples=15, deadline=None)
+    def test_scales_money_rows_and_keeps_verdicts(self, data, j):
+        # b and every cost coefficient times 2**j: the T1, T5 and T6
+        # metrics, bounds and CIs, which are money or money per unit of
+        # demand, move by exactly 2**j; every other number and every verdict
+        # stays
+        factor = 2.0**j
+        cfgs = quiet_parse(data), quiet_parse(money_scaled(data, factor))
+        for cfg in cfgs:
+            game = engine.play(cfg)
+            for mechanism in ("pps", "ppss"):
+                led = engine.settle(game, replace(cfg, mechanism=mechanism))
+                assume(in_money_range(led.rewards, led.budget_ratio))
+        base, moved = (run_audits(cfg) for cfg in cfgs)
+        for row, scaled in zip(base, moved):
+            assert scaled["verdict"] == row["verdict"]
+            times = factor if row["theorem"] in ("T1", "T5", "T6") else 1.0
+            for key in ("metric", "bound", "ci"):
+                assert scaled[key].hex() == (row[key] * times).hex(), (row["theorem"], key)
