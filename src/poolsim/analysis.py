@@ -189,6 +189,10 @@ _C_MIN = 2.0**-30
 # panel of 10 nodes there loses about 1e-5 at power 0.05, 2e-8 at 2.2 and
 # 1e-12 at 7.5, and less than 1e-13 from about 9 on.
 _POWER_GRADED = 8.0
+# Grading levels, at most 40, and the far edge of a level's panel in units of
+# the first panel's width, 2**level - 1.
+_LEVELS = np.arange(1, 41)
+_GRADED_STEPS = 2.0**_LEVELS - 1.0
 _INNER_X, _INNER_W = np.polynomial.legendre.leggauss(8)
 _INNER_PANELS = 16
 # The others' range screens (_OthersRule) sit this far, relatively, past the
@@ -202,13 +206,6 @@ _INNER_FIT = np.linalg.inv(np.vander(_INNER_REF, len(_INNER_REF), increasing=Tru
 # Outer nodes evaluated together: h builds a (nodes, 128) matrix, so a grid of
 # many allocations, or of allocations times demand nodes, goes in blocks.
 _BLOCK_NODES = 4096
-
-
-def _wh_score(shape, x):
-    """Wilson-Hilferty score u of outputs x >= 0 under Gamma(shape, 1), shape
-    >= 1 broadcasting against x: the inverse of x(u) = shape * c**3."""
-    root = np.sqrt(shape)
-    return 3.0 * root * (np.cbrt(x / shape) - 1.0 + 1.0 / (9.0 * shape))
 
 
 def _gamma_score(shape, x: np.ndarray) -> np.ndarray:
@@ -245,10 +242,10 @@ def _panel_rule(left, lengths, counts, gl_x, gl_w):
     """Nodes and weights of the integral of f over the intervals
     [left, left + lengths): each is cut into `counts` equal panels, with one
     Gauss-Legendre rule per panel."""
-    step = np.repeat(lengths / counts, counts)
-    offset = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    step = (lengths / counts).repeat(counts)
+    offset = np.arange(counts.sum()) - (counts.cumsum() - counts).repeat(counts)
     half = 0.5 * step
-    mid = np.repeat(left, counts) + step * offset + half
+    mid = left.repeat(counts) + step * offset + half
     t = (mid[:, None] + half[:, None] * gl_x).ravel()
     return t, (half[:, None] * gl_w).ravel()
 
@@ -267,15 +264,19 @@ def _log_gamma_norm(a: np.ndarray) -> np.ndarray:
     """(a - 1/2) ln a - a - ln Gamma(a), a >= 1. Written so, it loses about
     a ln a ulps to cancellation; it equals -ln(2 pi)/2 minus Stirling's
     remainder, whose series (Abramowitz & Stegun 6.1.41) is exact to an ulp
-    from a = 10 on."""
-    from scipy import special
-
+    from a = 10 on. A pass whose every shape is at least 10 takes the series
+    alone, without the gammaln call whose values np.where would drop."""
     r = 1.0 / a
     r2 = r * r
     remainder = r * (1 / 12 + r2 * (-1 / 360 + r2 * (1 / 1260 + r2 * (
         -1 / 1680 + r2 * (1 / 1188 + r2 * (-691 / 360360))))))
-    direct = (a - 0.5) * np.log(a) - a - special.gammaln(a)
-    return np.where(a < 10.0, direct, -0.5 * math.log(2.0 * math.pi) - remainder)
+    stirling = -0.5 * math.log(2.0 * math.pi) - remainder
+    small = a < 10.0
+    if not small.any():
+        return stirling  # what np.where below would pick at every shape
+    from scipy import special
+
+    return np.where(small, (a - 0.5) * np.log(a) - a - special.gammaln(a), stirling)
 
 
 class _OthersRule:
@@ -292,7 +293,12 @@ class _OthersRule:
     each screen keeps a relative margin of _SCREEN_MARGIN past its quantile,
     which covers the inverse's rounding. A screen is kept only if the score
     at its edge, computed forward, lies beyond +-_T, so every output is the
-    one the score itself would give."""
+    one the score itself would give.
+
+    Fast exit: where every kink of a pass lies above the top screen, h
+    returns the float 1.0 before any other work. Each output would read
+    exactly 1.0 there (its score is set to +_T, and a row at +_T is set to
+    1.0), and the caller's product rate * 1.0 is the rate, bit for bit."""
 
     def __init__(self, shape: float):
         self.shape = shape
@@ -326,17 +332,21 @@ class _OthersRule:
         self.smooth = (ref > 0).all(axis=1)
         self.coef = _INNER_FIT @ np.log(np.where(ref > 0, ref, 1.0)).T
 
-    def h(self, x: np.ndarray, M: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    def h(self, x: np.ndarray, M: np.ndarray, bounds: list[int]):
         """h at outputs x, each with its own demand M. `bounds` cut x into
         segments, and each segment's rows above the kink take one matrix
         product of their own: BLAS sums rows in groups, so one product over
         several segments could round a row otherwise than a lone segment.
         The kink's score is computed only where c lies between the screens
-        (see the class docstring)."""
+        (see the class docstring). Where every kink lies above the top
+        screen, h is 1 at every output and the float 1.0 is returned, the
+        value each row would read."""
+        c = M - x
+        if (c > self.c_hi).all():
+            return 1.0
         from scipy import special
 
         out = np.empty_like(x)
-        c = M - x
         # t_c at or below -_T: no mass below the kink, and its panel is the first
         tc = np.full_like(x, -_T)
         tc[c > self.c_hi] = _T
@@ -387,10 +397,28 @@ class _PpssReward:
     at every demand node, in one pass. The outer rule, over miner i's output,
     is placed in closed form on the output's Wilson-Hilferty score (no
     inverse incomplete gamma); the inner rule (_OthersRule) keeps exact
-    gamma quantiles. Two screens skip work whose result is fixed, and
-    leave every bit of the result: _OthersRule skips the kink's score
-    outside the others' range, and _rate the warm window's probability
-    where the rate rounds to b."""
+    gamma quantiles.
+
+    Screens and fast exits skip work whose result is already fixed, each
+    chosen from the pass's own inputs, and leave every bit of the result:
+    - _OthersRule skips the kink's score outside the others' range, and h
+      returns 1.0 when every kink lies above it (see _OthersRule);
+    - _rate skips the warm window's probability where the rate rounds to b,
+      and when it skips none, calls gammaincc on the whole arrays: the
+      masked call computes the same elementwise values;
+    - _log_gamma_norm skips gammaln when every shape is at least 10, where
+      np.where takes the Stirling series at every shape;
+    - _intervals leaves out a graded end whose power is _POWER_GRADED or
+      more at every segment: its gaps are 0, so every break it adds is a
+      copy of lo, which only makes empty intervals, and those are dropped;
+      with no graded panel at all, it skips the grading arrays;
+    - _means skips the block search when the last segment's first node falls
+      in the first block, where the search returns one block;
+    - a constant demand's single node of weight 1.0 skips the tiling and
+      fsum: fsum of one term is the term, but for fsum([-0.0]) == 0.0,
+      which adding 0.0 gives as well.
+    What is fixed per curve (the points whose scores break the outer rule,
+    the grading steps) is built once, not per pass."""
 
     def __init__(
         self,
@@ -438,6 +466,10 @@ class _PpssReward:
             self.demand_M, self.demand_w = np.array([demand.M]), np.array([1.0])
         else:
             self.demand_M, self.demand_w = demand.ppf(_GL_U), _GL_W
+        # The outputs whose scores _intervals takes, one row per demand node:
+        # x = 0, the node's M, then the kinks.
+        self.points = np.zeros((len(self.demand_M), 2 + len(self.kinks)))
+        self.points[:, 1], self.points[:, 2:] = self.demand_M, self.kinks
         # 1 - h(x) = E[(x + Y - M)^+ / (x + Y)] goes as (M - x)**(shape + 1)
         # below x = M, shape the others'. The outer rule is graded toward it
         # at a constant demand only: a random one is integrated with the
@@ -449,12 +481,19 @@ class _PpssReward:
     def __call__(self, a: np.ndarray) -> np.ndarray:
         """E[R_i] at each allocation in the 1-D array a."""
         out = np.zeros(len(a))  # a = 0: no output, so no reward, as in the MC
-        live = np.flatnonzero(a)
+        live = a.nonzero()[0]
         if not len(live):
             return out
-        # one segment per (allocation, demand node), allocation-major
+        s = self.params.k * a[live]
         nodes = len(self.demand_M)
-        s = np.repeat(self.params.k * a[live], nodes)
+        if nodes == 1:
+            # A constant demand's one node weighs 1.0, so each value is its
+            # one term s * mean, which math.fsum returns as it is, but for
+            # math.fsum([-0.0]) == 0.0: adding 0.0 does the same.
+            out[live] = s * self._means(s, self.demand_M.repeat(len(live))) + 0.0
+            return out
+        # one segment per (allocation, demand node), allocation-major
+        s = np.repeat(s, nodes)
         M = np.tile(self.demand_M, len(live))
         terms = (s * self._means(s, M)).reshape(len(live), nodes) * self.demand_w
         out[live] = [math.fsum(row) for row in terms.tolist()]
@@ -469,33 +508,41 @@ class _PpssReward:
         (3a - 1) ln c - a (c**3 - 1) + _log_gamma_norm(a), with d = c - 1
         formed from u directly, so that the terms of size a ln a in
         ln f_a(x) = (a - 1) ln x - x - ln Gamma(a) cancel in closed form."""
-        shape = s + 1.0
-        left, lengths, seg = self._intervals(s, M)
+        n, shape = len(s), s + 1.0
+        # c = 1 - 1/(9a) + u/(3 sqrt(a)): each segment's two coefficients
+        root3 = 3.0 * np.sqrt(shape)
+        ninth = 1.0 / (9.0 * shape)
+        left, lengths, seg = self._intervals(s, shape, root3, ninth)
         counts = np.ceil(lengths / _OUTER_WIDTH).astype(int)  # panels no wider than that
         # each segment's first interval and first node, and the ends
-        first = np.searchsorted(seg, np.arange(len(s) + 1))
-        start = np.concatenate(([0], np.cumsum(counts)))[first] * len(_OUTER_X)
-        slope = 1.0 / (3.0 * np.sqrt(shape))
+        first = seg.searchsorted(np.arange(n + 1))
+        start = np.concatenate(([0], counts.cumsum()))[first] * len(_OUTER_X)
+        slope = 1.0 / root3
         log_norm = _log_gamma_norm(shape)
-        out = np.empty(len(s))
+        out = np.empty(n)
         # a block holds the segments whose first node falls in one stretch
-        # of _BLOCK_NODES nodes
-        cuts = [0, *(np.flatnonzero(np.diff(start[:-1] // _BLOCK_NODES)) + 1).tolist(), len(s)]
+        # of _BLOCK_NODES nodes: one block when the last segment's does
+        if start[n - 1] < _BLOCK_NODES:
+            cuts = [0, n]
+        else:
+            cuts = [0, *(np.flatnonzero(np.diff(start[:-1] // _BLOCK_NODES)) + 1).tolist(), n]
         for j, e in zip(cuts[:-1], cuts[1:]):
             iv = slice(first[j], first[e])
             u, w = _panel_rule(left[iv], lengths[iv], counts[iv], _OUTER_X, _OUTER_W)
-            node = np.repeat(seg[iv], counts[iv] * len(_OUTER_X))
+            node = seg[iv].repeat(counts[iv] * len(_OUTER_X))
             a = shape[node]
-            d = np.maximum(u * slope[node] - 1.0 / (9.0 * a), _C_MIN - 1.0)
+            d = np.maximum(u * slope[node] - ninth[node], _C_MIN - 1.0)
             x = a * (1.0 + d) ** 3
             log_w = (3.0 * a - 1.0) * np.log1p(d) - a * (d * (3.0 + d * (3.0 + d)))
             w *= np.exp(log_w + log_norm[node])
-            bounds = start[j:e + 1] - start[j]
+            bounds = (start[j:e + 1] - start[j]).tolist()
             if self.others is not None:
                 h = self.others.h(x, M[node], bounds)
             else:
                 h = np.minimum(1.0, M[node] / x)
             g = self._rate(x, s[node]) * h
+            if not np.ndim(g):  # the rate is b and h is 1 at every node
+                g = np.full_like(x, g)
             out[j:e] = [w[lo:hi] @ g[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
         return out
 
@@ -509,7 +556,9 @@ class _PpssReward:
         b * 2**-56, the subsidy term is under a quarter of b's half-ulp, and
         the rate rounds to exactly b whatever the probability: it is taken
         as 0 there, without the gammaincc call. The bound is compared in
-        logarithms, and the factor 4 of slack covers their rounding."""
+        logarithms, and the factor 4 of slack covers their rounding. Where
+        no output is screened so, gammaincc takes the whole arrays, as the
+        masked call would take them."""
         from scipy import special
 
         if self.numerator == 0:
@@ -517,75 +566,94 @@ class _PpssReward:
         if self.window_rounds > 0:
             alpha = self.window_rounds * s
             w = np.maximum(self.threshold - x, 0.0)
-            fires = np.zeros_like(x)
             need = w <= alpha
-            tail = np.flatnonzero(~need)
+            tail = (~need).nonzero()[0]
             d = w[tail] / alpha[tail] - 1.0  # r - 1 > 0
             need[tail] = alpha[tail] * (d - np.log1p(d)) <= self.log_cap
-            fires[need] = special.gammaincc(alpha[need], w[need])
+            if need.all():
+                fires = special.gammaincc(alpha, w)
+            else:
+                fires = np.zeros_like(x)
+                fires[need] = special.gammaincc(alpha[need], w[need])
         else:
             fires = x >= self.threshold
         return ppss_rate(fires, x, self.unit, self.numerator, self.params)
 
-    def _intervals(self, s: np.ndarray, M: np.ndarray):
+    def _intervals(self, s: np.ndarray, shape: np.ndarray, root3: np.ndarray,
+                   ninth: np.ndarray):
         """Each segment's outer rule as intervals of Wilson-Hilferty score:
-        (left edges, lengths, segment), sorted by segment. The score range,
-        from the larger of -_T and the score of x = 0 up to _T, is split where
-        the integrand kinks or jumps: at x = M and, under a subsidy, at the
-        roots of K = eps_k and the indicator's threshold. Every break is a
-        closed-form score. Panels are graded geometrically toward the points
-        where the integrand is rough on a scale finer than a panel: past each
-        root, toward 1/K's double pole; and toward the ends where it goes as
-        a small power of the distance (_graded_gap): x = 0 when the range
-        starts there, x = M from below, and the threshold from below."""
-        n, shape = len(s), s + 1.0
-        lo = np.maximum(_wh_score(shape, 0.0), -_T)
-        points = np.empty((n, 1 + len(self.kinks)))
-        points[:, 0], points[:, 1:] = M, self.kinks
-        scores = _wh_score(shape[:, None], points)
-        breaks = scores
+        (left edges, lengths, segment), sorted by segment. The score of an
+        output x under Gamma(a), the inverse of x(u) = a * c**3, is
+        u = 3 sqrt(a) (cbrt(x/a) - 1 + 1/(9a)); root3 and ninth hold each
+        segment's 3 sqrt(a) and 1/(9a). The score range, from the larger of
+        -_T and the score of x = 0 up to _T, is split where the integrand
+        kinks or jumps: at x = M and, under a subsidy, at the roots of
+        K = eps_k and the indicator's threshold. Every break is a closed-form
+        score. Panels are graded geometrically toward the points where the
+        integrand is rough on a scale finer than a panel: past each root,
+        toward 1/K's double pole; and toward the ends where it goes as a
+        small power of the distance (_graded_gap): x = 0 when the range
+        starts there, x = M from below, and the threshold from below. An end
+        whose power is _POWER_GRADED or more at every segment grades nothing
+        and is left out, as is the grading when no anchor grades."""
+        n = len(s)
+        # the scores of self.points (x = 0, M and the kinks); a segment's
+        # points are the row of its demand node
+        ratio = self.points / shape.reshape(-1, len(self.points), 1)
+        scores = root3[:, None] * (np.cbrt(ratio.reshape(n, -1)) - 1.0 + ninth[:, None])
+        lo = np.maximum(scores[:, 0], -_T)
         # From each anchor, panels of width |gap|, 2|gap|, 4|gap|, ... on the
         # side the gap's sign gives, until they reach full width; a gap of 0,
         # or an anchor at -_T, grades none. x(u)'s density goes as
         # (u - lo)**(3a - 1) where the range starts at x = 0.
-        anchors = [lo[:, None]]
-        gaps = [_graded_gap(3.0 * shape - 1.0, 1.0)[:, None]]
+        anchors, gaps = [], []
+
+        def graded_end(anchor, power, side):
+            if (power < _POWER_GRADED).any():
+                anchors.append(anchor)
+                gaps.append(_graded_gap(power, side)[:, None])
+
+        graded_end(lo[:, None], 3.0 * shape - 1.0, 1.0)
         if self.m_gap:
-            anchors.append(scores[:, :1])
+            anchors.append(scores[:, 1:2])
             gaps.append(np.full((n, 1), self.m_gap))
+        # x = 0 is a break too: it becomes lo below
+        breaks = [scores]
         if len(self.kinks):
             # 1/K has a double pole at D = unit (the last kink), just past
             # each root: grade the panels beyond a root, from a first panel
             # as wide as the root's distance to the pole.
-            roots, breaks = scores[:, 1:3], scores[:, :-1]
+            roots, breaks = scores[:, 2:4], [scores[:, :-1]]
             anchors.append(roots)
             gaps.append(roots - scores[:, -1:])
             if self.window_rounds > 0:
                 # a warm window fires with probability 1 - O((threshold -
                 # x)**alpha), alpha = (N-1)*s, below the threshold (the third
                 # kink)
-                anchors.append(scores[:, 3:4])
-                gaps.append(_graded_gap(self.window_rounds * s, -1.0)[:, None])
-        anchors, gap = np.concatenate(anchors, axis=1), np.concatenate(gaps, axis=1)
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            levels = np.where(
-                np.isfinite(anchors) & np.isfinite(gap) & (gap != 0) & (np.abs(anchors) < _T),
-                np.minimum(np.ceil(np.log2(_OUTER_WIDTH / np.abs(gap))), 40), 0,
-            )
-            level = np.arange(1, int(levels.max()) + 1)  # empty below 1
-            graded = anchors[:, :, None] + gap[:, :, None] * (2.0**level - 1.0)
-        graded = np.where(level <= levels[:, :, None], graded, -_T)
-        breaks = np.concatenate((breaks, graded.reshape(n, -1)), axis=1)
-        # A break outside (lo, _T) becomes a copy of lo, and copies give the
-        # empty intervals that are dropped.
-        edges = np.concatenate((
-            lo[:, None], np.full((n, 1), _T),
-            np.where((breaks > lo[:, None]) & (breaks < _T), breaks, lo[:, None]),
-        ), axis=1)
+                graded_end(scores[:, 4:5], self.window_rounds * s, -1.0)
+        if anchors:
+            anchors, gap = np.concatenate(anchors, axis=1), np.concatenate(gaps, axis=1)
+            with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+                # (|anchor| < _T holds for finite anchors only)
+                levels = np.where(
+                    np.isfinite(gap) & (gap != 0) & (np.abs(anchors) < _T),
+                    np.minimum(np.ceil(np.log2(_OUTER_WIDTH / np.abs(gap))), 40), 0,
+                )
+                top = int(levels.max())
+                if top:
+                    graded = anchors[:, :, None] + gap[:, :, None] * _GRADED_STEPS[:top]
+                    graded = np.where(_LEVELS[:top] <= levels[:, :, None], graded, -_T)
+                    breaks.append(graded.reshape(n, -1))
+        # A break at or below lo becomes a copy of lo, one at or above _T a
+        # copy of _T (a NaN one sorts past _T), and copies give the empty
+        # intervals that are dropped.
+        edges = np.concatenate((*breaks, np.full((n, 1), _T)), axis=1)
+        np.minimum(edges, _T, out=edges)
+        np.maximum(edges, lo[:, None], out=edges)
         edges.sort(axis=1)
-        lengths = np.diff(edges, axis=1)
+        lengths = edges[:, 1:] - edges[:, :-1]
         keep = lengths > 0
-        return edges[:, :-1][keep], lengths[keep], np.nonzero(keep)[0]
+        return edges[:, :-1][keep], lengths[keep], keep.nonzero()[0]
 
 
 def ppss_expected_payoff(

@@ -147,11 +147,13 @@ def cmd_sweep(args) -> int:
         axes.append((path, np.linspace(lo, hi, count)))
     base = read_yaml(args.config)
     # each axis's field as the keys it walks (miners.0 and miners.00 are one
-    # field): an axis on or inside an earlier axis's field would overwrite it
+    # field): an axis on or inside an earlier axis's field, or on the seed
+    # that --seed sets in every cell, would be overwritten
     fields = []
+    seed = [("seed",)] if args.seed is not None else []
     for path, _ in axes:
         keys = _key_path(base, path)
-        if keys is None or any(keys[:len(f)] == f[:len(keys)] for f in fields):
+        if keys is None or any(keys[:len(f)] == f[:len(keys)] for f in seed + fields):
             what = "unknown" if keys is None else "overlapping"
             print(f"error: {what} axis field {path!r}", file=sys.stderr)
             return EXIT_CONFIG
@@ -196,49 +198,69 @@ def cmd_fig1(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _common(p):
+    p.add_argument("--config", required=True, help="YAML experiment config")
+    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--seed", type=int, default=None, help="seed override")
+
+
+def _verify_arguments(p):
+    _common(p)
+    p.add_argument("--theorems", default=None, help="comma list, e.g. T1,T5")
+
+
+def _best_response_arguments(p):
+    _common(p)
+    p.add_argument("--miner", type=int, required=True)
+    p.add_argument("--grid", type=int, default=64)
+    p.add_argument("--objective", choices=["payoff", "floor"], default=None)
+
+
+def _sweep_arguments(p):
+    _common(p)
+    p.add_argument("--axis", action="append", default=[], help="field=lo:hi:count")
+
+
+def _fig1_arguments(p):
+    # no config, so no --seed to override
+    p.add_argument("--out", required=True, help="output directory")
+
+
+# name: (help, the function that adds its arguments, the command)
+COMMANDS = {
+    "simulate": ("run the round loop, emit ledger.csv/summary.csv", _common, cmd_simulate),
+    "verify": ("run theorem audits, emit theorem_report.csv", _verify_arguments, cmd_verify),
+    "best-response": ("best-response curve for one miner", _best_response_arguments,
+                      cmd_best_response),
+    "sweep": ("1-2 axis parameter sweep, emit sweep.csv", _sweep_arguments, cmd_sweep),
+    "fig1": ("subsidy-shape curve, emit fig1.csv and fig1.svg", _fig1_arguments, cmd_fig1),
+}
+
+
+def build_parser(commands=None) -> argparse.ArgumentParser:
+    """The poolsim parser. Every command is listed, so the top-level help
+    and usage are always whole; only the commands in `commands` (all of them
+    by default) get their own arguments, -h included."""
     parser = argparse.ArgumentParser(
         prog="poolsim",
         description="Simulate and audit pay-per-share reward mechanisms",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", required=True, help="YAML experiment config")
-        p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
-
-    p = sub.add_parser("simulate", help="run the round loop, emit ledger.csv/summary.csv")
-    common(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("verify", help="run theorem audits, emit theorem_report.csv")
-    common(p)
-    p.add_argument("--theorems", default=None, help="comma list, e.g. T1,T5")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("best-response", help="best-response curve for one miner")
-    common(p)
-    p.add_argument("--miner", type=int, required=True)
-    p.add_argument("--grid", type=int, default=64)
-    p.add_argument("--objective", choices=["payoff", "floor"], default=None)
-    p.set_defaults(func=cmd_best_response)
-
-    p = sub.add_parser("sweep", help="1-2 axis parameter sweep, emit sweep.csv")
-    common(p)
-    p.add_argument("--axis", action="append", default=[], help="field=lo:hi:count")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("fig1", help="subsidy-shape curve, emit fig1.csv and fig1.svg")
-    # no config, so no --seed to override
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_fig1)
-
+    for name, (help_text, add_arguments, func) in COMMANDS.items():
+        built = commands is None or name in commands
+        p = sub.add_parser(name, help=help_text, add_help=built)
+        if built:
+            add_arguments(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The command argparse runs is a word of argv, so the parser gets the
+    # arguments of the commands named there and of no other; the texts of
+    # every help and usage error are those of the whole parser.
+    parser = build_parser(set(argv).intersection(COMMANDS) or None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

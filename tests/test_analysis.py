@@ -875,6 +875,165 @@ class TestPpssScreens:
         assert builds == []
 
 
+def _general_call(self, a):
+    """_PpssReward.__call__ without the one-demand-node exit: every pass
+    tiles the demand nodes and sums each allocation's terms with fsum."""
+    out = np.zeros(len(a))
+    live = np.flatnonzero(a)
+    if not len(live):
+        return out
+    nodes = len(self.demand_M)
+    s = np.repeat(self.params.k * a[live], nodes)
+    M = np.tile(self.demand_M, len(live))
+    terms = (s * self._means(s, M)).reshape(len(live), nodes) * self.demand_w
+    out[live] = [math.fsum(row) for row in terms.tolist()]
+    return out
+
+
+def _exit_off(mp, name):
+    """Turn one fast exit of the exact ppss pass off on the MonkeyPatch `mp`.
+    Each way leaves the values to compute the same, so the result may not
+    change a bit."""
+    if name == "h all above the range":
+        # one more output, at c = M - x = 0, lies below the top screen; it
+        # sits past the last segment's bound, so no segment sums it
+        h = analysis._OthersRule.h
+        mp.setattr(analysis._OthersRule, "h", lambda self, x, M, bounds: h(
+            self, np.append(x, M[0]), np.append(M, M[0]), bounds)[:-1])
+    elif name == "Stirling alone":
+        # one more shape below 10 takes the gammaln branch
+        norm = analysis._log_gamma_norm
+        mp.setattr(analysis, "_log_gamma_norm", lambda a: norm(np.append(a, 1.0))[:-1])
+    elif name == "one block":
+        mp.setattr(analysis, "_BLOCK_NODES", 1)  # every segment a block of its own
+    elif name == "one demand node":
+        mp.setattr(analysis._PpssReward, "__call__", _general_call)
+    else:
+        raise ValueError(name)
+
+
+FAST_EXITS = ("h all above the range", "Stirling alone", "one block", "one demand node")
+
+
+def _curve_hex(i, allocs, grid, params, profiles, demand, windows=None):
+    return [v.hex() for v in payoff_curve(
+        "ppss", i, allocs, grid, params, profiles, demand, windows).tolist()]
+
+
+def _exits_leave_every_bit(i, allocs, grid, params, profiles, demand, windows=None):
+    """payoff_curve on `grid` is the same with each fast exit off, and with
+    one more allocation of shape below 1.5 in the pass: that one grades the
+    x = 0 end and the threshold, and takes gammaln, in every pass."""
+    curve = _curve_hex(i, allocs, grid, params, profiles, demand, windows)
+    for name in FAST_EXITS:
+        with pytest.MonkeyPatch.context() as mp:
+            _exit_off(mp, name)
+            assert _curve_hex(i, allocs, grid, params, profiles, demand, windows) == curve, name
+    small = min(profiles[i].capacity_A, 0.5 / params.k)
+    wider = _curve_hex(i, allocs, np.append(grid, small), params, profiles, demand, windows)
+    assert wider[:-1] == curve
+
+
+class TestPpssFastExits:
+    """An exact ppss pass skips work whose result is fixed by its own
+    inputs: h's kink test when every kink lies above the others' range,
+    gammaln when every shape is at least 10, the block search when the pass
+    fits in one block, the demand-node tiling and fsum at a constant demand,
+    the graded ends whose power is high at every segment, and the window
+    probability's mask where no output is screened. None may change a bit."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        data=small_configs(("ppss",)), miner=st.integers(0, 2), clamp=st.booleans(),
+        fractions=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+        windows=st.one_of(st.none(), st.lists(
+            st.tuples(st.floats(0.0, 2.0), st.integers(0, 9)), min_size=3, max_size=3,
+        )),
+    )
+    def test_exits_leave_every_bit(self, data, miner, clamp, fractions, windows):
+        data = {**data, "platform": {**data["platform"], "subsidy_clamp_nonneg": clamp}}
+        cfg = quiet_parse(data)
+        params, profiles = cfg.platform, list(cfg.profiles)
+        caps = np.array([p.capacity_A for p in profiles])
+        i = miner % len(caps)
+        allocs = caps * np.array(fractions[:len(caps)])
+        pinned = None
+        if windows is not None:
+            pinned = [(f * params.k * cap * L, L) for (f, L), cap in zip(windows, caps)]
+        grid = np.linspace(0.0, caps[i], 4)
+        _exits_leave_every_bit(i, allocs, grid, params, profiles, cfg.demand, pinned)
+
+    @pytest.mark.parametrize("demand", [
+        DemandModel(family="constant", M=600.0),
+        DemandModel(family="constant", M=150.0),
+        DemandModel(family="uniform", lo=300.0, hi=900.0),
+        DemandModel(family="gamma", shape=4.0, rate=0.02),
+    ], ids=["constant", "constant-in-range", "uniform", "gamma"])
+    @pytest.mark.parametrize("N, clamp, pinned", [
+        (10, True, None), (1, True, None), (10, False, [(70.0, 1), (0.0, 0)]),
+    ], ids=["warm", "N=1", "pinned-unclamped"])
+    def test_workload_economics(self, demand, N, clamp, pinned):
+        # verify-audit's economics, with c~/k below b when unclamped
+        params = replace(AUDIT_PARAMS, window_N=N, subsidy_clamp_nonneg=clamp)
+        profs = AUDIT_PROFS if clamp else [linear_miner(A=1.0, r=50.0)] * 2
+        grid = np.linspace(0.0, 1.0, 5 if demand.family == "constant" else 2)
+        _exits_leave_every_bit(0, [1.0, 1.0], grid, params, profs, demand, pinned)
+
+    def test_single_miner(self):
+        # no others' rule: h = min(1, M/x), and at a zero numerator the rate
+        # is b, so the rate times h is formed per node
+        params = replace(AUDIT_PARAMS, b=2.0)
+        for M in (50.0, 600.0):
+            demand = DemandModel(family="constant", M=M)
+            _exits_leave_every_bit(0, [1.0], np.linspace(0.0, 1.0, 5), params,
+                                   [linear_miner(A=1.0, r=150.0)], demand)
+
+    def test_one_demand_node_keeps_fsums_sign(self):
+        # math.fsum([-0.0]) is 0.0, and so is a constant demand's one term
+        reward = analysis._PpssReward(0, 1.0, AUDIT_PARAMS, AUDIT_PROFS, AUDIT_DEMAND, None)
+        reward._means = lambda s, M: np.array([-0.0, 0.5, -2.0])
+        a = np.array([0.25, 0.5, 1.0])
+        out = reward(a).tolist()
+        assert [v.hex() for v in out] == [v.hex() for v in _general_call(reward, a).tolist()]
+        assert math.copysign(1.0, out[0]) == 1.0
+
+    def test_window_mask_skipped_only_when_nothing_is_screened(self):
+        # verify-audit's economics: near the mean at s = 85 every window
+        # probability is needed; at s = 30 and x <= 100 it is screened
+        # (test_window_tail_screen_is_exact). The masked pass must give the
+        # unmasked one's rates.
+        reward = analysis._PpssReward(0, 1.0, AUDIT_PARAMS, AUDIT_PROFS, AUDIT_DEMAND, None)
+        x = np.linspace(60.0, 110.0, 200)
+        s = np.full_like(x, 85.0)
+        whole = reward._rate(x, s)
+        masked = reward._rate(np.append(x, 50.0), np.append(s, 30.0))
+        assert masked[-1] == AUDIT_PARAMS.b
+        assert [v.hex() for v in masked[:-1].tolist()] == [v.hex() for v in whole.tolist()]
+
+    @pytest.mark.parametrize("M, every", [(600.0, True), (150.0, False)])
+    def test_myopic_game_passes_take_the_h_exit(self, M, every):
+        # myopic-game's economics at grid 32: at M = 600 every kink of every
+        # pass lies above the others' range, so h returns the float 1.0 each
+        # pass; at M = 150 some kinks fall inside it
+        with open(os.path.join(WORKLOADS, "myopic-game.yaml")) as fh:
+            cfg = quiet_parse(yaml.safe_load(fh))
+        exits = []
+        h = analysis._OthersRule.h
+
+        def counted(self, x, M, bounds):
+            out = h(self, x, M, bounds)
+            exits.append(np.ndim(out) == 0)
+            return out
+
+        caps = [p.capacity_A for p in cfg.profiles]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis._OthersRule, "h", counted)
+            best_response("ppss", 0, caps, cfg.platform, list(cfg.profiles),
+                          DemandModel(family="constant", M=M), grid_points=32)
+        assert len(exits) == 6
+        assert all(exits) if every else not all(exits)
+
+
 class TestOcdicCheck:
     PARAMS = PlatformParams(p=1.0, b=1.0, k=2.0)
     DEMAND = DemandModel(family="constant", M=100.0)

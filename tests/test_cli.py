@@ -58,6 +58,11 @@ def config_path(tmp_path):
     return write
 
 
+def read_bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -100,8 +105,8 @@ class TestSimulate:
         main(["simulate", "--config", cfg, "--out", tmp_out])
         main(["simulate", "--config", cfg, "--out", str(out2)])
         for name in ("ledger.csv", "summary.csv"):
-            a = open(os.path.join(tmp_out, name), "rb").read()
-            b = open(os.path.join(out2, name), "rb").read()
+            a = read_bytes(os.path.join(tmp_out, name))
+            b = read_bytes(os.path.join(out2, name))
             assert a == b
 
     def test_missing_config_exits_2(self, tmp_out):
@@ -200,8 +205,8 @@ class TestSimulate:
         out2.mkdir()
         main(["simulate", "--config", cfg, "--out", tmp_out])
         main(["simulate", "--config", cfg, "--out", str(out2), "--seed", "77"])
-        a = open(os.path.join(tmp_out, "ledger.csv"), "rb").read()
-        b = open(os.path.join(out2, "ledger.csv"), "rb").read()
+        a = read_bytes(os.path.join(tmp_out, "ledger.csv"))
+        b = read_bytes(os.path.join(out2, "ledger.csv"))
         assert a != b
 
 
@@ -607,6 +612,17 @@ class TestSweep:
         assert f"overlapping axis field {second.split('=')[0]!r}" in capsys.readouterr().err
         assert os.listdir(tmp_out) == []
 
+    def test_seed_axis_under_seed_flag_exits_2(self, config_path, tmp_out, capsys):
+        # --seed sets every cell's seed, so the rows would carry axis values
+        # that never ran
+        argv = ["sweep", "--config", config_path(), "--out", tmp_out, "--axis", "seed=1:2:2"]
+        assert main([*argv, "--seed", "5"]) == 2
+        assert "overlapping axis field 'seed'" in capsys.readouterr().err
+        assert os.listdir(tmp_out) == []
+        assert main(argv) == 0
+        _, rows = read_csv(os.path.join(tmp_out, "sweep.csv"))
+        assert [row[0] for row in rows] == ["1", "2"]
+
     def test_miner_axis_path(self, config_path, tmp_out):
         data = dict(BASE_CONFIG, rounds=20)
         data["miners"] = [{"capacity_A": 4.0, "cost": {"family": "linear", "r": 1.0}}]
@@ -617,6 +633,59 @@ class TestSweep:
         assert code == 0
         _, rows = read_csv(os.path.join(tmp_out, "sweep.csv"))
         assert len(rows) == 2
+
+
+class TestParser:
+    """main adds the arguments of the invoked command only; every help and
+    usage error reads as the whole parser's, with the same exit code."""
+
+    COMMANDS = {
+        "simulate": ["--config", "--out", "--seed"],
+        "verify": ["--config", "--out", "--seed", "--theorems"],
+        "best-response": ["--config", "--out", "--seed", "--miner", "--grid", "--objective"],
+        "sweep": ["--config", "--out", "--seed", "--axis"],
+        "fig1": ["--out"],
+    }
+
+    @pytest.fixture(autouse=True)
+    def columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @staticmethod
+    def exits(parse, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        return (exc.value.code, *capsys.readouterr())
+
+    def same_as_whole_parser(self, argv, capsys):
+        lazy = self.exits(main, argv, capsys)
+        assert lazy == self.exits(cli.build_parser().parse_args, argv, capsys)
+        return lazy
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        code, out, _ = self.same_as_whole_parser(["--help"], capsys)
+        assert code == 0
+        listed = [line.split()[0] for line in out.splitlines() if line.startswith("    ")]
+        assert listed == list(self.COMMANDS) == list(cli.COMMANDS)
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_command_help_lists_its_options(self, command, capsys):
+        code, out, _ = self.same_as_whole_parser([command, "--help"], capsys)
+        assert code == 0
+        listed = [line.split()[0] for line in out.splitlines() if line.startswith("  -")]
+        assert listed == ["-h,", *self.COMMANDS[command]]
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_missing_out_exits_2(self, command, capsys):
+        argv = [command] if command == "fig1" else [command, "--config", "exp.yaml"]
+        code, _, err = self.same_as_whole_parser(argv, capsys)
+        assert code == 2
+        assert "the following arguments are required: --out" in err
+
+    @pytest.mark.parametrize("argv", [[], ["bogus"], ["--out", "x"], ["simulate", "verify"]])
+    def test_usage_errors(self, argv, capsys):
+        code, _, err = self.same_as_whole_parser(argv, capsys)
+        assert code == 2 and err.startswith("usage: poolsim")
 
 
 class TestFig1:
@@ -635,7 +704,7 @@ class TestFig1:
 
     def test_svg_emitted(self, tmp_out):
         main(["fig1", "--out", tmp_out])
-        svg = open(os.path.join(tmp_out, "fig1.svg")).read()
+        svg = read_bytes(os.path.join(tmp_out, "fig1.svg")).decode()
         assert svg.startswith("<svg")
         assert "polyline" in svg
         assert svg.rstrip().endswith("</svg>")
