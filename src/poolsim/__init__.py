@@ -7,12 +7,10 @@ from .analysis import (
     PayoffEstimate,
     bb_audit,
     best_response,
-    br_dynamics,
     chernoff_tail_upper,
     docdic_check,
     expected_payoff_mc,
     floor_payoff,
-    g_function,
     incentive_verdict,
     ocdic_check,
     payoff_curve,

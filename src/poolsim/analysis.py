@@ -9,8 +9,11 @@ subsidy mechanism's capacity-commitment argument actually maximizes. PPSS
 incentive verdicts use the floor objective; the raw payoff curve stays
 available as a diagnostic (best_response with objective="payoff") because
 the guarded subsidy overpays near D = lambda*A*k and its raw best response
-can sit below capacity. expected_payoff_mc is the Monte Carlo estimate of
-either payoff, kept as the oracle the exact forms are tested against.
+can sit below capacity. The raw ppss payoff is taken at warm windows: the
+indicator reads N-1 earlier rounds at the same allocation, as it does from
+round N on in a game of static miners. expected_payoff_mc is the Monte Carlo
+estimate of either payoff, kept as the oracle the exact forms are tested
+against.
 
 OCD-IC and DOCD-IC are one test, incentive_verdict, under different
 information: OCD-IC passes the demand distribution F, DOCD-IC a constant
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mechanisms import ppss_rate, subsidy_shape, subsidy_terms
+from .mechanisms import ppss_rate, subsidy_terms
 from .model import (
     MAX_GRID,
     CostFunction,
@@ -95,12 +98,11 @@ def expected_payoff_mc(
     demand: DemandModel,
     replicas: int,
     seed: int,
-    fixed_windows: list[tuple[float, int]] | None = None,
 ) -> PayoffEstimate:
     """Unbiased MC estimate of miner `miner_index`'s expected payoff.
 
-    PPSS runs fill the rolling window with N-1 rounds at the same strategy
-    unless `fixed_windows` pins the history; a constant `demand` pins M.
+    PPSS runs fill the rolling window with N-1 rounds at the same strategy;
+    a constant `demand` pins M.
     A function of its arguments, seed included. Every allocation must lie
     in [0, A_i].
     The CI is exact_mean_ci's normal one, which undercovers ppss payoffs
@@ -109,8 +111,7 @@ def expected_payoff_mc(
     """
     allocations = _checked_allocations(allocations, profiles)
     samples = payoff_samples(
-        mechanism, miner_index, allocations, params, profiles, demand,
-        replicas, seed, fixed_windows=fixed_windows,
+        mechanism, miner_index, allocations, params, profiles, demand, replicas, seed,
     )
     mean, ci = exact_mean_ci(samples)
     return PayoffEstimate(mean=mean, ci_half_width=ci)
@@ -427,7 +428,6 @@ class _PpssReward:
         params: PlatformParams,
         profiles: list[MinerProfile],
         demand: DemandModel,
-        fixed_windows: list[tuple[float, int]] | None,
     ):
         from scipy import special
 
@@ -436,14 +436,10 @@ class _PpssReward:
         self.unit, self.numerator = (
             float(v) for v in subsidy_terms(prof.capacity_A, c_tilde(prof), params)
         )
-        # The indicator fires when the window sum plus the current output
-        # reaches `threshold`: a warm window of N-1 rounds adds a
-        # Gamma((N-1)*s) sum, a pinned window a known one.
-        if fixed_windows is not None:
-            w_sum, w_len = fixed_windows[i]
-            self.threshold, self.window_rounds = self.unit * (w_len + 1) - w_sum, 0
-        else:
-            self.threshold, self.window_rounds = self.unit * params.window_N, params.window_N - 1
+        # The indicator fires when the warm window's Gamma((N-1)*s) sum of
+        # N-1 rounds (none at N = 1) plus the current output reaches
+        # `threshold`.
+        self.threshold, self.window_rounds = self.unit * params.window_N, params.window_N - 1
         # K(x) = eps_k where x*e^(1-x) = 1 - eps_k, x = unit/D: the two real
         # branches of Lambert W
         arg = -(1.0 - params.eps_k) / math.e
@@ -452,6 +448,7 @@ class _PpssReward:
         # the roots, the indicator's threshold, and the pole of 1/K, last.
         self.kinks = ()
         if self.numerator != 0:
+            # (a unit that underflows to 0 leaves no threshold)
             threshold = (self.threshold,) if self.threshold > 0 else ()
             self.kinks = (*roots, *threshold, self.unit)
             # _rate's window screen: a Chernoff exponent above this leaves
@@ -662,7 +659,6 @@ def ppss_expected_payoff(
     params: PlatformParams,
     profiles: list[MinerProfile],
     demand: DemandModel,
-    fixed_windows: list[tuple[float, int]] | None = None,
 ) -> float:
     """Exact ppss expected payoff E[R_i] - C(a_i) of miner i.
 
@@ -675,8 +671,7 @@ def ppss_expected_payoff(
         phi(x) = b + P(W >= unit*N - x) * numerator / max(K(x), eps_k),
         h(x) = E_{M,Y}[min(1, M/(x + Y))].
 
-    N = 1, or a window pinned by `fixed_windows` (sum w over L rounds), turns
-    P into the indicator x >= unit*(L+1) - w; a single miner has
+    N = 1 turns P into the indicator x >= unit; a single miner has
     h(x) = E_M[min(1, M/x)]. The integrals are composite Gauss-Legendre,
     the outer one on x's Wilson-Hilferty score (closed-form nodes and
     weights), the inner one on Y's exact normal score; both are split where
@@ -689,9 +684,7 @@ def ppss_expected_payoff(
     """
     allocations = np.asarray(allocations, dtype=float)
     own = allocations[i:i + 1]
-    return float(payoff_curve(
-        "ppss", i, allocations, own, params, profiles, demand, fixed_windows,
-    )[0])
+    return float(payoff_curve("ppss", i, allocations, own, params, profiles, demand)[0])
 
 
 def _payoff_objective(
@@ -701,7 +694,6 @@ def _payoff_objective(
     params: PlatformParams,
     profiles: list[MinerProfile],
     demand: DemandModel,
-    fixed_windows: list[tuple[float, int]] | None,
 ):
     """Miner i's exact expected payoff as a function of an array of its own
     allocations, the other miners held at `allocations` (entry i is
@@ -719,7 +711,7 @@ def _payoff_objective(
     elif mechanism == "ppss":
         others = allocations.copy()
         others[i] = 0.0
-        reward = _PpssReward(i, float(others.sum()), params, profiles, demand, fixed_windows)
+        reward = _PpssReward(i, float(others.sum()), params, profiles, demand)
 
         def payoff(a: np.ndarray) -> np.ndarray:
             return reward(a) - cost_eval(cost, a)
@@ -737,18 +729,17 @@ def payoff_curve(
     params: PlatformParams,
     profiles: list[MinerProfile],
     demand: DemandModel,
-    fixed_windows: list[tuple[float, int]] | None = None,
 ) -> np.ndarray:
     """Miner i's exact expected payoff E[R_i] - C(a) at every allocation a in
     `grid`, the other miners at `allocations` (entry i is ignored), in one
     array pass: pps_expected_payoff's closed form or ppss_expected_payoff's
-    quadrature (`fixed_windows` pins the ppss windows). Each value equals
-    the one-allocation call. Every allocation must lie in [0, A_i]."""
+    quadrature. Each value equals the one-allocation call. Every allocation
+    must lie in [0, A_i]."""
     grid = np.asarray(grid, dtype=float).ravel()
     capacity = profiles[i].capacity_A
     if not ((grid >= 0) & (grid <= capacity)).all():
         raise ValueError(f"grid outside [0, {capacity}] for miner {i}")
-    payoff = _payoff_objective(mechanism, i, allocations, params, profiles, demand, fixed_windows)
+    payoff = _payoff_objective(mechanism, i, allocations, params, profiles, demand)
     return payoff(grid)
 
 
@@ -769,14 +760,12 @@ def best_response(
     demand: DemandModel,
     grid_points: int = 64,
     objective: str = "payoff",
-    fixed_windows: list[tuple[float, int]] | None = None,
 ) -> BestResponseResult:
     """Maximize the chosen objective over a uniform grid on [0, A_i], then
     refine with golden-section search on the bracketing interval.
 
     Both objectives are exact: the floor in closed form, the payoff by
-    pps_expected_payoff or ppss_expected_payoff (`fixed_windows` pins the
-    ppss windows). The whole grid is evaluated in one array pass
+    pps_expected_payoff or ppss_expected_payoff. The whole grid is evaluated in one array pass
     (payoff_curve); the refinement evaluates two golden-section steps a
     pass: the pending probe and both places the next step can probe. An
     interior bracket takes 5 refinement passes of 14 points in all, a
@@ -801,9 +790,7 @@ def best_response(
     elif objective == "payoff":
         base = np.asarray(others_fixed, dtype=float).copy()
         base[miner_index] = 0.0
-        f = _payoff_objective(
-            mechanism, miner_index, base, params, profiles, demand, fixed_windows,
-        )
+        f = _payoff_objective(mechanism, miner_index, base, params, profiles, demand)
         method = "closed_form" if mechanism == "pps" else "quadrature"
     else:
         raise ValueError(f"unknown objective {objective!r}")
@@ -924,8 +911,8 @@ def docdic_check(
 ) -> list[dict]:
     """Round-level incentive verdict for every miner: the immediate payoff
     conditional on the announced M. No rolling windows enter (see the module
-    docstring); best_response(objective="payoff", fixed_windows=...) gives
-    the raw ppss payoff at pinned windows."""
+    docstring); best_response(objective="payoff") at a constant demand gives
+    the raw ppss payoff at warm windows."""
     demand = DemandModel(family="constant", M=realized_M)
     return ocdic_check(mechanism, params, profiles, demand)
 
@@ -958,14 +945,6 @@ def subsidy_prob_lower(a: float, A: float, lam: float) -> float:
     return max(0.0, 1.0 - u * math.exp(1.0 - u))
 
 
-def g_function(D: float, c_tilde_value: float, params: PlatformParams, profile: MinerProfile) -> float:
-    """Subsidy mass (c~/k - b) * D / K(D), with K floored at eps_k."""
-    D_arr = np.asarray(D, dtype=float)
-    K = np.maximum(subsidy_shape(D_arr, profile.capacity_A, params), params.eps_k)
-    out = (c_tilde_value / params.k - params.b) * D_arr / K
-    return out if out.ndim else float(out)
-
-
 def bb_audit(ledger, bounds: BudgetBounds) -> dict:
     """Budget-balance audit of a simulation ledger.
 
@@ -987,50 +966,4 @@ def bb_audit(ledger, bounds: BudgetBounds) -> dict:
         "gamma": bounds.gamma,
         "per_round_pass": bounds.theta <= lo and hi <= bounds.gamma,
         "long_term_pass": bounds.theta <= mean <= bounds.gamma,
-    }
-
-
-def br_dynamics(
-    mechanism: str,
-    params: PlatformParams,
-    profiles: list[MinerProfile],
-    demand: DemandModel,
-    max_iters: int = 20,
-    start=None,
-) -> dict:
-    """Synchronous best-response iteration on the incentive verdicts'
-    objective (the floor under ppss, the exact payoff under pps).
-
-    Returns the allocation trajectory and the fixed point when successive
-    profiles differ by less than 1e-2 in max norm; non-convergence within
-    max_iters is reported, not raised.
-    """
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
-    objective = _default_objective(mechanism)
-    n = len(profiles)
-    current = (
-        np.asarray(start, dtype=float).copy()
-        if start is not None
-        else np.zeros(n)
-    )
-    trajectory = [current.copy()]
-    converged = False
-    for _ in range(max_iters):
-        nxt = np.empty(n)
-        for i in range(n):
-            nxt[i] = best_response(
-                mechanism, i, current, params, profiles, demand, objective=objective,
-            ).argmax_a
-        trajectory.append(nxt.copy())
-        if np.max(np.abs(nxt - current)) < 1e-2:
-            current = nxt
-            converged = True
-            break
-        current = nxt
-    return {
-        "trajectory": trajectory,
-        "fixed_point": current.copy() if converged else None,
-        "converged": converged,
-        "iterations": len(trajectory) - 1,
     }

@@ -4,7 +4,6 @@ from __future__ import annotations
 import csv
 import itertools
 import os
-import tempfile
 
 # Rounds (array rows) converted to Python objects at a time by ledger_rows
 # and montecarlo.exact_sum, so neither holds a Python copy of a whole ledger.
@@ -26,10 +25,15 @@ def fmt(value) -> str:
 def atomic_write(path: str, write) -> None:
     """Call write(fh) on a temp file beside `path`, then rename it to `path`,
     creating the directory if needed. Text is written without newline
-    translation."""
+    translation. The file's mode is what open() gives a new file, 0o666
+    less the umask: the temp file is created with it (tempfile.mkstemp's
+    would be 0o600), under a fresh random name that O_EXCL keeps from
+    opening an existing file."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    fd = os.open(tmp, flags, 0o666)
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             write(fh)

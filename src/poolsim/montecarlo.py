@@ -10,7 +10,7 @@ Sampling goes through quantile functions applied to a fixed layout of
 uniforms, which makes same-seed evaluations at different allocations
 common-random-number paired. A block's layout is, in stream order:
 
-- ppss with warm windows only: one column for miner i's window sum;
+- ppss only: one column for miner i's window sum;
 - one demand column (drawn for every family; a constant demand ignores it);
 - one difficulty column per miner.
 
@@ -64,12 +64,11 @@ def _block_payoffs(
     seed: int,
     block_index: int,
     m: int,
-    fixed_windows: list[tuple[float, int]] | None,
 ) -> np.ndarray:
     rng = substream(seed, TAG_PAYOFF, block_index)
     shapes = params.k * allocations
 
-    if mechanism == "ppss" and fixed_windows is None:
+    if mechanism == "ppss":
         # The indicator reads miner i's last N-1 pre-rounds plus the current
         # draw. Those pre-rounds are i.i.d. Gamma(k*a_i), so their sum is
         # one Gamma((N-1)*k*a_i) quantile column, drawn first in the block.
@@ -84,8 +83,6 @@ def _block_payoffs(
     if mechanism == "pps":
         rewards = pps_reward(d_i, totals, M, params)
     elif mechanism == "ppss":
-        if fixed_windows is not None:
-            wsum, wlen = fixed_windows[miner_index]
         prof = profiles[miner_index]
         unit, numerator = subsidy_terms(prof.capacity_A, c_tilde(prof), params)
         rewards, _ = ppss_reward(d_i, totals, M, wsum, wlen, unit, numerator, params)
@@ -104,7 +101,6 @@ def payoff_samples(
     demand: DemandModel,
     replicas: int,
     seed: int,
-    fixed_windows: list[tuple[float, int]] | None = None,
 ) -> np.ndarray:
     """Per-replica payoff draws for one miner, in replica order: block b
     holds replicas [b * BLOCK_SIZE, (b + 1) * BLOCK_SIZE), drawn from its
@@ -117,7 +113,7 @@ def payoff_samples(
         hi = min(lo + BLOCK_SIZE, replicas)
         out[lo:hi] = _block_payoffs(
             mechanism, miner_index, allocations, params, profiles, demand,
-            seed, lo // BLOCK_SIZE, hi - lo, fixed_windows,
+            seed, lo // BLOCK_SIZE, hi - lo,
         )
     return out
 

@@ -18,7 +18,6 @@ from poolsim.analysis import (
     docdic_check,
     expected_payoff_mc,
     floor_payoff,
-    g_function,
     ocdic_check,
 )
 from poolsim.cli import main
@@ -33,6 +32,7 @@ from poolsim.theorems import run_audits
 from scipy import special
 
 from conftest import quiet_parse
+from oracle import g_function
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:

@@ -15,12 +15,10 @@ from poolsim.analysis import (
     BudgetBounds,
     bb_audit,
     best_response,
-    br_dynamics,
     chernoff_tail_upper,
     docdic_check,
     expected_payoff_mc,
     floor_payoff,
-    g_function,
     ocdic_check,
     payoff_curve,
     pps_expected_payoff,
@@ -41,6 +39,7 @@ from poolsim.model import (
 )
 
 from conftest import money_scaled, quiet_parse, small_configs
+from oracle import br_dynamics, g_function
 
 CHERNOFF_STD_100_80 = 0.09882989575150939  # exp(100*ln(0.8) + 20)
 PROB_LOWER_AT_CAPACITY = 0.022877793471864133  # 1 - 0.8*e^0.2
@@ -195,7 +194,7 @@ def _partial_demand(demand, z):
             * special.ndtr((math.log(z) - mu - sigma**2) / sigma) / z)
 
 
-def quad_ppss_reward(i, allocs, params, profiles, demand, fixed_windows=None):
+def quad_ppss_reward(i, allocs, params, profiles, demand):
     """E[R_i] by adaptive quad: the outer integral over miner i's output x
     against x * Gamma(s_i) density, the inner one over the others' output."""
     allocs = np.asarray(allocs, dtype=float)
@@ -205,11 +204,7 @@ def quad_ppss_reward(i, allocs, params, profiles, demand, fixed_windows=None):
     numerator = c_tilde(prof) / k - params.b
     if params.subsidy_clamp_nonneg:
         numerator = max(numerator, 0.0)
-    if fixed_windows is not None:
-        w_sum, w_len = fixed_windows[i]
-        threshold, alpha = unit * (w_len + 1) - w_sum, 0.0
-    else:
-        threshold, alpha = unit * params.window_N, (params.window_N - 1) * s
+    threshold, alpha = unit * params.window_N, (params.window_N - 1) * s
     kinks = []
     if demand.family == "constant":
         kinks = [demand.M]
@@ -263,38 +258,39 @@ class TestPpssExpectedPayoff:
 
     SMALL_S = PlatformParams(p=1.0, b=1.0, k=2.0, lam=0.5, window_N=4)
 
-    def _reward(self, i, allocs, params, profs, demand, fixed_windows=None):
-        payoff = ppss_expected_payoff(i, allocs, params, profs, demand, fixed_windows)
+    def _reward(self, i, allocs, params, profs, demand):
+        payoff = ppss_expected_payoff(i, allocs, params, profs, demand)
         return payoff + cost_eval(profs[i].cost, float(allocs[i]))
 
-    @pytest.mark.parametrize("allocs, params, profs, M, windows", [
+    @pytest.mark.parametrize("allocs, params, profs, M", [
         # warm windows, M above and below the mean supply k * sum(a)
-        ([0.85, 1.0], AUDIT_PARAMS, AUDIT_PROFS, 600.0, None),
-        ([0.5, 1.0], AUDIT_PARAMS, AUDIT_PROFS, 100.0, None),
+        ([0.85, 1.0], AUDIT_PARAMS, AUDIT_PROFS, 600.0),
+        ([0.5, 1.0], AUDIT_PARAMS, AUDIT_PROFS, 100.0),
         # N = 1: the indicator x >= unit
-        ([0.9, 0.6], replace(AUDIT_PARAMS, window_N=1), AUDIT_PROFS, 150.0, None),
-        # a pinned window: the indicator x >= unit * (L + 1) - w
-        ([0.85, 1.0], AUDIT_PARAMS, AUDIT_PROFS, 150.0, [(700.0, 9), (800.0, 9)]),
+        ([0.9, 0.6], replace(AUDIT_PARAMS, window_N=1), AUDIT_PROFS, 150.0),
+        # N = 2: one round's window fires with probability P(W >= 2 unit - x)
+        # between 0 and 1 over the outputs near the mean, M among the kinks
+        ([0.85, 1.0], replace(AUDIT_PARAMS, window_N=2), AUDIT_PROFS, 150.0),
         # a single miner: h(x) = min(1, M/x)
-        ([0.85], AUDIT_PARAMS, AUDIT_PROFS[:1], 60.0, None),
-        ([1.0], AUDIT_PARAMS, AUDIT_PROFS[:1], 600.0, None),
+        ([0.85], AUDIT_PARAMS, AUDIT_PROFS[:1], 60.0),
+        ([1.0], AUDIT_PARAMS, AUDIT_PROFS[:1], 600.0),
         # s_i = 0.6 and s_others = 0.8, both below 1
-        ([0.3, 0.4], SMALL_S, [linear_miner(A=1.0, r=6.0)] * 2, 0.9, None),
-        ([0.3, 0.4], SMALL_S, [linear_miner(A=1.0, r=6.0)] * 2, 3.0, None),
+        ([0.3, 0.4], SMALL_S, [linear_miner(A=1.0, r=6.0)] * 2, 0.9),
+        ([0.3, 0.4], SMALL_S, [linear_miner(A=1.0, r=6.0)] * 2, 3.0),
         # a warm window fires with probability 1 - O((threshold - x)**alpha),
         # alpha = (N-1)*s_i = 0.18: one panel below the threshold is 1e-5 off
-        ([0.03, 0.4], SMALL_S, [linear_miner(A=1.0, r=6.0)] * 2, 3.0, None),
-        ([0.03, 0.4], SMALL_S, [linear_miner(A=1.0, r=6.0)] * 2, 300.0, None),
-        ([0.03], SMALL_S, [linear_miner(A=1.0, r=6.0)], 3.0, None),
+        ([0.03, 0.4], SMALL_S, [linear_miner(A=1.0, r=6.0)] * 2, 3.0),
+        ([0.03, 0.4], SMALL_S, [linear_miner(A=1.0, r=6.0)] * 2, 300.0),
+        ([0.03], SMALL_S, [linear_miner(A=1.0, r=6.0)], 3.0),
         # M far below supply: h(x) is 1 - O((M - x)**2.3) below x = M, and
         # one panel there is 3e-8 off
         ([0.065, 0.065], replace(SMALL_S, k=20.0, lam=0.8), [linear_miner(A=1.3, r=6.0)] * 2,
-         1.0, None),
+         1.0),
     ])
-    def test_matches_quad_at_constant_demand(self, allocs, params, profs, M, windows):
+    def test_matches_quad_at_constant_demand(self, allocs, params, profs, M):
         demand = DemandModel(family="constant", M=M)
-        exact = self._reward(0, allocs, params, profs, demand, windows)
-        oracle = quad_ppss_reward(0, allocs, params, profs, demand, windows)
+        exact = self._reward(0, allocs, params, profs, demand)
+        oracle = quad_ppss_reward(0, allocs, params, profs, demand)
         assert exact == pytest.approx(oracle, rel=1e-10)
 
     @pytest.mark.parametrize("s", [1e-3, 0.06, 0.5, 1.5, 6.0, 100.0, 5000.0])
@@ -490,7 +486,7 @@ class TestBestResponse:
 
 
 def best_response_reference(mechanism, i, allocations, params, profiles, demand,
-                            grid_points, objective="payoff", fixed_windows=None):
+                            grid_points, objective="payoff"):
     """best_response with its golden-section refinement evaluated one probe
     per pass, as the loop was written before it evaluated two steps a pass:
     (argmax_a, value, curve)."""
@@ -504,8 +500,7 @@ def best_response_reference(mechanism, i, allocations, params, profiles, demand,
     else:
         base = np.asarray(allocations, dtype=float).copy()
         base[i] = 0.0
-        f = analysis._payoff_objective(mechanism, i, base, params, profiles, demand,
-                                       fixed_windows)
+        f = analysis._payoff_objective(mechanism, i, base, params, profiles, demand)
     grid = np.linspace(0.0, A, grid_points)
     values = f(grid).tolist()
     curve = tuple(zip(grid.tolist(), values))
@@ -555,25 +550,17 @@ class TestGoldenSection:
         data=small_configs(), miner=st.integers(0, 2), grid_points=st.integers(2, 64),
         objective=st.sampled_from(["payoff", "floor"]),
         fractions=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
-        windows=st.one_of(st.none(), st.lists(
-            st.tuples(st.floats(0.0, 2.0), st.integers(0, 9)), min_size=3, max_size=3,
-        )),
     )
     def test_equals_sequential_reference(self, data, miner, grid_points, objective,
-                                         fractions, windows):
+                                         fractions):
         cfg = quiet_parse(data)
         params, profiles = cfg.platform, list(cfg.profiles)
         caps = np.array([p.capacity_A for p in profiles])
         i = miner % len(caps)
         allocs = caps * np.array(fractions[:len(caps)])
-        pinned = None
-        if windows is not None and cfg.mechanism == "ppss":
-            pinned = [(f * params.k * cap * L, L) for (f, L), cap in zip(windows, caps)]
         args = (cfg.mechanism, i, allocs, params, profiles, cfg.demand)
-        br = best_response(*args, grid_points=grid_points, objective=objective,
-                           fixed_windows=pinned)
-        assert_equals_reference(br, *args, grid_points=grid_points, objective=objective,
-                                fixed_windows=pinned)
+        br = best_response(*args, grid_points=grid_points, objective=objective)
+        assert_equals_reference(br, *args, grid_points=grid_points, objective=objective)
 
     @pytest.mark.parametrize("mechanism", ["pps", "ppss"])
     @pytest.mark.parametrize("M, end", [(50.0, -1), (0.01, 0)])
@@ -645,22 +632,15 @@ class TestPayoffCurve:
     @given(
         data=small_configs(), miner=st.integers(0, 2), grid_points=st.integers(2, 5),
         fractions=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
-        windows=st.one_of(st.none(), st.lists(
-            st.tuples(st.floats(0.0, 2.0), st.integers(0, 9)), min_size=3, max_size=3,
-        )),
     )
-    def test_grid_equals_one_allocation_calls(self, data, miner, grid_points, fractions, windows):
+    def test_grid_equals_one_allocation_calls(self, data, miner, grid_points, fractions):
         cfg = quiet_parse(data)
         params, profiles, demand = cfg.platform, list(cfg.profiles), cfg.demand
         caps = np.array([p.capacity_A for p in profiles])
         i = miner % len(caps)
         allocs = caps * np.array(fractions[:len(caps)])
-        pinned = None
-        if windows is not None and cfg.mechanism == "ppss":
-            # a window of L rounds summing to f times L rounds' mean output at capacity
-            pinned = [(f * params.k * cap * L, L) for (f, L), cap in zip(windows, caps)]
         grid = np.linspace(0.0, caps[i], grid_points)  # a = 0 and a = A included
-        curve = payoff_curve(cfg.mechanism, i, allocs, grid, params, profiles, demand, pinned)
+        curve = payoff_curve(cfg.mechanism, i, allocs, grid, params, profiles, demand)
         same = np.testing.assert_array_equal  # exact
         for a, value in zip(grid, curve):
             point = allocs.copy()
@@ -669,9 +649,9 @@ class TestPayoffCurve:
                 same(value, pps_expected_payoff(i, point, params, profiles, demand))
                 same(value, pps_scalar_reference(i, point, params, profiles, demand))
             else:
-                same(value, ppss_expected_payoff(i, point, params, profiles, demand, pinned))
+                same(value, ppss_expected_payoff(i, point, params, profiles, demand))
         br = best_response(cfg.mechanism, i, allocs, params, profiles, demand,
-                           grid_points=grid_points, fixed_windows=pinned)
+                           grid_points=grid_points)
         same([v for _, v in br.curve], curve)
 
     @settings(max_examples=20, deadline=None)
@@ -746,12 +726,12 @@ def _kink_sides(mp):
     return sides
 
 
-def _screened_and_not(i, allocs, grid, params, profiles, demand, windows=None):
+def _screened_and_not(i, allocs, grid, params, profiles, demand):
     """payoff_curve with the screens, and with them off."""
-    curve = payoff_curve("ppss", i, allocs, grid, params, profiles, demand, windows)
+    curve = payoff_curve("ppss", i, allocs, grid, params, profiles, demand)
     with pytest.MonkeyPatch.context() as mp:
         _unscreened(mp)
-        plain = payoff_curve("ppss", i, allocs, grid, params, profiles, demand, windows)
+        plain = payoff_curve("ppss", i, allocs, grid, params, profiles, demand)
     return curve, plain
 
 
@@ -764,11 +744,8 @@ class TestPpssScreens:
     @given(
         data=small_configs(("ppss",)), miner=st.integers(0, 2), clamp=st.booleans(),
         fractions=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
-        windows=st.one_of(st.none(), st.lists(
-            st.tuples(st.floats(0.0, 2.0), st.integers(0, 9)), min_size=3, max_size=3,
-        )),
     )
-    def test_screens_leave_every_bit(self, data, miner, clamp, fractions, windows):
+    def test_screens_leave_every_bit(self, data, miner, clamp, fractions):
         # clamp off lets the numerator go negative
         data = {**data, "platform": {**data["platform"], "subsidy_clamp_nonneg": clamp}}
         cfg = quiet_parse(data)
@@ -776,11 +753,8 @@ class TestPpssScreens:
         caps = np.array([p.capacity_A for p in profiles])
         i = miner % len(caps)
         allocs = caps * np.array(fractions[:len(caps)])
-        pinned = None
-        if windows is not None:
-            pinned = [(f * params.k * cap * L, L) for (f, L), cap in zip(windows, caps)]
         grid = np.linspace(0.0, caps[i], 5)
-        curve, plain = _screened_and_not(i, allocs, grid, params, profiles, cfg.demand, pinned)
+        curve, plain = _screened_and_not(i, allocs, grid, params, profiles, cfg.demand)
         np.testing.assert_array_equal(curve, plain)
 
     @pytest.mark.parametrize("M, side", [(250.0, "above"), (350.0, "above"),
@@ -834,7 +808,7 @@ class TestPpssScreens:
         # must reach 800 - x, and its Chernoff exponent at x <= 100 is
         # above 190, so the window probability is skipped, and the rate,
         # computed or not, is exactly b
-        reward = analysis._PpssReward(0, 1.0, AUDIT_PARAMS, AUDIT_PROFS, AUDIT_DEMAND, None)
+        reward = analysis._PpssReward(0, 1.0, AUDIT_PARAMS, AUDIT_PROFS, AUDIT_DEMAND)
         x = np.linspace(1.0, 100.0, 400)
         s = np.full_like(x, 30.0)
         alpha, w = 9.0 * s, 800.0 - x
@@ -915,22 +889,22 @@ def _exit_off(mp, name):
 FAST_EXITS = ("h all above the range", "Stirling alone", "one block", "one demand node")
 
 
-def _curve_hex(i, allocs, grid, params, profiles, demand, windows=None):
+def _curve_hex(i, allocs, grid, params, profiles, demand):
     return [v.hex() for v in payoff_curve(
-        "ppss", i, allocs, grid, params, profiles, demand, windows).tolist()]
+        "ppss", i, allocs, grid, params, profiles, demand).tolist()]
 
 
-def _exits_leave_every_bit(i, allocs, grid, params, profiles, demand, windows=None):
+def _exits_leave_every_bit(i, allocs, grid, params, profiles, demand):
     """payoff_curve on `grid` is the same with each fast exit off, and with
     one more allocation of shape below 1.5 in the pass: that one grades the
     x = 0 end and the threshold, and takes gammaln, in every pass."""
-    curve = _curve_hex(i, allocs, grid, params, profiles, demand, windows)
+    curve = _curve_hex(i, allocs, grid, params, profiles, demand)
     for name in FAST_EXITS:
         with pytest.MonkeyPatch.context() as mp:
             _exit_off(mp, name)
-            assert _curve_hex(i, allocs, grid, params, profiles, demand, windows) == curve, name
+            assert _curve_hex(i, allocs, grid, params, profiles, demand) == curve, name
     small = min(profiles[i].capacity_A, 0.5 / params.k)
-    wider = _curve_hex(i, allocs, np.append(grid, small), params, profiles, demand, windows)
+    wider = _curve_hex(i, allocs, np.append(grid, small), params, profiles, demand)
     assert wider[:-1] == curve
 
 
@@ -946,22 +920,16 @@ class TestPpssFastExits:
     @given(
         data=small_configs(("ppss",)), miner=st.integers(0, 2), clamp=st.booleans(),
         fractions=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
-        windows=st.one_of(st.none(), st.lists(
-            st.tuples(st.floats(0.0, 2.0), st.integers(0, 9)), min_size=3, max_size=3,
-        )),
     )
-    def test_exits_leave_every_bit(self, data, miner, clamp, fractions, windows):
+    def test_exits_leave_every_bit(self, data, miner, clamp, fractions):
         data = {**data, "platform": {**data["platform"], "subsidy_clamp_nonneg": clamp}}
         cfg = quiet_parse(data)
         params, profiles = cfg.platform, list(cfg.profiles)
         caps = np.array([p.capacity_A for p in profiles])
         i = miner % len(caps)
         allocs = caps * np.array(fractions[:len(caps)])
-        pinned = None
-        if windows is not None:
-            pinned = [(f * params.k * cap * L, L) for (f, L), cap in zip(windows, caps)]
         grid = np.linspace(0.0, caps[i], 4)
-        _exits_leave_every_bit(i, allocs, grid, params, profiles, cfg.demand, pinned)
+        _exits_leave_every_bit(i, allocs, grid, params, profiles, cfg.demand)
 
     @pytest.mark.parametrize("demand", [
         DemandModel(family="constant", M=600.0),
@@ -969,15 +937,15 @@ class TestPpssFastExits:
         DemandModel(family="uniform", lo=300.0, hi=900.0),
         DemandModel(family="gamma", shape=4.0, rate=0.02),
     ], ids=["constant", "constant-in-range", "uniform", "gamma"])
-    @pytest.mark.parametrize("N, clamp, pinned", [
-        (10, True, None), (1, True, None), (10, False, [(70.0, 1), (0.0, 0)]),
-    ], ids=["warm", "N=1", "pinned-unclamped"])
-    def test_workload_economics(self, demand, N, clamp, pinned):
-        # verify-audit's economics, with c~/k below b when unclamped
+    @pytest.mark.parametrize("N, clamp", [(10, True), (1, True), (10, False)],
+                             ids=["warm", "N=1", "warm-unclamped"])
+    def test_workload_economics(self, demand, N, clamp):
+        # verify-audit's economics; unclamped, linear r = 50 puts c~/k below
+        # b, so the numerator is negative
         params = replace(AUDIT_PARAMS, window_N=N, subsidy_clamp_nonneg=clamp)
         profs = AUDIT_PROFS if clamp else [linear_miner(A=1.0, r=50.0)] * 2
         grid = np.linspace(0.0, 1.0, 5 if demand.family == "constant" else 2)
-        _exits_leave_every_bit(0, [1.0, 1.0], grid, params, profs, demand, pinned)
+        _exits_leave_every_bit(0, [1.0, 1.0], grid, params, profs, demand)
 
     def test_single_miner(self):
         # no others' rule: h = min(1, M/x), and at a zero numerator the rate
@@ -990,7 +958,7 @@ class TestPpssFastExits:
 
     def test_one_demand_node_keeps_fsums_sign(self):
         # math.fsum([-0.0]) is 0.0, and so is a constant demand's one term
-        reward = analysis._PpssReward(0, 1.0, AUDIT_PARAMS, AUDIT_PROFS, AUDIT_DEMAND, None)
+        reward = analysis._PpssReward(0, 1.0, AUDIT_PARAMS, AUDIT_PROFS, AUDIT_DEMAND)
         reward._means = lambda s, M: np.array([-0.0, 0.5, -2.0])
         a = np.array([0.25, 0.5, 1.0])
         out = reward(a).tolist()
@@ -1002,7 +970,7 @@ class TestPpssFastExits:
         # probability is needed; at s = 30 and x <= 100 it is screened
         # (test_window_tail_screen_is_exact). The masked pass must give the
         # unmasked one's rates.
-        reward = analysis._PpssReward(0, 1.0, AUDIT_PARAMS, AUDIT_PROFS, AUDIT_DEMAND, None)
+        reward = analysis._PpssReward(0, 1.0, AUDIT_PARAMS, AUDIT_PROFS, AUDIT_DEMAND)
         x = np.linspace(60.0, 110.0, 200)
         s = np.full_like(x, 85.0)
         whole = reward._rate(x, s)
@@ -1082,17 +1050,9 @@ class TestDocdicCheck:
     def test_ppss_warm_windows_pass_with_diagnostic(self):
         params = PlatformParams(p=1.0, b=1.0, k=100.0, lam=0.8, window_N=5)
         profs = [linear_miner(A=1.0, r=150.0)]
-        windows = [(400.0, 4)]  # the last N-1 = 4 rounds at 100 each
         verdicts = docdic_check("ppss", params, profs, realized_M=300.0)
         assert verdicts[0]["passed"]
         assert verdicts[0]["objective"] == "floor"
-        # the raw payoff diagnostic: the payoff best response at the same windows
-        raw_argmax = best_response(
-            "ppss", 0, np.array([1.0]), params, profs,
-            DemandModel(family="constant", M=300.0),
-            objective="payoff", fixed_windows=windows,
-        ).argmax_a
-        assert 0.0 <= raw_argmax <= 1.0
 
     def test_rejects_nonpositive_demand(self):
         params = PlatformParams(p=1.0, b=1.0, k=2.0)

@@ -2,6 +2,8 @@
 and ledger_rows' blocks against whole-ledger columns."""
 import csv
 import math
+import os
+import stat
 import sys
 import tracemalloc
 
@@ -79,6 +81,34 @@ class TestWriteCsv:
         rows = iter([(i, i / 4) for i in range(3)])
         write_csv(str(tmp_path / "t.csv"), ["i", "q"], rows)
         assert (tmp_path / "t.csv").read_text() == "i,q\n0,0\n1,0.25\n2,0.5\n"
+
+
+@pytest.mark.skipif(os.name != "posix", reason="file modes and the umask are POSIX")
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask-022", "umask-077"])
+def test_files_get_the_mode_open_gives(umask, tmp_path):
+    # 0o666 less the umask, as open() would create the file, not the 0o600
+    # of a temp file made by tempfile.mkstemp
+    old = os.umask(umask)
+    try:
+        write_csv(str(tmp_path / "t.csv"), ["a"], [(1,)])
+        atomic_write(str(tmp_path / "new" / "t.svg"), lambda fh: fh.write("<svg/>"))
+    finally:
+        os.umask(old)
+    for path in (tmp_path / "t.csv", tmp_path / "new" / "t.svg"):
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+
+
+def test_failed_write_leaves_the_file_and_no_temp_file(tmp_path):
+    write_csv(str(tmp_path / "t.csv"), ["a"], [(1,)])
+
+    def fail(fh):
+        fh.write("partial")
+        raise RuntimeError("interrupted")
+
+    with pytest.raises(RuntimeError, match="interrupted"):
+        atomic_write(str(tmp_path / "t.csv"), fail)
+    assert os.listdir(tmp_path) == ["t.csv"]
+    assert (tmp_path / "t.csv").read_text() == "a\n1\n"
 
 
 def _random_ledger(rounds, n, seed=0, wide=True):

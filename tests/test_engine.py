@@ -11,12 +11,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from poolsim import analysis, engine
+from poolsim.analysis import payoff_curve
 from poolsim.csvio import ROW_BLOCK
 from poolsim.engine import (
     delta_adaptive_policy,
     init_state,
     play,
     run_simulation,
+    settle,
     step_round,
     window_sums,
 )
@@ -28,6 +30,7 @@ from poolsim.model import (
     MinerPolicy,
     MinerProfile,
     c_tilde,
+    cost_eval,
     sample_demand,
     sample_transcript,
     substream,
@@ -440,6 +443,63 @@ class TestSimulationStatistics:
         ledger = run_simulation(cfg)
         freq = np.mean(ledger.flags[:, 0])
         assert freq >= subsidy_prob_lower(1.0, 1.0, 0.8)
+
+
+# simulate-ledger.yaml's first two miners, both static: miner 0 at its
+# capacity 1, miner 1 (power cost) at 1.5 of its capacity 2
+TWO_STATIC_MINERS = {
+    "mechanism": "ppss",
+    "platform": {"p": 1.0, "b": 1.0, "k": 100.0, "lambda": 0.8, "N": 10, "eps_k": 1.0e-3,
+                 "subsidy_clamp_nonneg": True},
+    "miners": [
+        {"capacity_A": 1.0, "cost": {"family": "linear", "r": 150.0},
+         "policy": {"kind": "static", "a": 1.0}},
+        {"capacity_A": 2.0, "cost": {"family": "power", "c": 60.0, "q": 2.0},
+         "policy": {"kind": "static", "a": 1.5}},
+    ],
+    "rounds": 4009,  # N - 1 = 9 rounds of filling windows, then 20 batches of 200
+}
+
+
+class TestMeanRewardMatchesExactPayoff:
+    """Each static miner's mean reward over rounds N..R, whose windows are
+    warm, against payoff_curve's exact expected reward at its allocation
+    (its payoff plus its cost). The tolerance is z batch-means standard
+    errors (Schmeiser, "Batch Size Effects in the Analysis of Simulation
+    Output", Operations Research 30(3), 1982): 20 batches of 200 rounds,
+    each far longer than the N = 10 rounds a window correlates. z = 4 was
+    fixed before the first run.
+
+    Of three engine faults, tried one at a time: window_sums summing N
+    rounds instead of N - 1 fails (miner 1's window sum then usually clears
+    its threshold); min{|D|, M} taken as |D| fails under the uniform demand,
+    which rations, and not at M = 600, which never does. window_sums
+    reading lags 2..N instead of 1..N-1, and the indicator's >= as >, pass:
+    static outputs are i.i.d., so the lagged sum has the same law, and a
+    continuous output equals its threshold with probability 0; no mean can
+    tell either apart."""
+
+    Z, BATCHES = 4.0, 20
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("demand", [
+        {"family": "constant", "M": 600.0},
+        {"family": "uniform", "lo": 150.0, "hi": 450.0},
+    ], ids=["constant-600", "uniform-150-450"])
+    def test_mean_reward_within_z_standard_errors(self, demand, seed):
+        cfg = quiet_parse({**TWO_STATIC_MINERS, "demand": demand, "seed": seed})
+        game = play(cfg)  # no policy reads the mechanism: one game serves both
+        alloc = game.a[0]
+        for mechanism in ("pps", "ppss"):
+            paid = replace(cfg, mechanism=mechanism)
+            rewards = settle(game, paid).rewards[cfg.platform.window_N - 1:]
+            for i, prof in enumerate(cfg.profiles):
+                a = float(alloc[i])
+                exact = payoff_curve(mechanism, i, alloc, [a], cfg.platform,
+                                     list(cfg.profiles), cfg.demand)[0] + cost_eval(prof.cost, a)
+                batches = rewards[:, i].reshape(self.BATCHES, -1).mean(axis=1)
+                se = batches.std(ddof=1) / math.sqrt(self.BATCHES)
+                assert abs(batches.mean() - exact) <= self.Z * se, (mechanism, i, exact)
 
 
 class TestReproducibility:
