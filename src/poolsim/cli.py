@@ -144,7 +144,14 @@ def cmd_sweep(args) -> int:
         if not 1 <= count <= MAX_GRID:
             print(f"error: axis count must lie in [1, {MAX_GRID}] in {spec!r}", file=sys.stderr)
             return EXIT_CONFIG
-        axes.append((path, np.linspace(lo, hi, count)))
+        # np.linspace steps by hi - lo, which can overflow where lo and hi do
+        # not; the last step's product can still round past the float range,
+        # and linspace then sets that point to hi
+        if not np.isfinite([lo, hi, hi - lo]).all():
+            print(f"error: axis bounds lo, hi and hi - lo must be finite in {spec!r}", file=sys.stderr)
+            return EXIT_CONFIG
+        with np.errstate(over="ignore"):
+            axes.append((path, np.linspace(lo, hi, count)))
     base = read_yaml(args.config)
     # each axis's field as the keys it walks (miners.0 and miners.00 are one
     # field): an axis on or inside an earlier axis's field, or on the seed
@@ -237,31 +244,37 @@ COMMANDS = {
 }
 
 
-def build_parser(commands=None) -> argparse.ArgumentParser:
-    """The poolsim parser. Every command is listed, so the top-level help
-    and usage are always whole; only the commands in `commands` (all of them
-    by default) get their own arguments, -h included."""
+def build_parser() -> argparse.ArgumentParser:
+    """The whole poolsim parser, every command with its arguments. main
+    builds it only to print a help or a usage error."""
     parser = argparse.ArgumentParser(
         prog="poolsim",
         description="Simulate and audit pay-per-share reward mechanisms",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_arguments, func) in COMMANDS.items():
-        built = commands is None or name in commands
-        p = sub.add_parser(name, help=help_text, add_help=built)
-        if built:
-            add_arguments(p)
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
         p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # The command argparse runs is a word of argv, so the parser gets the
-    # arguments of the commands named there and of no other; the texts of
-    # every help and usage error are those of the whole parser.
-    parser = build_parser(set(argv).intersection(COMMANDS) or None)
-    args = parser.parse_args(argv)
+    # The whole parser hands every word after the command to that command's
+    # parser, so the command's parser, built alone, parses them to the same
+    # namespace and prints the same help and errors. Words it leaves over,
+    # and an argv that names no command first, go to the whole parser, which
+    # prints the usage error.
+    args, extra = None, None
+    if argv and argv[0] in COMMANDS:
+        _, add_arguments, func = COMMANDS[argv[0]]
+        parser = argparse.ArgumentParser(prog=f"poolsim {argv[0]}")
+        add_arguments(parser)
+        parser.set_defaults(command=argv[0], func=func)
+        args, extra = parser.parse_known_args(argv[1:])
+    if args is None or extra:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as e:

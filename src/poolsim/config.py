@@ -225,6 +225,12 @@ def parse_config(data: dict, warn_stream=None) -> ExperimentConfig:
         cap = _number(mnode, "capacity_A", fname)
         if not cap > 0:
             raise ConfigError(f"{fname}.capacity_A", "must be positive")
+        # a ppss window clears lambda * A * k per round counted, up to N of
+        # them; checked under pps too, since T5 and T6 run ppss on any config
+        if not math.isfinite(platform.lam * cap * platform.k * platform.window_N):
+            raise ConfigError(
+                f"{fname}.capacity_A", "the ppss window threshold lambda * A * k * N overflows",
+            )
         cost = _parse_variant(mnode.get("cost"), COST, f"{fname}.cost")
         pnode = mnode.get("policy")
         if isinstance(pnode, dict) and pnode.get("kind") == "myopic_br":
@@ -241,6 +247,11 @@ def parse_config(data: dict, warn_stream=None) -> ExperimentConfig:
             if mechanism == "ppss" and not math.isfinite(c_tilde(profiles[-1]) / platform.k):
                 raise ConfigError(f"{fname}.cost", "c~/k, the marginal cost at capacity over k, overflows")
         policies.append(policy)
+
+    # a round's total output |D| is about the full supply k * sum(A)
+    supply = platform.k * sum(prof.capacity_A for prof in profiles)
+    if not math.isfinite(supply):
+        raise ConfigError("platform.k", "the full supply k * sum(capacity_A) overflows")
 
     demand = _parse_variant(data.get("demand"), DEMAND, "demand")
     # every payout ratio divides by M * p, and T6's bound by mu_F * p; ppf is
@@ -271,7 +282,6 @@ def parse_config(data: dict, warn_stream=None) -> ExperimentConfig:
         seed=seed,
     )
 
-    supply = platform.k * sum(prof.capacity_A for prof in profiles)
     if demand.mu_F < supply:
         stream = warn_stream if warn_stream is not None else sys.stderr
         print(

@@ -184,7 +184,7 @@ class CostFunction:
     family: str  # "linear" | "power"
     r: float = 0.0
     c: float = 0.0
-    q: float = 1.0
+    q: float = 2.0  # the YAML default too
 
     def __post_init__(self):
         if self.family == "linear":

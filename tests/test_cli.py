@@ -9,7 +9,8 @@ import warnings
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from poolsim import cli, engine
 from poolsim.cli import main
@@ -390,6 +391,41 @@ class TestTinyPrice:
         assert not out.exists()
 
 
+class TestHugeSupply:
+    """Capacities near the float range exit 2, warning-free, naming the
+    capacity where the ppss window threshold lambda * A * k * N overflows
+    and k where an audit's scenario demand does."""
+
+    @staticmethod
+    def _run(command, tmp_path, capacity, **platform):
+        with open(VERIFY_AUDIT) as fh:
+            data = yaml.safe_load(fh)
+        data["platform"].update(platform)
+        for miner in data["miners"]:
+            miner["capacity_A"] = capacity
+        path = tmp_path / "huge.yaml"
+        path.write_text(yaml.safe_dump(data))
+        out = tmp_path / "out"
+        out.mkdir()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--config", str(path), "--out", str(out)])
+        return code, os.listdir(out)
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    @pytest.mark.parametrize("capacity", [5.0e305, 1.0e308])
+    def test_overflowing_window_threshold_exits_2(self, command, capacity, tmp_path, capsys):
+        # 0.8 * 5e305 * 100 * 10 = 4e308; at 1e308, lambda * A * k alone overflows
+        assert self._run(command, tmp_path, capacity) == (2, [])
+        assert "'miners[0].capacity_A'" in capsys.readouterr().err
+
+    def test_overflowing_scenario_demand_exits_2(self, tmp_path, capsys):
+        # at N = 1 the threshold, 4e307, and the supply, 1e308, are finite,
+        # but T2's constant demand 3 * k * sum(A) is not
+        assert self._run("verify", tmp_path, 5.0e305, N=1) == (2, [])
+        assert "'platform.k': T2's scenario demand" in capsys.readouterr().err
+
+
 class TestBestResponse:
     def test_curve_and_argmax(self, config_path, tmp_out, capsys):
         data = dict(BASE_CONFIG)
@@ -538,6 +574,30 @@ class TestSweep:
         assert "axis count" in capsys.readouterr().err
         assert os.listdir(tmp_out) == []
 
+    @pytest.mark.parametrize("axis", [
+        "platform.lambda=inf:0.9:2",
+        "platform.lambda=0.7:nan:2",
+        "platform.lambda=1e308:-1e308:3",  # hi - lo overflows
+    ])
+    def test_non_finite_axis_exits_2(self, axis, tmp_out, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["sweep", "--config", VERIFY_AUDIT, "--out", tmp_out, "--axis", axis])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "must be finite" in err and repr(axis) in err
+        assert os.listdir(tmp_out) == []
+
+    def test_axis_spanning_the_float_range_is_warning_free(self, tmp_out, capsys):
+        # hi - lo is finite, but linspace's last step can round past it
+        # before that point is set to hi; the first cell's lambda = 0 exits 2
+        axis = f"platform.lambda=0:{sys.float_info.max!r}:4"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["sweep", "--config", VERIFY_AUDIT, "--out", tmp_out, "--axis", axis])
+        assert code == 2
+        assert "lambda must lie in (0, 1)" in capsys.readouterr().err
+
     def test_single_axis_sweep(self, config_path, tmp_out):
         data = dict(BASE_CONFIG, rounds=20)
         code = main([
@@ -636,8 +696,9 @@ class TestSweep:
 
 
 class TestParser:
-    """main adds the arguments of the invoked command only; every help and
-    usage error reads as the whole parser's, with the same exit code."""
+    """main parses a named command with that command's parser alone; every
+    namespace it dispatches, and every help and usage error, with its exit
+    code, is the whole parser's."""
 
     COMMANDS = {
         "simulate": ["--config", "--out", "--seed"],
@@ -646,21 +707,82 @@ class TestParser:
         "sweep": ["--config", "--out", "--seed", "--axis"],
         "fig1": ["--out"],
     }
+    # the required arguments of each command: argv that parses
+    VALID = {
+        "simulate": ["--config", "c.yaml", "--out", "o"],
+        "verify": ["--config", "c.yaml", "--out", "o"],
+        "best-response": ["--config", "c.yaml", "--out", "o", "--miner", "0"],
+        "sweep": ["--config", "c.yaml", "--out", "o"],
+        "fig1": ["--out", "o"],
+    }
 
     @pytest.fixture(autouse=True)
     def columns(self, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
 
+    @pytest.fixture(autouse=True)
+    def dispatch_namespace(self, monkeypatch):
+        """Each command runs as vars, so main returns the namespace it
+        dispatches instead of running the command."""
+        for name, (help_text, add_arguments, _) in cli.COMMANDS.items():
+            monkeypatch.setitem(cli.COMMANDS, name, (help_text, add_arguments, vars))
+
     @staticmethod
-    def exits(parse, argv, capsys):
-        with pytest.raises(SystemExit) as exc:
-            parse(argv)
-        return (exc.value.code, *capsys.readouterr())
+    def outcome(call, capsys):
+        """(what call returns, or its exit code, stdout, stderr)."""
+        try:
+            result = call()
+        except SystemExit as exc:
+            result = exc.code
+        return (result, *capsys.readouterr())
 
     def same_as_whole_parser(self, argv, capsys):
-        lazy = self.exits(main, argv, capsys)
-        assert lazy == self.exits(cli.build_parser().parse_args, argv, capsys)
-        return lazy
+        ours = self.outcome(lambda: main(argv), capsys)
+        assert ours == self.outcome(lambda: vars(cli.build_parser().parse_args(argv)), capsys)
+        return ours
+
+    @pytest.mark.parametrize("command", list(VALID))
+    @pytest.mark.parametrize("case", [
+        "valid", "abbreviated", "seed=5", "seed abc", "help after unknown",
+        "leftover", "dashes then token", "trailing dashes", "negative seed",
+    ])
+    def test_same_outcome_as_whole_parser(self, command, case, capsys):
+        valid = self.VALID[command]
+        argv = [command, *{
+            "valid": valid,
+            # --config -> --conf, --out -> --o (ambiguous in best-response)
+            "abbreviated": [w[:-2] if w.startswith("--") else w for w in valid],
+            "seed=5": [*valid, "--seed=5"],
+            "seed abc": [*valid, "--seed", "abc"],
+            "help after unknown": ["--bogus", "-h"],
+            "leftover": [*valid, "extra"],
+            "dashes then token": [*valid, "--", "extra"],
+            "trailing dashes": [*valid, "--"],
+            "negative seed": [*valid, "--seed", "-5"],
+        }[case]]
+        result, _, err = self.same_as_whole_parser(argv, capsys)
+        if case == "valid":
+            assert result["command"] == command and err == ""
+
+    WORDS = ["--config", "--conf", "--out", "--o", "--seed", "--seed=5", "-5", "abc", "c.yaml",
+             "--", "-h", "--miner", "0", "--grid", "--objective", "payoff", "--axis",
+             "k=1:2:2", "--theorems", "T1", "--bogus", "-x", "simulate", "fig1"]
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(command=st.sampled_from([*VALID, "bogus"]),
+           words=st.lists(st.sampled_from(WORDS), max_size=8))
+    def test_any_words_same_outcome_as_whole_parser(self, command, words, capsys):
+        self.same_as_whole_parser([command, *words], capsys)
+
+    @pytest.mark.parametrize("command", list(VALID))
+    def test_valid_argv_never_builds_the_whole_parser(self, command, monkeypatch):
+        def whole_parser():
+            raise AssertionError("main built the whole parser")
+
+        monkeypatch.setattr(cli, "build_parser", whole_parser)
+        args = main([command, *self.VALID[command]])
+        assert (args["command"], args["out"]) == (command, "o")
 
     def test_top_level_help_lists_every_command(self, capsys):
         code, out, _ = self.same_as_whole_parser(["--help"], capsys)

@@ -15,7 +15,7 @@ from poolsim.config import (
     parse_config,
     read_yaml,
 )
-from poolsim.model import MAX_GRID
+from poolsim.model import MAX_GRID, CostFunction
 
 from conftest import quiet_parse, small_configs
 
@@ -62,6 +62,14 @@ class TestDefaults:
         profs = quiet_parse(data).profiles
         assert [p.capacity_A for p in profs] == [4.0, 2.0]
         assert profs[1].cost.family == "power"
+
+
+    def test_power_cost_q_default_is_the_yaml_default(self):
+        data = minimal()
+        data["miners"][0]["cost"] = {"family": "power", "c": 1.0}
+        parsed = quiet_parse(data).profiles[0].cost
+        assert parsed == CostFunction(family="power", c=1.0)
+        assert parsed.q == 2.0
 
 
 class TestValidation:
@@ -252,6 +260,25 @@ class TestValidation:
         with pytest.raises(ConfigError) as e:
             quiet_parse({**data, "mechanism": "ppss"})
         assert e.value.field == "miners[0].cost"
+
+    @pytest.mark.parametrize("mechanism", ["pps", "ppss"])
+    def test_overflowing_window_threshold_rejected(self, mechanism):
+        # lambda * A * k * N = 0.8 * 5e305 * 100 * 10 exceeds every float;
+        # checked under pps too, since T5 and T6 run ppss on any config
+        platform = {"p": 1.0, "k": 100.0, "lambda": 0.8, "N": 10}
+        miners = [{"capacity_A": 5.0e305, "cost": {"family": "linear", "r": 150.0}}]
+        with pytest.raises(ConfigError) as e:
+            quiet_parse(minimal(mechanism=mechanism, platform=platform, miners=miners))
+        assert e.value.field == "miners[0].capacity_A"
+        quiet_parse(minimal(mechanism=mechanism, platform={**platform, "N": 1}, miners=miners))
+
+    def test_overflowing_supply_rejected(self):
+        # each window threshold, 1.6e308, is finite; k * sum(A) = 2.4e308 is not
+        miners = [{"capacity_A": 2.0e305, "cost": {"family": "linear", "r": 150.0}}] * 12
+        with pytest.raises(ConfigError) as e:
+            quiet_parse(minimal(platform={"p": 1.0, "k": 100.0}, miners=miners))
+        assert e.value.field == "platform.k"
+        quiet_parse(minimal(platform={"p": 1.0, "k": 100.0}, miners=miners[:8]))
 
     def test_non_mapping_rejected(self):
         with pytest.raises(ConfigError):

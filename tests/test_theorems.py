@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from poolsim import engine
+from poolsim.config import ConfigError
 from poolsim.analysis import ppss_expected_payoff
 from poolsim.model import cost_eval
 from poolsim.theorems import ALL_THEOREMS, audit_t1, audit_t6, run_audits
@@ -113,6 +114,18 @@ class TestVerdicts:
         row = run_audits(pps_config(), ["T3"])[0]
         assert row["verdict"] == "PASS"
         assert abs(row["metric"] - 1.0) <= 0.05
+
+    @pytest.mark.parametrize("theorem", ["T2", "T3"])
+    def test_overflowing_scenario_demand_rejected(self, theorem):
+        # the supply k * sum(A) = 1e308 is finite, the scenario's 3 * k * sum(A) is not
+        data = yaml.safe_load(VERIFY_AUDIT_YAML.read_text())
+        data["platform"]["N"] = 1
+        for miner in data["miners"]:
+            miner["capacity_A"] = 5.0e305
+        with pytest.raises(ConfigError) as e:
+            run_audits(quiet_parse(data), [theorem])
+        assert e.value.field == "platform.k"
+        assert f"{theorem}'s scenario demand" in str(e.value)
 
     def test_t4_interior_argmax(self):
         # low_M = 0.2*k*sum(A) = 2: interior optimum M/(4r) = 0.5 < capacity
