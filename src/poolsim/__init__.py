@@ -14,8 +14,6 @@ from .analysis import (
     incentive_verdict,
     ocdic_check,
     payoff_curve,
-    pps_expected_payoff,
-    ppss_expected_payoff,
     subsidy_prob_lower,
 )
 from .config import ConfigError, ExperimentConfig, dump_config, load_config, parse_config

@@ -2,9 +2,10 @@
 budget-balance audits.
 
 Incentive checks come in two flavors. The raw expected payoff is the
-mechanism as implemented, exact under both mechanisms: pps_expected_payoff
-in closed form, ppss_expected_payoff by quadrature. The "floor" objective is
-the guaranteed-payoff lower bound a * c~ - C(a), which is the object the
+mechanism as implemented, exact under both mechanisms, and payoff_curve is
+its one entry point: in closed form under pps (_pps_expected_reward), by
+quadrature under ppss (_PpssReward). The "floor" objective is the
+guaranteed-payoff lower bound a * c~ - C(a), which is the object the
 subsidy mechanism's capacity-commitment argument actually maximizes. PPSS
 incentive verdicts use the floor objective; the raw payoff curve stays
 available as a diagnostic (best_response with objective="payoff") because
@@ -64,7 +65,7 @@ class BestResponseResult:
     value: float
     grid_resolution: float
     # "closed_form": the floor objective, or the pps payoff;
-    # "quadrature": the ppss payoff (ppss_expected_payoff)
+    # "quadrature": the ppss payoff (_PpssReward)
     method: str
     # (a, objective) at each grid point, in grid order
     curve: tuple[tuple[float, float], ...]
@@ -107,7 +108,7 @@ def expected_payoff_mc(
     in [0, A_i].
     The CI is exact_mean_ci's normal one, which undercovers ppss payoffs
     whose subsidy pays up to numerator/eps_k on outputs rarer than
-    1/replicas (recorded example there); ppss_expected_payoff is exact.
+    1/replicas (recorded example there); payoff_curve is exact.
     """
     allocations = _checked_allocations(allocations, profiles)
     samples = payoff_samples(
@@ -127,8 +128,16 @@ def _expected_min_gamma(s, M):
 def _pps_expected_reward(
     allocations: np.ndarray, i: int, params: PlatformParams, demand: DemandModel,
 ) -> np.ndarray:
-    """Miner i's exact pps reward at each row of `allocations` (see
-    pps_expected_payoff); a row whose entry i is 0 reads 0."""
+    """Miner i's exact pps reward E[R_i] at each row of `allocations`; a row
+    whose entry i is 0 reads 0.
+
+    With s_i = k*a_i and s = k*sum(a), the share D_i/|D| ~ Beta(s_i, s - s_i)
+    is independent of |D| ~ Gamma(s) (Lukacs 1955), so
+    E[R_i] = b * (s_i/s) * E[min(|D|, M)], and for a fixed M
+    E[min(|D|, M)] = s * P(s+1, M) + M * Q(s, M), P and Q the regularized
+    incomplete gamma functions. A constant demand takes one evaluation; any
+    other demand is integrated over its quantile with a fixed 64-node
+    Gauss-Legendre rule."""
     a = allocations[:, i]
     total = allocations.sum(axis=1)
     s = params.k * total
@@ -142,29 +151,6 @@ def _pps_expected_reward(
     with np.errstate(invalid="ignore"):  # 0/0 on a row of zeros
         reward = params.b * (a / total) * expected_min
     return np.where(a == 0, 0.0, reward)
-
-
-def pps_expected_payoff(
-    i: int,
-    allocations,
-    params: PlatformParams,
-    profiles: list[MinerProfile],
-    demand: DemandModel,
-) -> float:
-    """Exact pps expected payoff E[R_i] - C(a_i) of miner i.
-
-    With s_i = k*a_i and s = k*sum(a), the share D_i/|D| ~ Beta(s_i, s - s_i)
-    is independent of |D| ~ Gamma(s) (Lukacs 1955), so
-    E[R_i] = b * (s_i/s) * E[min(|D|, M)], and for a fixed M
-    E[min(|D|, M)] = s * P(s+1, M) + M * Q(s, M), P and Q the regularized
-    incomplete gamma functions. A constant demand takes one evaluation; any
-    other demand is integrated over its quantile with a fixed 64-node
-    Gauss-Legendre rule. Every allocation must lie in [0, A_i]. The
-    one-allocation case of payoff_curve.
-    """
-    allocations = np.asarray(allocations, dtype=float)
-    own = allocations[i:i + 1]
-    return float(payoff_curve("pps", i, allocations, own, params, profiles, demand)[0])
 
 
 # Quadrature for the ppss payoff. Each rule is composite Gauss-Legendre,
@@ -207,6 +193,10 @@ _INNER_FIT = np.linalg.inv(np.vander(_INNER_REF, len(_INNER_REF), increasing=Tru
 # Outer nodes evaluated together: h builds a (nodes, 128) matrix, so a grid of
 # many allocations, or of allocations times demand nodes, goes in blocks.
 _BLOCK_NODES = 4096
+# From this output shape on, an outer node's log weight takes a series in
+# d = c - 1 (_PpssReward._means); below it, the closed form is good to about
+# 1e-13.
+_SHAPE_SERIES = 2.0**20
 
 
 def _gamma_score(shape, x: np.ndarray) -> np.ndarray:
@@ -265,19 +255,19 @@ def _log_gamma_norm(a: np.ndarray) -> np.ndarray:
     """(a - 1/2) ln a - a - ln Gamma(a), a >= 1. Written so, it loses about
     a ln a ulps to cancellation; it equals -ln(2 pi)/2 minus Stirling's
     remainder, whose series (Abramowitz & Stegun 6.1.41) is exact to an ulp
-    from a = 10 on. A pass whose every shape is at least 10 takes the series
-    alone, without the gammaln call whose values np.where would drop."""
+    from a = 10 on. Shapes below 10 take the direct form, and gammaln runs
+    on those alone."""
+    from scipy import special
+
     r = 1.0 / a
     r2 = r * r
     remainder = r * (1 / 12 + r2 * (-1 / 360 + r2 * (1 / 1260 + r2 * (
         -1 / 1680 + r2 * (1 / 1188 + r2 * (-691 / 360360))))))
-    stirling = -0.5 * math.log(2.0 * math.pi) - remainder
+    out = -0.5 * math.log(2.0 * math.pi) - remainder
     small = a < 10.0
-    if not small.any():
-        return stirling  # what np.where below would pick at every shape
-    from scipy import special
-
-    return np.where(small, (a - 0.5) * np.log(a) - a - special.gammaln(a), stirling)
+    a = a[small]
+    out[small] = (a - 0.5) * np.log(a) - a - special.gammaln(a)
+    return out
 
 
 class _OthersRule:
@@ -391,24 +381,40 @@ class _OthersRule:
 
 class _PpssReward:
     """Miner i's exact expected ppss reward E[R_i] as a function of its own
-    allocation, the other miners' held fixed (see ppss_expected_payoff). What
-    does not change along a best-response curve is built once: the others'
-    output rule, the two roots of K = eps_k, subsidy_terms and the demand
-    nodes. A call takes an array of allocations and integrates all of them,
-    at every demand node, in one pass. The outer rule, over miner i's output,
-    is placed in closed form on the output's Wilson-Hilferty score (no
-    inverse incomplete gamma); the inner rule (_OthersRule) keeps exact
-    gamma quantiles.
+    allocation, the other miners' held fixed.
+
+    Condition on miner i's output x ~ Gamma(s_i), s_i = k*a_i. With
+    (unit, numerator) = subsidy_terms(...), the others' output
+    Y ~ Gamma(k * sum_{j != i} a_j) and a warm window W ~ Gamma((N-1)*s_i)
+    (W, Y and x independent):
+
+        E[R_i] = integral of f_{s_i}(x) * phi(x) * x * h(x) dx,
+        phi(x) = b + P(W >= unit*N - x) * numerator / max(K(x), eps_k),
+        h(x) = E_{M,Y}[min(1, M/(x + Y))].
+
+    N = 1 turns P into the indicator x >= unit; a single miner has
+    h(x) = E_M[min(1, M/x)]. The integrals are composite Gauss-Legendre,
+    the outer one on x's Wilson-Hilferty score (closed-form nodes and
+    weights, no inverse incomplete gamma), the inner one (_OthersRule) on
+    Y's exact normal score; both are split where the integrand kinks or
+    jumps, and the outer one is graded toward its endpoint singularities.
+    At a constant demand the result agrees with nested adaptive quadrature
+    to about 1e-11 or better where that was measured, at outputs k*a_i from
+    0.06 to 100. Without a subsidy it agrees with the pps closed form to
+    about 5e-14 at outputs k*a from 1 to 1e300 with the demand above supply,
+    one miner or two. A random demand is integrated over its quantile with
+    the 64-node rule _pps_expected_reward uses.
+
+    What does not change along a best-response curve is built once: the
+    others' output rule, the two roots of K = eps_k, subsidy_terms and the
+    demand nodes. A call takes an array of allocations and integrates all of
+    them, at every demand node, in one pass.
 
     Screens and fast exits skip work whose result is already fixed, each
     chosen from the pass's own inputs, and leave every bit of the result:
     - _OthersRule skips the kink's score outside the others' range, and h
       returns 1.0 when every kink lies above it (see _OthersRule);
-    - _rate skips the warm window's probability where the rate rounds to b,
-      and when it skips none, calls gammaincc on the whole arrays: the
-      masked call computes the same elementwise values;
-    - _log_gamma_norm skips gammaln when every shape is at least 10, where
-      np.where takes the Stirling series at every shape;
+    - _rate skips the warm window's probability where the rate rounds to b;
     - _intervals leaves out a graded end whose power is _POWER_GRADED or
       more at every segment: its gaps are 0, so every break it adds is a
       copy of lo, which only makes empty intervals, and those are dropped;
@@ -504,7 +510,14 @@ class _PpssReward:
         f_a(x) * dx/du = f_a(x) * sqrt(a) * c**2. Its logarithm is taken as
         (3a - 1) ln c - a (c**3 - 1) + _log_gamma_norm(a), with d = c - 1
         formed from u directly, so that the terms of size a ln a in
-        ln f_a(x) = (a - 1) ln x - x - ln Gamma(a) cancel in closed form."""
+        ln f_a(x) = (a - 1) ln x - x - ln Gamma(a) cancel in closed form.
+        The first two terms are each about sqrt(a) |u| and differ by about
+        -u**2/2, so written so they lose about sqrt(a) |u| ulps. A segment of
+        shape _SHAPE_SERIES or more takes them as 3a (L - d - d**2 (1 + d/3))
+        - L, L = ln c, with the bracket from its Taylor series in d up to
+        d**9: |d| <= 3e-3 there, so that is exact to an ulp, and no term
+        cancels. The form follows the segment's own shape, so its values do
+        not depend on the rest of the pass."""
         n, shape = len(s), s + 1.0
         # c = 1 - 1/(9a) + u/(3 sqrt(a)): each segment's two coefficients
         root3 = 3.0 * np.sqrt(shape)
@@ -530,16 +543,23 @@ class _PpssReward:
             a = shape[node]
             d = np.maximum(u * slope[node] - ninth[node], _C_MIN - 1.0)
             x = a * (1.0 + d) ** 3
-            log_w = (3.0 * a - 1.0) * np.log1p(d) - a * (d * (3.0 + d * (3.0 + d)))
-            w *= np.exp(log_w + log_norm[node])
             bounds = (start[j:e + 1] - start[j]).tolist()
+            log_c = np.log1p(d)
+            log_w = (3.0 * a - 1.0) * log_c - a * (d * (3.0 + d * (3.0 + d)))
+            # a segment of shape _SHAPE_SERIES or more takes the series
+            # L - d - d**2 (1 + d/3) = -3/2 d**2 - d**4/4 + d**5/5 - ...
+            # (the d**3 terms cancel exactly)
+            for k in (shape[j:e] >= _SHAPE_SERIES).nonzero()[0].tolist():
+                lo, hi = bounds[k], bounds[k + 1]
+                dk = d[lo:hi]
+                log_w[lo:hi] = 3.0 * shape[j + k] * (dk * dk * (-1.5 + dk * dk * (-1 / 4 + dk * (
+                    1 / 5 + dk * (-1 / 6 + dk * (1 / 7 + dk * (-1 / 8 + dk / 9))))))) - log_c[lo:hi]
+            w *= np.exp(log_w + log_norm[node])
             if self.others is not None:
                 h = self.others.h(x, M[node], bounds)
             else:
                 h = np.minimum(1.0, M[node] / x)
             g = self._rate(x, s[node]) * h
-            if not np.ndim(g):  # the rate is b and h is 1 at every node
-                g = np.full_like(x, g)
             out[j:e] = [w[lo:hi] @ g[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
         return out
 
@@ -553,13 +573,11 @@ class _PpssReward:
         b * 2**-56, the subsidy term is under a quarter of b's half-ulp, and
         the rate rounds to exactly b whatever the probability: it is taken
         as 0 there, without the gammaincc call. The bound is compared in
-        logarithms, and the factor 4 of slack covers their rounding. Where
-        no output is screened so, gammaincc takes the whole arrays, as the
-        masked call would take them."""
+        logarithms, and the factor 4 of slack covers their rounding."""
         from scipy import special
 
         if self.numerator == 0:
-            return self.params.b
+            return np.full_like(x, self.params.b)
         if self.window_rounds > 0:
             alpha = self.window_rounds * s
             w = np.maximum(self.threshold - x, 0.0)
@@ -567,11 +585,8 @@ class _PpssReward:
             tail = (~need).nonzero()[0]
             d = w[tail] / alpha[tail] - 1.0  # r - 1 > 0
             need[tail] = alpha[tail] * (d - np.log1p(d)) <= self.log_cap
-            if need.all():
-                fires = special.gammaincc(alpha, w)
-            else:
-                fires = np.zeros_like(x)
-                fires[need] = special.gammaincc(alpha[need], w[need])
+            fires = np.zeros_like(x)
+            fires[need] = special.gammaincc(alpha[need], w[need])
         else:
             fires = x >= self.threshold
         return ppss_rate(fires, x, self.unit, self.numerator, self.params)
@@ -653,40 +668,6 @@ class _PpssReward:
         return edges[:, :-1][keep], lengths[keep], keep.nonzero()[0]
 
 
-def ppss_expected_payoff(
-    i: int,
-    allocations,
-    params: PlatformParams,
-    profiles: list[MinerProfile],
-    demand: DemandModel,
-) -> float:
-    """Exact ppss expected payoff E[R_i] - C(a_i) of miner i.
-
-    Condition on miner i's output x ~ Gamma(s_i), s_i = k*a_i. With
-    (unit, numerator) = subsidy_terms(...), the others' output
-    Y ~ Gamma(k * sum_{j != i} a_j) and a warm window W ~ Gamma((N-1)*s_i)
-    (W, Y and x independent):
-
-        E[R_i] = integral of f_{s_i}(x) * phi(x) * x * h(x) dx,
-        phi(x) = b + P(W >= unit*N - x) * numerator / max(K(x), eps_k),
-        h(x) = E_{M,Y}[min(1, M/(x + Y))].
-
-    N = 1 turns P into the indicator x >= unit; a single miner has
-    h(x) = E_M[min(1, M/x)]. The integrals are composite Gauss-Legendre,
-    the outer one on x's Wilson-Hilferty score (closed-form nodes and
-    weights), the inner one on Y's exact normal score; both are split where
-    the integrand kinks or jumps, and the outer one is graded toward its
-    endpoint singularities (see _PpssReward and _OthersRule). At a constant
-    demand the result agrees with nested adaptive quadrature to about 1e-11
-    or better. A random demand is integrated over its quantile with the
-    64-node rule pps_expected_payoff uses. Every allocation must lie in
-    [0, A_i]. The one-allocation case of payoff_curve.
-    """
-    allocations = np.asarray(allocations, dtype=float)
-    own = allocations[i:i + 1]
-    return float(payoff_curve("ppss", i, allocations, own, params, profiles, demand)[0])
-
-
 def _payoff_objective(
     mechanism: str,
     i: int,
@@ -732,9 +713,11 @@ def payoff_curve(
 ) -> np.ndarray:
     """Miner i's exact expected payoff E[R_i] - C(a) at every allocation a in
     `grid`, the other miners at `allocations` (entry i is ignored), in one
-    array pass: pps_expected_payoff's closed form or ppss_expected_payoff's
-    quadrature. Each value equals the one-allocation call. Every allocation
-    must lie in [0, A_i]."""
+    array pass: the pps closed form (_pps_expected_reward) or the ppss
+    quadrature (_PpssReward), where the formulas are stated. Each value is
+    the one a grid of that allocation alone gives. Every allocation must lie
+    in [0, A_i]; miner i's own payoff at `allocations` is
+    payoff_curve(mechanism, i, allocations, [allocations[i]], ...)[0]."""
     grid = np.asarray(grid, dtype=float).ravel()
     capacity = profiles[i].capacity_A
     if not ((grid >= 0) & (grid <= capacity)).all():
@@ -764,10 +747,10 @@ def best_response(
     """Maximize the chosen objective over a uniform grid on [0, A_i], then
     refine with golden-section search on the bracketing interval.
 
-    Both objectives are exact: the floor in closed form, the payoff by
-    pps_expected_payoff or ppss_expected_payoff. The whole grid is evaluated in one array pass
-    (payoff_curve); the refinement evaluates two golden-section steps a
-    pass: the pending probe and both places the next step can probe. An
+    Both objectives are exact: the floor in closed form, the payoff as
+    payoff_curve computes it. The whole grid is evaluated in one array
+    pass; the refinement evaluates two golden-section steps a pass: the
+    pending probe and both places the next step can probe. An
     interior bracket takes 5 refinement passes of 14 points in all, a
     bracket at a = 0 or a = A 4 passes of 11, and the result is bit-identical
     to evaluating one probe a pass. Fewer, wider passes pay where a pass

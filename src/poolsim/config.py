@@ -225,11 +225,14 @@ def parse_config(data: dict, warn_stream=None) -> ExperimentConfig:
         cap = _number(mnode, "capacity_A", fname)
         if not cap > 0:
             raise ConfigError(f"{fname}.capacity_A", "must be positive")
-        # a ppss window clears lambda * A * k per round counted, up to N of
-        # them; checked under pps too, since T5 and T6 run ppss on any config
-        if not math.isfinite(platform.lam * cap * platform.k * platform.window_N):
+        # the exact ppss payoff takes the window threshold lambda * A * k * N
+        # (lambda < 1), the warm window's shape (N - 1) * k * A and the
+        # output's 9 * (k * A + 1): 9 * N * k * A bounds all three. Checked
+        # under pps too, since T5 and T6 run ppss on any config (k * A first:
+        # every later factor is at least 1)
+        if not math.isfinite(cap * platform.k * platform.window_N * 9.0):
             raise ConfigError(
-                f"{fname}.capacity_A", "the ppss window threshold lambda * A * k * N overflows",
+                f"{fname}.capacity_A", "9 * N * k * A, a bound on the ppss payoff's shapes, overflows",
             )
         cost = _parse_variant(mnode.get("cost"), COST, f"{fname}.cost")
         pnode = mnode.get("policy")

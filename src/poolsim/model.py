@@ -246,9 +246,9 @@ class MinerPolicy:
     """Policy kinds: static(a), myopic_br(grid), delta_adaptive(step, floor).
 
     myopic_br maximises the raw expected payoff, exact under both mechanisms
-    (pps_expected_payoff, ppss_expected_payoff), not the floor objective that
-    ppss incentive verdicts use: the raw payoff is what a myopic miner
-    actually earns in the round it plays. Its grid has 2 to MAX_GRID points.
+    (analysis.payoff_curve), not the floor objective that ppss incentive
+    verdicts use: the raw payoff is what a myopic miner actually earns in
+    the round it plays. Its grid has 2 to MAX_GRID points.
     """
 
     kind: str

@@ -1,6 +1,7 @@
 """Payoff estimation, best responses, incentive checks, bounds, audits."""
 import math
 import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -21,8 +22,6 @@ from poolsim.analysis import (
     floor_payoff,
     ocdic_check,
     payoff_curve,
-    pps_expected_payoff,
-    ppss_expected_payoff,
     subsidy_prob_lower,
 )
 from poolsim.engine import run_simulation
@@ -52,13 +51,13 @@ def linear_miner(A=1.0, r=1.0):
 
 
 class TestClosedForm:
-    """Limits of the exact pps expected payoff pps_expected_payoff."""
+    """Limits of the exact pps expected payoff, payoff_curve's closed form."""
 
     PARAMS = PlatformParams(p=1.0, b=1.5, k=2.0)
     PROFS = [linear_miner(A=10.0, r=0.5), linear_miner(A=30.0, r=0.5)]
 
     def _reward(self, allocs, demand):
-        payoff = pps_expected_payoff(0, allocs, self.PARAMS, self.PROFS, demand)
+        payoff = payoff_curve("pps", 0, allocs, [allocs[0]], self.PARAMS, self.PROFS, demand)[0]
         return payoff + cost_eval(self.PROFS[0].cost, allocs[0])
 
     def test_demand_dominant_branch(self):
@@ -79,14 +78,15 @@ class TestClosedForm:
     def test_no_allocation(self):
         for demand in (DemandModel(family="constant", M=100.0),
                        DemandModel(family="lognormal", mu=4.0, sigma=1.0)):
-            assert pps_expected_payoff(0, [0.0, 30.0], self.PARAMS, self.PROFS, demand) == 0.0
-            assert pps_expected_payoff(0, [0.0, 0.0], self.PARAMS, self.PROFS, demand) == 0.0
+            for allocs in ([0.0, 30.0], [0.0, 0.0]):
+                curve = payoff_curve("pps", 0, allocs, [0.0], self.PARAMS, self.PROFS, demand)
+                assert curve[0] == 0.0
 
     def test_bad_arguments_rejected(self):
         demand = DemandModel(family="constant", M=100.0)
         for allocs in ([11.0, 30.0], [-1.0, 30.0], [10.0, 31.0], [10.0]):
             with pytest.raises(ValueError):
-                pps_expected_payoff(0, allocs, self.PARAMS, self.PROFS, demand)
+                payoff_curve("pps", 0, allocs, [allocs[0]], self.PARAMS, self.PROFS, demand)
 
 
 class TestExpectedPayoffMc:
@@ -152,9 +152,8 @@ class TestExpectedPayoffMc:
                 replicas=20_000, seed=100 + trial,
             )
             reward_mc = est.mean + cost_eval(profs[0].cost, float(allocs[0]))
-            reward_cf = pps_expected_payoff(0, allocs, params, profs, demand) + cost_eval(
-                profs[0].cost, float(allocs[0])
-            )
+            reward_cf = payoff_curve("pps", 0, allocs, [allocs[0]], params, profs, demand)[0]
+            reward_cf += cost_eval(profs[0].cost, float(allocs[0]))
             assert abs(reward_mc - reward_cf) <= max(3 * est.ci_half_width, 0.005 * reward_cf)
 
     @settings(max_examples=25, deadline=None)
@@ -165,7 +164,8 @@ class TestExpectedPayoffMc:
         cfg = quiet_parse(data)
         caps = np.array([p.capacity_A for p in cfg.profiles])
         allocs = caps * np.array(fractions[:len(caps)])
-        exact = pps_expected_payoff(0, allocs, cfg.platform, cfg.profiles, cfg.demand)
+        exact = payoff_curve(
+            "pps", 0, allocs, [allocs[0]], cfg.platform, cfg.profiles, cfg.demand)[0]
         est = expected_payoff_mc(
             "pps", 0, allocs, cfg.platform, cfg.profiles, cfg.demand,
             replicas=20_000, seed=cfg.seed,
@@ -254,12 +254,13 @@ AUDIT_DEMAND = DemandModel(family="constant", M=600.0)
 
 
 class TestPpssExpectedPayoff:
-    """ppss_expected_payoff against an adaptive-quad oracle and the MC."""
+    """payoff_curve's ppss quadrature against an adaptive-quad oracle, the
+    pps closed form and the MC."""
 
     SMALL_S = PlatformParams(p=1.0, b=1.0, k=2.0, lam=0.5, window_N=4)
 
     def _reward(self, i, allocs, params, profs, demand):
-        payoff = ppss_expected_payoff(i, allocs, params, profs, demand)
+        payoff = payoff_curve("ppss", i, allocs, [allocs[i]], params, profs, demand)[0]
         return payoff + cost_eval(profs[i].cost, float(allocs[i]))
 
     @pytest.mark.parametrize("allocs, params, profs, M", [
@@ -303,8 +304,27 @@ class TestPpssExpectedPayoff:
         profs = [linear_miner(A=s, r=0.5)]
         for M in (0.5 * (s + 1.0), 2.0 * (s + 1.0)):
             demand = DemandModel(family="constant", M=M)
-            pps = pps_expected_payoff(0, [s], params, profs, demand) + cost_eval(profs[0].cost, s)
+            pps = payoff_curve("pps", 0, [s], [s], params, profs, demand)[0]
+            pps += cost_eval(profs[0].cost, s)
             assert self._reward(0, [s], params, profs, demand) == pytest.approx(pps, rel=1e-13)
+
+    @pytest.mark.parametrize("e", [0, 4, 8, 12, 16, 24, 40, 100, 300])
+    @pytest.mark.parametrize("miners, M_per_A", [(1, 1.1), (2, 2.2), (2, 1.8)],
+                             ids=["lone", "two", "two-rationed"])
+    def test_unsubsidised_is_pps_at_large_shapes(self, e, miners, M_per_A):
+        # c~/k <= b clamps the numerator to 0, so ppss pays as pps, at
+        # outputs k*a = 10**e: there the log of an outer node's weight is
+        # the small difference of two terms of size sqrt(a) |u|, and written
+        # as that difference it was 5e-9 off at 1e16 and inf from about 1e40
+        A = 10.0**e
+        params = PlatformParams(p=1.0, b=1.0, k=1.0)
+        profs = [linear_miner(A=A, r=0.5)] * miners
+        demand = DemandModel(family="constant", M=M_per_A * A)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ppss, pps = (payoff_curve(mechanism, 0, [A] * miners, [A], params, profs, demand)[0]
+                         for mechanism in ("ppss", "pps"))
+        assert ppss == pytest.approx(pps, rel=1e-10)
 
     def test_demand_within_rounding_of_zero(self):
         # x = M = 1e-45 splits the outer rule within rounding of x = 0, where
@@ -333,23 +353,25 @@ class TestPpssExpectedPayoff:
 
     def test_zero_allocation_is_minus_cost(self):
         for demand in (AUDIT_DEMAND, DemandModel(family="uniform", lo=1.0, hi=9.0)):
-            assert ppss_expected_payoff(0, [0.0, 1.0], AUDIT_PARAMS, AUDIT_PROFS, demand) == 0.0
+            curve = payoff_curve("ppss", 0, [0.0, 1.0], [0.0], AUDIT_PARAMS, AUDIT_PROFS, demand)
+            assert curve[0] == 0.0
         power = [MinerProfile(capacity_A=1.0, cost=CostFunction(family="power", c=2.0, q=2.0))]
-        assert ppss_expected_payoff(0, [0.0], AUDIT_PARAMS, power, AUDIT_DEMAND) == 0.0
+        assert payoff_curve("ppss", 0, [0.0], [0.0], AUDIT_PARAMS, power, AUDIT_DEMAND)[0] == 0.0
 
     def test_bad_allocations_rejected(self):
         for allocs in ([1.5, 1.0], [-0.1, 1.0], [1.0, 2.0], [1.0]):
             with pytest.raises(ValueError):
-                ppss_expected_payoff(0, allocs, AUDIT_PARAMS, AUDIT_PROFS, AUDIT_DEMAND)
+                payoff_curve("ppss", 0, allocs, [allocs[0]], AUDIT_PARAMS, AUDIT_PROFS,
+                             AUDIT_DEMAND)
 
     @pytest.mark.parametrize("others", [5e-324, 1e-310])
     def test_subnormal_others_count_as_no_other_miner(self, others):
         # scipy's gamma quantiles are NaN at a subnormal shape
         params = PlatformParams(p=1.0, b=1.0, k=1.0, window_N=1)
         profs, demand = [linear_miner()] * 3, DemandModel(family="constant", M=1.0)
-        alone = ppss_expected_payoff(0, [1.0, 0.0, 0.0], params, profs, demand)
-        assert ppss_expected_payoff(0, [1.0, 0.0, others], params, profs, demand) == pytest.approx(
-            alone, rel=1e-12)
+        alone = payoff_curve("ppss", 0, [1.0, 0.0, 0.0], [1.0], params, profs, demand)[0]
+        assert payoff_curve("ppss", 0, [1.0, 0.0, others], [1.0], params, profs, demand)[0] == (
+            pytest.approx(alone, rel=1e-12))
         grid = [0.0, 0.5, 1.0]
         curve = payoff_curve("ppss", 0, [1.0, 0.0, others], grid, params, profs, demand)
         assert np.isfinite(curve).all()
@@ -378,7 +400,8 @@ class TestPpssExpectedPayoff:
         cfg = quiet_parse(data)
         caps = np.array([p.capacity_A for p in cfg.profiles])
         allocs = caps * np.array(fractions[:len(caps)])
-        exact = ppss_expected_payoff(0, allocs, cfg.platform, cfg.profiles, cfg.demand)
+        exact = payoff_curve(
+            "ppss", 0, allocs, [allocs[0]], cfg.platform, cfg.profiles, cfg.demand)[0]
         est = expected_payoff_mc(
             "ppss", 0, allocs, cfg.platform, cfg.profiles, cfg.demand,
             replicas=20_000, seed=cfg.seed,
@@ -604,7 +627,7 @@ class TestGoldenSection:
 
 def pps_scalar_reference(i, allocations, params, profiles, demand):
     """The pps payoff b*(a_i/sum a)*E[min(|D|, M)] - C(a_i) for one
-    allocation vector, in scalar arithmetic: the form pps_expected_payoff
+    allocation vector, in scalar arithmetic: the form the exact pps payoff
     had before the array path."""
     allocations = np.asarray(allocations, dtype=float)
     cost = cost_eval(profiles[i].cost, float(allocations[i]))
@@ -625,8 +648,9 @@ def pps_scalar_reference(i, allocations, params, profiles, demand):
 
 
 class TestPayoffCurve:
-    """payoff_curve, the one array pass behind best_response, equals the
-    one-allocation calls bit for bit."""
+    """payoff_curve, the one array pass behind best_response, gives each
+    allocation of a grid the value a grid of that allocation alone gives,
+    bit for bit."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -645,11 +669,9 @@ class TestPayoffCurve:
         for a, value in zip(grid, curve):
             point = allocs.copy()
             point[i] = a
+            same(value, payoff_curve(cfg.mechanism, i, point, [a], params, profiles, demand)[0])
             if cfg.mechanism == "pps":
-                same(value, pps_expected_payoff(i, point, params, profiles, demand))
                 same(value, pps_scalar_reference(i, point, params, profiles, demand))
-            else:
-                same(value, ppss_expected_payoff(i, point, params, profiles, demand))
         br = best_response(cfg.mechanism, i, allocs, params, profiles, demand,
                            grid_points=grid_points)
         same([v for _, v in br.curve], curve)
@@ -874,10 +896,6 @@ def _exit_off(mp, name):
         h = analysis._OthersRule.h
         mp.setattr(analysis._OthersRule, "h", lambda self, x, M, bounds: h(
             self, np.append(x, M[0]), np.append(M, M[0]), bounds)[:-1])
-    elif name == "Stirling alone":
-        # one more shape below 10 takes the gammaln branch
-        norm = analysis._log_gamma_norm
-        mp.setattr(analysis, "_log_gamma_norm", lambda a: norm(np.append(a, 1.0))[:-1])
     elif name == "one block":
         mp.setattr(analysis, "_BLOCK_NODES", 1)  # every segment a block of its own
     elif name == "one demand node":
@@ -886,7 +904,7 @@ def _exit_off(mp, name):
         raise ValueError(name)
 
 
-FAST_EXITS = ("h all above the range", "Stirling alone", "one block", "one demand node")
+FAST_EXITS = ("h all above the range", "one block", "one demand node")
 
 
 def _curve_hex(i, allocs, grid, params, profiles, demand):
@@ -910,11 +928,10 @@ def _exits_leave_every_bit(i, allocs, grid, params, profiles, demand):
 
 class TestPpssFastExits:
     """An exact ppss pass skips work whose result is fixed by its own
-    inputs: h's kink test when every kink lies above the others' range,
-    gammaln when every shape is at least 10, the block search when the pass
-    fits in one block, the demand-node tiling and fsum at a constant demand,
-    the graded ends whose power is high at every segment, and the window
-    probability's mask where no output is screened. None may change a bit."""
+    inputs: h's kink test when every kink lies above the others' range, the
+    block search when the pass fits in one block, the demand-node tiling and
+    fsum at a constant demand, and the graded ends whose power is high at
+    every segment. None may change a bit."""
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
@@ -965,18 +982,18 @@ class TestPpssFastExits:
         assert [v.hex() for v in out] == [v.hex() for v in _general_call(reward, a).tolist()]
         assert math.copysign(1.0, out[0]) == 1.0
 
-    def test_window_mask_skipped_only_when_nothing_is_screened(self):
+    def test_window_rates_do_not_depend_on_screened_outputs(self):
         # verify-audit's economics: near the mean at s = 85 every window
         # probability is needed; at s = 30 and x <= 100 it is screened
-        # (test_window_tail_screen_is_exact). The masked pass must give the
-        # unmasked one's rates.
+        # (test_window_tail_screen_is_exact). Adding a screened output to the
+        # pass must leave every other rate as it was.
         reward = analysis._PpssReward(0, 1.0, AUDIT_PARAMS, AUDIT_PROFS, AUDIT_DEMAND)
         x = np.linspace(60.0, 110.0, 200)
         s = np.full_like(x, 85.0)
-        whole = reward._rate(x, s)
-        masked = reward._rate(np.append(x, 50.0), np.append(s, 30.0))
-        assert masked[-1] == AUDIT_PARAMS.b
-        assert [v.hex() for v in masked[:-1].tolist()] == [v.hex() for v in whole.tolist()]
+        needed = reward._rate(x, s)
+        wider = reward._rate(np.append(x, 50.0), np.append(s, 30.0))
+        assert wider[-1] == AUDIT_PARAMS.b
+        assert [v.hex() for v in wider[:-1].tolist()] == [v.hex() for v in needed.tolist()]
 
     @pytest.mark.parametrize("M, every", [(600.0, True), (150.0, False)])
     def test_myopic_game_passes_take_the_h_exit(self, M, every):
@@ -1047,7 +1064,7 @@ class TestDocdicCheck:
         verdicts = docdic_check("pps", params, profs, realized_M=50.0)
         assert all(v["passed"] for v in verdicts)
 
-    def test_ppss_warm_windows_pass_with_diagnostic(self):
+    def test_ppss_verdict_takes_the_floor_and_passes(self):
         params = PlatformParams(p=1.0, b=1.0, k=100.0, lam=0.8, window_N=5)
         profs = [linear_miner(A=1.0, r=150.0)]
         verdicts = docdic_check("ppss", params, profs, realized_M=300.0)

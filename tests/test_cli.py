@@ -1,5 +1,6 @@
 """Command line surface: subcommands, schemas, exit codes, determinism."""
 import csv
+import math
 import os
 import subprocess
 import sys
@@ -393,37 +394,73 @@ class TestTinyPrice:
 
 class TestHugeSupply:
     """Capacities near the float range exit 2, warning-free, naming the
-    capacity where the ppss window threshold lambda * A * k * N overflows
-    and k where an audit's scenario demand does."""
+    capacity where 9 * N * k * A, which bounds the exact ppss payoff's
+    shapes, overflows and k where an audit's scenario demand does; below
+    that bound, the exact payoff stays finite."""
 
     @staticmethod
-    def _run(command, tmp_path, capacity, **platform):
-        with open(VERIFY_AUDIT) as fh:
-            data = yaml.safe_load(fh)
-        data["platform"].update(platform)
-        for miner in data["miners"]:
-            miner["capacity_A"] = capacity
+    def _run(tmp_path, data, command, *extra):
         path = tmp_path / "huge.yaml"
         path.write_text(yaml.safe_dump(data))
         out = tmp_path / "out"
         out.mkdir()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = main([command, "--config", str(path), "--out", str(out)])
-        return code, os.listdir(out)
+            code = main([command, "--config", str(path), "--out", str(out), *extra])
+        return code, sorted(os.listdir(out))
+
+    @staticmethod
+    def _audit(capacity, miners=2, **platform):
+        """verify-audit.yaml with `miners` copies of its first miner at
+        `capacity`."""
+        with open(VERIFY_AUDIT) as fh:
+            data = yaml.safe_load(fh)
+        data["platform"].update(platform)
+        data["miners"] = [{**data["miners"][0], "capacity_A": capacity} for _ in range(miners)]
+        return data
 
     @pytest.mark.parametrize("command", ["simulate", "verify"])
     @pytest.mark.parametrize("capacity", [5.0e305, 1.0e308])
     def test_overflowing_window_threshold_exits_2(self, command, capacity, tmp_path, capsys):
-        # 0.8 * 5e305 * 100 * 10 = 4e308; at 1e308, lambda * A * k alone overflows
-        assert self._run(command, tmp_path, capacity) == (2, [])
+        # 9 * N * k * A = 9 * 10 * 100 * 5e305 = 4.5e309; at 1e308, k * A
+        # alone overflows
+        assert self._run(tmp_path, self._audit(capacity), command) == (2, [])
         assert "'miners[0].capacity_A'" in capsys.readouterr().err
 
     def test_overflowing_scenario_demand_exits_2(self, tmp_path, capsys):
-        # at N = 1 the threshold, 4e307, and the supply, 1e308, are finite,
-        # but T2's constant demand 3 * k * sum(A) is not
-        assert self._run("verify", tmp_path, 5.0e305, N=1) == (2, [])
+        # at N = 1 each bound 9 * N * k * A, 9e307, and the supply, 8e307,
+        # are finite, but T2's constant demand 3 * k * sum(A) is not
+        data = self._audit(1.0e305, miners=8, N=1)
+        assert self._run(tmp_path, data, "verify") == (2, [])
         assert "'platform.k': T2's scenario demand" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, extra", [
+        ("best-response", ("--miner", "0", "--grid", "16", "--objective", "payoff")),
+        ("verify", ("--theorems", "T5")),
+    ], ids=["best-response", "verify-T5"])
+    def test_overflowing_warm_window_shape_exits_2(self, command, extra, tmp_path, capsys):
+        # at lambda = 0.001 the window threshold lambda * A * k * N = 1e306
+        # is finite, but the warm window's shape (N - 1) * k * A is not
+        data = {
+            "mechanism": "ppss",
+            "platform": {"p": 1.0, "b": 1.0, "k": 1.0, "lambda": 0.001, "N": 1000},
+            "miners": [{"capacity_A": 1.0e306, "cost": {"family": "linear", "r": 1.5}}],
+            "demand": {"family": "constant", "M": 6.0e306},
+            "rounds": 10,
+        }
+        assert self._run(tmp_path, data, command, *extra) == (2, [])
+        assert "'miners[0].capacity_A'" in capsys.readouterr().err
+
+    def test_exact_payoff_is_finite_at_huge_shapes(self, tmp_path, capsys):
+        # output shapes k * a + 1 up to 1e302: the quadrature weight keeps
+        # its accuracy (it overflowed to inf from about 1e40)
+        data = self._audit(1.0e300)
+        extra = ("--miner", "0", "--grid", "16", "--objective", "payoff")
+        assert self._run(tmp_path, data, "best-response", *extra) == (0, ["br_curve.csv"])
+        header, rows = read_csv(str(tmp_path / "out" / "br_curve.csv"))
+        assert len(rows) == 16
+        assert all(math.isfinite(float(v)) for row in rows for v in row)
+        assert "value=inf" not in capsys.readouterr().out
 
 
 class TestBestResponse:

@@ -263,22 +263,44 @@ class TestValidation:
 
     @pytest.mark.parametrize("mechanism", ["pps", "ppss"])
     def test_overflowing_window_threshold_rejected(self, mechanism):
-        # lambda * A * k * N = 0.8 * 5e305 * 100 * 10 exceeds every float;
-        # checked under pps too, since T5 and T6 run ppss on any config
+        # lambda * A * k * N = 0.8 * 5e305 * 100 * 10 exceeds every float, and
+        # so does 9 * N * k * A, the bound checked; checked under pps too,
+        # since T5 and T6 run ppss on any config
         platform = {"p": 1.0, "k": 100.0, "lambda": 0.8, "N": 10}
         miners = [{"capacity_A": 5.0e305, "cost": {"family": "linear", "r": 150.0}}]
         with pytest.raises(ConfigError) as e:
             quiet_parse(minimal(mechanism=mechanism, platform=platform, miners=miners))
         assert e.value.field == "miners[0].capacity_A"
+        # at N = 1 and A = 1e305 the bound is 9e307
+        miners = [{**miners[0], "capacity_A": 1.0e305}]
         quiet_parse(minimal(mechanism=mechanism, platform={**platform, "N": 1}, miners=miners))
 
-    def test_overflowing_supply_rejected(self):
-        # each window threshold, 1.6e308, is finite; k * sum(A) = 2.4e308 is not
-        miners = [{"capacity_A": 2.0e305, "cost": {"family": "linear", "r": 150.0}}] * 12
+    @pytest.mark.parametrize("mechanism", ["pps", "ppss"])
+    @pytest.mark.parametrize("platform, capacity", [
+        # the window threshold, 1e306, is finite; the warm window's shape
+        # (N - 1) * k * A, 1e309, is not
+        ({"p": 1.0, "k": 1.0, "lambda": 0.001, "N": 1000}, 1.0e306),
+        # at N = 1 the threshold, 4e307, is finite; the exact payoff's
+        # 9 * (k * A + 1), 4.5e308, is not
+        ({"p": 1.0, "k": 100.0, "lambda": 0.8, "N": 1}, 5.0e305),
+    ], ids=["warm-window", "output"])
+    def test_overflowing_payoff_shape_rejected(self, mechanism, platform, capacity):
+        miners = [{"capacity_A": capacity, "cost": {"family": "linear", "r": 1.5}}]
+        demand = {"family": "constant", "M": 6.0e306}
         with pytest.raises(ConfigError) as e:
-            quiet_parse(minimal(platform={"p": 1.0, "k": 100.0}, miners=miners))
+            quiet_parse(minimal(mechanism=mechanism, platform=platform, miners=miners,
+                                demand=demand))
+        assert e.value.field == "miners[0].capacity_A"
+
+    def test_overflowing_supply_rejected(self):
+        # at N = 1 each bound 9 * N * k * A, 1.71e308, is finite;
+        # k * sum(A) = 2.28e308 is not
+        platform = {"p": 1.0, "k": 100.0, "N": 1}
+        miners = [{"capacity_A": 1.9e305, "cost": {"family": "linear", "r": 150.0}}] * 12
+        with pytest.raises(ConfigError) as e:
+            quiet_parse(minimal(platform=platform, miners=miners))
         assert e.value.field == "platform.k"
-        quiet_parse(minimal(platform={"p": 1.0, "k": 100.0}, miners=miners[:8]))
+        quiet_parse(minimal(platform=platform, miners=miners[:8]))
 
     def test_non_mapping_rejected(self):
         with pytest.raises(ConfigError):

@@ -221,7 +221,7 @@ class TestExactMeanCi:
 
 
 class TestUniformLayout:
-    def test_pps_and_fixed_window_samples_are_pinned(self):
+    def test_pps_samples_are_pinned(self):
         # the pps samples' digest from before the warm window became one
         # column, which only ppss draws
         x = payoff_samples(

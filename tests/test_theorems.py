@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from poolsim import engine
 from poolsim.config import ConfigError
-from poolsim.analysis import ppss_expected_payoff
+from poolsim.analysis import payoff_curve
 from poolsim.model import cost_eval
 from poolsim.theorems import ALL_THEOREMS, audit_t1, audit_t6, run_audits
 
@@ -117,11 +117,11 @@ class TestVerdicts:
 
     @pytest.mark.parametrize("theorem", ["T2", "T3"])
     def test_overflowing_scenario_demand_rejected(self, theorem):
-        # the supply k * sum(A) = 1e308 is finite, the scenario's 3 * k * sum(A) is not
+        # each bound 9 * N * k * A = 9e307 and the supply k * sum(A) = 8e307
+        # are finite, the scenario's 3 * k * sum(A) is not
         data = yaml.safe_load(VERIFY_AUDIT_YAML.read_text())
         data["platform"]["N"] = 1
-        for miner in data["miners"]:
-            miner["capacity_A"] = 5.0e305
+        data["miners"] = [{**data["miners"][0], "capacity_A": 1.0e305} for _ in range(8)]
         with pytest.raises(ConfigError) as e:
             run_audits(quiet_parse(data), [theorem])
         assert e.value.field == "platform.k"
@@ -177,7 +177,7 @@ class TestVerdicts:
         cfg = quiet_parse(yaml.safe_load(VERIFY_AUDIT_YAML.read_text()))
         caps = np.array([p.capacity_A for p in cfg.profiles])
         rewards = [
-            ppss_expected_payoff(i, caps, cfg.platform, cfg.profiles, cfg.demand)
+            payoff_curve("ppss", i, caps, [caps[i]], cfg.platform, cfg.profiles, cfg.demand)[0]
             + cost_eval(prof.cost, prof.capacity_A)
             for i, prof in enumerate(cfg.profiles)
         ]
