@@ -119,10 +119,16 @@ def expected_payoff_mc(
 
 
 def _expected_min_gamma(s, M):
-    """E[min(G, M)] for G ~ Gamma(s, 1): s * P(s+1, M) + M * Q(s, M)."""
+    """E[min(G, M)] for G ~ Gamma(s, 1): s * P(s+1, M) + M * Q(s, M).
+
+    scipy's P and Q are NaN from a shape of about 3e305 (scipy 1.17). There
+    G's relative spread s**-0.5 is below 2e-152, so the value is min(s, M)
+    to rounding; where P and Q are finite, from s = 2**500 on, the formula
+    already gives min(s, M) bit for bit."""
     from scipy import special
 
-    return s * special.gammainc(s + 1.0, M) + M * special.gammaincc(s, M)
+    value = s * special.gammainc(s + 1.0, M) + M * special.gammaincc(s, M)
+    return np.where(np.isfinite(value), value, np.minimum(s, M))
 
 
 def _pps_expected_reward(

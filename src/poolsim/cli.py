@@ -25,12 +25,21 @@ EXIT_CONFIG = 2
 EXIT_AUDIT_FAIL = 3
 
 
-def _parse(data, args):
+def _parse(data, args, warned=None):
     """parse_config on `data` with the --seed override applied first, so
-    that it passes the same validation as the file's value."""
+    that it passes the same validation as the file's value. Warns on stderr
+    where mean demand falls below the full supply, unless the set `warned`
+    (a caller's, across configs) holds the warning."""
     if isinstance(data, dict) and args.seed is not None:
         data = {**data, "seed": args.seed}
-    return parse_config(data)
+    cfg = parse_config(data)
+    warning = (f"warning: mean demand mu_F={cfg.demand.mu_F:g} is below full supply k*sum(A)="
+               f"{cfg.supply:g}; the demand-dominant assumption of the incentive results does not hold")
+    warned = set() if warned is None else warned
+    if cfg.demand.mu_F < cfg.supply and warning not in warned:
+        warned.add(warning)
+        print(warning, file=sys.stderr)
+    return cfg
 
 
 def cmd_simulate(args) -> int:
@@ -168,11 +177,12 @@ def cmd_sweep(args) -> int:
 
     rows = []
     n_miners = None
+    warned = set()
     for cell in itertools.product(*(grid for _, grid in axes)):
         data = copy.deepcopy(base)
         for keys, v in zip(fields, cell):
             _set_keys(data, keys, float(v))
-        cfg = _parse(data, args)
+        cfg = _parse(data, args, warned)
         n_miners = len(cfg.profiles)
         verdicts = ocdic_check(cfg.mechanism, cfg.platform, cfg.profiles, cfg.demand)
         mean_ratio = exact_mean(run_simulation(cfg).budget_ratio)

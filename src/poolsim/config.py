@@ -11,7 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from .model import U_MIN, CostFunction, DemandModel, MinerPolicy, MinerProfile, PlatformParams, c_tilde
+from .model import (
+    U_MIN, CostFunction, DemandModel, MinerPolicy, MinerProfile, PlatformParams, c_tilde, cost_eval,
+)
 
 _INT64 = 2**63
 # Largest simulation ledger a config may ask for: rounds * (3 + 4n) float64s
@@ -174,8 +176,51 @@ class ExperimentConfig:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
 
+    @property
+    def supply(self) -> float:
+        """k * sum(A), the full supply: about a round's total output |D|."""
+        return self.platform.k * sum(prof.capacity_A for prof in self.profiles)
 
-def parse_config(data: dict, warn_stream=None) -> ExperimentConfig:
+
+def _check_bounds(cfg: ExperimentConfig) -> None:
+    """A ConfigError naming the field where a value commands compute from
+    `cfg` overflows, or p * M underflows. verify runs the pps audits and
+    the ppss ones on any config, so no bound depends on the mechanism. The
+    ppss payout ratio depends on the outputs, so engine.settle bounds it: a
+    config at p = 1e-306 whose played ratios are finite runs."""
+    plat = cfg.platform
+    with np.errstate(over="ignore"):
+        # b / p bounds every pps payout ratio and is the one T1 checks against
+        bounds = [("platform.b", plat.b / plat.p, f"b / p = {plat.b} / {plat.p}")]
+        for i, prof in enumerate(cfg.profiles):
+            bounds += [
+                # bounds the exact ppss payoff's window threshold
+                # lambda * A * k * N, warm window shape (N - 1) * k * A and
+                # output 9 * (k * A + 1); every factor after k * A is >= 1
+                (f"miners[{i}].capacity_A", prof.capacity_A * plat.k * plat.window_N * 9.0,
+                 "9 * N * k * A, a bound on the ppss payoff's shapes,"),
+                # ppss pays c~/k - b times its indicator, and 0 * inf is NaN
+                (f"miners[{i}].cost", c_tilde(prof) / plat.k,
+                 "c~/k, the marginal cost at capacity over k,"),
+                # C is increasing: C(A) bounds the cost of every allocation
+                (f"miners[{i}].cost", cost_eval(prof.cost, prof.capacity_A),
+                 "C(A), the cost at capacity,"),
+            ]
+    # T2's and T3's constant demand; it bounds the full supply and T4's
+    # demand 0.2 * k * sum(A)
+    bounds.append(("platform.k", 3.0 * cfg.supply,
+                   "3 * k * sum(capacity_A), the demand of T2's and T3's scenarios,"))
+    for field_name, value, what in bounds:
+        if not math.isfinite(value):
+            raise ConfigError(field_name, f"{what} overflows")
+    # every payout ratio divides by M * p, and T6's bound by mu_F * p; ppf is
+    # monotone, so ppf(U_MIN) is the smallest draw, and mu_F is no smaller
+    if not plat.p * cfg.demand.ppf(U_MIN) > 0:
+        raise ConfigError("platform.p", "p * M underflows to 0 at the smallest demand draw")
+
+
+def parse_config(data: dict) -> ExperimentConfig:
+    """The config `data` describes, validated (_check_bounds); prints nothing."""
     data = _without_retired(_require_mapping(data, "<root>"))
     if "audit" in data:
         raise ConfigError("audit", "the audit block was removed; T6 sets its own bounds")
@@ -210,10 +255,6 @@ def parse_config(data: dict, warn_stream=None) -> ExperimentConfig:
             raise
         raise ConfigError("platform", str(e)) from e
 
-    # b / p bounds every pps payout ratio and is the one T1 checks against
-    if not math.isfinite(platform.b / platform.p):
-        raise ConfigError("platform.b", f"b / p = {platform.b} / {platform.p} overflows")
-
     miners_node = data.get("miners")
     if not isinstance(miners_node, list) or not miners_node:
         raise ConfigError("miners", "expected a non-empty list")
@@ -225,15 +266,6 @@ def parse_config(data: dict, warn_stream=None) -> ExperimentConfig:
         cap = _number(mnode, "capacity_A", fname)
         if not cap > 0:
             raise ConfigError(f"{fname}.capacity_A", "must be positive")
-        # the exact ppss payoff takes the window threshold lambda * A * k * N
-        # (lambda < 1), the warm window's shape (N - 1) * k * A and the
-        # output's 9 * (k * A + 1): 9 * N * k * A bounds all three. Checked
-        # under pps too, since T5 and T6 run ppss on any config (k * A first:
-        # every later factor is at least 1)
-        if not math.isfinite(cap * platform.k * platform.window_N * 9.0):
-            raise ConfigError(
-                f"{fname}.capacity_A", "9 * N * k * A, a bound on the ppss payoff's shapes, overflows",
-            )
         cost = _parse_variant(mnode.get("cost"), COST, f"{fname}.cost")
         pnode = mnode.get("policy")
         if isinstance(pnode, dict) and pnode.get("kind") == "myopic_br":
@@ -245,23 +277,9 @@ def parse_config(data: dict, warn_stream=None) -> ExperimentConfig:
         if policy.kind == "delta_adaptive" and policy.floor > cap:
             raise ConfigError(f"{fname}.policy.floor", "must not exceed capacity_A")
         profiles.append(MinerProfile(capacity_A=cap, cost=cost))
-        # ppss pays c~/k - b times its indicator, and 0 * inf is NaN
-        with np.errstate(over="ignore"):
-            if mechanism == "ppss" and not math.isfinite(c_tilde(profiles[-1]) / platform.k):
-                raise ConfigError(f"{fname}.cost", "c~/k, the marginal cost at capacity over k, overflows")
         policies.append(policy)
 
-    # a round's total output |D| is about the full supply k * sum(A)
-    supply = platform.k * sum(prof.capacity_A for prof in profiles)
-    if not math.isfinite(supply):
-        raise ConfigError("platform.k", "the full supply k * sum(capacity_A) overflows")
-
     demand = _parse_variant(data.get("demand"), DEMAND, "demand")
-    # every payout ratio divides by M * p, and T6's bound by mu_F * p; ppf is
-    # monotone, so ppf(U_MIN) is the smallest draw, and mu_F is no smaller
-    if not platform.p * demand.ppf(U_MIN) > 0:
-        raise ConfigError("platform.p", "p * M underflows to 0 at the smallest demand draw")
-
     rounds = _integer(data, "rounds", "<root>", default=10_000)
     if rounds < 1:
         raise ConfigError("rounds", "must be at least 1")
@@ -284,15 +302,7 @@ def parse_config(data: dict, warn_stream=None) -> ExperimentConfig:
         rounds=rounds,
         seed=seed,
     )
-
-    if demand.mu_F < supply:
-        stream = warn_stream if warn_stream is not None else sys.stderr
-        print(
-            f"warning: mean demand mu_F={demand.mu_F:g} is below full supply "
-            f"k*sum(A)={supply:g}; the demand-dominant assumption of the "
-            "incentive results does not hold",
-            file=stream,
-        )
+    _check_bounds(cfg)
     return cfg
 
 
@@ -311,8 +321,8 @@ def read_yaml(path: str):
             raise ConfigError(path, f"malformed YAML: {e}") from e
 
 
-def load_config(path: str, warn_stream=None) -> ExperimentConfig:
-    return parse_config(read_yaml(path), warn_stream=warn_stream)
+def load_config(path: str) -> ExperimentConfig:
+    return parse_config(read_yaml(path))
 
 
 def dump_config(cfg: ExperimentConfig) -> str:

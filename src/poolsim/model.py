@@ -207,7 +207,13 @@ def cost_eval(cost: CostFunction, a) -> float:
     if cost.family == "linear":
         out = cost.r * a
     else:
-        out = cost.c * a ** cost.q
+        with np.errstate(over="ignore"):
+            out = cost.c * a ** cost.q
+            # a ** q overflows before c * a ** q does where c < 1; there,
+            # and only there, c is folded in first (np.power, as a ** q, so
+            # that a scalar a gets the bits of an array's element)
+            if np.isinf(out).any():
+                out = np.where(np.isinf(out), np.power(cost.c ** (1.0 / cost.q) * a, cost.q), out)
     return out if out.ndim else float(out)
 
 

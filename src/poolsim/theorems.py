@@ -31,7 +31,6 @@ from .analysis import (
     payoff_curve,
     subsidy_prob_lower,
 )
-from .config import ConfigError
 from .engine import play, reads_mechanism, settle
 from .mechanisms import subsidy_shape
 from .model import CostFunction, DemandModel, c_tilde
@@ -58,17 +57,6 @@ def _settled(cfg, mechanism, game):
     `mechanism`."""
     sim_cfg = replace(cfg, mechanism=mechanism)
     return settle(play(sim_cfg) if game is None else game, sim_cfg)
-
-
-def _scenario_demand(theorem, cfg, scale) -> float:
-    """scale * k * sum(A), the constant demand `theorem`'s scenario sets;
-    a ConfigError where it overflows."""
-    M = scale * cfg.platform.k * sum(p.capacity_A for p in cfg.profiles)
-    if not math.isfinite(M):
-        raise ConfigError(
-            "platform.k", f"{theorem}'s scenario demand {scale:g} * k * sum(capacity_A) overflows",
-        )
-    return M
 
 
 def audit_t1(cfg, game=None) -> dict:
@@ -104,7 +92,7 @@ def audit_t2(cfg) -> dict:
     """PPS best response is capacity when r < b*k and zero when r > b*k."""
     plat = cfg.platform
     profiles = cfg.profiles
-    demand = DemandModel(family="constant", M=_scenario_demand("T2", cfg, 3.0))
+    demand = DemandModel(family="constant", M=3.0 * cfg.supply)
     low, high = (
         incentive_verdict(
             "pps", 0, plat,
@@ -127,7 +115,7 @@ def audit_t3(cfg) -> dict:
     plat = cfg.platform
     base = cfg.profiles
     A = base[0].capacity_A
-    demand = DemandModel(family="constant", M=_scenario_demand("T3", cfg, 3.0))
+    demand = DemandModel(family="constant", M=3.0 * cfg.supply)
     cells = 11
     scales = np.linspace(0.8, 1.2, cells)
     passes = []
@@ -155,7 +143,7 @@ def audit_t4(cfg) -> dict:
     demand falls short of supply (not round-by-round incentive compatible)."""
     plat = cfg.platform
     profiles = cfg.profiles
-    verdicts = docdic_check("pps", plat, profiles, realized_M=_scenario_demand("T4", cfg, 0.2))
+    verdicts = docdic_check("pps", plat, profiles, realized_M=0.2 * cfg.supply)
     interior = [v for v in verdicts if not v["passed"]]
     ok = bool(interior)
     metric = min(v["argmax"] / v["capacity"] for v in verdicts)

@@ -1,15 +1,6 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import strategies as st
-
-from poolsim.config import parse_config
-
-
-def quiet_parse(data):
-    """parse_config with the supply-shortfall warning swallowed."""
-    return parse_config(data, warn_stream=io.StringIO())
 
 
 def _num(lo, hi):

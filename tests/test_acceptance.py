@@ -21,6 +21,7 @@ from poolsim.analysis import (
     ocdic_check,
 )
 from poolsim.cli import main
+from poolsim.config import parse_config
 from poolsim.engine import run_simulation
 from poolsim.model import (
     CostFunction,
@@ -31,7 +32,6 @@ from poolsim.model import (
 from poolsim.theorems import run_audits
 from scipy import special
 
-from conftest import quiet_parse
 from oracle import g_function
 
 
@@ -52,7 +52,7 @@ def subsidized_config(**overrides):
         "seed": 0,
     }
     data.update(overrides)
-    return quiet_parse(data)
+    return parse_config(data)
 
 
 def test_criterion_1_per_round_budget_balance():
@@ -80,7 +80,7 @@ def test_criterion_1_per_round_budget_balance():
             if i % 2 == 1:
                 miner["policy"] = {"kind": "delta_adaptive", "step": 0.5, "floor": 0.0}
             miners.append(miner)
-        cfg = quiet_parse({
+        cfg = parse_config({
             "mechanism": "pps",
             "platform": {"p": p, "b": b, "k": k},
             "miners": miners,
@@ -152,7 +152,7 @@ def test_criterion_4_shortfall_counterexample_and_exploitation():
     interior_ok = all(0.35 <= a <= 0.50 for a in argmaxes)
 
     def mean_payoff(policy0, seed):
-        cfg = quiet_parse({
+        cfg = parse_config({
             "mechanism": "pps",
             "platform": {"p": 1.0, "k": 10.0},
             "miners": [
@@ -290,7 +290,7 @@ def test_criterion_9_deterministic_infrastructure(tmp_path):
     byte_identical = ledgers[0] == ledgers[1] == ledgers[2]
 
     # ledger CSV round-trips to the exact in-memory floats
-    cfg = quiet_parse(config)
+    cfg = parse_config(config)
     ledger = run_simulation(cfg)
     rows = list(csv.reader(ledgers[0].decode().splitlines()))[1:]
     roundtrip = True
@@ -307,7 +307,7 @@ def test_criterion_9_deterministic_infrastructure(tmp_path):
     # config round-trips through its serialized form
     from poolsim.config import dump_config
 
-    cfg_again = quiet_parse(yaml.safe_load(dump_config(cfg)))
+    cfg_again = parse_config(yaml.safe_load(dump_config(cfg)))
     config_roundtrip = cfg_again == cfg
 
     ok = byte_identical and roundtrip and config_roundtrip

@@ -24,6 +24,7 @@ from poolsim.analysis import (
     payoff_curve,
     subsidy_prob_lower,
 )
+from poolsim.config import parse_config
 from poolsim.engine import run_simulation
 from poolsim.mechanisms import subsidy_shape
 from poolsim.montecarlo import payoff_samples
@@ -37,7 +38,7 @@ from poolsim.model import (
     cost_eval,
 )
 
-from conftest import money_scaled, quiet_parse, small_configs
+from conftest import money_scaled, small_configs
 from oracle import br_dynamics, g_function
 
 CHERNOFF_STD_100_80 = 0.09882989575150939  # exp(100*ln(0.8) + 20)
@@ -74,6 +75,16 @@ class TestClosedForm:
         for M in (1e-3, 1e-6, 1e-9):
             demand = DemandModel(family="constant", M=M)
             assert self._reward([10.0, 30.0], demand) == pytest.approx(1.5 * 0.25 * M, rel=1e-9)
+
+    @given(st.floats(500.0, 1023.99), st.floats(-10.0, 10.0))
+    @settings(max_examples=200, deadline=None)
+    def test_expected_min_is_min_at_huge_shapes(self, log2_s, log2_ratio):
+        # |D| ~ Gamma(s) has relative spread s**-0.5 <= 2**-250, so
+        # E[min(|D|, M)] rounds to min(s, M), also where scipy's incomplete
+        # gamma functions are NaN (from s of about 3e305)
+        s = 2.0**log2_s
+        M = s * 2.0**log2_ratio if log2_s + log2_ratio < 1024.0 else 1.0e308
+        assert analysis._expected_min_gamma(np.array([s]), M)[0] == min(s, M)
 
     def test_no_allocation(self):
         for demand in (DemandModel(family="constant", M=100.0),
@@ -161,7 +172,7 @@ class TestExpectedPayoffMc:
         st.one_of(st.just(0.0), st.floats(0.05, 1.0)), min_size=3, max_size=3,
     ))
     def test_mc_agrees_with_exact_pps_payoff(self, data, fractions):
-        cfg = quiet_parse(data)
+        cfg = parse_config(data)
         caps = np.array([p.capacity_A for p in cfg.profiles])
         allocs = caps * np.array(fractions[:len(caps)])
         exact = payoff_curve(
@@ -397,7 +408,7 @@ class TestPpssExpectedPayoff:
         st.one_of(st.just(0.0), st.floats(0.05, 1.0)), min_size=3, max_size=3,
     ))
     def test_mc_agrees_with_exact_ppss_payoff(self, data, fractions):
-        cfg = quiet_parse(data)
+        cfg = parse_config(data)
         caps = np.array([p.capacity_A for p in cfg.profiles])
         allocs = caps * np.array(fractions[:len(caps)])
         exact = payoff_curve(
@@ -576,7 +587,7 @@ class TestGoldenSection:
     )
     def test_equals_sequential_reference(self, data, miner, grid_points, objective,
                                          fractions):
-        cfg = quiet_parse(data)
+        cfg = parse_config(data)
         params, profiles = cfg.platform, list(cfg.profiles)
         caps = np.array([p.capacity_A for p in profiles])
         i = miner % len(caps)
@@ -607,7 +618,7 @@ class TestGoldenSection:
         # 6 in 4 for one at a = 0 (M = 1), where one probe a pass took 9
         # and 7 passes
         with open(os.path.join(WORKLOADS, "myopic-game.yaml")) as fh:
-            cfg = quiet_parse(yaml.safe_load(fh))
+            cfg = parse_config(yaml.safe_load(fh))
         calls = []
         call = analysis._PpssReward.__call__
 
@@ -658,7 +669,7 @@ class TestPayoffCurve:
         fractions=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
     )
     def test_grid_equals_one_allocation_calls(self, data, miner, grid_points, fractions):
-        cfg = quiet_parse(data)
+        cfg = parse_config(data)
         params, profiles, demand = cfg.platform, list(cfg.profiles), cfg.demand
         caps = np.array([p.capacity_A for p in profiles])
         i = miner % len(caps)
@@ -687,7 +698,7 @@ class TestPayoffCurve:
         # of two multiplies without rounding), so no absolute epsilon enters,
         # and best_response's argmax stays where it was.
         factor = 2.0**j
-        cfg, cfg_scaled = quiet_parse(data), quiet_parse(money_scaled(data, factor))
+        cfg, cfg_scaled = parse_config(data), parse_config(money_scaled(data, factor))
         caps = np.array([p.capacity_A for p in cfg.profiles])
         i = miner % len(caps)
         allocs = caps * np.array(fractions[:len(caps)])
@@ -770,7 +781,7 @@ class TestPpssScreens:
     def test_screens_leave_every_bit(self, data, miner, clamp, fractions):
         # clamp off lets the numerator go negative
         data = {**data, "platform": {**data["platform"], "subsidy_clamp_nonneg": clamp}}
-        cfg = quiet_parse(data)
+        cfg = parse_config(data)
         params, profiles = cfg.platform, list(cfg.profiles)
         caps = np.array([p.capacity_A for p in profiles])
         i = miner % len(caps)
@@ -940,7 +951,7 @@ class TestPpssFastExits:
     )
     def test_exits_leave_every_bit(self, data, miner, clamp, fractions):
         data = {**data, "platform": {**data["platform"], "subsidy_clamp_nonneg": clamp}}
-        cfg = quiet_parse(data)
+        cfg = parse_config(data)
         params, profiles = cfg.platform, list(cfg.profiles)
         caps = np.array([p.capacity_A for p in profiles])
         i = miner % len(caps)
@@ -1001,7 +1012,7 @@ class TestPpssFastExits:
         # pass lies above the others' range, so h returns the float 1.0 each
         # pass; at M = 150 some kinks fall inside it
         with open(os.path.join(WORKLOADS, "myopic-game.yaml")) as fh:
-            cfg = quiet_parse(yaml.safe_load(fh))
+            cfg = parse_config(yaml.safe_load(fh))
         exits = []
         h = analysis._OthersRule.h
 
@@ -1177,7 +1188,7 @@ class TestBudgetAudit:
             BudgetBounds(theta=1.0, gamma=0.5)
 
     def _pps_ledger(self, rounds=500, a=None):
-        cfg = quiet_parse({
+        cfg = parse_config({
             "mechanism": "pps",
             "platform": {"p": 1.0, "k": 2.0},
             "miners": [{

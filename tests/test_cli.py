@@ -2,6 +2,7 @@
 import csv
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -15,11 +16,12 @@ from hypothesis import strategies as st
 
 from poolsim import cli, engine
 from poolsim.cli import main
+from poolsim.config import parse_config
 from poolsim.csvio import fmt
 from poolsim.engine import run_simulation
 from poolsim.mechanisms import pps_reward
 
-from conftest import quiet_parse, small_configs
+from conftest import small_configs
 
 BASE_CONFIG = {
     "mechanism": "pps",
@@ -185,7 +187,7 @@ class TestSimulate:
                 yaml.safe_dump(data, fh)
             assert main(["simulate", "--config", path, "--out", tmp]) == 0
             header, rows = read_csv(os.path.join(tmp, "ledger.csv"))
-        ledger = run_simulation(quiet_parse(data))
+        ledger = run_simulation(parse_config(data))
         n = ledger.a.shape[1]
         table = np.array([[float(cell) for cell in row] for row in rows])
         assert table.shape == (ledger.rounds, len(header))
@@ -393,10 +395,11 @@ class TestTinyPrice:
 
 
 class TestHugeSupply:
-    """Capacities near the float range exit 2, warning-free, naming the
-    capacity where 9 * N * k * A, which bounds the exact ppss payoff's
-    shapes, overflows and k where an audit's scenario demand does; below
-    that bound, the exact payoff stays finite."""
+    """Capacities and costs near the float range exit 2, warning-free,
+    naming the capacity where 9 * N * k * A, which bounds the exact ppss
+    payoff's shapes, overflows, k where an audit's scenario demand does and
+    the cost where c~/k or C(A) does, under either mechanism; below those
+    bounds, the exact payoffs stay finite."""
 
     @staticmethod
     def _run(tmp_path, data, command, *extra):
@@ -432,7 +435,41 @@ class TestHugeSupply:
         # are finite, but T2's constant demand 3 * k * sum(A) is not
         data = self._audit(1.0e305, miners=8, N=1)
         assert self._run(tmp_path, data, "verify") == (2, [])
-        assert "'platform.k': T2's scenario demand" in capsys.readouterr().err
+        assert "'platform.k': 3 * k * sum(capacity_A)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, extra", [
+        ("simulate", ()), ("verify", ()), ("verify", ("--theorems", "T5")),
+    ], ids=["simulate", "verify", "verify-T5"])
+    @pytest.mark.parametrize("k, miners", [
+        # c~/k = 1e307 / 0.001 overflows, C(A) = 1e307 * 1 does not
+        (0.001, [{"capacity_A": 1.0, "cost": {"family": "linear", "r": 1.0e307}}] * 2),
+        # C(4) = 4**600 overflows, and so does C'(4)
+        (2.0, [{"capacity_A": 4.0, "cost": {"family": "power", "c": 1.0, "q": 600.0}}]),
+    ], ids=["subsidy-numerator", "cost-at-capacity"])
+    def test_pps_overflowing_cost_exits_2(self, command, extra, k, miners, tmp_path, capsys):
+        # verify runs the ppss audits on a pps config too, and simulate's
+        # summary reads C(a)
+        data = {**self._audit(1.0, k=k), "mechanism": "pps", "miners": miners}
+        assert self._run(tmp_path, data, command, *extra) == (2, [])
+        assert "'miners[0].cost'" in capsys.readouterr().err
+
+    def test_pps_payoff_is_finite_at_huge_shapes(self, tmp_path, capsys):
+        # total shapes k * sum(a) from about 3e305 make scipy's incomplete
+        # gamma functions NaN; E[min(|D|, M)] is min(s, M) there
+        data = {
+            "mechanism": "pps",
+            "platform": {"p": 1.0, "b": 1.0, "k": 1.0, "N": 1},
+            "miners": [{"capacity_A": 1.0e306, "cost": {"family": "linear", "r": 0.5}}],
+            "demand": {"family": "constant", "M": 5.0e305},
+            "rounds": 10,
+        }
+        extra = ("--miner", "0", "--grid", "4", "--objective", "payoff")
+        assert self._run(tmp_path, data, "best-response", *extra) == (0, ["br_curve.csv"])
+        assert "nan" not in (tmp_path / "out" / "br_curve.csv").read_text().lower()
+        assert "nan" not in capsys.readouterr().out
+        shutil.rmtree(tmp_path / "out")
+        assert self._run(tmp_path, data, "verify", "--theorems", "T2") == (0, ["theorem_report.csv"])
+        assert "T2: PASS" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command, extra", [
         ("best-response", ("--miner", "0", "--grid", "16", "--objective", "payoff")),
@@ -634,6 +671,18 @@ class TestSweep:
             code = main(["sweep", "--config", VERIFY_AUDIT, "--out", tmp_out, "--axis", axis])
         assert code == 2
         assert "lambda must lie in (0, 1)" in capsys.readouterr().err
+
+    def test_supply_shortfall_warns_once(self, config_path, tmp_out, capsys):
+        # every cell's mu_F = 150 lies below the full supply 200, with the
+        # same warning
+        with open(VERIFY_AUDIT) as fh:
+            data = dict(yaml.safe_load(fh), rounds=20, demand={"family": "constant", "M": 150.0})
+        assert main([
+            "sweep", "--config", config_path(data), "--out", tmp_out,
+            "--axis", "platform.lambda=0.7:0.9:3",
+        ]) == 0
+        err = capsys.readouterr().err
+        assert err.count("warning:") == 1 and "mu_F=150 is below full supply k*sum(A)=200" in err
 
     def test_single_axis_sweep(self, config_path, tmp_out):
         data = dict(BASE_CONFIG, rounds=20)

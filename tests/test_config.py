@@ -1,12 +1,14 @@
 """Config ingestion: strict validation, defaults, round-trip, warnings."""
-import io
+import argparse
 import os
+import warnings
 
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poolsim import cli
 from poolsim.config import (
     MAX_LEDGER_BYTES,
     ConfigError,
@@ -17,7 +19,7 @@ from poolsim.config import (
 )
 from poolsim.model import MAX_GRID, CostFunction
 
-from conftest import quiet_parse, small_configs
+from conftest import small_configs
 
 WORKLOADS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads")
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -36,7 +38,7 @@ def minimal(**overrides):
 
 class TestDefaults:
     def test_platform_defaults(self):
-        cfg = quiet_parse(minimal())
+        cfg = parse_config(minimal())
         assert cfg.platform.b == cfg.platform.p  # b = p unless set
         assert cfg.platform.lam == 0.8
         assert cfg.platform.window_N == 10
@@ -44,12 +46,12 @@ class TestDefaults:
         assert cfg.platform.subsidy_clamp_nonneg is True
 
     def test_run_defaults(self):
-        cfg = quiet_parse(minimal())
+        cfg = parse_config(minimal())
         assert cfg.rounds == 10_000
         assert cfg.seed == 0
 
     def test_default_policy_is_static_at_capacity(self):
-        cfg = quiet_parse(minimal())
+        cfg = parse_config(minimal())
         pol = cfg.policies[0]
         assert pol.kind == "static"
         assert pol.a == 4.0
@@ -59,7 +61,7 @@ class TestDefaults:
             {"capacity_A": 4.0, "cost": {"family": "linear", "r": 1.0}},
             {"capacity_A": 2.0, "cost": {"family": "power", "c": 1.0, "q": 2.0}},
         ])
-        profs = quiet_parse(data).profiles
+        profs = parse_config(data).profiles
         assert [p.capacity_A for p in profs] == [4.0, 2.0]
         assert profs[1].cost.family == "power"
 
@@ -67,7 +69,7 @@ class TestDefaults:
     def test_power_cost_q_default_is_the_yaml_default(self):
         data = minimal()
         data["miners"][0]["cost"] = {"family": "power", "c": 1.0}
-        parsed = quiet_parse(data).profiles[0].cost
+        parsed = parse_config(data).profiles[0].cost
         assert parsed == CostFunction(family="power", c=1.0)
         assert parsed.q == 2.0
 
@@ -75,45 +77,45 @@ class TestDefaults:
 class TestValidation:
     def test_unknown_root_field(self):
         with pytest.raises(ConfigError) as e:
-            quiet_parse(minimal(bogus=1))
+            parse_config(minimal(bogus=1))
         assert "bogus" in str(e.value)
 
     def test_unknown_platform_field(self):
         data = minimal()
         data["platform"]["fee"] = 0.1
         with pytest.raises(ConfigError) as e:
-            quiet_parse(data)
+            parse_config(data)
         assert "platform.fee" in str(e.value)
 
     def test_unknown_miner_field(self):
         data = minimal()
         data["miners"][0]["hashrate"] = 5
         with pytest.raises(ConfigError) as e:
-            quiet_parse(data)
+            parse_config(data)
         assert "miners[0].hashrate" in str(e.value)
 
     def test_unknown_demand_field(self):
         data = minimal(demand={"family": "constant", "M": 20.0, "sigma": 1.0})
         with pytest.raises(ConfigError) as e:
-            quiet_parse(data)
+            parse_config(data)
         assert "demand.sigma" in str(e.value)
 
     def test_unknown_audit_field(self):
         with pytest.raises(ConfigError) as e:
-            quiet_parse(minimal(audit={"delta": 0.1}))
+            parse_config(minimal(audit={"delta": 0.1}))
         assert e.value.field == "audit"
 
     def test_audit_bounds_ordered(self):
         # Former audit bounds are rejected with the whole block, not parsed.
         with pytest.raises(ConfigError) as e:
-            quiet_parse(minimal(audit={"theta": 2.0, "gamma": 1.0}))
+            parse_config(minimal(audit={"theta": 2.0, "gamma": 1.0}))
         assert e.value.field == "audit"
 
     def test_audit_block_removed(self):
         for audit in ({}, {"theta": 0.0, "gamma": 1.0}, {"theta": 2.0, "gamma": 1.0},
                       {"delta": 0.1}, None):
             with pytest.raises(ConfigError) as e:
-                quiet_parse(minimal(audit=audit))
+                parse_config(minimal(audit=audit))
             assert e.value.field == "audit"
             assert "removed" in str(e.value)
 
@@ -121,53 +123,53 @@ class TestValidation:
         data = minimal()
         del data["platform"]["k"]
         with pytest.raises(ConfigError) as e:
-            quiet_parse(data)
+            parse_config(data)
         assert "platform.k" in str(e.value)
 
     def test_bad_mechanism(self):
         with pytest.raises(ConfigError) as e:
-            quiet_parse(minimal(mechanism="pplns"))
+            parse_config(minimal(mechanism="pplns"))
         assert e.value.field == "mechanism"
 
     def test_empty_miners(self):
         with pytest.raises(ConfigError):
-            quiet_parse(minimal(miners=[]))
+            parse_config(minimal(miners=[]))
 
     def test_nonpositive_capacity(self):
         data = minimal()
         data["miners"][0]["capacity_A"] = 0.0
         with pytest.raises(ConfigError) as e:
-            quiet_parse(data)
+            parse_config(data)
         assert "capacity_A" in str(e.value)
 
     def test_invalid_cost_parameter(self):
         data = minimal()
         data["miners"][0]["cost"] = {"family": "linear", "r": -1.0}
         with pytest.raises(ConfigError):
-            quiet_parse(data)
+            parse_config(data)
 
     def test_unknown_cost_and_policy_families(self):
         data = minimal()
         data["miners"][0]["cost"] = {"family": "cubic"}
         with pytest.raises(ConfigError):
-            quiet_parse(data)
+            parse_config(data)
         data = minimal()
         data["miners"][0]["policy"] = {"kind": "random"}
         with pytest.raises(ConfigError):
-            quiet_parse(data)
+            parse_config(data)
         with pytest.raises(ConfigError) as e:
-            quiet_parse(minimal(demand={"family": ["constant"], "M": 20.0}))
+            parse_config(minimal(demand={"family": ["constant"], "M": 20.0}))
         assert "unknown demand family" in str(e.value)
 
     def test_bad_rounds_and_replicas(self):
         with pytest.raises(ConfigError):
-            quiet_parse(minimal(rounds=0))
+            parse_config(minimal(rounds=0))
         # replicas is retired: a value once rejected is now dropped unread
-        assert quiet_parse(minimal(replicas=0)) == quiet_parse(minimal())
+        assert parse_config(minimal(replicas=0)) == parse_config(minimal())
 
     def test_negative_seed(self):
         with pytest.raises(ConfigError) as e:
-            quiet_parse(minimal(seed=-3))
+            parse_config(minimal(seed=-3))
         assert "seed" in str(e.value)
 
     @pytest.mark.parametrize("policy, field", [
@@ -182,14 +184,14 @@ class TestValidation:
         data = minimal()
         data["miners"][0]["policy"] = policy
         with pytest.raises(ConfigError) as e:
-            quiet_parse(data)
+            parse_config(data)
         assert "policy" in str(e.value) and field in str(e.value)
 
     def test_number_type_checked(self):
         data = minimal()
         data["platform"]["p"] = "one"
         with pytest.raises(ConfigError):
-            quiet_parse(data)
+            parse_config(data)
 
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
     @pytest.mark.parametrize("path", [
@@ -202,7 +204,7 @@ class TestValidation:
             node = node[key]
         node[path[-1]] = value
         with pytest.raises(ConfigError) as e:
-            quiet_parse(data)
+            parse_config(data)
         assert "finite" in str(e.value)
 
     @pytest.mark.parametrize("p, demand", [
@@ -216,7 +218,7 @@ class TestValidation:
         # every payout ratio divides by M * p: at the smallest demand draw,
         # ppf(U_MIN), it would be 0
         with pytest.raises(ConfigError) as e:
-            quiet_parse(minimal(platform={"p": p, "k": 2.0}, demand=demand))
+            parse_config(minimal(platform={"p": p, "k": 2.0}, demand=demand))
         assert e.value.field == "platform.p"
 
     @pytest.mark.parametrize("mechanism", ["pps", "ppss"])
@@ -227,9 +229,9 @@ class TestValidation:
         data = minimal(mechanism=mechanism, platform={"p": p, "b": b, "k": 2.0},
                        demand={"family": "constant", "M": 1.0e300})
         with pytest.raises(ConfigError) as e:
-            quiet_parse(data)
+            parse_config(data)
         assert e.value.field == "platform.b"
-        quiet_parse(minimal(mechanism=mechanism, platform={"p": 1.0e-20, "b": 1.0e287, "k": 2.0},
+        parse_config(minimal(mechanism=mechanism, platform={"p": 1.0e-20, "b": 1.0e287, "k": 2.0},
                             demand={"family": "constant", "M": 1.0e300}))
 
     @pytest.mark.parametrize("path, field", [
@@ -244,7 +246,7 @@ class TestValidation:
             node = node[key]
         node[path[-1]] = 10**400
         with pytest.raises(ConfigError) as e:
-            quiet_parse(data)
+            parse_config(data)
         assert e.value.field == field
 
     @pytest.mark.parametrize("platform, cost", [
@@ -253,13 +255,31 @@ class TestValidation:
     ])
     def test_ppss_overflowing_subsidy_numerator_rejected(self, platform, cost):
         # ppss multiplies c~/k - b by its 0/1 indicator, and 0 * inf is NaN;
-        # pps never reads c~
-        data = minimal(platform=platform)
-        data["miners"][0]["cost"] = cost
-        quiet_parse(data)
-        with pytest.raises(ConfigError) as e:
-            quiet_parse({**data, "mechanism": "ppss"})
+        # rejected under pps too, since T5-T7 run ppss on any config
+        for mechanism in ("pps", "ppss"):
+            data = minimal(mechanism=mechanism, platform=platform)
+            data["miners"][0]["cost"] = cost
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ConfigError) as e:
+                    parse_config(data)
+            assert e.value.field == "miners[0].cost"
+
+    @pytest.mark.parametrize("mechanism", ["pps", "ppss"])
+    def test_overflowing_cost_at_capacity_rejected(self, mechanism):
+        # c~/k = 1e300 / 1e10 is finite, C(A) = 1e300 * 1e10 is not; every
+        # summary.csv reads C(a), and a <= A
+        data = minimal(mechanism=mechanism, platform={"p": 1.0, "k": 1.0e10},
+                       demand={"family": "constant", "M": 1.0e25})
+        data["miners"][0] = {"capacity_A": 1.0e10, "cost": {"family": "linear", "r": 1.0e300}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError) as e:
+                parse_config(data)
         assert e.value.field == "miners[0].cost"
+        assert "C(A)" in str(e.value)
+        data["miners"][0]["cost"]["r"] = 1.0e298
+        parse_config(data)
 
     @pytest.mark.parametrize("mechanism", ["pps", "ppss"])
     def test_overflowing_window_threshold_rejected(self, mechanism):
@@ -269,11 +289,11 @@ class TestValidation:
         platform = {"p": 1.0, "k": 100.0, "lambda": 0.8, "N": 10}
         miners = [{"capacity_A": 5.0e305, "cost": {"family": "linear", "r": 150.0}}]
         with pytest.raises(ConfigError) as e:
-            quiet_parse(minimal(mechanism=mechanism, platform=platform, miners=miners))
+            parse_config(minimal(mechanism=mechanism, platform=platform, miners=miners))
         assert e.value.field == "miners[0].capacity_A"
         # at N = 1 and A = 1e305 the bound is 9e307
         miners = [{**miners[0], "capacity_A": 1.0e305}]
-        quiet_parse(minimal(mechanism=mechanism, platform={**platform, "N": 1}, miners=miners))
+        parse_config(minimal(mechanism=mechanism, platform={**platform, "N": 1}, miners=miners))
 
     @pytest.mark.parametrize("mechanism", ["pps", "ppss"])
     @pytest.mark.parametrize("platform, capacity", [
@@ -288,23 +308,25 @@ class TestValidation:
         miners = [{"capacity_A": capacity, "cost": {"family": "linear", "r": 1.5}}]
         demand = {"family": "constant", "M": 6.0e306}
         with pytest.raises(ConfigError) as e:
-            quiet_parse(minimal(mechanism=mechanism, platform=platform, miners=miners,
+            parse_config(minimal(mechanism=mechanism, platform=platform, miners=miners,
                                 demand=demand))
         assert e.value.field == "miners[0].capacity_A"
 
     def test_overflowing_supply_rejected(self):
         # at N = 1 each bound 9 * N * k * A, 1.71e308, is finite;
-        # k * sum(A) = 2.28e308 is not
+        # k * sum(A) = 2.28e308 is not, and at 8 miners k * sum(A) = 1.52e308
+        # is but T2's and T3's demand 3 * k * sum(A) is not; 2 miners pass
         platform = {"p": 1.0, "k": 100.0, "N": 1}
         miners = [{"capacity_A": 1.9e305, "cost": {"family": "linear", "r": 150.0}}] * 12
-        with pytest.raises(ConfigError) as e:
-            quiet_parse(minimal(platform=platform, miners=miners))
-        assert e.value.field == "platform.k"
-        quiet_parse(minimal(platform=platform, miners=miners[:8]))
+        for count in (12, 8):
+            with pytest.raises(ConfigError) as e:
+                parse_config(minimal(platform=platform, miners=miners[:count]))
+            assert e.value.field == "platform.k"
+        parse_config(minimal(platform=platform, miners=miners[:2]))
 
     def test_non_mapping_rejected(self):
         with pytest.raises(ConfigError):
-            quiet_parse([1, 2, 3])
+            parse_config([1, 2, 3])
 
     @pytest.mark.parametrize("demand", [
         {"family": "uniform", "lo": 5.0, "hi": 1.0},
@@ -318,7 +340,7 @@ class TestValidation:
     ])
     def test_bad_demand_parameter(self, demand):
         with pytest.raises(ConfigError) as e:
-            quiet_parse(minimal(demand=demand))
+            parse_config(minimal(demand=demand))
         assert e.value.field == "demand"
 
     @pytest.mark.parametrize("path, value", [
@@ -339,34 +361,34 @@ class TestValidation:
             node = node[key]
         node[path[-1]] = value
         with pytest.raises(ConfigError) as e:
-            quiet_parse(data)
+            parse_config(data)
         assert e.value.field.endswith(path[-1])
 
     def test_integral_float_reads_as_integer(self):
         # YAML 1.1 needs the exponent's sign: 1.0e4 would load as a string
         data = yaml.safe_load(yaml.safe_dump(minimal()) + "rounds: 1.0e+4\nseed: 7.0\n")
-        cfg = quiet_parse(data)
+        cfg = parse_config(data)
         assert cfg.rounds == 10_000 and isinstance(cfg.rounds, int)
-        assert quiet_parse(minimal(rounds=1.0e4)).rounds == 10_000
+        assert parse_config(minimal(rounds=1.0e4)).rounds == 10_000
         assert cfg.seed == 7 and isinstance(cfg.seed, int)
-        assert quiet_parse(minimal(seed=2**63 - 1)).seed == 2**63 - 1
+        assert parse_config(minimal(seed=2**63 - 1)).seed == 2**63 - 1
 
     def test_ledger_size_limit(self):
         # one miner: a round is 3 + 4*1 float64 columns, 56 bytes
         most = MAX_LEDGER_BYTES // 56
-        assert quiet_parse(minimal(rounds=most)).rounds == most
+        assert parse_config(minimal(rounds=most)).rounds == most
         for rounds in (most + 1, 2**62):
             with pytest.raises(ConfigError) as e:
-                quiet_parse(minimal(rounds=rounds))
+                parse_config(minimal(rounds=rounds))
             assert e.value.field == "rounds"
 
     def test_policy_grid_limit(self):
         data = minimal()
         data["miners"][0]["policy"] = {"kind": "myopic_br", "grid": MAX_GRID}
-        assert quiet_parse(data).policies[0].grid == MAX_GRID
+        assert parse_config(data).policies[0].grid == MAX_GRID
         data["miners"][0]["policy"]["grid"] = MAX_GRID + 1
         with pytest.raises(ConfigError) as e:
-            quiet_parse(data)
+            parse_config(data)
         assert e.value.field == "miners[0].policy" and "grid" in str(e.value)
 
 
@@ -378,13 +400,13 @@ class TestRetiredKey:
            st.one_of(st.integers(), st.floats(), st.text(), st.none()))
     @settings(max_examples=50, deadline=None)
     def test_dropped_unread(self, data, replicas):
-        cfg = quiet_parse(data)
+        cfg = parse_config(data)
         old = dict(data, replicas=replicas, miners=[
             dict(m, policy=dict(m["policy"], replicas=replicas))
             if m["policy"]["kind"] == "myopic_br" else m
             for m in data["miners"]
         ])
-        again = quiet_parse(old)
+        again = parse_config(old)
         assert again == cfg
         assert again.digest() == cfg.digest()
         assert dump_config(again) == dump_config(cfg)
@@ -402,21 +424,26 @@ class TestRetiredKey:
             node = node[key]
         node["replicas"] = 1000
         with pytest.raises(ConfigError) as e:
-            quiet_parse(data)
+            parse_config(data)
         assert e.value.field.endswith(".replicas") and "unknown field" in str(e.value)
 
 
 class TestSupplyWarning:
-    def test_warns_when_demand_below_supply(self):
-        stream = io.StringIO()
-        data = minimal(demand={"family": "constant", "M": 5.0})  # k*sum(A) = 8
-        parse_config(data, warn_stream=stream)
-        assert "mu_F" in stream.getvalue()
+    """parse_config prints nothing; the CLI warns where mean demand falls
+    below the full supply."""
 
-    def test_silent_when_demand_dominant(self):
-        stream = io.StringIO()
-        parse_config(minimal(), warn_stream=stream)
-        assert stream.getvalue() == ""
+    def test_warns_when_demand_below_supply(self, capsys):
+        data = minimal(demand={"family": "constant", "M": 5.0})  # k*sum(A) = 8
+        cfg = parse_config(data)
+        assert cfg.demand.mu_F < cfg.supply == 8.0
+        assert capsys.readouterr() == ("", "")
+        cli._parse(data, argparse.Namespace(seed=None))
+        out, err = capsys.readouterr()
+        assert out == "" and "mu_F=5 is below full supply k*sum(A)=8" in err
+
+    def test_silent_when_demand_dominant(self, capsys):
+        cli._parse(minimal(), argparse.Namespace(seed=None))
+        assert capsys.readouterr() == ("", "")
 
 
 class TestRoundTrip:
@@ -439,23 +466,23 @@ class TestRoundTrip:
         }
 
     def test_parse_dump_parse_identity(self):
-        cfg = quiet_parse(self.full_config())
-        again = quiet_parse(yaml.safe_load(dump_config(cfg)))
+        cfg = parse_config(self.full_config())
+        again = parse_config(yaml.safe_load(dump_config(cfg)))
         assert again == cfg
 
     def test_digest_stable_and_sensitive(self):
-        cfg = quiet_parse(self.full_config())
-        assert cfg.digest() == quiet_parse(self.full_config()).digest()
+        cfg = parse_config(self.full_config())
+        assert cfg.digest() == parse_config(self.full_config()).digest()
         assert len(cfg.digest()) == 12
         other = self.full_config()
         other["seed"] = 10
-        assert quiet_parse(other).digest() != cfg.digest()
+        assert parse_config(other).digest() != cfg.digest()
 
     @given(small_configs(myopic=True))
     @settings(max_examples=100, deadline=None)
     def test_round_trip_property(self, data):
-        cfg = quiet_parse(data)
-        again = quiet_parse(yaml.safe_load(dump_config(cfg)))
+        cfg = parse_config(data)
+        again = parse_config(yaml.safe_load(dump_config(cfg)))
         assert again == cfg
         assert again.digest() == cfg.digest()
 
@@ -465,14 +492,14 @@ class TestRoundTrip:
         ("myopic-game", "e6d74eb2f45b"),
     ])
     def test_workload_digests_pinned(self, name, digest):
-        cfg = load_config(os.path.join(WORKLOADS, f"{name}.yaml"), warn_stream=io.StringIO())
+        cfg = load_config(os.path.join(WORKLOADS, f"{name}.yaml"))
         assert cfg.digest() == digest
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "exp.yaml"
         path.write_text(yaml.safe_dump(self.full_config()))
-        cfg = load_config(str(path), warn_stream=io.StringIO())
-        assert cfg == quiet_parse(self.full_config())
+        cfg = load_config(str(path))
+        assert cfg == parse_config(self.full_config())
 
 
 class TestReadYaml:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from poolsim import analysis, engine
 from poolsim.analysis import payoff_curve
+from poolsim.config import parse_config
 from poolsim.csvio import ROW_BLOCK
 from poolsim.engine import (
     delta_adaptive_policy,
@@ -36,7 +37,7 @@ from poolsim.model import (
     substream,
 )
 
-from conftest import in_money_range, money_scaled, quiet_parse, small_configs
+from conftest import in_money_range, money_scaled, small_configs
 
 WORKLOADS = Path(__file__).parent.parent / "perfbench" / "workloads"
 
@@ -92,7 +93,7 @@ def base_config(**overrides):
         "seed": 3,
     }
     data.update(overrides)
-    return quiet_parse(data)
+    return parse_config(data)
 
 
 class TestPolicies:
@@ -184,7 +185,7 @@ class TestPolicies:
 class TestMyopicMemo:
     def _config(self, demand):
         myopic = {"kind": "myopic_br", "grid": 5}
-        return quiet_parse({
+        return parse_config({
             "mechanism": "ppss",
             "platform": {"p": 1.0, "k": 100.0, "lambda": 0.8, "N": 4},
             "miners": [
@@ -284,7 +285,7 @@ class TestStepRound:
 
     @pytest.mark.parametrize("mechanism", ["pps", "ppss"])
     def test_engine_rewards_equal_kernel_rewards(self, mechanism):
-        cfg = quiet_parse({
+        cfg = parse_config({
             "mechanism": mechanism,
             "platform": {"p": 1.0, "b": 1.3, "k": 100.0, "lambda": 0.8, "N": 4},
             "miners": [
@@ -309,7 +310,7 @@ class TestTwoPhase:
     def test_equals_row_at_a_time_reference(self, miners, data):
         # numpy sums a row of more than 8 elements in another order, so the
         # whole-column sums are checked on 9-12 miners as well
-        cfg = quiet_parse(data.draw(small_configs(miners=miners)))
+        cfg = parse_config(data.draw(small_configs(miners=miners)))
         for N in {cfg.platform.window_N, 1}:
             for mechanism in ("pps", "ppss"):
                 run = replace(cfg, mechanism=mechanism,
@@ -323,7 +324,7 @@ class TestTwoPhase:
         # outputs of shape 3e-4 are mostly exactly 0, so many rows have
         # |D| = 0 and some a subnormal |D|; b and p are not 1, and the game
         # is longer than one ROW_BLOCK
-        cfg = quiet_parse({
+        cfg = parse_config({
             "mechanism": mechanism,
             "platform": {"p": 0.9, "b": 1.7, "k": 1.0, "N": 3},
             "miners": [
@@ -345,7 +346,7 @@ class TestTwoPhase:
     @settings(max_examples=30, deadline=None)
     def test_game_does_not_depend_on_mechanism(self, data):
         # no static or delta_adaptive miner reads the mechanism
-        cfg = quiet_parse(data)
+        cfg = parse_config(data)
         pps, ppss = (play(replace(cfg, mechanism=m)) for m in ("pps", "ppss"))
         for col in ("M", "a", "D", "delta"):
             assert getattr(pps, col).tobytes() == getattr(ppss, col).tobytes()
@@ -363,7 +364,7 @@ class TestTwoPhase:
         scaled = {**data, "platform": {**platform,
                                        field: platform.get(field, default.get(field)) * factor}}
         for mechanism in ("pps", "ppss"):
-            base, moved = (play(replace(quiet_parse(d), mechanism=mechanism))
+            base, moved = (play(replace(parse_config(d), mechanism=mechanism))
                            for d in (data, scaled))
             for col in ("M", "a", "D", "delta"):
                 assert getattr(moved, col).tobytes() == getattr(base, col).tobytes()
@@ -378,7 +379,7 @@ class TestTwoPhase:
         with open(WORKLOADS / "simulate-ledger.yaml") as fh:
             data = yaml.safe_load(fh)
         data["platform"]["b"], data["rounds"] = 5.0, 3000
-        cfg = quiet_parse(data)
+        cfg = parse_config(data)
         _, numerator = subsidy_terms(
             np.array([p.capacity_A for p in cfg.profiles]),
             np.array([c_tilde(p) for p in cfg.profiles]), cfg.platform,
@@ -433,7 +434,7 @@ class TestSimulationStatistics:
     def test_subsidy_frequency_dominates_lower_bound(self):
         from poolsim.analysis import subsidy_prob_lower
 
-        cfg = quiet_parse({
+        cfg = parse_config({
             "mechanism": "ppss",
             "platform": {"p": 1.0, "k": 100.0, "lambda": 0.8},
             "miners": [{"capacity_A": 1.0, "cost": {"family": "linear", "r": 150.0}}],
@@ -487,7 +488,7 @@ class TestMeanRewardMatchesExactPayoff:
         {"family": "uniform", "lo": 150.0, "hi": 450.0},
     ], ids=["constant-600", "uniform-150-450"])
     def test_mean_reward_within_z_standard_errors(self, demand, seed):
-        cfg = quiet_parse({**TWO_STATIC_MINERS, "demand": demand, "seed": seed})
+        cfg = parse_config({**TWO_STATIC_MINERS, "demand": demand, "seed": seed})
         game = play(cfg)  # no policy reads the mechanism: one game serves both
         alloc = game.a[0]
         for mechanism in ("pps", "ppss"):
@@ -526,7 +527,7 @@ class TestReproducibility:
     def test_round_stream_layout(self, mechanism):
         # Round j draws from substream(seed, TAG_ROUND, j): demand first,
         # then Gamma(k * a_i) for each miner with a_i > 0, in miner order.
-        cfg = quiet_parse({
+        cfg = parse_config({
             "mechanism": mechanism,
             "platform": {"p": 1.0, "b": 1.0, "k": 50.0, "lambda": 0.8, "N": 3},
             "miners": [
@@ -560,7 +561,7 @@ class TestReproducibility:
         # for every family M_j = ppf(u), u the first uniform of round j's
         # stream; a constant demand draws nothing, so the outputs start the
         # stream
-        cfg = quiet_parse(data)
+        cfg = parse_config(data)
         led = run_simulation(cfg)
         for row in range(led.rounds):
             rng = substream(cfg.seed, engine.TAG_ROUND, row + 1)
@@ -573,7 +574,7 @@ class TestReproducibility:
 
 class TestAdaptiveExploitation:
     def _mean_payoff(self, policy0, seed):
-        cfg = quiet_parse({
+        cfg = parse_config({
             "mechanism": "pps",
             "platform": {"p": 1.0, "k": 10.0},
             "miners": [
@@ -599,7 +600,7 @@ class TestBudgetRatioProperty:
     @given(small_configs(mechanisms=("pps",)))
     @settings(max_examples=60, deadline=None)
     def test_pps_ratio_within_zero_and_b_over_p(self, data):
-        cfg = quiet_parse(data)
+        cfg = parse_config(data)
         ratios = run_simulation(cfg).budget_ratio
         assert ratios.min() >= 0.0
         assert ratios.max() <= cfg.platform.b / cfg.platform.p
@@ -612,7 +613,7 @@ class TestBudgetRatioProperty:
         # mechanisms: the ratio has no absolute epsilon
         factor = 2.0**j
         scaled = {**data, "platform": {**data["platform"], "p": data["platform"]["p"] * factor}}
-        base, led = run_simulation(quiet_parse(data)), run_simulation(quiet_parse(scaled))
+        base, led = run_simulation(parse_config(data)), run_simulation(parse_config(scaled))
         np.testing.assert_array_equal(led.rewards, base.rewards)
         np.testing.assert_array_equal(led.budget_ratio * factor, base.budget_ratio)
 
@@ -627,7 +628,7 @@ class TestMoneyScaling:
         # miners, whose payoff curves scale exactly and keep their argmax
         data = {**data, "rounds": min(data["rounds"], 4)}
         factor = 2.0**j
-        base, led = (run_simulation(quiet_parse(d)) for d in (data, money_scaled(data, factor)))
+        base, led = (run_simulation(parse_config(d)) for d in (data, money_scaled(data, factor)))
         for col in ("M", "a", "D", "delta", "flags"):
             assert getattr(led, col).tobytes() == getattr(base, col).tobytes()
         assume(in_money_range(base.rewards, led.rewards, base.budget_ratio, led.budget_ratio))

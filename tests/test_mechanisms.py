@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from poolsim.config import parse_config
 from poolsim.engine import run_simulation, window_sums
 from poolsim.mechanisms import pps_reward, ppss_reward, subsidy_shape, subsidy_terms
 from poolsim.model import DemandModel, PlatformParams
 
-from conftest import quiet_parse
 
 # frozen reference values, computed independently at 30-digit precision
 K_AT_X_3_2 = 0.6454298932405316      # 1 - 3.2*e^(-2.2)
@@ -57,7 +57,7 @@ def one_miner_windows(outputs, N):
 
 
 def one_miner_config(mechanism, a=1.0, p=1.0, b=1.0, k=100.0, M=300.0, rounds=50):
-    return quiet_parse({
+    return parse_config({
         "mechanism": mechanism,
         "platform": {"p": p, "b": b, "k": k, "lambda": 0.8, "N": 5},
         "miners": [{"capacity_A": 1.0, "cost": {"family": "linear", "r": 150.0},
@@ -81,7 +81,7 @@ class TestPpsReward:
         assert out.tolist() == pytest.approx([3.0, 7.0], rel=1e-12)
 
     def test_delta_is_one_iff_supply_within_demand(self):
-        cfg = quiet_parse({
+        cfg = parse_config({
             "mechanism": "pps",
             "platform": {"p": 1.0, "k": 1.0},
             "miners": [{"capacity_A": 2.0, "cost": {"family": "linear", "r": 1.0}},

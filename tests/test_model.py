@@ -131,6 +131,23 @@ class TestCostEval:
             vals = cost_eval(cost, grid)
             assert np.all(np.diff(vals) > 0)
 
+    @given(st.floats(2.0, 4.0), st.floats(-300.0, -120.0), st.floats(200.0, 300.0))
+    @settings(max_examples=200, deadline=None)
+    def test_power_finite_where_a_to_the_q_overflows(self, q, log10_c, log10_cost):
+        # C(a) = c * a**q of about 10**log10_cost, while a**q, about
+        # 10**(log10_cost - log10_c) >= 10**320, overflows
+        c = 10.0**log10_c
+        a = 10.0 ** ((log10_cost - log10_c) / q)
+        cost = CostFunction(family="power", c=c, q=q)
+        want = math.exp(math.log(c) + q * math.log(a))
+        assert cost_eval(cost, a) == pytest.approx(want, rel=1e-12)
+        assert cost_eval(cost, np.array([0.5 * a, a]))[1] == cost_eval(cost, a)
+
+    def test_power_keeps_its_bits_where_finite(self):
+        cost = CostFunction(family="power", c=0.37, q=2.9)
+        a = np.geomspace(1e-100, 1e100, 401)
+        np.testing.assert_array_equal(cost_eval(cost, a), 0.37 * a**2.9)
+
 
 class TestCostMarginal:
     def test_linear_constant(self):

@@ -13,12 +13,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from poolsim import engine
-from poolsim.config import ConfigError
 from poolsim.analysis import payoff_curve
+from poolsim.config import ConfigError, parse_config
 from poolsim.model import cost_eval
 from poolsim.theorems import ALL_THEOREMS, audit_t1, audit_t6, run_audits
 
-from conftest import in_money_range, money_scaled, quiet_parse, small_configs
+from conftest import in_money_range, money_scaled, small_configs
 
 VERIFY_AUDIT_YAML = Path(__file__).parents[1] / "perfbench" / "workloads" / "verify-audit.yaml"
 
@@ -33,7 +33,7 @@ def pps_config(**overrides):
         "seed": 1,
     }
     data.update(overrides)
-    return quiet_parse(data)
+    return parse_config(data)
 
 
 def ppss_config(**overrides):
@@ -46,7 +46,7 @@ def ppss_config(**overrides):
         "seed": 1,
     }
     data.update(overrides)
-    return quiet_parse(data)
+    return parse_config(data)
 
 
 class TestHarness:
@@ -115,17 +115,36 @@ class TestVerdicts:
         assert row["verdict"] == "PASS"
         assert abs(row["metric"] - 1.0) <= 0.05
 
+    def test_t3_at_capacities_whose_square_overflows(self):
+        # T3's power costs c * a**2 at a = 1e200: a**2 overflows, c * a**2
+        # (about 1e202) does not
+        data = yaml.safe_load(VERIFY_AUDIT_YAML.read_text())
+        data["miners"] = [{**m, "capacity_A": 1.0e200} for m in data["miners"]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            row = run_audits(parse_config(data), ["T3"])[0]
+        assert row["verdict"] == "PASS"
+        assert abs(row["metric"] - 1.0) <= 0.05
+
     @pytest.mark.parametrize("theorem", ["T2", "T3"])
     def test_overflowing_scenario_demand_rejected(self, theorem):
         # each bound 9 * N * k * A = 9e307 and the supply k * sum(A) = 8e307
-        # are finite, the scenario's 3 * k * sum(A) is not
+        # are finite, the scenario's 3 * k * sum(A) is not: parse_config
+        # rejects the config; at 7e304 the scenario demand, 1.68e308, is
+        # finite and the audit passes warning-free (T3's costs c * a**2 there
+        # are finite where a**2 is not)
         data = yaml.safe_load(VERIFY_AUDIT_YAML.read_text())
         data["platform"]["N"] = 1
         data["miners"] = [{**data["miners"][0], "capacity_A": 1.0e305} for _ in range(8)]
         with pytest.raises(ConfigError) as e:
-            run_audits(quiet_parse(data), [theorem])
+            parse_config(data)
         assert e.value.field == "platform.k"
-        assert f"{theorem}'s scenario demand" in str(e.value)
+        assert "3 * k * sum(capacity_A)" in str(e.value)
+        data["miners"] = [{**m, "capacity_A": 7.0e304} for m in data["miners"]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            row = run_audits(parse_config(data), [theorem])[0]
+        assert row["verdict"] == "PASS"
 
     def test_t4_interior_argmax(self):
         # low_M = 0.2*k*sum(A) = 2: interior optimum M/(4r) = 0.5 < capacity
@@ -157,7 +176,7 @@ class TestVerdicts:
         # the PASS is the verdict against the true bound, not a vacuous one
         data = yaml.safe_load(VERIFY_AUDIT_YAML.read_text())
         data.update(mechanism="pps", demand={"family": "constant", "M": 1.0e-310})
-        cfg = quiet_parse(data)
+        cfg = parse_config(data)
         row = run_audits(cfg, ["T6"])[0]
         assert (row["verdict"], row["bound"]) == ("PASS", math.inf)
         assert row["metric"] == pytest.approx(55.2075, abs=5e-5)
@@ -174,7 +193,7 @@ class TestVerdicts:
         # Every miner at capacity with warm windows: the long-term ratio is
         # sum_i E[R_i] / (M * p), about 17.97 here. The run's first N-1
         # rounds have cold windows, which 2000 rounds dilute.
-        cfg = quiet_parse(yaml.safe_load(VERIFY_AUDIT_YAML.read_text()))
+        cfg = parse_config(yaml.safe_load(VERIFY_AUDIT_YAML.read_text()))
         caps = np.array([p.capacity_A for p in cfg.profiles])
         rewards = [
             payoff_curve("ppss", i, caps, [caps[i]], cfg.platform, cfg.profiles, cfg.demand)[0]
@@ -246,7 +265,7 @@ class TestMoneyScaling:
         # demand, move by exactly 2**j; every other number and every verdict
         # stays
         factor = 2.0**j
-        cfgs = quiet_parse(data), quiet_parse(money_scaled(data, factor))
+        cfgs = parse_config(data), parse_config(money_scaled(data, factor))
         for cfg in cfgs:
             game = engine.play(cfg)
             for mechanism in ("pps", "ppss"):
