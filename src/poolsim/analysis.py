@@ -465,7 +465,7 @@ class _PpssReward:
             self.kinks = (*roots, *threshold, self.unit)
             # _rate's window screen: a Chernoff exponent above this leaves
             # the rate at exactly b
-            self.log_cap = (math.log(abs(self.numerator)) - math.log(params.eps_k)
+            self.log_cap = (math.log(self.numerator) - math.log(params.eps_k)
                             - math.log(params.b) + 56.0 * math.log(2.0))
         # scipy's inverse incomplete gamma is NaN at a subnormal shape, whose
         # output is 0 to within the rule's accuracy: no other miner
@@ -575,7 +575,7 @@ class _PpssReward:
 
         A warm window W ~ Gamma(alpha) fires with probability P(W >= w),
         w = threshold - x, at most exp(-alpha (r - 1 - ln r)), r = w/alpha > 1
-        (Chernoff). Where that bound times |numerator|/eps_k is below
+        (Chernoff). Where that bound times numerator/eps_k is below
         b * 2**-56, the subsidy term is under a quarter of b's half-ulp, and
         the rate rounds to exactly b whatever the probability: it is taken
         as 0 there, without the gammaincc call. The bound is compared in

@@ -51,7 +51,9 @@ def _reject_unknown(node: dict, allowed: set[str], field_name: str) -> None:
         )
 
 
-def _number(node: dict, key: str, field_name: str, default=None):
+def _number(node: dict, key: str, field_name: str, default=None) -> float:
+    """A finite number, stored as a float however YAML wrote it, so that
+    `k: 100` and `k: 100.0` make equal configs with one digest."""
     if key not in node:
         if default is None:
             raise ConfigError(f"{field_name}.{key}", "missing required field")
@@ -63,13 +65,14 @@ def _number(node: dict, key: str, field_name: str, default=None):
         raise ConfigError(f"{field_name}.{key}", f"must be finite, got {v}")
     if isinstance(v, int) and abs(v) > sys.float_info.max:
         raise ConfigError(f"{field_name}.{key}", "must be finite, got an int beyond the float range")
-    return v
+    return float(v)
 
 
 def _integer(node: dict, key: str, field_name: str, default=None) -> int:
     """An integral number that fits in int64; 1.0e4 reads as 10000."""
-    v = _number(node, key, field_name, default)
-    if isinstance(v, float):
+    v = node.get(key, default)
+    if isinstance(v, bool) or not isinstance(v, int):
+        v = _number(node, key, field_name, default)
         if not v.is_integer():
             raise ConfigError(f"{field_name}.{key}", f"must be an integer, got {v}")
         v = int(v)
@@ -160,7 +163,6 @@ class ExperimentConfig:
                 "lambda": p.lam,
                 "N": p.window_N,
                 "eps_k": p.eps_k,
-                "subsidy_clamp_nonneg": p.subsidy_clamp_nonneg,
             },
             "miners": [
                 {"capacity_A": prof.capacity_A, "cost": _variant_dict(prof.cost, COST),
@@ -229,17 +231,15 @@ def parse_config(data: dict) -> ExperimentConfig:
     if mechanism not in ("pps", "ppss"):
         raise ConfigError("mechanism", f"must be 'pps' or 'ppss', got {mechanism!r}")
 
-    pnode = _require_mapping(data.get("platform", {}), "platform")
-    _reject_unknown(
-        pnode,
-        {"p", "b", "k", "lambda", "N", "eps_k", "subsidy_clamp_nonneg"},
-        "platform",
-    )
+    pnode = dict(_require_mapping(data.get("platform", {}), "platform"))
+    # the subsidy numerator is always clamped at 0: the retired key's one
+    # value that still holds, `true`, is dropped unread, as `replicas` is
+    if pnode.pop("subsidy_clamp_nonneg", True) is not True:
+        raise ConfigError("platform.subsidy_clamp_nonneg",
+                          "was removed; the subsidy numerator c~/k - b is always clamped at 0")
+    _reject_unknown(pnode, {"p", "b", "k", "lambda", "N", "eps_k"}, "platform")
     p = _number(pnode, "p", "platform")
     b = _number(pnode, "b", "platform", default=p)  # b = p by default
-    clamp = pnode.get("subsidy_clamp_nonneg", True)
-    if not isinstance(clamp, bool):
-        raise ConfigError("platform.subsidy_clamp_nonneg", "expected a boolean")
     try:
         platform = PlatformParams(
             p=p,
@@ -248,7 +248,6 @@ def parse_config(data: dict) -> ExperimentConfig:
             lam=_number(pnode, "lambda", "platform", default=0.8),
             window_N=_integer(pnode, "N", "platform", default=10),
             eps_k=_number(pnode, "eps_k", "platform", default=1e-3),
-            subsidy_clamp_nonneg=clamp,
         )
     except ValueError as e:
         if isinstance(e, ConfigError):

@@ -48,16 +48,13 @@ def pps_reward(d, total, M, params: PlatformParams):
 
 
 def subsidy_terms(caps, c_tildes, params: PlatformParams):
-    """(unit, numerator) = (lambda * A * k, c~/k - b): the per-miner
-    constants of ppss_reward, clamping the numerator at zero unless
-    subsidy_clamp_nonneg is off. They do not change within a run or a Monte
-    Carlo block, so callers compute them once.
+    """(unit, numerator) = (lambda * A * k, max(c~/k - b, 0)): the
+    per-miner constants of ppss_reward. The clamp makes the subsidy a
+    payment, never a charge, so every ppss rate is at least b. They do not
+    change within a run or a Monte Carlo block, so callers compute them once.
     """
     unit = params.lam * caps * params.k
-    numerator = c_tildes / params.k - params.b
-    if params.subsidy_clamp_nonneg:
-        numerator = np.maximum(numerator, 0.0)
-    return unit, numerator
+    return unit, np.maximum(c_tildes / params.k - params.b, 0.0)
 
 
 def ppss_rate(fires, x, unit, numerator, params: PlatformParams):
@@ -76,10 +73,9 @@ def ppss_reward(d, total, M, window_sum, window_len, unit, numerator, params: Pl
     B_i, the rolling-window indicator, is 1 iff D_i > 0 and window_sum + D_i
     (the last window_len <= N-1 completed rounds plus the current one) clears
     unit_i = lambda * A_i * k per round counted; during cold start the
-    threshold is prorated to the rounds available. A negative numerator
-    (marginal cost below the base reward rate) is clamped to zero by
-    subsidy_terms unless subsidy_clamp_nonneg is off. Coincides with
-    pps_reward wherever no flag is set.
+    threshold is prorated to the rounds available. A miner whose marginal
+    cost is below the base reward rate has numerator 0 (subsidy_terms), and
+    is paid as under pps. Coincides with pps_reward wherever no flag is set.
     """
     flags = (d > 0) & (window_sum + d >= unit * (window_len + 1))
     # shape_k has no D > 0 check, and needs none: a flag implies d > 0

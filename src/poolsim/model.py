@@ -147,7 +147,6 @@ class PlatformParams:
     lam: subsidy threshold fraction in (0, 1).
     window_N: rolling-window length, in rounds.
     eps_k: floor for the subsidy-shape divisor (removes the K = 0 singularity).
-    subsidy_clamp_nonneg: clamp negative subsidy factors to zero.
     """
 
     p: float
@@ -156,7 +155,6 @@ class PlatformParams:
     lam: float = 0.8
     window_N: int = 10
     eps_k: float = 1e-3
-    subsidy_clamp_nonneg: bool = True
 
     def __post_init__(self):
         if not self.p > 0:
@@ -225,7 +223,13 @@ def cost_marginal(cost: CostFunction, a) -> float:
     if cost.family == "linear":
         out = np.full_like(a, cost.r)
     else:
-        out = cost.c * cost.q * a ** (cost.q - 1.0)
+        with np.errstate(over="ignore"):
+            out = cost.c * cost.q * a ** (cost.q - 1.0)
+            # cost_eval's fold, coefficient c * q and exponent q - 1 (only
+            # where q - 1 > 1 can a ** (q - 1) overflow before the product)
+            if cost.q > 2.0 and np.isinf(out).any():
+                out = np.where(np.isinf(out), np.power(
+                    (cost.c * cost.q) ** (1.0 / (cost.q - 1.0)) * a, cost.q - 1.0), out)
     return out if out.ndim else float(out)
 
 

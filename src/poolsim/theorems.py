@@ -165,11 +165,11 @@ def audit_t5(cfg) -> dict:
     prof = profiles[0]
     ct = c_tilde(prof)
 
-    # Floor soundness on a 16-point allocation grid over [lam*A, A]: the
-    # floor's derivation needs a > lam*A (below that the subsidy indicator
-    # is essentially never on and the bound is vacuous), integrated in one
-    # pass.
-    grid = np.linspace(plat.lam * prof.capacity_A, prof.capacity_A, 16)
+    # Floor soundness on a 16-point allocation grid over (lam*A, A]: the
+    # floor's derivation needs a > lam*A (at or below it the bound is
+    # vacuous, and at huge shapes whether the indicator fires at lam*A is a
+    # matter of rounding), integrated in one pass.
+    grid = np.linspace(plat.lam * prof.capacity_A, prof.capacity_A, 17)[1:]
     payoffs = payoff_curve("ppss", 0, capacities, grid, plat, profiles, demand)
     margins = (payoffs - floor_payoff(grid, ct, prof.cost)).tolist()
     floor_ok = all(m >= 0 for m in margins)

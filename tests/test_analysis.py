@@ -212,9 +212,7 @@ def quad_ppss_reward(i, allocs, params, profiles, demand):
     k, prof = params.k, profiles[i]
     s, s_o = k * allocs[i], k * (allocs.sum() - allocs[i])
     unit = params.lam * prof.capacity_A * k
-    numerator = c_tilde(prof) / k - params.b
-    if params.subsidy_clamp_nonneg:
-        numerator = max(numerator, 0.0)
+    numerator = max(c_tilde(prof) / k - params.b, 0.0)
     threshold, alpha = unit * params.window_N, (params.window_N - 1) * s
     kinks = []
     if demand.family == "constant":
@@ -775,12 +773,10 @@ class TestPpssScreens:
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
-        data=small_configs(("ppss",)), miner=st.integers(0, 2), clamp=st.booleans(),
+        data=small_configs(("ppss",)), miner=st.integers(0, 2),
         fractions=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
     )
-    def test_screens_leave_every_bit(self, data, miner, clamp, fractions):
-        # clamp off lets the numerator go negative
-        data = {**data, "platform": {**data["platform"], "subsidy_clamp_nonneg": clamp}}
+    def test_screens_leave_every_bit(self, data, miner, fractions):
         cfg = parse_config(data)
         params, profiles = cfg.platform, list(cfg.profiles)
         caps = np.array([p.capacity_A for p in profiles])
@@ -946,11 +942,10 @@ class TestPpssFastExits:
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
-        data=small_configs(("ppss",)), miner=st.integers(0, 2), clamp=st.booleans(),
+        data=small_configs(("ppss",)), miner=st.integers(0, 2),
         fractions=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
     )
-    def test_exits_leave_every_bit(self, data, miner, clamp, fractions):
-        data = {**data, "platform": {**data["platform"], "subsidy_clamp_nonneg": clamp}}
+    def test_exits_leave_every_bit(self, data, miner, fractions):
         cfg = parse_config(data)
         params, profiles = cfg.platform, list(cfg.profiles)
         caps = np.array([p.capacity_A for p in profiles])
@@ -965,13 +960,13 @@ class TestPpssFastExits:
         DemandModel(family="uniform", lo=300.0, hi=900.0),
         DemandModel(family="gamma", shape=4.0, rate=0.02),
     ], ids=["constant", "constant-in-range", "uniform", "gamma"])
-    @pytest.mark.parametrize("N, clamp", [(10, True), (1, True), (10, False)],
+    @pytest.mark.parametrize("N, r", [(10, 150.0), (1, 150.0), (10, 50.0)],
                              ids=["warm", "N=1", "warm-unclamped"])
-    def test_workload_economics(self, demand, N, clamp):
-        # verify-audit's economics; unclamped, linear r = 50 puts c~/k below
-        # b, so the numerator is negative
-        params = replace(AUDIT_PARAMS, window_N=N, subsidy_clamp_nonneg=clamp)
-        profs = AUDIT_PROFS if clamp else [linear_miner(A=1.0, r=50.0)] * 2
+    def test_workload_economics(self, demand, N, r):
+        # verify-audit's economics; at linear r = 50, c~/k is below b, so
+        # the numerator c~/k - b, negative before its clamp, is 0
+        params = replace(AUDIT_PARAMS, window_N=N)
+        profs = [linear_miner(A=1.0, r=r)] * 2
         grid = np.linspace(0.0, 1.0, 5 if demand.family == "constant" else 2)
         _exits_leave_every_bit(0, [1.0, 1.0], grid, params, profs, demand)
 

@@ -231,6 +231,20 @@ def test_commands_exit_0_2_or_3(data):
             assert main(argv) in (0, 2, 3)
 
 
+@pytest.mark.parametrize("value", [False, "off"])
+@pytest.mark.parametrize("command, extra", [
+    ("simulate", ()), ("verify", ()), ("best-response", ("--miner", "0", "--grid", "4")),
+    ("sweep", ("--axis", "platform.lambda=0.7:0.9:3")),
+], ids=["simulate", "verify", "best-response", "sweep"])
+def test_unclamped_subsidy_exits_2(command, extra, value, config_path, tmp_out, capsys):
+    # the subsidy numerator is always clamped at 0: a config that turns the
+    # clamp off, or sets its retired key to a non-boolean, is refused
+    data = {**PPSS_CONFIG, "platform": {**PPSS_CONFIG["platform"], "subsidy_clamp_nonneg": value}}
+    assert main([command, "--config", config_path(data), "--out", tmp_out, *extra]) == 2
+    err = capsys.readouterr().err
+    assert "'platform.subsidy_clamp_nonneg'" in err and "removed" in err
+
+
 class TestVerify:
     def test_report_schema_and_exit(self, config_path, tmp_out):
         code = main([
@@ -452,6 +466,21 @@ class TestHugeSupply:
         data = {**self._audit(1.0, k=k), "mechanism": "pps", "miners": miners}
         assert self._run(tmp_path, data, command, *extra) == (2, [])
         assert "'miners[0].cost'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    @pytest.mark.parametrize("mechanism", ["pps", "ppss"])
+    def test_marginal_cost_finite_where_a_power_overflows(self, command, mechanism, tmp_path):
+        # c~ = 3 * 1e-300 * (1e160)**2 = 3e20 and C(A) = 1e180 are finite,
+        # (1e160)**2 is not
+        data = {
+            "mechanism": mechanism,
+            "platform": {"p": 1.0, "b": 1.0, "k": 1.0},
+            "miners": [{"capacity_A": 1.0e160,
+                        "cost": {"family": "power", "c": 1.0e-300, "q": 3.0}}],
+            "demand": {"family": "constant", "M": 1.0e200},
+            "rounds": 10,
+        }
+        assert self._run(tmp_path, data, command)[0] == 0
 
     def test_pps_payoff_is_finite_at_huge_shapes(self, tmp_path, capsys):
         # total shapes k * sum(a) from about 3e305 make scipy's incomplete

@@ -43,7 +43,6 @@ class TestDefaults:
         assert cfg.platform.lam == 0.8
         assert cfg.platform.window_N == 10
         assert cfg.platform.eps_k == 1e-3
-        assert cfg.platform.subsidy_clamp_nonneg is True
 
     def test_run_defaults(self):
         cfg = parse_config(minimal())
@@ -394,7 +393,9 @@ class TestValidation:
 
 class TestRetiredKey:
     """`replicas` is read by nothing; configs may still carry it at the root
-    and in a myopic_br policy, where it is dropped unread."""
+    and in a myopic_br policy, where it is dropped unread. So is
+    `platform.subsidy_clamp_nonneg: true`; any other value of that key is
+    rejected."""
 
     @given(small_configs(myopic=True),
            st.one_of(st.integers(), st.floats(), st.text(), st.none()))
@@ -411,6 +412,26 @@ class TestRetiredKey:
         assert again.digest() == cfg.digest()
         assert dump_config(again) == dump_config(cfg)
         assert "replicas" not in dump_config(again)
+
+    @given(small_configs(myopic=True))
+    @settings(max_examples=50, deadline=None)
+    def test_clamp_true_dropped_unread(self, data):
+        # the subsidy numerator is always clamped: `true` says so, unread
+        cfg = parse_config(data)
+        old = dict(data, platform=dict(data["platform"], subsidy_clamp_nonneg=True))
+        again = parse_config(old)
+        assert again == cfg
+        assert again.digest() == cfg.digest()
+        assert dump_config(again) == dump_config(cfg)
+
+    @pytest.mark.parametrize("value", [False, 1, "true", None])
+    def test_clamp_off_or_not_a_boolean_rejected(self, value):
+        data = minimal()
+        data["platform"]["subsidy_clamp_nonneg"] = value
+        with pytest.raises(ConfigError) as e:
+            parse_config(data)
+        assert e.value.field == "platform.subsidy_clamp_nonneg"
+        assert "removed" in str(e.value)
 
     @pytest.mark.parametrize("path", [
         ("platform",), ("demand",), ("miners", 0), ("miners", 0, "cost"),
@@ -451,7 +472,7 @@ class TestRoundTrip:
         return {
             "mechanism": "ppss",
             "platform": {"p": 1.0, "b": 1.5, "k": 100.0, "lambda": 0.7, "N": 5,
-                         "eps_k": 1e-3, "subsidy_clamp_nonneg": False},
+                         "eps_k": 1e-3},
             "miners": [
                 {"capacity_A": 1.0, "cost": {"family": "linear", "r": 150.0},
                  "policy": {"kind": "static", "a": 0.9}},
@@ -470,6 +491,23 @@ class TestRoundTrip:
         again = parse_config(yaml.safe_load(dump_config(cfg)))
         assert again == cfg
 
+    def test_integral_numbers_stored_as_floats(self):
+        # `k: 100` and `k: 100.0` are the same config, with one digest and
+        # one dump; N, rounds, seed and grid stay ints
+        def one_miner(p, b, k, A):
+            return {"mechanism": "ppss", "platform": {"p": p, "b": b, "k": k},
+                    "miners": [{"capacity_A": A, "cost": {"family": "linear", "r": 150.0},
+                                "policy": {"kind": "myopic_br", "grid": 8}}],
+                    "demand": {"family": "constant", "M": 600.0}, "rounds": 10}
+
+        ints = parse_config(one_miner(1, 1, 100, 1))
+        floats = parse_config(one_miner(1.0, 1.0, 100.0, 1.0))
+        assert ints == floats
+        assert ints.digest() == floats.digest()
+        assert dump_config(ints) == dump_config(floats)
+        assert type(ints.platform.k) is type(ints.profiles[0].capacity_A) is float
+        assert type(ints.rounds) is type(ints.platform.window_N) is type(ints.policies[0].grid) is int
+
     def test_digest_stable_and_sensitive(self):
         cfg = parse_config(self.full_config())
         assert cfg.digest() == parse_config(self.full_config()).digest()
@@ -487,9 +525,9 @@ class TestRoundTrip:
         assert again.digest() == cfg.digest()
 
     @pytest.mark.parametrize("name, digest", [
-        ("simulate-ledger", "18133880cb68"),
-        ("verify-audit", "61974547f4ee"),
-        ("myopic-game", "e6d74eb2f45b"),
+        ("simulate-ledger", "d539140bd16b"),
+        ("verify-audit", "975cf7a96059"),
+        ("myopic-game", "a358d32e10b2"),
     ])
     def test_workload_digests_pinned(self, name, digest):
         cfg = load_config(os.path.join(WORKLOADS, f"{name}.yaml"))

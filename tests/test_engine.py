@@ -450,8 +450,7 @@ class TestSimulationStatistics:
 # capacity 1, miner 1 (power cost) at 1.5 of its capacity 2
 TWO_STATIC_MINERS = {
     "mechanism": "ppss",
-    "platform": {"p": 1.0, "b": 1.0, "k": 100.0, "lambda": 0.8, "N": 10, "eps_k": 1.0e-3,
-                 "subsidy_clamp_nonneg": True},
+    "platform": {"p": 1.0, "b": 1.0, "k": 100.0, "lambda": 0.8, "N": 10, "eps_k": 1.0e-3},
     "miners": [
         {"capacity_A": 1.0, "cost": {"family": "linear", "r": 150.0},
          "policy": {"kind": "static", "a": 1.0}},
@@ -604,6 +603,15 @@ class TestBudgetRatioProperty:
         ratios = run_simulation(cfg).budget_ratio
         assert ratios.min() >= 0.0
         assert ratios.max() <= cfg.platform.b / cfg.platform.p
+
+    @given(small_configs(mechanisms=("ppss",)))
+    @settings(max_examples=60, deadline=None)
+    def test_ppss_never_charges(self, data):
+        # the subsidy numerator c~/k - b is clamped at 0, so every rate is
+        # at least b
+        led = run_simulation(parse_config(data))
+        assert led.rewards.min() >= 0.0
+        assert led.budget_ratio.min() >= 0.0
 
     @given(small_configs(), st.integers(-8, 8))
     @settings(max_examples=30, deadline=None)

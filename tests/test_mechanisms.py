@@ -1,6 +1,5 @@
 """Reward kernels, subsidy machinery, and budget accounting."""
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from poolsim.model import DemandModel, PlatformParams
 K_AT_X_3_2 = 0.6454298932405316      # 1 - 3.2*e^(-2.2)
 K_AT_X_8 = 0.9927049442755639        # 1 - 8*e^(-7)
 K_AT_D90_A1_K100 = 0.006649716673898979   # x = 8/9
-K_AT_D100_A1_K100 = 0.022877793471864133  # x = 0.8
 FACTOR_AT_D100 = 21.855254555685912       # 0.5 / K(x=0.8)
 PPSS_SINGLE_D90 = 6857.2056129294915      # 90 * (1 + 0.5 / K(x=8/9))
 
@@ -40,9 +38,7 @@ def _ppss_reference(d, total, M, window_sum, window_len, caps, c_tildes, params)
     and calling subsidy_shape on every call; the oracle for ppss_reward."""
     threshold = params.lam * caps * params.k * (window_len + 1)
     flags = (d > 0) & (window_sum + d >= threshold)
-    numerator = c_tildes / params.k - params.b
-    if params.subsidy_clamp_nonneg:
-        numerator = np.maximum(numerator, 0.0)
+    numerator = np.maximum(c_tildes / params.k - params.b, 0.0)
     K = np.maximum(subsidy_shape(np.where(flags, d, 1.0), caps, params), params.eps_k)
     per_unit = params.b + np.where(flags, numerator / K, 0.0)
     share = np.divide(d, total, out=np.zeros_like(d, dtype=float), where=total > 0)
@@ -237,7 +233,8 @@ class TestSubsidyFactor:
 
     PARAMS = PlatformParams(p=1.0, b=1.0, k=100.0, lam=0.8)
 
-    def factor(self, D, r=150.0, params=PARAMS):
+    def factor(self, D, r=150.0):
+        params = self.PARAMS
         rewards, flags = ppss([D], 1e12, params, 1e9, params.window_N - 1, r=r)
         assert flags.tolist() == [True]
         return rewards[0] / D - params.b
@@ -253,12 +250,8 @@ class TestSubsidyFactor:
         assert self.factor(80.0) == pytest.approx(500.0, rel=1e-12)
 
     def test_negative_numerator_clamped_by_default(self):
-        assert self.factor(100.0, r=50.0) == 0.0  # c~/k = 0.5 < b
-
-    def test_negative_numerator_literal_when_unclamped(self):
-        params = PlatformParams(p=1.0, b=1.0, k=100.0, lam=0.8, subsidy_clamp_nonneg=False)
-        expected = (0.5 - 1.0) / K_AT_D100_A1_K100
-        assert self.factor(100.0, r=50.0, params=params) == pytest.approx(expected, rel=1e-10)
+        # c~/k = 0.5 < b: the subsidy is never a charge, so the rate is b
+        assert self.factor(100.0, r=50.0) == 0.0
 
 
 class TestPpssReward:
@@ -318,7 +311,6 @@ def rounds_of_play(draw):
         p=draw(st.floats(0.1, 10.0)), b=draw(st.floats(0.1, 10.0)),
         k=draw(st.floats(0.5, 100.0)), lam=draw(st.floats(0.05, 0.95)),
         window_N=window_len + 1, eps_k=draw(st.floats(1e-4, 0.5)),
-        subsidy_clamp_nonneg=draw(st.booleans()),
     )
     return d, M, window_sum, window_len, caps, c_tildes, params
 
@@ -348,14 +340,12 @@ class TestKernelProperties:
             assert np.array_equal(col, [r[i] for r, _ in ppss_rows])
             assert np.array_equal(col_flags, [f[i] for _, f in ppss_rows])
 
-    @pytest.mark.parametrize("clamp", [True, False])
-    @given(play=rounds_of_play())
+    @given(rounds_of_play())
     @settings(max_examples=150, deadline=None)
-    def test_kernel_equals_reference_bitwise(self, clamp, play):
+    def test_kernel_equals_reference_bitwise(self, play):
         # engine rows and Monte Carlo columns, against the kernel that
         # recomputed lambda*A*k and c~/k - b and called subsidy_shape
         d, M, wsum, wlen, caps, c_tildes, params = play
-        params = replace(params, subsidy_clamp_nonneg=clamp)
         totals = d.sum(axis=1)
         unit, numerator = subsidy_terms(caps, c_tildes, params)
         calls = [
@@ -376,7 +366,6 @@ class TestKernelProperties:
     @settings(max_examples=150, deadline=None)
     def test_clamped_rewards_nonnegative(self, play):
         d, M, wsum, wlen, caps, c_tildes, params = play
-        params = replace(params, subsidy_clamp_nonneg=True)
         totals = d.sum(axis=1)
         terms = subsidy_terms(caps, c_tildes, params)
         for j in range(d.shape[0]):

@@ -162,6 +162,23 @@ class TestCostMarginal:
         with pytest.raises(ValueError):
             cost_marginal(SQUARE, -0.1)
 
+    @given(st.floats(3.0, 4.0), st.floats(-300.0, -120.0), st.floats(200.0, 300.0))
+    @settings(max_examples=200, deadline=None)
+    def test_power_finite_where_a_to_the_q_minus_1_overflows(self, q, log10_c, log10_marg):
+        # C'(a) = c * q * a**(q - 1) of about 10**log10_marg, while
+        # a**(q - 1), at least 10**320, overflows
+        c = 10.0**log10_c
+        a = 10.0 ** ((log10_marg - log10_c) / (q - 1.0))
+        cost = CostFunction(family="power", c=c, q=q)
+        want = math.exp(math.log(c * q) + (q - 1.0) * math.log(a))
+        assert cost_marginal(cost, a) == pytest.approx(want, rel=1e-12)
+        assert cost_marginal(cost, np.array([0.5 * a, a]))[1] == cost_marginal(cost, a)
+
+    def test_power_keeps_its_bits_where_finite(self):
+        cost = CostFunction(family="power", c=0.37, q=2.9)
+        a = np.geomspace(1e-100, 1e100, 401)
+        np.testing.assert_array_equal(cost_marginal(cost, a), 0.37 * 2.9 * a ** (2.9 - 1.0))
+
     def test_matches_finite_difference(self):
         # central difference, h = 1e-6, 1e-4 relative error per family
         h = 1e-6

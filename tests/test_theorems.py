@@ -164,6 +164,22 @@ class TestVerdicts:
         assert row["verdict"] == "PASS"
         assert row["metric"] >= 0.0
 
+    def test_t5_grid_leaves_out_lambda_a(self):
+        # verify-audit.yaml with every capacity 10**e and M 600 * 10**e: from
+        # output shapes of about 2**106, whether the indicator fires at
+        # a = lam*A is a matter of how lam*A*k*N rounds (at 1e35 the floor's
+        # margin there was -4e36); T5's grid is (lam*A, A]
+        data = yaml.safe_load(VERIFY_AUDIT_YAML.read_text())
+        failed = []
+        for e in range(10, 150):
+            scale = float(f"1e{e}")
+            data["miners"] = [{**m, "capacity_A": scale} for m in data["miners"]]
+            data["demand"] = {"family": "constant", "M": 600.0 * scale}
+            row = run_audits(parse_config(data), ["T5"])[0]
+            if row["verdict"] != "PASS":
+                failed.append((e, row["metric"]))
+        assert failed == []
+
     def test_t6_known_discrepancy_on_high_productivity(self):
         row = run_audits(ppss_config(rounds=2000), ["T6"])[0]
         assert row["verdict"] == "KNOWN_DISCREPANCY"
