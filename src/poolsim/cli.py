@@ -17,7 +17,7 @@ from .mechanisms import subsidy_shape
 from .model import MAX_GRID, PlatformParams, cost_eval
 from .montecarlo import exact_mean
 from .svgplot import line_plot_svg, write_svg
-from .theorems import ALL_THEOREMS, run_audits
+from .theorems import ALL_THEOREMS, check_theorems, run_audits
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -71,9 +71,10 @@ def cmd_verify(args) -> int:
     if not theorems:
         print(f"error: --theorems {args.theorems!r} names no theorem", file=sys.stderr)
         return EXIT_CONFIG
-    unknown = [t for t in theorems if t not in ALL_THEOREMS]
-    if unknown:
-        print(f"error: unknown theorem(s): {', '.join(unknown)}", file=sys.stderr)
+    try:
+        check_theorems(theorems)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     rows = run_audits(cfg, theorems)
     write_csv(

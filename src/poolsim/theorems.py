@@ -244,15 +244,25 @@ AUDITS = {
 ALL_THEOREMS = tuple(AUDITS)
 
 
-def run_audits(cfg, theorems=None):
-    """One report row per theorem, all of T1-T7 by default. To audit another
-    seed, pass dataclasses.replace(cfg, seed=...): the rows' config_digest
-    then names the config that ran. When both T1 and T6 run and no policy
-    reads the mechanism, the game is played once and both settle it;
-    nothing is kept between calls."""
-    theorems = list(ALL_THEOREMS if theorems is None else theorems)
+def check_theorems(theorems):
+    """Raise ValueError where the list `theorems` names one outside T1-T7,
+    or one twice: each audit runs once and has one row."""
     unknown = [t for t in theorems if t not in ALL_THEOREMS]
     if unknown:
         raise ValueError(f"unknown theorem(s): {', '.join(unknown)}")
+    repeated = sorted({t for t in theorems if theorems.count(t) > 1})
+    if repeated:
+        raise ValueError(f"theorem(s) named more than once: {', '.join(repeated)}")
+
+
+def run_audits(cfg, theorems=None):
+    """One report row per theorem, all of T1-T7 by default; the names must
+    pass check_theorems. To audit another seed, pass
+    dataclasses.replace(cfg, seed=...): the rows' config_digest then names
+    the config that ran. When both T1 and T6 run and no policy reads the
+    mechanism, the game is played once and both settle it; nothing is kept
+    between calls."""
+    theorems = list(ALL_THEOREMS if theorems is None else theorems)
+    check_theorems(theorems)
     game = play(cfg) if {"T1", "T6"} <= set(theorems) and not reads_mechanism(cfg) else None
     return [AUDITS[t](cfg, game) if t in ("T1", "T6") else AUDITS[t](cfg) for t in theorems]

@@ -44,7 +44,7 @@ from oracle import br_dynamics, g_function
 CHERNOFF_STD_100_80 = 0.09882989575150939  # exp(100*ln(0.8) + 20)
 PROB_LOWER_AT_CAPACITY = 0.022877793471864133  # 1 - 0.8*e^0.2
 G_AT_D90 = 6767.2056129294915  # 0.5*90 / K(x=8/9)
-WORKLOADS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads")
+CONFIGS = os.path.join(os.path.dirname(__file__), "configs")
 
 
 def linear_miner(A=1.0, r=1.0):
@@ -615,7 +615,7 @@ class TestGoldenSection:
         # of the next: 8 steps in 5 passes for an interior bracket (M = 600),
         # 6 in 4 for one at a = 0 (M = 1), where one probe a pass took 9
         # and 7 passes
-        with open(os.path.join(WORKLOADS, "myopic-game.yaml")) as fh:
+        with open(os.path.join(CONFIGS, "myopic-game.yaml")) as fh:
             cfg = parse_config(yaml.safe_load(fh))
         calls = []
         call = analysis._PpssReward.__call__
@@ -871,7 +871,7 @@ class TestPpssScreens:
             mp.setattr(analysis, "_gamma_score", counted_score)
             mp.setattr(analysis._OthersRule, "_build", lambda self: builds.append(self) or build(self))
             mp.setattr(analysis._OthersRule, "__init__", counted_init)
-            config = os.path.join(WORKLOADS, f"{workload}.yaml")
+            config = os.path.join(CONFIGS, f"{workload}.yaml")
             assert cli.main([command, "--config", config, "--out", str(tmp_path)]) == 0
         assert rules
         assert sizes == [2] * len(rules)
@@ -1006,7 +1006,7 @@ class TestPpssFastExits:
         # myopic-game's economics at grid 32: at M = 600 every kink of every
         # pass lies above the others' range, so h returns the float 1.0 each
         # pass; at M = 150 some kinks fall inside it
-        with open(os.path.join(WORKLOADS, "myopic-game.yaml")) as fh:
+        with open(os.path.join(CONFIGS, "myopic-game.yaml")) as fh:
             cfg = parse_config(yaml.safe_load(fh))
         exits = []
         h = analysis._OthersRule.h

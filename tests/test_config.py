@@ -21,7 +21,7 @@ from poolsim.model import MAX_GRID, CostFunction
 
 from conftest import small_configs
 
-WORKLOADS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads")
+CONFIGS = os.path.join(os.path.dirname(__file__), "configs")
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
@@ -530,7 +530,7 @@ class TestRoundTrip:
         ("myopic-game", "a358d32e10b2"),
     ])
     def test_workload_digests_pinned(self, name, digest):
-        cfg = load_config(os.path.join(WORKLOADS, f"{name}.yaml"))
+        cfg = load_config(os.path.join(CONFIGS, f"{name}.yaml"))
         assert cfg.digest() == digest
 
     def test_load_from_file(self, tmp_path):
@@ -545,10 +545,10 @@ class TestReadYaml:
     same documents as PyYAML's pure-Python SafeLoader."""
 
     @pytest.mark.parametrize(
-        "name", sorted(n for n in os.listdir(WORKLOADS) if n.endswith(".yaml")),
+        "name", sorted(n for n in os.listdir(CONFIGS) if n.endswith(".yaml")),
     )
     def test_workload_same_document(self, name):
-        path = os.path.join(WORKLOADS, name)
+        path = os.path.join(CONFIGS, name)
         with open(path) as fh:
             assert read_yaml(path) == yaml.load(fh, Loader=yaml.SafeLoader)
 

@@ -39,7 +39,7 @@ from poolsim.model import (
 
 from conftest import in_money_range, money_scaled, small_configs
 
-WORKLOADS = Path(__file__).parent.parent / "perfbench" / "workloads"
+CONFIGS = Path(__file__).parent / "configs"
 
 
 def row_at_a_time(cfg):
@@ -376,7 +376,7 @@ class TestTwoPhase:
         # (in about 79% of cells here). budget_ratio is close but not equal:
         # ppss sums its rewards, while pps writes the analytic
         # (b/p) * min{|D|, M}/M; they differ by up to 3 ulps.
-        with open(WORKLOADS / "simulate-ledger.yaml") as fh:
+        with open(CONFIGS / "simulate-ledger.yaml") as fh:
             data = yaml.safe_load(fh)
         data["platform"]["b"], data["rounds"] = 5.0, 3000
         cfg = parse_config(data)

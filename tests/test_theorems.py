@@ -20,7 +20,7 @@ from poolsim.theorems import ALL_THEOREMS, audit_t1, audit_t6, run_audits
 
 from conftest import in_money_range, money_scaled, small_configs
 
-VERIFY_AUDIT_YAML = Path(__file__).parents[1] / "perfbench" / "workloads" / "verify-audit.yaml"
+VERIFY_AUDIT_YAML = Path(__file__).parent / "configs" / "verify-audit.yaml"
 
 
 def pps_config(**overrides):
@@ -53,6 +53,13 @@ class TestHarness:
     def test_unknown_theorem_rejected(self):
         with pytest.raises(ValueError):
             run_audits(pps_config(), ["T9"])
+
+    @pytest.mark.parametrize("theorems", [["T1", "T1"], ["T6", "T2", "T6"]],
+                             ids=["T1,T1", "T6,T2,T6"])
+    def test_repeated_theorem_rejected(self, theorems):
+        # one row per audit: a repeat would run and report its audit twice
+        with pytest.raises(ValueError, match="named more than once"):
+            run_audits(pps_config(), theorems)
 
     def test_empty_selection_runs_no_audit(self):
         # only None means "all of T1-T7"
