@@ -35,7 +35,10 @@ def delta_adaptive_policy(
 
     A past delta < 1 means supply exceeded demand and the reward was scaled
     down, so the allocation shrinks multiplicatively toward the floor;
-    delta = 1 pushes it back up toward capacity.
+    delta = 1 pushes it back up toward capacity, multiplicatively too. So an
+    allocation of exactly 0 stays there: with floor 0, a long enough run of
+    shortfalls underflows it to 0, and the miner sits out the rest of the
+    game whatever delta it sees.
     """
     if last_delta < 1.0:
         return max(policy.floor, last_a * policy.step)

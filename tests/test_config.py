@@ -1,7 +1,6 @@
 """Config ingestion: strict validation, defaults, round-trip, warnings."""
 import argparse
 import os
-import warnings
 
 import pytest
 import yaml
@@ -258,10 +257,8 @@ class TestValidation:
         for mechanism in ("pps", "ppss"):
             data = minimal(mechanism=mechanism, platform=platform)
             data["miners"][0]["cost"] = cost
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(ConfigError) as e:
-                    parse_config(data)
+            with pytest.raises(ConfigError) as e:
+                parse_config(data)
             assert e.value.field == "miners[0].cost"
 
     @pytest.mark.parametrize("mechanism", ["pps", "ppss"])
@@ -271,10 +268,8 @@ class TestValidation:
         data = minimal(mechanism=mechanism, platform={"p": 1.0, "k": 1.0e10},
                        demand={"family": "constant", "M": 1.0e25})
         data["miners"][0] = {"capacity_A": 1.0e10, "cost": {"family": "linear", "r": 1.0e300}}
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ConfigError) as e:
-                parse_config(data)
+        with pytest.raises(ConfigError) as e:
+            parse_config(data)
         assert e.value.field == "miners[0].cost"
         assert "C(A)" in str(e.value)
         data["miners"][0]["cost"]["r"] = 1.0e298
