@@ -270,12 +270,33 @@ EXIT_CODE_CONFIGS = {
     **{f"pps-{c}": _test_copy(c, mechanism="pps")
        for c in ("simulate-ledger", "myopic-game", "verify-audit")},
     # payout ratios near the top of the float range: their sum (1e-306) or
-    # their squared deviations (1e-300) overflow
-    **{f"p{p!r}": _test_copy("verify-audit", p=p) for p in (1e-300, 1e-306)},
-    # capacities near the float range: at N = 1 the window threshold
-    # lambda * A * k * N is finite, but the output's 9 * (k * A + 1), which
-    # bounds the exact ppss payoff's shapes, overflows: rejected when parsed
+    # their squared deviations (1e-300) overflow, and at 3e-307 a subsidised
+    # round's ratio itself does (rejected in settle)
+    **{f"p{p!r}": _test_copy("verify-audit", p=p) for p in (1e-300, 1e-306, 3e-307)},
+    # M * p = 1e-310 * 1e-20 underflows to 0: rejected when parsed
+    "underflow": _test_copy("verify-audit", p=1e-20,
+                            demand={"family": "constant", "M": 1e-310}),
+    # b / p = 1e300 / 1e-20 overflows: rejected when parsed
+    "overflow": _test_copy("verify-audit", mechanism="pps", p=1e-20, b=1e300),
+    # capacities near the float range: 9 * N * k * A, which bounds the exact
+    # ppss payoff's shapes, overflows and is rejected when parsed, at N = 10
+    # (where the window threshold lambda * A * k * N overflows too) and at
+    # N = 1 (where only the output's 9 * (k * A + 1) does)
+    "huge-supply": _test_copy("verify-audit", capacity_A=5e305),
     "huge-supply-n1": _test_copy("verify-audit", capacity_A=5e305, N=1),
+    # output shapes of 1e302 stay within that bound: the exact ppss payoff
+    # must stay finite there
+    "huge-shape": _test_copy("verify-audit", capacity_A=1e300),
+    # at a small lambda the window threshold lambda * A * k * N = 1e306 is
+    # finite, but the warm window's shape (N - 1) * k * A is not: rejected
+    # when parsed
+    "small-lambda": {
+        "mechanism": "ppss",
+        "platform": {"p": 1.0, "b": 1.0, "k": 1.0, "lambda": 0.001, "N": 1000},
+        "miners": [{"capacity_A": 1e306, "cost": {"family": "linear", "r": 1.5}}],
+        "demand": {"family": "constant", "M": 6e306},
+        "rounds": 10,
+    },
     # pps configs whose cost overflows, rejected when parsed since verify
     # runs the ppss audits and summary.csv reads C(a): c~/k = 1e307 / 0.001,
     # and C(4) = 4**600
@@ -287,12 +308,30 @@ EXIT_CODE_CONFIGS = {
         "demand": {"family": "constant", "M": 20.0},
         "rounds": 10,
     },
+    # a pps total shape of 1e306, where scipy's incomplete gamma functions
+    # are NaN: the payoff takes min(s, M) there
+    "pps-huge-shape": {
+        "mechanism": "pps",
+        "platform": {"p": 1.0, "b": 1.0, "k": 1.0, "N": 1},
+        "miners": [{"capacity_A": 1e306, "cost": {"family": "linear", "r": 0.5}}],
+        "demand": {"family": "constant", "M": 5e305},
+        "rounds": 10,
+    },
     # T3's power costs c * a**2 at a = 1e200, finite where a**2 is not
     "huge-t3": _test_copy("verify-audit", capacity_A=1e200),
     # output shapes of 1e37, where whether the subsidy fires at a = lambda * A
     # is a matter of rounding: T5's grid leaves it out
     "huge-t5": _test_copy("verify-audit", capacity_A=1e35,
                           demand={"family": "constant", "M": 6e37}),
+    # a power cost's marginal c * q * a**(q - 1) = 3e20 at capacity, finite
+    # where a**(q - 1) is not
+    "huge-marginal": {
+        "mechanism": "pps",
+        "platform": {"p": 1.0, "b": 1.0, "k": 1.0},
+        "miners": [{"capacity_A": 1e160, "cost": {"family": "power", "c": 1e-300, "q": 3.0}}],
+        "demand": {"family": "constant", "M": 1e200},
+        "rounds": 10,
+    },
     # the subsidy numerator is always clamped; turning it off is refused
     "unclamped": _test_copy("verify-audit", subsidy_clamp_nonneg=False),
     # the ppss payoff under a random demand: one outer rule per demand node
@@ -307,26 +346,44 @@ EXIT_CODE_CONFIGS = {
 EXIT_CODES = """
 0 simulate simulate-ledger
 0 simulate myopic-game
+0 verify verify-audit
 0 simulate pps-simulate-ledger
 0 simulate pps-myopic-game
 0 simulate uniform-myopic-game
 0 verify pps-verify-audit
+0 simulate p1e-300
 0 verify p1e-300
+0 simulate p1e-306
 0 verify p1e-306
 0 best-response verify-audit --miner 0 --grid 16 --objective payoff
 0 best-response pps-verify-audit --miner 0 --grid 16 --objective payoff
 0 best-response uniform-verify-audit --miner 0 --grid 16 --objective payoff
+0 best-response huge-shape --miner 0 --grid 16 --objective payoff
 0 sweep verify-audit --axis platform.lambda=0.7:0.9:3
 2 sweep verify-audit --axis miners.\u00b2.capacity_A=1:2:2
+2 verify underflow
+2 simulate underflow
+2 simulate overflow
+2 verify overflow
+2 simulate p3e-307
+2 verify p3e-307
 2 sweep verify-audit --axis platform.k=100:100:1 --axis platform.k=1:1:1
 2 sweep verify-audit --axis seed=1:2:2 --seed 5
+2 sweep verify-audit --axis platform.lambda=inf:0.9:2
+2 sweep verify-audit --axis platform.lambda=1e308:-1e308:3
+2 simulate huge-supply
+2 verify huge-supply
 2 verify huge-supply-n1
+2 best-response small-lambda --miner 0 --grid 16 --objective payoff
 2 simulate pps-subsidy-numerator
 2 verify pps-subsidy-numerator
 2 simulate pps-cost-at-capacity
 2 verify pps-cost-at-capacity
+0 best-response pps-huge-shape --miner 0 --grid 4 --objective payoff
 0 verify huge-t3 --theorems T3
 0 verify huge-t5 --theorems T5
+0 simulate huge-marginal
+0 verify huge-marginal
 2 simulate unclamped
 """.strip().splitlines()
 
@@ -338,6 +395,8 @@ def test_documented_exit_code(row, tmp_path):
     path.write_text(yaml.safe_dump(EXIT_CODE_CONFIGS[config]))
     out = tmp_path / "out"
     assert main([command, "--config", str(path), "--out", str(out), *extra]) == int(want)
+    if config == "pps-huge-shape":
+        assert "nan" not in (out / "br_curve.csv").read_text().lower()
 
 
 class TestVerify:
