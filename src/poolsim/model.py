@@ -202,16 +202,7 @@ def cost_eval(cost: CostFunction, a) -> float:
     a = np.asarray(a, dtype=float)
     if np.any(a < 0):
         raise ValueError("allocation must be nonnegative")
-    if cost.family == "linear":
-        out = cost.r * a
-    else:
-        with np.errstate(over="ignore"):
-            out = cost.c * a ** cost.q
-            # a ** q overflows before c * a ** q does where c < 1; there,
-            # and only there, c is folded in first (np.power, as a ** q, so
-            # that a scalar a gets the bits of an array's element)
-            if np.isinf(out).any():
-                out = np.where(np.isinf(out), np.power(cost.c ** (1.0 / cost.q) * a, cost.q), out)
+    out = cost.r * a if cost.family == "linear" else _power_cost(cost.c, cost.q, a)
     return out if out.ndim else float(out)
 
 
@@ -223,14 +214,22 @@ def cost_marginal(cost: CostFunction, a) -> float:
     if cost.family == "linear":
         out = np.full_like(a, cost.r)
     else:
-        with np.errstate(over="ignore"):
-            out = cost.c * cost.q * a ** (cost.q - 1.0)
-            # cost_eval's fold, coefficient c * q and exponent q - 1 (only
-            # where q - 1 > 1 can a ** (q - 1) overflow before the product)
-            if cost.q > 2.0 and np.isinf(out).any():
-                out = np.where(np.isinf(out), np.power(
-                    (cost.c * cost.q) ** (1.0 / (cost.q - 1.0)) * a, cost.q - 1.0), out)
+        out = _power_cost(cost.c * cost.q, cost.q - 1.0, a)
     return out if out.ndim else float(out)
+
+
+def _power_cost(coef, q, a):
+    """coef * a ** q for an array a >= 0 and q >= 0."""
+    with np.errstate(over="ignore"):
+        out = coef * a ** q
+        # a ** q overflows before coef * a ** q does where coef < 1; there,
+        # and only there, coef is folded in first (np.power, as a ** q, so
+        # that a scalar a gets the bits of an array's element). Only where
+        # q > 1 can a ** q overflow first; elsewhere coef ** (1 / q) could
+        # overflow a float and raise.
+        if q > 1.0 and np.isinf(out).any():
+            out = np.where(np.isinf(out), np.power(coef ** (1.0 / q) * a, q), out)
+    return out
 
 
 @dataclass(frozen=True)

@@ -1161,3 +1161,27 @@ def test_import_leaves_numpy_random_unloaded():
     script = "import sys\nimport poolsim.cli\nsys.exit('numpy.random' in sys.modules)\n"
     run = _run_python("-c", script)
     assert run.returncode == 0, run.stderr or "import poolsim.cli loaded numpy.random"
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(monkeypatch, tmp_path):
+    # results are a function of (config, seed): under two hash seeds, the
+    # CSVs and the oracle's samples over more than one block are the same
+    myopic = os.path.join(CONFIGS, "myopic-game.yaml")
+    script = f"""import pathlib, sys
+from poolsim.cli import main
+from poolsim.config import load_config
+from poolsim.montecarlo import BLOCK_SIZE, payoff_samples
+out, cfg = sys.argv[1], load_config({VERIFY_AUDIT!r})
+assert main(["simulate", "--config", {myopic!r}, "--out", out]) == 0
+assert main(["verify", "--config", {VERIFY_AUDIT!r}, "--out", out]) == 0
+samples = payoff_samples("ppss", 0, [p.capacity_A for p in cfg.profiles], cfg.platform,
+                         list(cfg.profiles), cfg.demand, 3 * BLOCK_SIZE + 17, cfg.seed)
+pathlib.Path(out, "samples.bin").write_bytes(samples.tobytes())
+"""
+    outputs = []
+    for seed in ("0", "1"):
+        monkeypatch.setenv("PYTHONHASHSEED", seed)
+        run = _run_python("-c", script, str(tmp_path / seed))
+        assert run.returncode == 0, run.stderr
+        outputs.append({f.name: f.read_bytes() for f in (tmp_path / seed).iterdir()})
+    assert len(outputs[0]) == 4 and outputs[0] == outputs[1]

@@ -179,6 +179,20 @@ class TestCostMarginal:
         a = np.geomspace(1e-100, 1e100, 401)
         np.testing.assert_array_equal(cost_marginal(cost, a), 0.37 * 2.9 * a ** (2.9 - 1.0))
 
+    @given(st.floats(-1000.0, 1020.0),
+           st.one_of(st.sampled_from([1.0, 2.0]), st.floats(1.0, 4.0)),
+           st.floats(-1070.0, 1020.0))
+    @settings(max_examples=500, deadline=None)
+    def test_power_keeps_the_bits_of_its_own_fold(self, log2_c, q, log2_a):
+        # cost_marginal folds as cost_eval does, with coefficient c * q and
+        # exponent q - 1; its bits are those of the fold written for it alone
+        c, a = 2.0**log2_c, np.asarray(2.0**log2_a)
+        with np.errstate(over="ignore"):
+            want = c * q * a ** (q - 1.0)
+            if q > 2.0 and np.isinf(want):
+                want = np.power((c * q) ** (1.0 / (q - 1.0)) * a, q - 1.0)
+        assert cost_marginal(CostFunction(family="power", c=c, q=q), a) == want
+
     def test_matches_finite_difference(self):
         # central difference, h = 1e-6, 1e-4 relative error per family
         h = 1e-6

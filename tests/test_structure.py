@@ -1,0 +1,53 @@
+"""Design rules read from the package's sources, line by line as grep reads."""
+import json
+import pathlib
+import re
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "poolsim"
+PACKAGE_IMPORT = r"(from\s+(\.|poolsim)|import\s+poolsim)"
+
+# (pattern, the only sources with a line that matches it): why
+RULES = [
+    (r"np\.random\.|default_rng", {"model.py"}),  # only model.substream builds random generators
+    (r"^\s+" + PACKAGE_IMPORT, set()),  # no function-level package import
+    (r"\.(uniform|gamma|lognormal|normal)\(", set()),  # demand draws go through DemandModel.ppf
+    (r"^(from|import)\s+scipy", set()),  # only the functions using scipy import it; simulate never does
+    (r"fsum\(.*\.tolist\(\)\)", set()),  # whole-array exact sums go block-wise through exact_sum
+    (r"os\.environ|getenv", set()),  # results are a function of (config, seed) alone
+    (r"print\(", {"cli.py"}),  # only the command line prints; parsing a config prints nothing
+    (r"shape_k\(", {"mechanisms.py"}),  # ppss_rate alone divides the pay rate by the shape
+    (r"subsidy_clamp_nonneg", {"config.py"}),  # only parse_config knows the retired key
+]
+
+
+def _lines(path, pattern):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return [line for line in lines if re.search(pattern, line)]
+
+
+@pytest.mark.parametrize("pattern, files", RULES)
+def test_only_these_sources_match(pattern, files):
+    assert {p.name for p in SRC.glob("*.py") if _lines(p, pattern)} == files
+
+
+def test_config_imports_only_model():
+    imports = _lines(SRC / "config.py", r"^\s*" + PACKAGE_IMPORT)
+    assert all(re.match(r"from\s+\.model\s+import\s", line) for line in imports), imports
+
+
+def test_audits_import_nothing_from_config():
+    # parse_config alone judges a config
+    pattern = (r"^\s*(from\s+(\.|poolsim\.)config\s|from\s+(\.|poolsim)\s+import\s.*\bconfig\b"
+               r"|import\s+poolsim\.config)")
+    assert not _lines(SRC / "theorems.py", pattern)
+
+
+def test_tests_name_no_benchmark_path():
+    # the tests own their configs (tests/configs/), so the benchmark can
+    # change its workloads without changing a test
+    paths = json.loads((ROOT / "BENCHMARK.json").read_text())["paths"]
+    files = [f for f in (ROOT / "tests").rglob("*") if f.is_file() and "__pycache__" not in f.parts]
+    assert paths and not [(f, p) for f in files for p in paths if p.encode() in f.read_bytes()]
