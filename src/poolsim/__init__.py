@@ -7,14 +7,12 @@ from .analysis import (
     PayoffEstimate,
     bb_audit,
     best_response,
-    chernoff_tail_upper,
     docdic_check,
     expected_payoff_mc,
     floor_payoff,
     incentive_verdict,
     ocdic_check,
     payoff_curve,
-    subsidy_prob_lower,
 )
 from .config import ConfigError, ExperimentConfig, dump_config, load_config, parse_config
 from .engine import (

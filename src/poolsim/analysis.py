@@ -489,11 +489,14 @@ class _PpssReward:
 
     def __call__(self, a: np.ndarray) -> np.ndarray:
         """E[R_i] at each allocation in the 1-D array a."""
-        out = np.zeros(len(a))  # a = 0: no output, so no reward, as in the MC
-        live = a.nonzero()[0]
+        # a shape k*a of 0 (a = 0, or k*a underflowing) has no output, so no
+        # reward, as in the MC and the engine
+        out = np.zeros(len(a))
+        s = self.params.k * a
+        live = s.nonzero()[0]
         if not len(live):
             return out
-        s = self.params.k * a[live]
+        s = s[live]
         nodes = len(self.demand_M)
         if nodes == 1:
             # A constant demand's one node weighs 1.0, so each value is its
@@ -904,34 +907,6 @@ def docdic_check(
     the raw ppss payoff at warm windows."""
     demand = DemandModel(family="constant", M=realized_M)
     return ocdic_check(mechanism, params, profiles, demand)
-
-
-def chernoff_tail_upper(shape_s: float, threshold_t: float) -> tuple[float, float]:
-    """Upper bounds on P(Gamma(s, 1) <= t) for t < s.
-
-    Returns (standard, paper): the standard Chernoff bound
-    exp(s*ln(t/s) + s - t) = (u*e^(1-u))^s with u = t/s, and its simplified
-    one-factor form u*e^(1-u), valid whenever s >= 1 since the base is <= 1.
-    """
-    if not 0 < threshold_t < shape_s:
-        raise ValueError("require 0 < t < s (bound is vacuous otherwise)")
-    u = threshold_t / shape_s
-    standard = math.exp(shape_s * math.log(u) + shape_s - threshold_t)
-    paper = u * math.exp(1.0 - u)
-    return standard, paper
-
-
-def subsidy_prob_lower(a: float, A: float, lam: float) -> float:
-    """Lower bound on the subsidy-indicator probability,
-    max(0, 1 - (lam*A/a) * e^(1 - lam*A/a)).
-
-    Equals subsidy_shape evaluated at the mean output D = a*k, the identity
-    the capacity-commitment argument exploits.
-    """
-    if not 0 < a <= A:
-        raise ValueError("require 0 < a <= A")
-    u = lam * A / a
-    return max(0.0, 1.0 - u * math.exp(1.0 - u))
 
 
 def bb_audit(ledger, bounds: BudgetBounds) -> dict:

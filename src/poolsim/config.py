@@ -186,10 +186,11 @@ class ExperimentConfig:
 
 def _check_bounds(cfg: ExperimentConfig) -> None:
     """A ConfigError naming the field where a value commands compute from
-    `cfg` overflows, or p * M underflows. verify runs the pps audits and
-    the ppss ones on any config, so no bound depends on the mechanism. The
-    ppss payout ratio depends on the outputs, so engine.settle bounds it: a
-    config at p = 1e-306 whose played ratios are finite runs."""
+    `cfg` overflows, or p * M or T4's demand underflows. verify runs the pps
+    audits and the ppss ones on any config, so no bound depends on the
+    mechanism. The ppss payout ratio depends on the outputs, so
+    engine.settle bounds it: a config at p = 1e-306 whose played ratios are
+    finite runs."""
     plat = cfg.platform
     with np.errstate(over="ignore"):
         # b / p bounds every pps payout ratio and is the one T1 checks against
@@ -215,6 +216,10 @@ def _check_bounds(cfg: ExperimentConfig) -> None:
     for field_name, value, what in bounds:
         if not math.isfinite(value):
             raise ConfigError(field_name, f"{what} overflows")
+    # T4's constant demand, the smallest a scenario sets, must be positive
+    if not 0.2 * cfg.supply > 0:
+        raise ConfigError("platform.k", "0.2 * k * sum(capacity_A), the demand of T4's "
+                          "scenario, underflows to 0")
     # every payout ratio divides by M * p, and T6's bound by mu_F * p; ppf is
     # monotone, so ppf(U_MIN) is the smallest draw, and mu_F is no smaller
     if not plat.p * cfg.demand.ppf(U_MIN) > 0:

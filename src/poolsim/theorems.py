@@ -23,16 +23,13 @@ import numpy as np
 from .analysis import (
     BudgetBounds,
     bb_audit,
-    chernoff_tail_upper,
     docdic_check,
     floor_payoff,
     incentive_verdict,
     ocdic_check,
     payoff_curve,
-    subsidy_prob_lower,
 )
 from .engine import play, reads_mechanism, settle
-from .mechanisms import subsidy_shape
 from .model import CostFunction, DemandModel, c_tilde
 
 
@@ -154,10 +151,10 @@ def audit_t4(cfg) -> dict:
 
 
 def audit_t5(cfg) -> dict:
-    """Subsidized mechanism: the exact payoff dominates the guaranteed floor,
-    the floor best response is capacity, and the tail/identity bounds hold."""
-    from scipy import special
-
+    """Subsidized mechanism: the exact payoff dominates the guaranteed floor
+    a*c~ - C(a) on a 16-point grid, and the floor best response is capacity
+    for every miner. Both checks read the config; the metric is the least
+    margin of payoff over floor."""
     plat = cfg.platform
     profiles = cfg.profiles
     capacities = np.array([p.capacity_A for p in profiles])
@@ -177,22 +174,7 @@ def audit_t5(cfg) -> dict:
     verdicts = ocdic_check("ppss", plat, profiles, demand)
     br_ok = all(v["passed"] for v in verdicts)
 
-    # Chernoff validity against the exact lower tail, on a fixed (s, t/s) grid
-    chern_ok = True
-    for s in np.linspace(2.0, 400.0, 5):
-        for t in s * np.linspace(0.3, 0.95, 4):
-            std_b, paper_b = chernoff_tail_upper(s, t)
-            exact = special.gammainc(s, t)
-            chern_ok &= exact <= std_b + 1e-12 and exact <= paper_b + 1e-12
-
-    # identity: indicator probability bound == subsidy shape at the mean
-    ident_ok = True
-    for a in np.linspace(0.5 * prof.capacity_A, prof.capacity_A, 8):
-        lhs = subsidy_prob_lower(a, prof.capacity_A, plat.lam)
-        rhs = max(0.0, float(subsidy_shape(a * plat.k, prof.capacity_A, plat)))
-        ident_ok &= abs(lhs - rhs) <= 1e-12
-
-    ok = floor_ok and br_ok and chern_ok and ident_ok
+    ok = floor_ok and br_ok
     return _row(
         "T5", "PPSS payoff dominates the floor a*c~-C(a) and the floor argmax is capacity",
         cfg, "PASS" if ok else "FAIL", min(margins), 0.0,

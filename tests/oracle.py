@@ -1,6 +1,10 @@
-"""Analysis that only the tests use: the subsidy mass g(D) and synchronous
-best-response dynamics. No command calls either, so they live beside the
+"""Analysis that only the tests use: the subsidy mass g(D), synchronous
+best-response dynamics, the Chernoff bounds on the gamma lower tail
+(chernoff_tail_upper) and the subsidy-indicator probability floor
+(subsidy_prob_lower). No command calls any of them, so they live beside the
 tests rather than in the package."""
+import math
+
 import numpy as np
 
 from poolsim.analysis import _default_objective, best_response
@@ -60,3 +64,31 @@ def br_dynamics(
         "converged": converged,
         "iterations": len(trajectory) - 1,
     }
+
+
+def chernoff_tail_upper(shape_s: float, threshold_t: float) -> tuple[float, float]:
+    """Upper bounds on P(Gamma(s, 1) <= t) for t < s.
+
+    Returns (standard, paper): the standard Chernoff bound
+    exp(s*ln(t/s) + s - t) = (u*e^(1-u))^s with u = t/s, and its simplified
+    one-factor form u*e^(1-u), valid whenever s >= 1 since the base is <= 1.
+    """
+    if not 0 < threshold_t < shape_s:
+        raise ValueError("require 0 < t < s (bound is vacuous otherwise)")
+    u = threshold_t / shape_s
+    standard = math.exp(shape_s * math.log(u) + shape_s - threshold_t)
+    paper = u * math.exp(1.0 - u)
+    return standard, paper
+
+
+def subsidy_prob_lower(a: float, A: float, lam: float) -> float:
+    """Lower bound on the subsidy-indicator probability,
+    max(0, 1 - (lam*A/a) * e^(1 - lam*A/a)).
+
+    Equals subsidy_shape evaluated at the mean output D = a*k, the identity
+    the capacity-commitment argument exploits.
+    """
+    if not 0 < a <= A:
+        raise ValueError("require 0 < a <= A")
+    u = lam * A / a
+    return max(0.0, 1.0 - u * math.exp(1.0 - u))

@@ -14,7 +14,6 @@ import yaml
 
 from poolsim.analysis import (
     best_response,
-    chernoff_tail_upper,
     docdic_check,
     expected_payoff_mc,
     floor_payoff,
@@ -32,7 +31,7 @@ from poolsim.model import (
 from poolsim.theorems import run_audits
 from scipy import special
 
-from oracle import g_function
+from oracle import chernoff_tail_upper, g_function
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:

@@ -15,13 +15,11 @@ from poolsim.analysis import (
     BudgetBounds,
     bb_audit,
     best_response,
-    chernoff_tail_upper,
     docdic_check,
     expected_payoff_mc,
     floor_payoff,
     ocdic_check,
     payoff_curve,
-    subsidy_prob_lower,
 )
 from poolsim.config import parse_config
 from poolsim.engine import run_simulation
@@ -38,7 +36,7 @@ from poolsim.model import (
 )
 
 from conftest import money_scaled, small_configs
-from oracle import br_dynamics, g_function
+from oracle import br_dynamics, chernoff_tail_upper, g_function, subsidy_prob_lower
 
 CHERNOFF_STD_100_80 = 0.09882989575150939  # exp(100*ln(0.8) + 20)
 PROB_LOWER_AT_CAPACITY = 0.022877793471864133  # 1 - 0.8*e^0.2
@@ -363,6 +361,16 @@ class TestPpssExpectedPayoff:
             assert curve[0] == 0.0
         power = [MinerProfile(capacity_A=1.0, cost=CostFunction(family="power", c=2.0, q=2.0))]
         assert payoff_curve("ppss", 0, [0.0], [0.0], AUDIT_PARAMS, power, AUDIT_DEMAND)[0] == 0.0
+
+    def test_underflowing_shape_pays_nothing(self):
+        # k * a = 1e-330 underflows to 0: no output, so no reward, as the
+        # engine and pps pay
+        params = PlatformParams(p=1.0, b=1.0, k=1e-30)
+        profs = [linear_miner(1e-300, 1.5e-30), linear_miner(1.0, 1.5e-30)]
+        for demand in (AUDIT_DEMAND, DemandModel(family="uniform", lo=1.0, hi=9.0)):
+            for mechanism in ("pps", "ppss"):
+                assert payoff_curve(mechanism, 0, [1e-300, 1.0], [1e-300], params, profs,
+                                    demand)[0] == 0.0
 
     def test_bad_allocations_rejected(self):
         for allocs in ([1.5, 1.0], [-0.1, 1.0], [1.0, 2.0], [1.0]):

@@ -284,19 +284,6 @@ EXIT_CODE_CONFIGS = {
     # N = 1 (where only the output's 9 * (k * A + 1) does)
     "huge-supply": _test_copy("verify-audit", capacity_A=5e305),
     "huge-supply-n1": _test_copy("verify-audit", capacity_A=5e305, N=1),
-    # output shapes of 1e302 stay within that bound: the exact ppss payoff
-    # must stay finite there
-    "huge-shape": _test_copy("verify-audit", capacity_A=1e300),
-    # at a small lambda the window threshold lambda * A * k * N = 1e306 is
-    # finite, but the warm window's shape (N - 1) * k * A is not: rejected
-    # when parsed
-    "small-lambda": {
-        "mechanism": "ppss",
-        "platform": {"p": 1.0, "b": 1.0, "k": 1.0, "lambda": 0.001, "N": 1000},
-        "miners": [{"capacity_A": 1e306, "cost": {"family": "linear", "r": 1.5}}],
-        "demand": {"family": "constant", "M": 6e306},
-        "rounds": 10,
-    },
     # pps configs whose cost overflows, rejected when parsed since verify
     # runs the ppss audits and summary.csv reads C(a): c~/k = 1e307 / 0.001,
     # and C(4) = 4**600
@@ -308,30 +295,18 @@ EXIT_CODE_CONFIGS = {
         "demand": {"family": "constant", "M": 20.0},
         "rounds": 10,
     },
-    # a pps total shape of 1e306, where scipy's incomplete gamma functions
-    # are NaN: the payoff takes min(s, M) there
-    "pps-huge-shape": {
-        "mechanism": "pps",
-        "platform": {"p": 1.0, "b": 1.0, "k": 1.0, "N": 1},
-        "miners": [{"capacity_A": 1e306, "cost": {"family": "linear", "r": 0.5}}],
-        "demand": {"family": "constant", "M": 5e305},
-        "rounds": 10,
-    },
     # T3's power costs c * a**2 at a = 1e200, finite where a**2 is not
     "huge-t3": _test_copy("verify-audit", capacity_A=1e200),
     # output shapes of 1e37, where whether the subsidy fires at a = lambda * A
     # is a matter of rounding: T5's grid leaves it out
     "huge-t5": _test_copy("verify-audit", capacity_A=1e35,
                           demand={"family": "constant", "M": 6e37}),
-    # a power cost's marginal c * q * a**(q - 1) = 3e20 at capacity, finite
-    # where a**(q - 1) is not
-    "huge-marginal": {
-        "mechanism": "pps",
-        "platform": {"p": 1.0, "b": 1.0, "k": 1.0},
-        "miners": [{"capacity_A": 1e160, "cost": {"family": "power", "c": 1e-300, "q": 3.0}}],
-        "demand": {"family": "constant", "M": 1e200},
-        "rounds": 10,
-    },
+    # T4's constant demand 0.2 * k * sum(A) = 4e-401 underflows to 0:
+    # rejected when parsed
+    "tiny-supply": _test_copy("verify-audit", k=1e-200, capacity_A=1e-200, r=1.5e-200),
+    # miner 0's output shape k * A = 1e-330 underflows to 0: it earns
+    # nothing, and T5's floor holds
+    "tiny-miner": _test_copy("verify-audit", k=1e-30, r=1.5e-30),
     # the subsidy numerator is always clamped; turning it off is refused
     "unclamped": _test_copy("verify-audit", subsidy_clamp_nonneg=False),
     # the ppss payoff under a random demand: one outer rule per demand node
@@ -340,6 +315,7 @@ EXIT_CODE_CONFIGS = {
     # every round
     "uniform-myopic-game": _test_copy("myopic-game", demand=UNIFORM),
 }
+EXIT_CODE_CONFIGS["tiny-miner"]["miners"][0]["capacity_A"] = 1e-300
 
 # exit code, command, config and the command's other arguments: each run
 # exits with the code README documents for it
@@ -358,7 +334,6 @@ EXIT_CODES = """
 0 best-response verify-audit --miner 0 --grid 16 --objective payoff
 0 best-response pps-verify-audit --miner 0 --grid 16 --objective payoff
 0 best-response uniform-verify-audit --miner 0 --grid 16 --objective payoff
-0 best-response huge-shape --miner 0 --grid 16 --objective payoff
 0 sweep verify-audit --axis platform.lambda=0.7:0.9:3
 2 sweep verify-audit --axis miners.\u00b2.capacity_A=1:2:2
 2 verify underflow
@@ -374,17 +349,16 @@ EXIT_CODES = """
 2 simulate huge-supply
 2 verify huge-supply
 2 verify huge-supply-n1
-2 best-response small-lambda --miner 0 --grid 16 --objective payoff
 2 simulate pps-subsidy-numerator
 2 verify pps-subsidy-numerator
 2 simulate pps-cost-at-capacity
 2 verify pps-cost-at-capacity
-0 best-response pps-huge-shape --miner 0 --grid 4 --objective payoff
 0 verify huge-t3 --theorems T3
 0 verify huge-t5 --theorems T5
-0 simulate huge-marginal
-0 verify huge-marginal
 2 simulate unclamped
+2 simulate tiny-supply
+2 verify tiny-supply
+0 verify tiny-miner --theorems T5
 """.strip().splitlines()
 
 
@@ -395,8 +369,6 @@ def test_documented_exit_code(row, tmp_path):
     path.write_text(yaml.safe_dump(EXIT_CODE_CONFIGS[config]))
     out = tmp_path / "out"
     assert main([command, "--config", str(path), "--out", str(out), *extra]) == int(want)
-    if config == "pps-huge-shape":
-        assert "nan" not in (out / "br_curve.csv").read_text().lower()
 
 
 class TestVerify:

@@ -318,6 +318,18 @@ class TestValidation:
             assert e.value.field == "platform.k"
         parse_config(minimal(platform=platform, miners=miners[:2]))
 
+    @pytest.mark.parametrize("mechanism", ["pps", "ppss"])
+    def test_underflowing_supply_rejected(self, mechanism):
+        # T4's constant demand 0.2 * k * sum(A) = 0.2 * 1e-200 * 2e-200 is 0;
+        # at A = 1e-100 it is 4e-301
+        platform = {"p": 1.0, "k": 1.0e-200}
+        miners = [{"capacity_A": 1.0e-200, "cost": {"family": "linear", "r": 1.5e-200}}] * 2
+        with pytest.raises(ConfigError) as e:
+            parse_config(minimal(mechanism=mechanism, platform=platform, miners=miners))
+        assert e.value.field == "platform.k"
+        miners = [{**miners[0], "capacity_A": 1.0e-100}] * 2
+        parse_config(minimal(mechanism=mechanism, platform=platform, miners=miners))
+
     def test_non_mapping_rejected(self):
         with pytest.raises(ConfigError):
             parse_config([1, 2, 3])

@@ -37,6 +37,7 @@ from poolsim.model import (
 )
 
 from conftest import in_money_range, money_scaled, small_configs
+from oracle import subsidy_prob_lower
 
 CONFIGS = Path(__file__).parent / "configs"
 
@@ -438,8 +439,6 @@ class TestSimulationStatistics:
             assert abs(d[:, i].mean() - target) <= 5 * se
 
     def test_subsidy_frequency_dominates_lower_bound(self):
-        from poolsim.analysis import subsidy_prob_lower
-
         cfg = parse_config({
             "mechanism": "ppss",
             "platform": {"p": 1.0, "k": 100.0, "lambda": 0.8},

@@ -51,3 +51,9 @@ def test_tests_name_no_benchmark_path():
     paths = json.loads((ROOT / "BENCHMARK.json").read_text())["paths"]
     files = [f for f in (ROOT / "tests").rglob("*") if f.is_file() and "__pycache__" not in f.parts]
     assert paths and not [(f, p) for f in files for p in paths if p.encode() in f.read_bytes()]
+
+
+def test_readme_library_imports_run():
+    # README's import block names only what the package exports
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## Library entry points\n")[1]
+    exec(re.search(r"```python\n(.*?)```", section, re.S).group(1), {})
