@@ -317,58 +317,79 @@ EXIT_CODE_CONFIGS = {
 }
 EXIT_CODE_CONFIGS["tiny-miner"]["miners"][0]["capacity_A"] = 1e-300
 
-# exit code, command, config and the command's other arguments: each run
-# exits with the code README documents for it
+# exit code, command, config, the text stderr must contain (- for none)
+# and the command's other arguments: each run exits with the code README
+# documents for it, and a run that exits 2 writes nothing to --out
 EXIT_CODES = """
-0 simulate simulate-ledger
-0 simulate myopic-game
-0 verify verify-audit
-0 simulate pps-simulate-ledger
-0 simulate pps-myopic-game
-0 simulate uniform-myopic-game
-0 verify pps-verify-audit
-0 simulate p1e-300
-0 verify p1e-300
-0 simulate p1e-306
-0 verify p1e-306
-0 best-response verify-audit --miner 0 --grid 16 --objective payoff
-0 best-response pps-verify-audit --miner 0 --grid 16 --objective payoff
-0 best-response uniform-verify-audit --miner 0 --grid 16 --objective payoff
-0 sweep verify-audit --axis platform.lambda=0.7:0.9:3
-2 sweep verify-audit --axis miners.\u00b2.capacity_A=1:2:2
-2 verify underflow
-2 simulate underflow
-2 simulate overflow
-2 verify overflow
-2 simulate p3e-307
-2 verify p3e-307
-2 sweep verify-audit --axis platform.k=100:100:1 --axis platform.k=1:1:1
-2 sweep verify-audit --axis seed=1:2:2 --seed 5
-2 sweep verify-audit --axis platform.lambda=inf:0.9:2
-2 sweep verify-audit --axis platform.lambda=1e308:-1e308:3
-2 simulate huge-supply
-2 verify huge-supply
-2 verify huge-supply-n1
-2 simulate pps-subsidy-numerator
-2 verify pps-subsidy-numerator
-2 simulate pps-cost-at-capacity
-2 verify pps-cost-at-capacity
-0 verify huge-t3 --theorems T3
-0 verify huge-t5 --theorems T5
-2 simulate unclamped
-2 simulate tiny-supply
-2 verify tiny-supply
-0 verify tiny-miner --theorems T5
+0 simulate simulate-ledger -
+0 simulate myopic-game -
+0 simulate pps-simulate-ledger -
+0 simulate pps-myopic-game -
+0 simulate uniform-myopic-game -
+0 verify pps-verify-audit -
+0 verify p1e-300 -
+0 verify p1e-306 -
+0 best-response verify-audit - --miner 0 --grid 16 --objective payoff
+0 best-response pps-verify-audit - --miner 0 --grid 16 --objective payoff
+0 best-response uniform-verify-audit - --miner 0 --grid 16 --objective payoff
+0 sweep verify-audit - --axis platform.lambda=0.7:0.9:3
+2 sweep verify-audit 'miners.\u00b2.capacity_A' --axis miners.\u00b2.capacity_A=1:2:2
+2 verify underflow 'platform.p'
+2 simulate underflow 'platform.p'
+2 simulate overflow 'platform.b'
+2 verify overflow 'platform.b'
+2 simulate p3e-307 'platform.p'
+2 verify p3e-307 'platform.p'
+2 sweep verify-audit 'platform.k' --axis platform.k=100:100:1 --axis platform.k=1:1:1
+2 sweep verify-audit 'seed' --axis seed=1:2:2 --seed 5
+2 simulate huge-supply 'miners[0].capacity_A'
+2 verify huge-supply 'miners[0].capacity_A'
+2 verify huge-supply-n1 'miners[0].capacity_A'
+2 simulate pps-subsidy-numerator 'miners[0].cost'
+2 verify pps-subsidy-numerator 'miners[0].cost'
+2 simulate pps-cost-at-capacity 'miners[0].cost'
+2 verify pps-cost-at-capacity 'miners[0].cost'
+0 verify huge-t3 - --theorems T3
+0 verify huge-t5 - --theorems T5
+2 simulate unclamped 'platform.subsidy_clamp_nonneg'
+2 simulate tiny-supply 'platform.k'
+2 verify tiny-supply 'platform.k'
+0 verify tiny-miner - --theorems T5
 """.strip().splitlines()
 
 
-@pytest.mark.parametrize("row", EXIT_CODES, ids=[row.replace(" ", "_") for row in EXIT_CODES])
-def test_documented_exit_code(row, tmp_path):
-    want, command, config, *extra = row.split()
+def _exit_code_row(row):
+    """(exit code, command, config name, stderr text or None, other
+    arguments) of an EXIT_CODES row."""
+    want, command, config, err, *extra = row.split()
+    return int(want), command, config, None if err == "-" else err, extra
+
+
+def _exit_code_id(row):
+    want, command, config, _, extra = _exit_code_row(row)
+    return "_".join([str(want), command, config, *extra])
+
+
+@pytest.mark.parametrize("row", EXIT_CODES, ids=[_exit_code_id(row) for row in EXIT_CODES])
+def test_documented_exit_code(row, tmp_path, capsys):
+    want, command, config, err, extra = _exit_code_row(row)
     path = tmp_path / f"{config}.yaml"
     path.write_text(yaml.safe_dump(EXIT_CODE_CONFIGS[config]))
     out = tmp_path / "out"
-    assert main([command, "--config", str(path), "--out", str(out), *extra]) == int(want)
+    assert main([command, "--config", str(path), "--out", str(out), *extra]) == want
+    if err is not None:
+        assert err in capsys.readouterr().err
+    if want == 2:
+        assert not out.exists() or os.listdir(out) == []
+
+
+def test_exit_code_rows_make_distinct_runs():
+    # one owner per run: no two rows run one command on equal configs with
+    # equal arguments, and every config is run by some row
+    rows = [_exit_code_row(row) for row in EXIT_CODES]
+    runs = [(command, EXIT_CODE_CONFIGS[config], extra) for _, command, config, _, extra in rows]
+    assert [run for n, run in enumerate(runs) if run in runs[:n]] == []
+    assert {config for _, _, config, _, _ in rows} == set(EXIT_CODE_CONFIGS)
 
 
 class TestVerify:
@@ -479,7 +500,8 @@ class TestTinyPrice:
     p = 1e-306 their sum overflows, and at p = 1e-300 their squared
     deviations do. Means and CIs stay finite and scale as 1/p."""
 
-    def _run(self, command, p, tmp_path, *extra):
+    @staticmethod
+    def _run(command, p, tmp_path, *extra):
         with open(VERIFY_AUDIT) as fh:
             data = yaml.safe_load(fh)
         data["platform"]["p"] = p
@@ -488,66 +510,33 @@ class TestTinyPrice:
         out = tmp_path / f"{command}-{p}"
         return main([command, "--config", str(path), "--out", str(out), *extra]), out
 
+    @pytest.fixture(scope="class")
+    def reference(self, tmp_path_factory):
+        """The p = 1 rows each p is compared with, run once for the class:
+        summary.csv of simulate and theorem_report.csv of verify --theorems
+        T6."""
+        tmp = tmp_path_factory.mktemp("p1")
+        summary = self._run("simulate", 1.0, tmp)[1] / "summary.csv"
+        report = self._run("verify", 1.0, tmp, "--theorems", "T6")[1] / "theorem_report.csv"
+        return read_csv(str(summary))[1], read_csv(str(report))[1]
+
     @pytest.mark.parametrize("p", [1e-300, 1e-306])
-    def test_simulate_mean_ratio(self, p, tmp_path):
+    def test_simulate_mean_ratio(self, p, tmp_path, reference):
         code, out = self._run("simulate", p, tmp_path)
         assert code == 0
         _, rows = read_csv(str(out / "summary.csv"))
-        _, ref = read_csv(str(self._run("simulate", 1.0, tmp_path)[1] / "summary.csv"))
+        ref, _ = reference
         assert float(rows[0][4]) == pytest.approx(float(ref[0][4]) / p, rel=1e-12)
 
     @pytest.mark.parametrize("p", [1e-300, 1e-306])
-    def test_verify_t6_mean_and_ci(self, p, tmp_path):
+    def test_verify_t6_mean_and_ci(self, p, tmp_path, reference):
         code, out = self._run("verify", p, tmp_path, "--theorems", "T1,T6")
         assert code == 0
         _, rows = read_csv(str(out / "theorem_report.csv"))
-        _, ref = read_csv(str(self._run("verify", 1.0, tmp_path, "--theorems", "T6")[1]
-                              / "theorem_report.csv"))
+        _, ref = reference
         assert [r[3] for r in rows] == ["PASS", "KNOWN_DISCREPANCY"]
         for col in (4, 6):  # metric, ci
             assert float(rows[1][col]) == pytest.approx(float(ref[0][col]) / p, rel=1e-12)
-
-    @pytest.mark.parametrize("command", ["simulate", "verify"])
-    def test_payout_ratio_denominator_underflow_exits_2(self, command, tmp_path, capsys):
-        # M * p = 1e-310 * 1e-20 underflows to 0, so every payout ratio and
-        # T6's bound would divide by zero
-        with open(VERIFY_AUDIT) as fh:
-            data = yaml.safe_load(fh)
-        data["platform"]["p"] = 1.0e-20
-        data["demand"]["M"] = 1.0e-310
-        path = tmp_path / "underflow.yaml"
-        path.write_text(yaml.safe_dump(data))
-        out = tmp_path / "out"
-        out.mkdir()
-        assert main([command, "--config", str(path), "--out", str(out)]) == 2
-        assert "platform.p" in capsys.readouterr().err
-        assert os.listdir(out) == []
-
-    @pytest.mark.parametrize("command", ["simulate", "verify"])
-    def test_payout_ratio_overflow_exits_2(self, command, tmp_path, capsys):
-        # b / p = 1e300 / 1e-20 exceeds every float, so every pps payout
-        # ratio and T1's bound would read inf
-        with open(VERIFY_AUDIT) as fh:
-            data = yaml.safe_load(fh)
-        data["mechanism"] = "pps"
-        data["platform"].update(p=1.0e-20, b=1.0e300)
-        path = tmp_path / "overflow.yaml"
-        path.write_text(yaml.safe_dump(data))
-        out = tmp_path / "out"
-        out.mkdir()
-        assert main([command, "--config", str(path), "--out", str(out)]) == 2
-        assert "platform.b" in capsys.readouterr().err
-        assert os.listdir(out) == []
-
-    @pytest.mark.parametrize("command", ["simulate", "verify"])
-    def test_subsidised_ratio_overflow_exits_2(self, command, tmp_path, capsys):
-        # b / p = 3.3e306 is finite, but a subsidised round pays up to
-        # numerator/eps_k per unit: its ratio, about 17.4/p on average,
-        # overflows, where at p = 1e-306 it does not
-        code, out = self._run(command, 3.0e-307, tmp_path)
-        assert code == 2
-        assert "platform.p" in capsys.readouterr().err
-        assert not out.exists()
 
 
 class TestHugeSupply:
@@ -577,10 +566,10 @@ class TestHugeSupply:
         return data
 
     @pytest.mark.parametrize("command", ["simulate", "verify"])
-    @pytest.mark.parametrize("capacity", [5.0e305, 1.0e308])
+    @pytest.mark.parametrize("capacity", [1.0e308])
     def test_overflowing_window_threshold_exits_2(self, command, capacity, tmp_path, capsys):
-        # 9 * N * k * A = 9 * 10 * 100 * 5e305 = 4.5e309; at 1e308, k * A
-        # alone overflows
+        # at 1e308, k * A alone overflows; at 5e305 (the exit-code table's
+        # huge-supply) only 9 * N * k * A = 9 * 10 * 100 * 5e305 does
         assert self._run(tmp_path, self._audit(capacity), command) == (2, [])
         assert "'miners[0].capacity_A'" in capsys.readouterr().err
 

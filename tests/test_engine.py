@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from poolsim import analysis, engine
@@ -619,15 +619,22 @@ class TestBudgetRatioProperty:
         assert led.budget_ratio.min() >= 0.0
 
     @given(small_configs(), st.integers(-8, 8))
+    # a pps ratio of 1.5e-323 at p = 1, which p = 2 rounds to 1e-323
+    @example({"mechanism": "pps", "platform": {"p": 1.0, "b": 1.0, "k": 54.0, "N": 1},
+              "miners": [{"capacity_A": 1.0, "cost": {"family": "linear", "r": 1.0},
+                          "policy": {"kind": "static", "a": 1e-05}}],
+              "demand": {"family": "constant", "M": 1.0}, "rounds": 1, "seed": 9}, 1)
     @settings(max_examples=30, deadline=None)
     def test_price_scaling_scales_every_ratio(self, data, j):
         # p -> 2**j * p leaves the game and its rewards alone and divides
         # every budget_ratio by exactly 2**j (p = 2p halves it), under both
-        # mechanisms: the ratio has no absolute epsilon
+        # mechanisms: the ratio has no absolute epsilon. Exactly only where
+        # no ratio leaves the normal range, as in TestMoneyScaling
         factor = 2.0**j
         scaled = {**data, "platform": {**data["platform"], "p": data["platform"]["p"] * factor}}
         base, led = run_simulation(parse_config(data)), run_simulation(parse_config(scaled))
         np.testing.assert_array_equal(led.rewards, base.rewards)
+        assume(in_money_range(base.budget_ratio, led.budget_ratio))
         np.testing.assert_array_equal(led.budget_ratio * factor, base.budget_ratio)
 
 

@@ -11,11 +11,11 @@ import yaml
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from poolsim import engine
-from poolsim.analysis import payoff_curve
+from poolsim import engine, theorems
+from poolsim.analysis import floor_payoff, payoff_curve
 from poolsim.config import ConfigError, parse_config
-from poolsim.model import cost_eval
-from poolsim.theorems import ALL_THEOREMS, audit_t1, audit_t6, run_audits
+from poolsim.model import c_tilde, cost_eval
+from poolsim.theorems import ALL_THEOREMS, T5_FLOOR_TOL, audit_t1, audit_t6, run_audits
 
 from conftest import in_money_range, money_scaled, small_configs
 
@@ -32,6 +32,15 @@ def pps_config(**overrides):
         "seed": 1,
     }
     data.update(overrides)
+    return parse_config(data)
+
+
+def scaled_audit(k):
+    """verify-audit.yaml at output scale k: platform k, and every linear
+    cost r = 1.5 * k, as in the file."""
+    data = yaml.safe_load(VERIFY_AUDIT_YAML.read_text())
+    data["platform"]["k"] = k
+    data["miners"] = [{**m, "cost": {**m["cost"], "r": 1.5 * k}} for m in data["miners"]]
     return parse_config(data)
 
 
@@ -179,6 +188,41 @@ class TestVerdicts:
             if row["verdict"] != "PASS":
                 failed.append((e, row["metric"]))
         assert failed == []
+
+    @pytest.mark.parametrize("k", [1e-50, 1e-100, 1e-200, 1e-320])
+    def test_t5_passes_where_its_margin_is_below_rounding(self, k):
+        # the true margin shrinks like k**2 and its terms like k: its
+        # computed value is rounding, here a few ulps of a*c~ below 0
+        row = run_audits(scaled_audit(k), ["T5"])[0]
+        assert row["verdict"] == "PASS"
+        assert row["metric"] < 0.0
+
+    @pytest.mark.parametrize("k", [100.0, 1e-50])
+    def test_t5_fails_a_margin_below_its_tolerance(self, k, monkeypatch):
+        # a payoff 1000 tolerances below the floor at every grid point
+        def below_floor(mechanism, i, allocations, grid, params, profiles, demand):
+            prof = profiles[i]
+            floor = floor_payoff(grid, c_tilde(prof), prof.cost)
+            terms = grid * c_tilde(prof) + cost_eval(prof.cost, grid)
+            return floor - 1000 * (T5_FLOOR_TOL * terms + 3 * math.ulp(0.0))
+
+        monkeypatch.setattr(theorems, "payoff_curve", below_floor)
+        row = run_audits(scaled_audit(k), ["T5"])[0]
+        assert row["verdict"] == "FAIL"
+
+    @pytest.mark.parametrize("k, verdicts, t3_metric", [
+        (1.0, ("PASS", "PASS"), 1.04),
+        (0.3, ("PASS", "FAIL"), 0.92),
+        (0.01, ("FAIL", "FAIL"), math.nan),
+    ])
+    def test_pps_claims_need_output_shapes_where_m_rarely_binds(self, k, verdicts, t3_metric):
+        # T2 and T3 take M = 3 * k * sum(A) as not binding. At small output
+        # shapes min(|D|, M) often binds: E[min(|D|, M)] / (k * sum(A)) is
+        # 0.99 at k = 1, 0.89 at k = 0.3 and 0.19 at k = 0.01, so the pps
+        # revenue per unit falls below b * k and the verdicts move
+        t2, t3 = run_audits(scaled_audit(k), ["T2", "T3"])
+        assert (t2["verdict"], t3["verdict"]) == verdicts
+        assert t3["metric"] == pytest.approx(t3_metric, nan_ok=True)
 
     def test_t6_known_discrepancy_on_high_productivity(self):
         row = run_audits(ppss_config(rounds=2000), ["T6"])[0]
