@@ -323,11 +323,14 @@ EXIT_CODE_CONFIGS["tiny-miner"]["miners"][0]["capacity_A"] = 1e-300
 EXIT_CODES = """
 0 simulate simulate-ledger -
 0 simulate myopic-game -
+0 verify verify-audit -
 0 simulate pps-simulate-ledger -
 0 simulate pps-myopic-game -
 0 simulate uniform-myopic-game -
 0 verify pps-verify-audit -
+0 simulate p1e-300 -
 0 verify p1e-300 -
+0 simulate p1e-306 -
 0 verify p1e-306 -
 0 best-response verify-audit - --miner 0 --grid 16 --objective payoff
 0 best-response pps-verify-audit - --miner 0 --grid 16 --objective payoff
@@ -342,6 +345,8 @@ EXIT_CODES = """
 2 verify p3e-307 'platform.p'
 2 sweep verify-audit 'platform.k' --axis platform.k=100:100:1 --axis platform.k=1:1:1
 2 sweep verify-audit 'seed' --axis seed=1:2:2 --seed 5
+2 sweep verify-audit 'platform.lambda=inf:0.9:2' --axis platform.lambda=inf:0.9:2
+2 sweep verify-audit 'platform.lambda=1e308:-1e308:3' --axis platform.lambda=1e308:-1e308:3
 2 simulate huge-supply 'miners[0].capacity_A'
 2 verify huge-supply 'miners[0].capacity_A'
 2 verify huge-supply-n1 'miners[0].capacity_A'
@@ -538,6 +543,48 @@ class TestTinyPrice:
         for col in (4, 6):  # metric, ci
             assert float(rows[1][col]) == pytest.approx(float(ref[0][col]) / p, rel=1e-12)
 
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_payout_ratio_denominator_underflow_exits_2(self, command, tmp_path, capsys):
+        # M * p = 1e-310 * 1e-20 underflows to 0, so every payout ratio and
+        # T6's bound would divide by zero
+        with open(VERIFY_AUDIT) as fh:
+            data = yaml.safe_load(fh)
+        data["platform"]["p"] = 1.0e-20
+        data["demand"]["M"] = 1.0e-310
+        path = tmp_path / "underflow.yaml"
+        path.write_text(yaml.safe_dump(data))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert "platform.p" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_payout_ratio_overflow_exits_2(self, command, tmp_path, capsys):
+        # b / p = 1e300 / 1e-20 exceeds every float, so every pps payout
+        # ratio and T1's bound would read inf
+        with open(VERIFY_AUDIT) as fh:
+            data = yaml.safe_load(fh)
+        data["mechanism"] = "pps"
+        data["platform"].update(p=1.0e-20, b=1.0e300)
+        path = tmp_path / "overflow.yaml"
+        path.write_text(yaml.safe_dump(data))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert "platform.b" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_subsidised_ratio_overflow_exits_2(self, command, tmp_path, capsys):
+        # b / p = 3.3e306 is finite, but a subsidised round pays up to
+        # numerator/eps_k per unit: its ratio, about 17.4/p on average,
+        # overflows, where at p = 1e-306 it does not
+        code, out = self._run(command, 3.0e-307, tmp_path)
+        assert code == 2
+        assert "platform.p" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestHugeSupply:
     """Capacities and costs near the float range exit 2, warning-free,
@@ -566,10 +613,10 @@ class TestHugeSupply:
         return data
 
     @pytest.mark.parametrize("command", ["simulate", "verify"])
-    @pytest.mark.parametrize("capacity", [1.0e308])
+    @pytest.mark.parametrize("capacity", [5.0e305, 1.0e308])
     def test_overflowing_window_threshold_exits_2(self, command, capacity, tmp_path, capsys):
-        # at 1e308, k * A alone overflows; at 5e305 (the exit-code table's
-        # huge-supply) only 9 * N * k * A = 9 * 10 * 100 * 5e305 does
+        # 9 * N * k * A = 9 * 10 * 100 * 5e305 = 4.5e309; at 1e308, k * A
+        # alone overflows
         assert self._run(tmp_path, self._audit(capacity), command) == (2, [])
         assert "'miners[0].capacity_A'" in capsys.readouterr().err
 
