@@ -3,7 +3,6 @@ with opportunity-cost subsidies."""
 
 from .analysis import (
     BestResponseResult,
-    BudgetBounds,
     PayoffEstimate,
     bb_audit,
     best_response,

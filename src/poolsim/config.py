@@ -6,7 +6,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import yaml
@@ -81,53 +81,63 @@ def _integer(node: dict, key: str, field_name: str, default=None) -> int:
     return v
 
 
+def _optional(node: dict, key: str, field_name: str, cls: type, name: str):
+    """`node[key]`, or the default of `cls`'s field `name` where it is
+    absent: the model states every optional field's default, and an int
+    default reads the field as an integer."""
+    default = next(f.default for f in fields(cls) if f.name == name)
+    return (_integer if isinstance(default, int) else _number)(node, key, field_name, default)
+
+
 @dataclass(frozen=True)
 class _Variants:
     """A YAML block whose `tag_key` field picks one variant of `build`.
 
-    `fields` maps each tag to that variant's YAML fields in dump order, each
-    with its default; None marks a required field, and an int default reads
-    the field as an integer.
+    `fields` maps each tag to that variant's YAML fields in dump order; the
+    ones in `optional` take their defaults from `build`, and the others are
+    required.
     """
 
     tag_key: str
     noun: str
     build: type
     fields: dict
+    optional: frozenset
 
 
 DEMAND = _Variants("family", "demand family", DemandModel, {
-    "constant": {"M": None},
-    "uniform": {"lo": None, "hi": None},
-    "gamma": {"shape": None, "rate": 1.0},
-    "lognormal": {"mu": None, "sigma": None},
-})
+    "constant": ("M",),
+    "uniform": ("lo", "hi"),
+    "gamma": ("shape", "rate"),
+    "lognormal": ("mu", "sigma"),
+}, frozenset({"rate"}))
 COST = _Variants("family", "cost family", CostFunction, {
-    "linear": {"r": None},
-    "power": {"c": None, "q": 2.0},
-})
+    "linear": ("r",),
+    "power": ("c", "q"),
+}, frozenset({"q"}))
 # a static policy's `a` defaults to the miner's capacity_A, passed in by
 # parse_config; a missing or null policy is static at capacity
 POLICY = _Variants("kind", "policy kind", MinerPolicy, {
-    "static": {"a": None},
-    "myopic_br": {"grid": 64},
-    "delta_adaptive": {"step": 0.5, "floor": 0.0},
-})
+    "static": ("a",),
+    "myopic_br": ("grid",),
+    "delta_adaptive": ("step", "floor"),
+}, frozenset({"grid", "step", "floor"}))
 
 
 def _parse_variant(node, variants: _Variants, field_name: str, defaults=None):
     """The `variants.build` instance that `node` describes; `defaults`
-    overrides the table's defaults."""
+    gives required fields a default."""
     node = _require_mapping(node, field_name)
     tag = node.get(variants.tag_key)
     if not isinstance(tag, str) or tag not in variants.fields:
         raise ConfigError(f"{field_name}.{variants.tag_key}", f"unknown {variants.noun} {tag!r}")
-    fields = variants.fields[tag]
-    _reject_unknown(node, {variants.tag_key, *fields}, field_name)
-    values = {}
-    for key, default in fields.items():
-        read = _integer if isinstance(default, int) else _number
-        values[key] = read(node, key, field_name, (defaults or {}).get(key, default))
+    keys = variants.fields[tag]
+    _reject_unknown(node, {variants.tag_key, *keys}, field_name)
+    values = {
+        key: _optional(node, key, field_name, variants.build, key) if key in variants.optional
+        else _number(node, key, field_name, (defaults or {}).get(key))
+        for key in keys
+    }
     try:
         return variants.build(**{variants.tag_key: tag}, **values)
     except ValueError as e:
@@ -250,9 +260,9 @@ def parse_config(data: dict) -> ExperimentConfig:
             p=p,
             b=b,
             k=_number(pnode, "k", "platform"),
-            lam=_number(pnode, "lambda", "platform", default=0.8),
-            window_N=_integer(pnode, "N", "platform", default=10),
-            eps_k=_number(pnode, "eps_k", "platform", default=1e-3),
+            lam=_optional(pnode, "lambda", "platform", PlatformParams, "lam"),
+            window_N=_optional(pnode, "N", "platform", PlatformParams, "window_N"),
+            eps_k=_optional(pnode, "eps_k", "platform", PlatformParams, "eps_k"),
         )
     except ValueError as e:
         if isinstance(e, ConfigError):

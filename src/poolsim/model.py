@@ -182,7 +182,7 @@ class CostFunction:
     family: str  # "linear" | "power"
     r: float = 0.0
     c: float = 0.0
-    q: float = 2.0  # the YAML default too
+    q: float = 2.0  # config reads the YAML default from here
 
     def __post_init__(self):
         if self.family == "linear":

@@ -21,7 +21,6 @@ from dataclasses import replace
 import numpy as np
 
 from .analysis import (
-    BudgetBounds,
     bb_audit,
     docdic_check,
     floor_payoff,
@@ -92,7 +91,9 @@ def audit_t1(cfg, game=None) -> dict:
 
 
 def audit_t2(cfg) -> dict:
-    """PPS best response is capacity when r < b*k and zero when r > b*k."""
+    """PPS best response is capacity when r < b*k and zero when r > b*k.
+    Reads miner 0 alone: every miner's cost is set to r = 0.5*b*k, then
+    1.5*b*k, and the verdict is miner 0's best response."""
     plat = cfg.platform
     profiles = cfg.profiles
     demand = DemandModel(family="constant", M=3.0 * cfg.supply)
@@ -114,7 +115,9 @@ def audit_t2(cfg) -> dict:
 
 def audit_t3(cfg) -> dict:
     """PPS incentive verdict flips where the marginal cost at capacity
-    crosses b*k."""
+    crosses b*k. Reads miner 0 alone: every miner's power cost is scaled by
+    miner 0's A, so that miner 0's C'(A) crosses b*k at scale 1, and the
+    verdict at each scale is miner 0's."""
     plat = cfg.platform
     base = cfg.profiles
     A = base[0].capacity_A
@@ -157,10 +160,11 @@ def audit_t4(cfg) -> dict:
 
 
 def audit_t5(cfg) -> dict:
-    """Subsidized mechanism: the exact payoff dominates the guaranteed floor
-    a*c~ - C(a) on a 16-point grid, and the floor best response is capacity
-    for every miner. Both checks read the config; the metric is the least
-    margin of payoff over floor.
+    """Subsidized mechanism: miner 0's exact payoff dominates its guaranteed
+    floor a*c~ - C(a) on a 16-point grid, and the floor best response is
+    capacity for every miner. Both checks read the config; the metric is
+    miner 0's least margin of payoff over floor, since the dominance grid
+    reads miner 0 alone.
 
     Each margin may fall below 0 by T5_FLOOR_TOL times the size of its
     terms plus 2**-1074 per term, the rounding of subnormal terms."""
@@ -201,7 +205,7 @@ def audit_t6(cfg, game=None) -> dict:
     profiles = cfg.profiles
     ledger = _settled(cfg, "ppss", game)
     bound = sum(c_tilde(p) * p.capacity_A for p in profiles) / (cfg.demand.mu_F * plat.p)
-    report = bb_audit(ledger, BudgetBounds(theta=0.0, gamma=bound))
+    report = bb_audit(ledger, bound)
     verdict = "PASS" if report["long_term_pass"] else "KNOWN_DISCREPANCY"
     return _row(
         "T6", "PPSS long-term payout ratio within [0, sum(c~A)/(mu_F*p)]",

@@ -12,7 +12,6 @@ from scipy import integrate, special
 
 from poolsim import analysis, cli
 from poolsim.analysis import (
-    BudgetBounds,
     bb_audit,
     best_response,
     docdic_check,
@@ -1183,10 +1182,6 @@ class TestGFunction:
 
 
 class TestBudgetAudit:
-    def test_bounds_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            BudgetBounds(theta=1.0, gamma=0.5)
-
     def _pps_ledger(self, rounds=500, a=None):
         cfg = parse_config({
             "mechanism": "pps",
@@ -1202,13 +1197,21 @@ class TestBudgetAudit:
         return run_simulation(cfg)
 
     def test_pps_ledger_within_theorem_bounds(self):
-        report = bb_audit(self._pps_ledger(), BudgetBounds(theta=0.0, gamma=1.0))
-        assert report["per_round_pass"]
+        ledger = self._pps_ledger()
+        report = bb_audit(ledger, 1.0)
+        assert set(report) == {"mean_ratio", "ci_half_width", "long_term_pass"}
         assert report["long_term_pass"]
-        assert 0.0 <= report["ratio_min"] <= report["ratio_max"] <= 1.0
+        assert 0.0 <= report["mean_ratio"] <= 1.0 and report["ci_half_width"] >= 0.0
+        assert 0.0 <= ledger.budget_ratio.min() <= ledger.budget_ratio.max() <= 1.0
+
+    def test_mean_above_the_bound_fails(self):
+        ledger = self._pps_ledger()
+        mean = bb_audit(ledger, 1.0)["mean_ratio"]
+        assert bb_audit(ledger, mean)["long_term_pass"]
+        assert not bb_audit(ledger, np.nextafter(mean, 0.0))["long_term_pass"]
 
     def test_idle_ledger_mean_zero(self):
-        report = bb_audit(self._pps_ledger(rounds=50, a=0.0), BudgetBounds(theta=0.0, gamma=1.0))
+        report = bb_audit(self._pps_ledger(rounds=50, a=0.0), 1.0)
         assert report["mean_ratio"] == 0.0
         assert report["long_term_pass"]
 
@@ -1221,7 +1224,7 @@ class TestBudgetAudit:
                 rewards=np.zeros((0, 1)), flags=np.zeros((0, 1), dtype=bool),
                 budget_ratio=np.zeros(0),
             )
-            bb_audit(empty, BudgetBounds(theta=0.0, gamma=1.0))
+            bb_audit(empty, 1.0)
 
 
 class TestBrDynamics:

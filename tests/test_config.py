@@ -9,14 +9,17 @@ from hypothesis import strategies as st
 
 from poolsim import cli
 from poolsim.config import (
+    COST,
+    DEMAND,
     MAX_LEDGER_BYTES,
+    POLICY,
     ConfigError,
     dump_config,
     load_config,
     parse_config,
     read_yaml,
 )
-from poolsim.model import MAX_GRID, CostFunction
+from poolsim.model import MAX_GRID, CostFunction, DemandModel, MinerPolicy, PlatformParams
 
 from conftest import small_configs
 
@@ -35,13 +38,48 @@ def minimal(**overrides):
     return data
 
 
+def _miner(cost=None, policy=None):
+    miner = {"capacity_A": 4.0, "cost": cost or {"family": "linear", "r": 1.0}}
+    return miner if policy is None else {**miner, "policy": policy}
+
+
+# Every optional YAML key: a config that omits it (overrides of minimal()),
+# where its parsed value is, and the value the model dataclass has when
+# built without it.
+PLATFORM = PlatformParams(p=1.0, b=1.0, k=2.0)
+OPTIONAL_KEYS = [
+    ("lambda", {}, lambda cfg: cfg.platform.lam, PLATFORM.lam),
+    ("N", {}, lambda cfg: cfg.platform.window_N, PLATFORM.window_N),
+    ("eps_k", {}, lambda cfg: cfg.platform.eps_k, PLATFORM.eps_k),
+    ("q", {"miners": [_miner(cost={"family": "power", "c": 1.0})]},
+     lambda cfg: cfg.profiles[0].cost.q, CostFunction(family="power", c=1.0).q),
+    ("rate", {"demand": {"family": "gamma", "shape": 20.0}},
+     lambda cfg: cfg.demand.rate, DemandModel(family="gamma", shape=20.0).rate),
+    ("grid", {"miners": [_miner(policy={"kind": "myopic_br"})]},
+     lambda cfg: cfg.policies[0].grid, MinerPolicy(kind="myopic_br").grid),
+    ("step", {"miners": [_miner(policy={"kind": "delta_adaptive"})]},
+     lambda cfg: cfg.policies[0].step, MinerPolicy(kind="delta_adaptive").step),
+    ("floor", {"miners": [_miner(policy={"kind": "delta_adaptive"})]},
+     lambda cfg: cfg.policies[0].floor, MinerPolicy(kind="delta_adaptive").floor),
+]
+
+
 class TestDefaults:
+    @pytest.mark.parametrize("key, overrides, parsed, model", OPTIONAL_KEYS,
+                             ids=[row[0] for row in OPTIONAL_KEYS])
+    def test_omitted_key_takes_the_model_default(self, key, overrides, parsed, model):
+        value = parsed(parse_config(minimal(**overrides)))
+        # an int default (N, grid) keeps its field an integer
+        assert value == model and type(value) is type(model)
+
+    def test_table_names_every_optional_key(self):
+        optional = {"lambda", "N", "eps_k"} | DEMAND.optional | COST.optional | POLICY.optional
+        assert {row[0] for row in OPTIONAL_KEYS} == optional
+
     def test_platform_defaults(self):
+        # b = p unless set, the one computed platform default
         cfg = parse_config(minimal())
-        assert cfg.platform.b == cfg.platform.p  # b = p unless set
-        assert cfg.platform.lam == 0.8
-        assert cfg.platform.window_N == 10
-        assert cfg.platform.eps_k == 1e-3
+        assert cfg.platform.b == cfg.platform.p
 
     def test_run_defaults(self):
         cfg = parse_config(minimal())

@@ -33,16 +33,45 @@ def test_only_these_sources_match(pattern, files):
     assert {p.name for p in SRC.glob("*.py") if _lines(p, pattern)} == files
 
 
-def test_config_imports_only_model():
-    imports = _lines(SRC / "config.py", r"^\s*" + PACKAGE_IMPORT)
-    assert all(re.match(r"from\s+\.model\s+import\s", line) for line in imports), imports
+# Each module's allowed package imports, lowest layer first; None allows any.
+LAYERS = {
+    "model": set(),
+    "csvio": set(),
+    "mechanisms": {"model"},
+    "config": {"model"},
+    "svgplot": {"csvio"},
+    "montecarlo": {"csvio", "mechanisms", "model"},
+    "analysis": {"mechanisms", "model", "montecarlo"},
+    "engine": {"analysis", "config", "mechanisms", "model"},
+    "theorems": {"analysis", "engine", "model"},  # parse_config alone judges a config
+    "cli": None,
+    "__init__": None,
+}
+IMPORT = re.compile(r"^\s*(?:from\s+(?:\.|poolsim\.?)(\w*)\s+import\s+(.*)|import\s+poolsim\.?(\w*))")
 
 
-def test_audits_import_nothing_from_config():
-    # parse_config alone judges a config
-    pattern = (r"^\s*(from\s+(\.|poolsim\.)config\s|from\s+(\.|poolsim)\s+import\s.*\bconfig\b"
-               r"|import\s+poolsim\.config)")
-    assert not _lines(SRC / "theorems.py", pattern)
+def _package_imports(path):
+    """The package modules a source imports; `from . import x` counts x,
+    and an import this cannot read counts the whole package, "poolsim"."""
+    modules = set()
+    for line in _lines(path, r"^\s*" + PACKAGE_IMPORT):
+        match = IMPORT.match(line)
+        if match and (match.group(1) or match.group(3)):
+            modules.add(match.group(1) or match.group(3))
+        else:
+            names = match and match.group(2) and re.findall(r"\w+", match.group(2))
+            modules |= set(names or ["poolsim"])
+    return modules
+
+
+@pytest.mark.parametrize("module", [m for m, allowed in LAYERS.items() if allowed is not None])
+def test_imports_follow_the_layering(module):
+    imports = _package_imports(SRC / f"{module}.py")
+    assert imports <= LAYERS[module], imports
+
+
+def test_layering_names_every_module():
+    assert {p.stem for p in SRC.glob("*.py")} == set(LAYERS)
 
 
 def test_tests_name_no_benchmark_path():
