@@ -138,8 +138,13 @@ def _parse_variant(node, variants: _Variants, field_name: str, defaults=None):
         else _number(node, key, field_name, (defaults or {}).get(key))
         for key in keys
     }
+    return _build(variants.build, field_name, **{variants.tag_key: tag}, **values)
+
+
+def _build(cls: type, field_name: str, **values):
+    """`cls(**values)`, its ValueError raised as a ConfigError naming `field_name`."""
     try:
-        return variants.build(**{variants.tag_key: tag}, **values)
+        return cls(**values)
     except ValueError as e:
         raise ConfigError(field_name, str(e)) from e
 
@@ -151,8 +156,9 @@ def _variant_dict(obj, variants: _Variants) -> dict:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A validated experiment; `profiles[i]` and `policies[i]` describe
-    miner i."""
+    """A validated experiment, however it is built (parse_config, replace or
+    the constructor): a bad field raises ConfigError. `profiles[i]` and
+    `policies[i]` describe miner i."""
 
     mechanism: str
     platform: PlatformParams
@@ -161,6 +167,25 @@ class ExperimentConfig:
     demand: DemandModel
     rounds: int
     seed: int
+
+    def __post_init__(self):
+        if self.mechanism not in ("pps", "ppss"):
+            raise ConfigError("mechanism", f"must be 'pps' or 'ppss', got {self.mechanism!r}")
+        if not self.profiles or len(self.policies) != len(self.profiles):
+            raise ConfigError("miners", f"expected a non-empty list, one policy per miner; got "
+                              f"{len(self.profiles)} profiles and {len(self.policies)} policies")
+        for i, (prof, pol) in enumerate(zip(self.profiles, self.policies)):
+            if pol.kind == "delta_adaptive" and pol.floor > prof.capacity_A:
+                raise ConfigError(f"miners[{i}].policy.floor", "must not exceed capacity_A")
+        if self.rounds < 1:
+            raise ConfigError("rounds", "must be at least 1")
+        ledger_bytes = self.rounds * (3 + 4 * len(self.profiles)) * 8
+        if ledger_bytes > MAX_LEDGER_BYTES:
+            raise ConfigError("rounds", f"the ledger of {self.rounds} rounds needs {ledger_bytes} "
+                              f"bytes, over the {MAX_LEDGER_BYTES}-byte limit")
+        if self.seed < 0:
+            raise ConfigError("seed", "must be nonnegative")
+        _check_bounds(self)
 
     def to_dict(self) -> dict:
         p = self.platform
@@ -237,14 +262,12 @@ def _check_bounds(cfg: ExperimentConfig) -> None:
 
 
 def parse_config(data: dict) -> ExperimentConfig:
-    """The config `data` describes, validated (_check_bounds); prints nothing."""
+    """The config `data` describes; prints nothing. Checks what YAML gets wrong
+    (mappings, keys, number types) and fills in defaults; ExperimentConfig checks the rest."""
     data = _without_retired(_require_mapping(data, "<root>"))
     if "audit" in data:
         raise ConfigError("audit", "the audit block was removed; T6 sets its own bounds")
     _reject_unknown(data, {"mechanism", "platform", "miners", "demand", "rounds", "seed"}, "<root>")
-    mechanism = data.get("mechanism")
-    if mechanism not in ("pps", "ppss"):
-        raise ConfigError("mechanism", f"must be 'pps' or 'ppss', got {mechanism!r}")
 
     pnode = dict(_require_mapping(data.get("platform", {}), "platform"))
     # the subsidy numerator is always clamped at 0: the retired key's one
@@ -254,23 +277,18 @@ def parse_config(data: dict) -> ExperimentConfig:
                           "was removed; the subsidy numerator c~/k - b is always clamped at 0")
     _reject_unknown(pnode, {"p", "b", "k", "lambda", "N", "eps_k"}, "platform")
     p = _number(pnode, "p", "platform")
-    b = _number(pnode, "b", "platform", default=p)  # b = p by default
-    try:
-        platform = PlatformParams(
-            p=p,
-            b=b,
-            k=_number(pnode, "k", "platform"),
-            lam=_optional(pnode, "lambda", "platform", PlatformParams, "lam"),
-            window_N=_optional(pnode, "N", "platform", PlatformParams, "window_N"),
-            eps_k=_optional(pnode, "eps_k", "platform", PlatformParams, "eps_k"),
-        )
-    except ValueError as e:
-        if isinstance(e, ConfigError):
-            raise
-        raise ConfigError("platform", str(e)) from e
+    platform = _build(
+        PlatformParams, "platform",
+        p=p,
+        b=_number(pnode, "b", "platform", default=p),  # b = p by default
+        k=_number(pnode, "k", "platform"),
+        lam=_optional(pnode, "lambda", "platform", PlatformParams, "lam"),
+        window_N=_optional(pnode, "N", "platform", PlatformParams, "window_N"),
+        eps_k=_optional(pnode, "eps_k", "platform", PlatformParams, "eps_k"),
+    )
 
     miners_node = data.get("miners")
-    if not isinstance(miners_node, list) or not miners_node:
+    if not isinstance(miners_node, list):
         raise ConfigError("miners", "expected a non-empty list")
     profiles, policies = [], []
     for idx, mnode in enumerate(miners_node):
@@ -284,40 +302,21 @@ def parse_config(data: dict) -> ExperimentConfig:
         pnode = mnode.get("policy")
         if isinstance(pnode, dict) and pnode.get("kind") == "myopic_br":
             pnode = _without_retired(pnode)
-        policy = _parse_variant(
+        policies.append(_parse_variant(
             {"kind": "static"} if pnode is None else pnode, POLICY, f"{fname}.policy",
             defaults={"a": cap},
-        )
-        if policy.kind == "delta_adaptive" and policy.floor > cap:
-            raise ConfigError(f"{fname}.policy.floor", "must not exceed capacity_A")
+        ))
         profiles.append(MinerProfile(capacity_A=cap, cost=cost))
-        policies.append(policy)
 
-    demand = _parse_variant(data.get("demand"), DEMAND, "demand")
-    rounds = _integer(data, "rounds", "<root>", default=10_000)
-    if rounds < 1:
-        raise ConfigError("rounds", "must be at least 1")
-    ledger_bytes = rounds * (3 + 4 * len(profiles)) * 8
-    if ledger_bytes > MAX_LEDGER_BYTES:
-        raise ConfigError(
-            "rounds", f"the ledger of {rounds} rounds needs {ledger_bytes} bytes, "
-            f"over the {MAX_LEDGER_BYTES}-byte limit",
-        )
-    seed = _integer(data, "seed", "<root>", default=0)
-    if seed < 0:
-        raise ConfigError("seed", "must be nonnegative")
-
-    cfg = ExperimentConfig(
-        mechanism=mechanism,
+    return ExperimentConfig(
+        mechanism=data.get("mechanism"),
         platform=platform,
         profiles=tuple(profiles),
         policies=tuple(policies),
-        demand=demand,
-        rounds=rounds,
-        seed=seed,
+        demand=_parse_variant(data.get("demand"), DEMAND, "demand"),
+        rounds=_integer(data, "rounds", "<root>", default=10_000),
+        seed=_integer(data, "seed", "<root>", default=0),
     )
-    _check_bounds(cfg)
-    return cfg
 
 
 # libyaml's parser where PyYAML was built with it: the same documents, read

@@ -187,8 +187,6 @@ def play(cfg: ExperimentConfig) -> PlayedGame:
     seed with dataclasses.replace(config, seed=...)); the loop is strictly
     sequential because each round's policies read earlier rows.
     """
-    if cfg.rounds < 1:
-        raise ValueError("rounds must be at least 1")
     state = init_state(cfg)
     for _ in range(cfg.rounds):
         step_round(state)
@@ -255,7 +253,7 @@ def settle(played: PlayedGame, cfg: ExperimentConfig) -> SimulationLedger:
                 D[row], total.item(row), M.item(row), sums[row], lens.item(row),
                 unit, numerator, params,
             )
-        # b/p is checked when parsed, but a subsidised round pays up to
+        # ExperimentConfig checks b/p, but a subsidised round pays up to
         # numerator/eps_k per unit, so its ratio can overflow at a p that
         # passes that check
         with np.errstate(over="ignore"):

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,7 +166,8 @@ class PlatformParams:
             raise ValueError("k must be positive")
         if not 0 < self.lam < 1:
             raise ValueError("lambda must lie in (0, 1)")
-        if self.window_N < 1:
+        # an int or a numpy integer, as operator.index takes; never a float
+        if not (isinstance(self.window_N, numbers.Integral) and self.window_N >= 1):
             raise ValueError("N must be a positive integer")
         if not 0 < self.eps_k < 1:
             raise ValueError("eps_k must lie in (0, 1)")
@@ -271,8 +273,9 @@ class MinerPolicy:
             raise ValueError(f"unknown policy kind {self.kind!r}")
         if self.kind == "static" and not self.a >= 0:
             raise ValueError("static allocation a must be nonnegative")
-        if self.kind == "myopic_br" and not 2 <= self.grid <= MAX_GRID:
-            raise ValueError(f"myopic_br grid must lie in [2, {MAX_GRID}], got {self.grid}")
+        if self.kind == "myopic_br" and not (
+                isinstance(self.grid, numbers.Integral) and 2 <= self.grid <= MAX_GRID):
+            raise ValueError(f"myopic_br grid must be an integer in [2, {MAX_GRID}], got {self.grid}")
         if self.kind == "delta_adaptive" and not 0 < self.step < 1:
             raise ValueError("delta_adaptive step must lie in (0, 1)")
         if self.kind == "delta_adaptive" and not self.floor >= 0:

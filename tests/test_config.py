@@ -1,7 +1,10 @@
 """Config ingestion: strict validation, defaults, round-trip, warnings."""
 import argparse
+import copy
 import os
+from dataclasses import replace
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -19,6 +22,7 @@ from poolsim.config import (
     parse_config,
     read_yaml,
 )
+from poolsim.engine import run_simulation
 from poolsim.model import MAX_GRID, CostFunction, DemandModel, MinerPolicy, PlatformParams
 
 from conftest import small_configs
@@ -436,6 +440,102 @@ class TestValidation:
         assert e.value.field == "miners[0].policy" and "grid" in str(e.value)
 
 
+AUDIT_YAML = read_yaml(os.path.join(CONFIGS, "verify-audit.yaml"))
+AUDIT = parse_config(AUDIT_YAML)
+
+
+def _edited(data, edits):
+    """A deep copy of `data` with each (key, ...) path in `edits` set to its value."""
+    data = copy.deepcopy(data)
+    for path, value in edits.items():
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return data
+
+
+# Whole-config faults, each written in YAML (edits of verify-audit.yaml)
+# and with dataclasses.replace on the config it parses to, and the field
+# the ConfigError names. The two builds must fail with one error.
+WHOLE_CONFIG_FAULTS = {
+    "mechanism-case": ({("mechanism",): "PPS"},
+                       lambda cfg: replace(cfg, mechanism="PPS"), "mechanism"),
+    "mechanism-missing": ({("mechanism",): None},
+                          lambda cfg: replace(cfg, mechanism=None), "mechanism"),
+    "no-miners": ({("miners",): []},
+                  lambda cfg: replace(cfg, profiles=(), policies=()), "miners"),
+    "floor-above-capacity": (
+        {("miners", 1, "policy"): {"kind": "delta_adaptive", "floor": 5.0}},
+        lambda cfg: replace(cfg, policies=(
+            cfg.policies[0], MinerPolicy(kind="delta_adaptive", floor=5.0))),
+        "miners[1].policy.floor"),
+    "no-rounds": ({("rounds",): 0}, lambda cfg: replace(cfg, rounds=0), "rounds"),
+    # two miners: a round is 3 + 4*2 float64 columns, 88 bytes
+    "ledger-too-large": ({("rounds",): MAX_LEDGER_BYTES // 88 + 1},
+                         lambda cfg: replace(cfg, rounds=MAX_LEDGER_BYTES // 88 + 1), "rounds"),
+    "negative-seed": ({("seed",): -1}, lambda cfg: replace(cfg, seed=-1), "seed"),
+    # pps pays b / p = inf per unit: every budget ratio would be inf
+    "ratio-overflow": ({("mechanism",): "pps", ("platform", "p"): 1e-320},
+                       lambda cfg: replace(cfg, mechanism="pps",
+                                           platform=replace(cfg.platform, p=1e-320)),
+                       "platform.b"),
+    "shape-overflow": ({("miners", 0, "capacity_A"): 5e305, ("miners", 1, "capacity_A"): 5e305},
+                       lambda cfg: replace(cfg, profiles=tuple(
+                           replace(prof, capacity_A=5e305) for prof in cfg.profiles)),
+                       "miners[0].capacity_A"),
+    "cost-overflow": ({("miners", 0, "cost", "r"): 1e307, ("platform", "k"): 0.001},
+                      lambda cfg: replace(cfg, platform=replace(cfg.platform, k=0.001), profiles=(
+                          replace(cfg.profiles[0], cost=CostFunction(family="linear", r=1e307)),
+                          cfg.profiles[1])),
+                      "miners[0].cost"),
+    "demand-underflow": (
+        {("platform", "p"): 1e-20, ("demand", "M"): 1e-310},
+        lambda cfg: replace(cfg, platform=replace(cfg.platform, p=1e-20),
+                            demand=DemandModel(family="constant", M=1e-310)),
+        "platform.p"),
+}
+
+
+class TestOneSetOfChecks:
+    """parse_config, dataclasses.replace and the constructor run one set of
+    whole-config checks: ExperimentConfig's."""
+
+    @pytest.mark.parametrize("edits, replaced, field", WHOLE_CONFIG_FAULTS.values(),
+                             ids=WHOLE_CONFIG_FAULTS)
+    def test_yaml_and_replace_raise_one_error(self, edits, replaced, field):
+        with pytest.raises(ConfigError) as parsed:
+            parse_config(_edited(AUDIT_YAML, edits))
+        with pytest.raises(ConfigError) as built:
+            replaced(AUDIT)
+        assert parsed.value.field == built.value.field == field
+        assert str(parsed.value) == str(built.value)
+
+    def test_one_policy_per_miner(self):
+        # YAML lists each policy inside its miner, so only a library caller
+        # can pair one policy with two miners
+        with pytest.raises(ConfigError) as e:
+            replace(AUDIT, policies=(MinerPolicy(kind="static", a=0.5),))
+        assert e.value.field == "miners" and "one policy per miner" in str(e.value)
+
+    def test_non_integral_window_raises_at_construction(self):
+        # the platform refuses N = 2.5 before any config or run is built
+        with pytest.raises(ValueError, match="N must be a positive integer"):
+            run_simulation(replace(AUDIT, rounds=20, platform=replace(AUDIT.platform, window_N=2.5)))
+        with pytest.raises(ConfigError) as e:
+            parse_config(_edited(AUDIT_YAML, {("platform", "N"): 2.5}))
+        assert e.value.field == "platform.N"
+
+    @pytest.mark.parametrize("grid", [8.0, np.float64(8.0), 8.5], ids=["float", "numpy", "half"])
+    def test_non_integral_grid_raises_at_construction(self, grid):
+        with pytest.raises(ValueError, match="myopic_br grid must be an integer"):
+            MinerPolicy(kind="myopic_br", grid=grid)
+
+    def test_numpy_integers_are_counts(self):
+        assert PlatformParams(p=1.0, b=1.0, k=2.0, window_N=np.int64(3)).window_N == 3
+        assert MinerPolicy(kind="myopic_br", grid=np.int32(8)).grid == 8
+
+
 class TestRetiredKey:
     """`replicas` is read by nothing; configs may still carry it at the root
     and in a myopic_br policy, where it is dropped unread. So is
@@ -568,6 +668,8 @@ class TestRoundTrip:
         again = parse_config(yaml.safe_load(dump_config(cfg)))
         assert again == cfg
         assert again.digest() == cfg.digest()
+        # the constructor's checks accept every config parse_config builds
+        assert replace(cfg) == cfg
 
     @pytest.mark.parametrize("name, digest", [
         ("simulate-ledger", "d539140bd16b"),

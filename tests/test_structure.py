@@ -43,7 +43,7 @@ LAYERS = {
     "montecarlo": {"csvio", "mechanisms", "model"},
     "analysis": {"mechanisms", "model", "montecarlo"},
     "engine": {"analysis", "config", "mechanisms", "model"},
-    "theorems": {"analysis", "engine", "model"},  # parse_config alone judges a config
+    "theorems": {"analysis", "engine", "model"},  # ExperimentConfig alone judges a config
     "cli": None,
     "__init__": None,
 }
