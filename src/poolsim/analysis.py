@@ -28,6 +28,7 @@ allocation picks capacity.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -748,8 +749,8 @@ def best_response(
 
     Both objectives are exact: the floor in closed form, the payoff as
     payoff_curve computes it. The whole grid is evaluated in one array
-    pass; the refinement evaluates two golden-section steps a pass: the
-    pending probe and both places the next step can probe. An
+    pass; the refinement takes one golden-section step a loop, and each
+    pass evaluates a missing probe with both places the step can probe. An
     interior bracket takes 5 refinement passes of 14 points in all, a
     bracket at a = 0 or a = A 4 passes of 11, and the result is bit-identical
     to evaluating one probe a pass. Fewer, wider passes pay where a pass
@@ -757,8 +758,8 @@ def best_response(
     demand a ppss pass costs mostly per point, and the extra points cost
     about 5-10%. Ties break toward the larger allocation.
     """
-    if not 2 <= grid_points <= MAX_GRID:
-        raise ValueError(f"grid_points must lie in [2, {MAX_GRID}], got {grid_points}")
+    if not (isinstance(grid_points, numbers.Integral) and 2 <= grid_points <= MAX_GRID):
+        raise ValueError(f"grid_points must be an integer in [2, {MAX_GRID}], got {grid_points}")
     prof = profiles[miner_index]
     A = prof.capacity_A
 
@@ -786,13 +787,13 @@ def best_response(
             best_i = i
     best_a, best_v = curve[best_i]
 
-    # Golden-section refinement of the bracketing interval: at most 16
-    # steps, until it is narrower than resolution/16. Where a step probes
-    # depends only on its comparison, so both places the next step can probe
-    # are known before this step's probe is evaluated. Each array pass
-    # evaluates the pending probe and, when the next step runs, both of its
-    # places: two steps a pass, every value bit-identical to a
-    # one-allocation call.
+    # Golden-section refinement of the bracketing interval, one step a loop:
+    # at most 16 steps, until it is narrower than resolution/16. `table`
+    # maps each probed allocation to its value. Where a step probes depends
+    # only on its comparison, so when c or d is missing, one array pass
+    # evaluates it and, if the step on this box runs, both places that step
+    # can probe: the next box then has both its values, and the place not
+    # taken lies outside it, so no allocation is evaluated twice.
     resolution = A / (grid_points - 1)
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -804,34 +805,21 @@ def best_response(
             return lo, d, d - invphi * (d - lo), c
         return c, hi, d, c + invphi * (hi - c)
 
-    def runs(box, steps):
-        return steps < 16 and not box[1] - box[0] < resolution / 16
-
     lo = grid[max(best_i - 1, 0)]
     hi = grid[min(best_i + 1, grid_points - 1)]
     box = (lo, hi, hi - invphi * (hi - lo), lo + invphi * (hi - lo))
-    fc = fd = None  # None: not evaluated yet
-    steps = 0
-    while True:
-        ahead = (shrink(box, True), shrink(box, False)) if runs(box, steps) else None
-        points = [a for a, v in zip(box[2:], (fc, fd)) if v is None]
-        if ahead:
-            points += [ahead[0][2], ahead[1][3]]
-        probed = f(np.array(points)).tolist()
-        if fc is None:
-            fc = probed.pop(0)
-        if fd is None:
-            fd = probed.pop(0)
-        if ahead is None:
+    table = {}
+    for steps in range(17):
+        runs = steps < 16 and not box[1] - box[0] < resolution / 16
+        points = [a for a in box[2:] if a not in table]
+        if points:
+            points += [shrink(box, True)[2], shrink(box, False)[3]] if runs else []
+            table.update(zip(points, f(np.array(points)).tolist()))
+        if not runs:
             break
-        # the step speculated on: its probe, either way, is evaluated
-        box, fc, fd = (ahead[0], probed[0], fc) if fc > fd else (ahead[1], fd, probed[1])
-        steps += 1
-        if not runs(box, steps):
-            break
-        box, fc, fd = (shrink(box, True), None, fc) if fc > fd else (shrink(box, False), fd, None)
-        steps += 1
-    for a_cand, v_cand in ((box[2], fc), (box[3], fd)):
+        box = shrink(box, table[box[2]] > table[box[3]])
+    for a_cand in box[2:]:
+        v_cand = table[a_cand]
         if v_cand > best_v or (v_cand == best_v and a_cand > best_a):
             best_a, best_v = a_cand, v_cand
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass, fields
 
@@ -177,9 +178,13 @@ class ExperimentConfig:
         for i, (prof, pol) in enumerate(zip(self.profiles, self.policies)):
             if pol.kind == "delta_adaptive" and pol.floor > prof.capacity_A:
                 raise ConfigError(f"miners[{i}].policy.floor", "must not exceed capacity_A")
+        for name in ("rounds", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(name, f"must be an integer, got {value}")
         if self.rounds < 1:
             raise ConfigError("rounds", "must be at least 1")
-        ledger_bytes = self.rounds * (3 + 4 * len(self.profiles)) * 8
+        ledger_bytes = int(self.rounds) * (3 + 4 * len(self.profiles)) * 8
         if ledger_bytes > MAX_LEDGER_BYTES:
             raise ConfigError("rounds", f"the ledger of {self.rounds} rounds needs {ledger_bytes} "
                               f"bytes, over the {MAX_LEDGER_BYTES}-byte limit")
@@ -189,7 +194,9 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         p = self.platform
-        return {
+        # through JSON, where a numpy scalar reads as its Python number, so
+        # that configs which compare equal dump and digest alike
+        return json.loads(json.dumps({
             "mechanism": self.mechanism,
             "platform": {
                 "p": p.p,
@@ -207,7 +214,7 @@ class ExperimentConfig:
             "demand": _variant_dict(self.demand, DEMAND),
             "rounds": self.rounds,
             "seed": self.seed,
-        }
+        }, default=lambda v: v.item()))
 
     def digest(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()

@@ -8,6 +8,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,9 +31,10 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     arrays, and the last few blocks are kept, so consecutive keys (rounds,
     Monte Carlo blocks) cost a lookup. The generator's
     bit_generator.seed_seq is an adapter that holds those words, so
-    spawn() is unsupported. A negative key raises ValueError, as in numpy.
+    spawn() is unsupported. A negative key raises ValueError, and a
+    non-integer one (2.5) TypeError, as in numpy.
     """
-    keys = tuple(map(int, (seed, *path)))
+    keys = tuple(map(operator.index, (seed, *path)))
     if min(keys) < 0:
         raise ValueError("expected non-negative integer")
     block, row = divmod(keys[-1], _BLOCK)

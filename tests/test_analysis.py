@@ -578,8 +578,9 @@ def assert_equals_reference(br, *args, **kwargs):
 
 
 class TestGoldenSection:
-    """best_response's refinement evaluates two golden-section steps a pass
-    and returns what one probe a pass returns, bit for bit."""
+    """best_response's refinement takes one golden-section step a loop, each
+    pass evaluating a missing probe with both places the step can probe, and
+    returns what one probe a pass returns, bit for bit."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -636,6 +637,40 @@ class TestGoldenSection:
             br = best_response(*args, grid_points=32)
         assert calls == sizes
         assert_equals_reference(br, *args, grid_points=32)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        data=small_configs(), miner=st.integers(0, 2), grid_points=st.integers(2, 64),
+        objective=st.sampled_from(["payoff", "floor"]),
+        fractions=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+    )
+    def test_pass_schedule_on_every_economics(self, data, miner, grid_points, objective,
+                                              fractions):
+        # after the grid, 4, 3, 3, 1 points for a bracket at a = 0 or a = A
+        # (6 steps) and 4, 3, 3, 3, 1 for an interior one (8 steps), whatever
+        # the mechanism, objective, demand or grid; no probe evaluated twice
+        cfg = parse_config(data)
+        caps = np.array([p.capacity_A for p in cfg.profiles])
+        i = miner % len(caps)
+        passes = []
+
+        def counted(f):
+            def g(a, *rest):
+                passes.append(np.array(a, dtype=float).tolist())
+                return f(a, *rest)
+            return g
+
+        objective_of = analysis._payoff_objective
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "_payoff_objective", lambda *args: counted(objective_of(*args)))
+            mp.setattr(analysis, "floor_payoff", counted(analysis.floor_payoff))
+            best_response(cfg.mechanism, i, caps * np.array(fractions[:len(caps)]),
+                          cfg.platform, list(cfg.profiles), cfg.demand,
+                          grid_points=grid_points, objective=objective)
+        assert len(passes[0]) == grid_points
+        assert [len(p) for p in passes[1:]] in ([4, 3, 3, 1], [4, 3, 3, 3, 1])
+        refined = [a for p in passes[1:] for a in p]
+        assert len(set(refined)) == len(refined)
 
 
 def pps_scalar_reference(i, allocations, params, profiles, demand):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poolsim import cli
+from poolsim.analysis import best_response
 from poolsim.config import (
     COST,
     DEMAND,
@@ -531,9 +532,29 @@ class TestOneSetOfChecks:
         with pytest.raises(ValueError, match="myopic_br grid must be an integer"):
             MinerPolicy(kind="myopic_br", grid=grid)
 
+    @pytest.mark.parametrize("field, value", [
+        ("rounds", 20.5), ("rounds", True), ("seed", 2.5), ("seed", np.float64(2.0)),
+        ("seed", False),
+    ], ids=["rounds-half", "rounds-bool", "seed-half", "seed-numpy-float", "seed-bool"])
+    def test_counts_are_integers(self, field, value):
+        # a float seed played the integer seed's game under another digest,
+        # and a float rounds died in the engine
+        with pytest.raises(ConfigError) as e:
+            replace(AUDIT, **{"rounds": 20, field: value})
+        assert e.value.field == field and "must be an integer" in str(e.value)
+
+    def test_non_integral_grid_points_raise(self):
+        caps = [prof.capacity_A for prof in AUDIT.profiles]
+        with pytest.raises(ValueError, match="grid_points must be an integer"):
+            best_response(AUDIT.mechanism, 0, caps, AUDIT.platform, list(AUDIT.profiles),
+                          AUDIT.demand, grid_points=5.0)
+
     def test_numpy_integers_are_counts(self):
         assert PlatformParams(p=1.0, b=1.0, k=2.0, window_N=np.int64(3)).window_N == 3
         assert MinerPolicy(kind="myopic_br", grid=np.int32(8)).grid == 8
+        # the ledger's size is a Python int: in int64 it would overflow
+        with pytest.raises(ConfigError, match="byte limit"):
+            replace(AUDIT, rounds=np.int64(2**61))
 
 
 class TestRetiredKey:
@@ -679,6 +700,23 @@ class TestRoundTrip:
     def test_workload_digests_pinned(self, name, digest):
         cfg = load_config(os.path.join(CONFIGS, f"{name}.yaml"))
         assert cfg.digest() == digest
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", np.int64(3)), ("window_N", np.int64(4)), ("capacity_A", np.float32(1.0)),
+    ], ids=["seed", "window_N", "capacity_A"])
+    def test_numpy_scalars_dump_and_digest_as_python_numbers(self, field, value):
+        def built(v):
+            if field == "seed":
+                return replace(AUDIT, seed=v)
+            if field == "window_N":
+                return replace(AUDIT, platform=replace(AUDIT.platform, window_N=v))
+            return replace(AUDIT, profiles=(replace(AUDIT.profiles[0], capacity_A=v),
+                                            *AUDIT.profiles[1:]))
+
+        numpy_cfg, plain_cfg = built(value), built(value.item())
+        assert numpy_cfg == plain_cfg
+        assert numpy_cfg.digest() == plain_cfg.digest()
+        assert dump_config(numpy_cfg) == dump_config(plain_cfg)
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "exp.yaml"

@@ -55,6 +55,13 @@ class TestSubstream:
         with pytest.raises(ValueError):
             substream(*key)
 
+    def test_non_integer_key_rejected_as_numpy_does(self):
+        # int() would read 2.5 as 2 and return seed 2's stream
+        with pytest.raises(TypeError):
+            np.random.SeedSequence([2.5, 7, 1])
+        with pytest.raises(TypeError):
+            substream(2.5, 7, 1)
+
     @staticmethod
     def assert_numpy_stream(key):
         rng = substream(*key)
