@@ -2,12 +2,13 @@
 serialization."""
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 import numbers
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 import yaml
@@ -44,12 +45,10 @@ def _require_mapping(node, field_name: str) -> dict:
         raise ConfigError(field_name, "expected a mapping")
     return node
 
-def _reject_unknown(node: dict, allowed: set[str], field_name: str) -> None:
-    unknown = set(node) - allowed
+def _reject_unknown(node: dict, allowed, field_name: str) -> None:
+    unknown = sorted(set(node).difference(allowed))
     if unknown:
-        raise ConfigError(
-            f"{field_name}.{sorted(unknown)[0]}", "unknown field"
-        )
+        raise ConfigError(f"{field_name}.{unknown[0]}", "unknown field")
 
 
 def _number(node: dict, key: str, field_name: str, default=None) -> float:
@@ -82,22 +81,37 @@ def _integer(node: dict, key: str, field_name: str, default=None) -> int:
     return v
 
 
-def _optional(node: dict, key: str, field_name: str, cls: type, name: str):
-    """`node[key]`, or the default of `cls`'s field `name` where it is
-    absent: the model states every optional field's default, and an int
-    default reads the field as an integer."""
-    default = next(f.default for f in fields(cls) if f.name == name)
-    return (_integer if isinstance(default, int) else _number)(node, key, field_name, default)
+@functools.cache
+def _declared(cls: type) -> dict:
+    """name -> (type, default or None) of each float, int or str field of `cls`."""
+    types = {"float": float, "int": int, "str": str}
+    return {f.name: (types[f.type], None if f.default is MISSING else f.default)
+            for f in fields(cls) if f.type in types}
+
+
+def _read(node: dict, key: str, field_name: str, cls: type, name: str, default=None):
+    """`node[key]`, read as the int or float that `cls`'s field `name`
+    declares; where it is absent, `default`, and with none it is missing."""
+    return (_integer if _declared(cls)[name][0] is int else _number)(node, key, field_name, default)
+
+
+def _as_declared(obj, keys, names=None) -> dict:
+    """{key: `obj`'s field name} for each key and name (the key by default),
+    as the float, int or str it declares: equal configs dump alike."""
+    types = _declared(type(obj))
+    return {key: types[name][0](getattr(obj, name)) for key, name in zip(keys, names or keys)}
+
+
+# Each platform YAML key and the PlatformParams field it sets, in dump order
+_PLATFORM = {"p": "p", "b": "b", "k": "k", "lambda": "lam", "N": "window_N", "eps_k": "eps_k"}
 
 
 @dataclass(frozen=True)
 class _Variants:
     """A YAML block whose `tag_key` field picks one variant of `build`.
-
     `fields` maps each tag to that variant's YAML fields in dump order; the
-    ones in `optional` take their defaults from `build`, and the others are
-    required.
-    """
+    ones in `optional` take their defaults from `build`, the others are
+    required, and each reads and dumps as the type `build` declares."""
 
     tag_key: str
     noun: str
@@ -135,8 +149,9 @@ def _parse_variant(node, variants: _Variants, field_name: str, defaults=None):
     keys = variants.fields[tag]
     _reject_unknown(node, {variants.tag_key, *keys}, field_name)
     values = {
-        key: _optional(node, key, field_name, variants.build, key) if key in variants.optional
-        else _number(node, key, field_name, (defaults or {}).get(key))
+        key: _read(node, key, field_name, variants.build, key,
+                   _declared(variants.build)[key][1] if key in variants.optional
+                   else (defaults or {}).get(key))
         for key in keys
     }
     return _build(variants.build, field_name, **{variants.tag_key: tag}, **values)
@@ -151,8 +166,7 @@ def _build(cls: type, field_name: str, **values):
 
 
 def _variant_dict(obj, variants: _Variants) -> dict:
-    tag = getattr(obj, variants.tag_key)
-    return {variants.tag_key: tag, **{k: getattr(obj, k) for k in variants.fields[tag]}}
+    return _as_declared(obj, (variants.tag_key, *variants.fields[getattr(obj, variants.tag_key)]))
 
 
 @dataclass(frozen=True)
@@ -182,6 +196,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(name, f"must be an integer, got {value}")
+            if int(value) >= _INT64:
+                raise ConfigError(name, f"{value} does not fit in a 64-bit integer")
         if self.rounds < 1:
             raise ConfigError("rounds", "must be at least 1")
         ledger_bytes = int(self.rounds) * (3 + 4 * len(self.profiles)) * 8
@@ -193,28 +209,17 @@ class ExperimentConfig:
         _check_bounds(self)
 
     def to_dict(self) -> dict:
-        p = self.platform
-        # through JSON, where a numpy scalar reads as its Python number, so
-        # that configs which compare equal dump and digest alike
-        return json.loads(json.dumps({
-            "mechanism": self.mechanism,
-            "platform": {
-                "p": p.p,
-                "b": p.b,
-                "k": p.k,
-                "lambda": p.lam,
-                "N": p.window_N,
-                "eps_k": p.eps_k,
-            },
+        return {
+            **_as_declared(self, ("mechanism",)),
+            "platform": _as_declared(self.platform, _PLATFORM, _PLATFORM.values()),
             "miners": [
-                {"capacity_A": prof.capacity_A, "cost": _variant_dict(prof.cost, COST),
-                 "policy": _variant_dict(pol, POLICY)}
+                {**_as_declared(prof, ("capacity_A",)),
+                 "cost": _variant_dict(prof.cost, COST), "policy": _variant_dict(pol, POLICY)}
                 for prof, pol in zip(self.profiles, self.policies)
             ],
             "demand": _variant_dict(self.demand, DEMAND),
-            "rounds": self.rounds,
-            "seed": self.seed,
-        }, default=lambda v: v.item()))
+            **_as_declared(self, ("rounds", "seed")),
+        }
 
     def digest(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
@@ -282,17 +287,12 @@ def parse_config(data: dict) -> ExperimentConfig:
     if pnode.pop("subsidy_clamp_nonneg", True) is not True:
         raise ConfigError("platform.subsidy_clamp_nonneg",
                           "was removed; the subsidy numerator c~/k - b is always clamped at 0")
-    _reject_unknown(pnode, {"p", "b", "k", "lambda", "N", "eps_k"}, "platform")
+    _reject_unknown(pnode, _PLATFORM, "platform")
     p = _number(pnode, "p", "platform")
-    platform = _build(
-        PlatformParams, "platform",
-        p=p,
-        b=_number(pnode, "b", "platform", default=p),  # b = p by default
-        k=_number(pnode, "k", "platform"),
-        lam=_optional(pnode, "lambda", "platform", PlatformParams, "lam"),
-        window_N=_optional(pnode, "N", "platform", PlatformParams, "window_N"),
-        eps_k=_optional(pnode, "eps_k", "platform", PlatformParams, "eps_k"),
-    )
+    platform = _build(PlatformParams, "platform", **{  # b = p by default
+        name: _read(pnode, key, "platform", PlatformParams, name,
+                    p if name == "b" else _declared(PlatformParams)[name][1])
+        for key, name in _PLATFORM.items()})
 
     miners_node = data.get("miners")
     if not isinstance(miners_node, list):
@@ -302,18 +302,17 @@ def parse_config(data: dict) -> ExperimentConfig:
         fname = f"miners[{idx}]"
         mnode = _require_mapping(mnode, fname)
         _reject_unknown(mnode, {"capacity_A", "cost", "policy"}, fname)
-        cap = _number(mnode, "capacity_A", fname)
-        if not cap > 0:
-            raise ConfigError(f"{fname}.capacity_A", "must be positive")
-        cost = _parse_variant(mnode.get("cost"), COST, f"{fname}.cost")
+        profile = _build(MinerProfile, f"{fname}.capacity_A",
+                         capacity_A=_number(mnode, "capacity_A", fname),
+                         cost=_parse_variant(mnode.get("cost"), COST, f"{fname}.cost"))
         pnode = mnode.get("policy")
         if isinstance(pnode, dict) and pnode.get("kind") == "myopic_br":
             pnode = _without_retired(pnode)
         policies.append(_parse_variant(
             {"kind": "static"} if pnode is None else pnode, POLICY, f"{fname}.policy",
-            defaults={"a": cap},
+            defaults={"a": profile.capacity_A},
         ))
-        profiles.append(MinerProfile(capacity_A=cap, cost=cost))
+        profiles.append(profile)
 
     return ExperimentConfig(
         mechanism=data.get("mechanism"),

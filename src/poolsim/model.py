@@ -9,7 +9,8 @@ import functools
 import math
 import numbers
 import operator
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -140,6 +141,28 @@ def _pcg64():
 U_MIN, U_MAX = 2.0**-53, 1.0 - 2.0**-53
 
 
+def _check_numbers(obj) -> None:
+    """A ValueError where a float field of `obj` holds no real number in the
+    float range, or an int field an integer beyond int64: values a YAML
+    config cannot spell, since its reader refuses them."""
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        if f.type == "float" and (what := _not_finite(v)):
+            raise ValueError(f"{f.name} must be a finite number, got {what}")
+        if f.type == "int" and isinstance(v, numbers.Integral) and not -2**63 <= operator.index(v) < 2**63:
+            raise ValueError(f"{f.name} does not fit in a 64-bit integer")
+
+
+def _not_finite(v) -> str | None:
+    """What `v` is, where it is no real number in the float range; else None."""
+    if isinstance(v, numbers.Integral):
+        # compared exactly: converting an int beyond the float range overflows
+        return None if abs(v) <= sys.float_info.max else "an int beyond the float range"
+    if not isinstance(v, numbers.Real):
+        return f"a {type(v).__name__}"
+    return None if math.isfinite(v) else repr(v)
+
+
 @dataclass(frozen=True)
 class PlatformParams:
     """Platform-chosen constants.
@@ -160,6 +183,7 @@ class PlatformParams:
     eps_k: float = 1e-3
 
     def __post_init__(self):
+        _check_numbers(self)
         if not self.p > 0:
             raise ValueError("p must be positive")
         if not self.b > 0:
@@ -189,6 +213,7 @@ class CostFunction:
     q: float = 2.0  # config reads the YAML default from here
 
     def __post_init__(self):
+        _check_numbers(self)
         if self.family == "linear":
             if not self.r > 0:
                 raise ValueError("linear cost requires r > 0")
@@ -245,6 +270,7 @@ class MinerProfile:
     cost: CostFunction
 
     def __post_init__(self):
+        _check_numbers(self)
         if not self.capacity_A > 0:
             raise ValueError("capacity_A must be positive")
 
@@ -271,6 +297,7 @@ class MinerPolicy:
     floor: float = 0.0
 
     def __post_init__(self):
+        _check_numbers(self)
         if self.kind not in ("static", "myopic_br", "delta_adaptive"):
             raise ValueError(f"unknown policy kind {self.kind!r}")
         if self.kind == "static" and not self.a >= 0:
@@ -303,6 +330,7 @@ class DemandModel:
     sigma: float = 0.0
 
     def __post_init__(self):
+        _check_numbers(self)
         if self.family == "constant":
             if not self.M > 0:
                 raise ValueError("constant demand requires M > 0")

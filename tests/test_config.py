@@ -1,6 +1,7 @@
 """Config ingestion: strict validation, defaults, round-trip, warnings."""
 import argparse
 import copy
+import dataclasses
 import os
 from dataclasses import replace
 
@@ -498,9 +499,47 @@ WHOLE_CONFIG_FAULTS = {
 }
 
 
+def _first_miner(cfg, **changes):
+    """`cfg` with `changes` made to miner 0's profile."""
+    return replace(cfg, profiles=(replace(cfg.profiles[0], **changes), *cfg.profiles[1:]))
+
+
+# Values that only a library caller can pass, since YAML's readers refuse
+# them, each refused where the config is built: the build, and the text its
+# ValueError (or ConfigError) matches
+UNSPELLABLE_VALUES = {
+    "k-beyond-float": (lambda cfg: replace(cfg, platform=replace(cfg.platform, k=10**400)),
+                       "k must be a finite number, got an int beyond the float range"),
+    "r-beyond-float": (lambda cfg: _first_miner(cfg, cost=CostFunction(family="linear", r=10**400)),
+                       "r must be a finite number, got an int beyond the float range"),
+    "p-string": (lambda cfg: replace(cfg, platform=replace(cfg.platform, p="1")),
+                 "p must be a finite number, got a str"),
+    "capacity-none": (lambda cfg: _first_miner(cfg, capacity_A=None),
+                      "capacity_A must be a finite number, got a NoneType"),
+    "static-a-string": (lambda cfg: replace(cfg, policies=(
+        MinerPolicy(kind="static", a="1"), *cfg.policies[1:])), "a must be a finite number, got a str"),
+    "seed-beyond-int64": (lambda cfg: replace(cfg, seed=2**70),
+                          "config field 'seed': 1180591620717411303424 does not fit in a 64-bit integer"),
+    "window-beyond-int64": (lambda cfg: replace(cfg, platform=replace(cfg.platform, window_N=2**70)),
+                            "window_N does not fit in a 64-bit integer"),
+    "p-inf": (lambda cfg: replace(cfg, platform=replace(cfg.platform, p=float("inf"))),
+              "p must be a finite number, got inf"),
+    "static-a-inf": (lambda cfg: replace(cfg, policies=(
+        MinerPolicy(kind="static", a=float("inf")), *cfg.policies[1:])), "a must be a finite number, got inf"),
+}
+
+
 class TestOneSetOfChecks:
     """parse_config, dataclasses.replace and the constructor run one set of
     whole-config checks: ExperimentConfig's."""
+
+    @pytest.mark.parametrize("build, message", UNSPELLABLE_VALUES.values(), ids=UNSPELLABLE_VALUES)
+    def test_values_yaml_cannot_spell_raise_at_construction(self, build, message):
+        # each overflowed, raised a TypeError from a comparison, or built a
+        # config whose dump parse_config refused
+        with pytest.raises(ValueError) as e:
+            build(AUDIT)
+        assert str(e.value) == message
 
     @pytest.mark.parametrize("edits, replaced, field", WHOLE_CONFIG_FAULTS.values(),
                              ids=WHOLE_CONFIG_FAULTS)
@@ -633,6 +672,24 @@ class TestSupplyWarning:
         assert capsys.readouterr() == ("", "")
 
 
+def _retyped(obj):
+    """The config or model object `obj` with each float field that holds an
+    integral value made an int and each int field an np.int64, nested
+    objects and their tuples included."""
+    if isinstance(obj, tuple):
+        return tuple(map(_retyped, obj))
+    changes = {}
+    for f in dataclasses.fields(obj):
+        v = getattr(obj, f.name)
+        if f.type == "float" and float(v).is_integer():
+            changes[f.name] = int(v)
+        elif f.type == "int":
+            changes[f.name] = np.int64(v)
+        elif dataclasses.is_dataclass(v) or isinstance(v, tuple):
+            changes[f.name] = _retyped(v)
+    return replace(obj, **changes)
+
+
 class TestRoundTrip:
     def full_config(self):
         return {
@@ -701,22 +758,38 @@ class TestRoundTrip:
         cfg = load_config(os.path.join(CONFIGS, f"{name}.yaml"))
         assert cfg.digest() == digest
 
-    @pytest.mark.parametrize("field, value", [
-        ("seed", np.int64(3)), ("window_N", np.int64(4)), ("capacity_A", np.float32(1.0)),
-    ], ids=["seed", "window_N", "capacity_A"])
-    def test_numpy_scalars_dump_and_digest_as_python_numbers(self, field, value):
+    @pytest.mark.parametrize("field, value, twin", [
+        ("seed", np.int64(3), 3), ("window_N", np.int64(4), 4),
+        ("capacity_A", np.float32(1.0), 1.0), ("k", 100, 100.0), ("M", 600, 600.0),
+        ("capacity_A", 1, 1.0), ("window_N", True, 1),
+    ], ids=["seed", "window_N", "capacity_A", "k-int", "M-int", "capacity_A-int", "window_N-bool"])
+    def test_numpy_scalars_dump_and_digest_as_python_numbers(self, field, value, twin):
         def built(v):
             if field == "seed":
                 return replace(AUDIT, seed=v)
-            if field == "window_N":
-                return replace(AUDIT, platform=replace(AUDIT.platform, window_N=v))
-            return replace(AUDIT, profiles=(replace(AUDIT.profiles[0], capacity_A=v),
-                                            *AUDIT.profiles[1:]))
+            if field in ("window_N", "k"):
+                return replace(AUDIT, platform=replace(AUDIT.platform, **{field: v}))
+            if field == "M":
+                return replace(AUDIT, demand=replace(AUDIT.demand, M=v))
+            return _first_miner(AUDIT, capacity_A=v)
 
-        numpy_cfg, plain_cfg = built(value), built(value.item())
+        numpy_cfg, plain_cfg = built(value), built(twin)
         assert numpy_cfg == plain_cfg
         assert numpy_cfg.digest() == plain_cfg.digest()
         assert dump_config(numpy_cfg) == dump_config(plain_cfg)
+        assert parse_config(yaml.safe_load(dump_config(numpy_cfg))) == numpy_cfg
+
+    @given(small_configs(myopic=True))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_retyped_numbers_dump_and_digest_alike(self, data):
+        # each integral float field an int and each int field an np.int64:
+        # an equal config, with the same dump and digest, that round-trips
+        cfg = parse_config(data)
+        retyped = _retyped(cfg)
+        assert retyped == cfg
+        assert retyped.digest() == cfg.digest()
+        assert dump_config(retyped) == dump_config(cfg)
+        assert parse_config(yaml.safe_load(dump_config(retyped))) == cfg
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "exp.yaml"

@@ -82,6 +82,14 @@ def test_tests_name_no_benchmark_path():
     assert paths and not [(f, p) for f in files for p in paths if p.encode() in f.read_bytes()]
 
 
+@pytest.mark.parametrize("key", ['"lambda"', '"N"'], ids=["lambda", "N"])
+def test_platform_key_named_once(key):
+    # the two platform keys whose PlatformParams fields have other names
+    # (lam, window_N) are spelled only in config's one key table, which
+    # parse_config and to_dict both read
+    assert sum(len(_lines(p, re.escape(key))) for p in SRC.glob("*.py")) == 1
+
+
 def test_readme_library_imports_run():
     # README's import block names only what the package exports
     section = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## Library entry points\n")[1]
